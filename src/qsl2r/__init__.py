@@ -5,9 +5,11 @@ The package is organized bottom-up:
 
     scalar     the root of unity q, exact cyclotomic arithmetic, q-numbers
     ncpoly     noncommutative polynomials in X, Y, Z, Z^-1, J over Q(q);
-               PBW rewriting and the symbolic proof replays
-    reps       the two irreducible matrix families, relation checks,
-               tensor products, the family intersection
+               PBW rewriting, the symbolic proof replays, and the one copy
+               of every relation and of the cubic identity
+    reps       the two irreducible matrix families, `evaluate` (ncpoly
+               polynomials onto matrices) and the relation checks built on
+               it, tensor products, the family intersection
     spectral   J eigenstructure, ladder chains, tridiagonality, the
                unitarizing (T, G) search
     cli        the qsl2r command-line entry point
@@ -19,7 +21,7 @@ from .ncpoly import (NcPoly, QCoeff, QRat, parse_expr, format_expr,
                      pbw_normal_form, substitute_j, identity_coefficients,
                      identity_contracts, lemma_check, lemma_v,
                      hopf_symbolic_check, HOPF_CHECKS)
-from .reps import (Representation, build_family1, build_family2,
+from .reps import (Representation, build_family1, build_family2, evaluate,
                    verify_relations, j_matrix, recover_xy, tensor_rep,
                    intersection_check, representation_to_json,
                    representation_from_json)
@@ -34,7 +36,7 @@ __all__ = [
     "pbw_normal_form", "substitute_j", "identity_coefficients",
     "identity_contracts", "lemma_check", "lemma_v", "hopf_symbolic_check",
     "HOPF_CHECKS",
-    "Representation", "build_family1", "build_family2", "verify_relations",
+    "Representation", "build_family1", "build_family2", "evaluate", "verify_relations",
     "j_matrix", "recover_xy", "tensor_rep", "intersection_check",
     "representation_to_json", "representation_from_json",
     "EigenPair", "LadderChain", "UnitarizingStructure", "eigen_solve",

@@ -10,6 +10,11 @@ for generic q, which is stronger than at any particular root of unity.
 Products cancel Z z pairs on contact and apply no other relation.  The
 defining relations of the algebra enter only through `pbw_normal_form`,
 which rewrites onto the ordered monomial basis Y^a X^b Z^c (c signed).
+
+The relations (`relation_sides`), the cubic identity (`identity_sides`,
+`identity_coefficients`) and the recovery of X and Y from J and Z
+(`xy_recovery`) are written only here; `reps.evaluate` maps the same
+polynomials onto matrices for the representation-level checks.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .scalar import _poly_divmod
 
 X, Y, Z, ZINV, J = "X", "Y", "Z", "z", "J"
 LETTERS = "XYZzJ"
@@ -49,22 +56,6 @@ def _dense(d, lo, hi):
     for e, c in d.items():
         out[e - lo] = c
     return out
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    quot = [_F0] * max(len(a) - db, 1)
-    for k in range(len(a) - 1, db - 1, -1):
-        if a[k]:
-            c = a[k] / lead
-            quot[k - db] = c
-            for i in range(db + 1):
-                a[k - db + i] -= c * b[i]
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return quot, a
 
 
 def _poly_gcd(a, b):
@@ -715,54 +706,86 @@ def _two_bracket_sq() -> QCoeff:
     return QCoeff.of(t * t)
 
 
+_IDENTITY_SIDES = None
+_IDENTITY_COEFFS = None
+
+
 def identity_sides():
     """LHS and RHS of the cubic ladder identity over the letters Z, J, with
-    the spectral parameter carried by y."""
-    a2, a0, am2 = bracket_shift(2), bracket_shift(0), bracket_shift(-2)
-    t2 = _two_bracket_sq()
-    Zp, Jp = NcPoly.word(Z), NcPoly.word(J)
-    lhs = Zp * (Jp - NcPoly.scalar(a2)) * (Jp - NcPoly.scalar(a0)) \
-        * (Jp - NcPoly.scalar(am2)) * Zp
-    rhs = ((Jp - NcPoly.scalar(a0)) * Zp * (Jp - NcPoly.scalar(a0)) * Zp
-           - NcPoly.scalar(t2)) * (Jp - NcPoly.scalar(a0))
-    return lhs, rhs
+    the spectral parameter carried by y (built once, on first use)."""
+    global _IDENTITY_SIDES
+    if _IDENTITY_SIDES is None:
+        a2, a0, am2 = bracket_shift(2), bracket_shift(0), bracket_shift(-2)
+        t2 = _two_bracket_sq()
+        Zp, Jp = NcPoly.word(Z), NcPoly.word(J)
+        lhs = Zp * (Jp - NcPoly.scalar(a2)) * (Jp - NcPoly.scalar(a0)) \
+            * (Jp - NcPoly.scalar(am2)) * Zp
+        rhs = ((Jp - NcPoly.scalar(a0)) * Zp * (Jp - NcPoly.scalar(a0)) * Zp
+               - NcPoly.scalar(t2)) * (Jp - NcPoly.scalar(a0))
+        _IDENTITY_SIDES = (lhs, rhs)
+    return _IDENTITY_SIDES
+
+
+def y_coefficients(p: NcPoly) -> dict[int, NcPoly]:
+    """The y-free polynomials p_k with p = sum_k y^k p_k (nonzero ones only)."""
+    out: dict[int, dict[str, QCoeff]] = {}
+    for w, c in p.terms.items():
+        for ey, qr in c.terms.items():
+            out.setdefault(ey, {})[w] = QCoeff.of(qr)
+    return {ey: NcPoly(bucket) for ey, bucket in out.items()}
 
 
 def identity_coefficients() -> dict[int, NcPoly]:
     """Collect LHS - RHS of the cubic ladder identity by powers of y.
     The y^(+-3) contributions cancel among themselves; the survivors are the
     five coefficients c_-2 .. c_2 (y-free noncommutative polynomials)."""
-    lhs, rhs = identity_sides()
-    diff = lhs - rhs
-    out: dict[int, dict[str, QCoeff]] = {}
-    for w, c in diff.terms.items():
-        for ey, qr in c.terms.items():
-            bucket = out.setdefault(ey, {})
-            prev = bucket.get(w)
-            add = QCoeff.of(qr)
-            bucket[w] = add if prev is None else prev + add
-    coeffs = {ey: NcPoly(bucket) for ey, bucket in out.items()}
-    coeffs = {ey: p for ey, p in coeffs.items() if not p.is_zero()}
-    stray = [ey for ey in coeffs if abs(ey) > 2]
-    if stray:
-        raise AssertionError(f"unexpected y-powers survive the expansion: {stray}")
-    for k in range(-2, 3):
-        coeffs.setdefault(k, NcPoly.zero())
-    return coeffs
+    global _IDENTITY_COEFFS
+    if _IDENTITY_COEFFS is None:
+        lhs, rhs = identity_sides()
+        coeffs = y_coefficients(lhs - rhs)
+        stray = [ey for ey in coeffs if abs(ey) > 2]
+        if stray:
+            raise AssertionError(f"unexpected y-powers survive the expansion: {stray}")
+        for k in range(-2, 3):
+            coeffs.setdefault(k, NcPoly.zero())
+        _IDENTITY_COEFFS = coeffs
+    return dict(_IDENTITY_COEFFS)
 
 
-def _relation_one() -> NcPoly:
-    # Z^2 J - (q^2 + q^-2) Z J Z + J Z^2
-    mid = QCoeff.of(QRat.q_pow(2) + QRat.q_pow(-2))
-    return NcPoly.word("ZZJ") - NcPoly.word("ZJZ", mid) + NcPoly.word("JZZ")
+def relation_sides(which: str) -> dict[str, tuple[NcPoly, NcPoly]]:
+    """(LHS, RHS) of each relation in a set, keyed by its check name.
+    "defining": the relations among X, Y, Z (Z Z^-1 = 1 is no polynomial
+    identity here, since words cancel Z z on contact; see defining_relations).
+    "zj": the two J-Z relations."""
+    if which == "defining":
+        inv_delta = QCoeff.of(_DELTA.inverse())
+        return {
+            "Z X = q^-2 X Z": (NcPoly.word("ZX"), NcPoly.word("XZ", QCoeff.q_pow(-2))),
+            "Z Y = q^2 Y Z": (NcPoly.word("ZY"), NcPoly.word("YZ", QCoeff.q_pow(2))),
+            "q^-1 X Y - q Y X = (Z^2 - 1)/(q - q^-1)":
+                (NcPoly.word("XY", QCoeff.q_pow(-1)) - NcPoly.word("YX", QCoeff.q_pow(1)),
+                 NcPoly.word("ZZ", inv_delta) - NcPoly.scalar(inv_delta)),
+        }
+    if which == "zj":
+        mid = QCoeff.of(QRat.q_pow(2) + QRat.q_pow(-2))
+        front = QCoeff.of(QRat.q_pow(2) + QRat.one() + QRat.q_pow(-2))
+        t2 = _two_bracket_sq()
+        return {
+            "Z^2 J - (q^2+q^-2) Z J Z + J Z^2 = 0":
+                (NcPoly.word("ZZJ") - NcPoly.word("ZJZ", mid) + NcPoly.word("JZZ"),
+                 NcPoly.zero()),
+            "(q^2+1+q^-2) Z J^2 Z - J Z J Z - J Z^2 J - Z J Z J = [2]^2 (Z^2 - 1)":
+                (NcPoly.word("ZJJZ", front) - NcPoly.word("JZJZ") - NcPoly.word("JZZJ")
+                 - NcPoly.word("ZJZJ"),
+                 NcPoly.word("ZZ", t2) - NcPoly.scalar(t2)),
+        }
+    raise ValueError(f"unknown relation set {which!r}")
 
 
-def _relation_two() -> NcPoly:
-    # (q^2 + 1 + q^-2) Z J^2 Z - J Z J Z - J Z^2 J - Z J Z J - [2]^2 (Z^2 - 1)
-    front = QCoeff.of(QRat.q_pow(2) + QRat.one() + QRat.q_pow(-2))
-    t2 = _two_bracket_sq()
-    return (NcPoly.word("ZJJZ", front) - NcPoly.word("JZJZ") - NcPoly.word("JZZJ")
-            - NcPoly.word("ZJZJ") - NcPoly.word("ZZ", t2) + NcPoly.scalar(t2))
+def _zj_relations() -> list[NcPoly]:
+    # R1 = Z^2 J - (q^2 + q^-2) Z J Z + J Z^2 and
+    # R2 = (q^2 + 1 + q^-2) Z J^2 Z - J Z J Z - J Z^2 J - Z J Z J - [2]^2 (Z^2 - 1)
+    return [lhs - rhs for lhs, rhs in relation_sides("zj").values()]
 
 
 def identity_contracts(coeffs: dict[int, NcPoly] | None = None) -> dict[str, NcPoly]:
@@ -782,7 +805,7 @@ def identity_contracts(coeffs: dict[int, NcPoly] | None = None) -> dict[str, NcP
     mid = QCoeff.of(QRat.q_pow(2) + QRat.q_pow(-2))
 
     target_pm2 = -NcPoly.word("JZZ") + NcPoly.word("ZJZ", mid) - NcPoly.word("ZZJ")
-    target_1 = _relation_two()
+    target_1 = _zj_relations()[1]
     target_0 = (NcPoly.word("JZZ") - NcPoly.word("ZJZ", mid) + NcPoly.word("ZZJ")) * 2 \
         + (NcPoly.word("ZJJJZ") - NcPoly.word("ZJZ", t2)
            - NcPoly.word("JZJZJ") + NcPoly.word(J, t2)) * d2
@@ -832,8 +855,7 @@ def lemma_check(v: NcPoly | None = None, consequence_depth: int = 5) -> LemmaRep
     v = lemma_v() if v is None else v
     Zp = NcPoly.word(Z)
     s = Zp * v + v * Zp
-    r1 = _relation_one()
-    r2 = _relation_two()
+    r1, r2 = _zj_relations()
     decomposition = (r2 * NcPoly.word("JZ") + NcPoly.word("ZJ") * r2
                      + r1 * NcPoly.word("JJZ") + NcPoly.word("ZJJ") * r1)
     residual = s - decomposition
@@ -976,18 +998,13 @@ def hopf_symbolic_check(which: str) -> HopfReport:
         return HopfReport(which, ok, residual, "(eps (x) id) Delta g = g on generators")
 
     if which == "zj_relations":
-        r1 = pbw_normal_form(substitute_j(_relation_one()))
-        r2 = pbw_normal_form(substitute_j(_relation_two()))
+        r1, r2 = (pbw_normal_form(substitute_j(r)) for r in _zj_relations())
         residual = r1 + r2
         return HopfReport(which, r1.is_zero() and r2.is_zero(), residual,
                           "both J-Z relations reduce to 0 under PBW")
 
     if which == "xy_recovery":
-        scale = (QRat.q_pow(2) - QRat.q_pow(-2)).inverse()
-        xhat = (NcPoly.word("JZ", QCoeff.of(QRat.q_pow(1) * scale))
-                - NcPoly.word("ZJ", QCoeff.of(QRat.q_pow(-1) * scale)))
-        yhat = (NcPoly.word("JZ", QCoeff.of(QRat.q_pow(-1) * scale))
-                - NcPoly.word("ZJ", QCoeff.of(QRat.q_pow(1) * scale)))
+        xhat, yhat = xy_recovery()
         rx = pbw_normal_form(substitute_j(xhat)) - NcPoly.word(X)
         ry = pbw_normal_form(substitute_j(yhat)) - NcPoly.word(Y)
         residual = rx + ry
@@ -997,18 +1014,24 @@ def hopf_symbolic_check(which: str) -> HopfReport:
     raise ValueError(f"unknown check {which!r}; expected one of {HOPF_CHECKS}")
 
 
+def xy_recovery() -> tuple[NcPoly, NcPoly]:
+    """X and Y written in J and Z: (q J Z - q^-1 Z J)/(q^2 - q^-2) and
+    (q^-1 J Z - q Z J)/(q^2 - q^-2)."""
+    scale = (QRat.q_pow(2) - QRat.q_pow(-2)).inverse()
+    xhat = (NcPoly.word("JZ", QCoeff.of(QRat.q_pow(1) * scale))
+            - NcPoly.word("ZJ", QCoeff.of(QRat.q_pow(-1) * scale)))
+    yhat = (NcPoly.word("JZ", QCoeff.of(QRat.q_pow(-1) * scale))
+            - NcPoly.word("ZJ", QCoeff.of(QRat.q_pow(1) * scale)))
+    return xhat, yhat
+
+
 def defining_relations() -> dict[str, NcPoly]:
-    """LHS - RHS of each defining relation; each must PBW-reduce to zero."""
-    inv_delta = QCoeff.of(_DELTA.inverse())
-    return {
-        "Z Zi = 1": NcPoly.word("Zz") - NcPoly.one(),
-        "Zi Z = 1": NcPoly.word("zZ") - NcPoly.one(),
-        "Z X = q^-2 X Z": NcPoly.word("ZX") - NcPoly.word("XZ", QCoeff.q_pow(-2)),
-        "Z Y = q^2 Y Z": NcPoly.word("ZY") - NcPoly.word("YZ", QCoeff.q_pow(2)),
-        "q^-1 X Y - q Y X = (Z^2-1)/(q-q^-1)":
-            NcPoly.word("XY", QCoeff.q_pow(-1)) - NcPoly.word("YX", QCoeff.q_pow(1))
-            - NcPoly.word("ZZ", inv_delta) + NcPoly.scalar(inv_delta),
-    }
+    """LHS - RHS of each defining relation; each must PBW-reduce to zero.
+    The two Z Z^-1 relations hold by word cancellation, so they are zero."""
+    out = {"Z Zi = 1": NcPoly.word("Zz") - NcPoly.one(),
+           "Zi Z = 1": NcPoly.word("zZ") - NcPoly.one()}
+    out.update((name, lhs - rhs) for name, (lhs, rhs) in relation_sides("defining").items())
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,21 @@ matrices act on the left, so the family formulas become column operations.
 Exact matrices are nested lists of CycloNum/GaussCyclo entries; the floating
 backend uses numpy complex128 arrays.  Every constructor verifies the
 defining relations before returning (exactly on the exact backend).
+
+The relations themselves are not typed in here: they live once, as
+noncommutative polynomials in `ncpoly`, and `evaluate` maps them onto the
+matrices of a representation on either backend.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .ncpoly import relation_sides, xy_recovery
 from .scalar import (ABS_TOL, REL_TOL, CycloNum, GaussCyclo, RootContext,
                      gauss_i, is_exact, q_number, q_power, scalar_from_json,
                      scalar_to_json, to_complex)
@@ -103,9 +109,22 @@ def ex_pow(A, n: int, ctx: RootContext):
     return out
 
 
-def ex_conj_transpose(A):
-    n, m = len(A), len(A[0])
-    return [[A[j][i].conjugate() for j in range(n)] for i in range(m)]
+def ex_lincomb(terms, ctx: RootContext, d: int):
+    """sum of s * M over the (s, M) pairs of d x d matrices, skipping zero
+    scalars and zero entries."""
+    one = ctx.one()
+    out = ex_zeros(ctx, d)
+    for s, M in terms:
+        if s.is_zero():
+            continue
+        unit = s == one
+        for row_o, row_m in zip(out, M):
+            for j, a in enumerate(row_m):
+                if not a.is_zero():
+                    p = a if unit else s * a
+                    o = row_o[j]
+                    row_o[j] = p if o.is_zero() else o + p
+    return out
 
 
 def ex_to_complex(A) -> np.ndarray:
@@ -203,60 +222,36 @@ def build_family2(ctx: RootContext, lam, a, b, backend: str = "approx",
     (CycloNum / GaussCyclo / rationals) to stay in Q(zeta_Q)(i)."""
     Q = ctx.Q
     if backend == "exact":
-        lam = GaussCyclo.from_scalar(lam, ctx)
-        a = GaussCyclo.from_scalar(a, ctx)
-        b = GaussCyclo.from_scalar(b, ctx)
-        if lam.is_zero():
-            raise ValueError("lambda must be nonzero")
-        mi = -gauss_i(ctx)
-        delta = q_power(ctx, 1) - q_power(ctx, -1)
-        lam_inv = lam.inverse()
-        Z = ex_zeros(ctx, Q)
-        Zinv = ex_zeros(ctx, Q)
-        Xm = ex_zeros(ctx, Q)
-        Ym = ex_zeros(ctx, Q)
-        for j in range(Q):
-            zj = lam * q_power(ctx, 2 * j)
-            Z[j][j] = zj
-            Zinv[j][j] = zj.inverse()
-            if j != 0:
-                core = a * b - q_number(ctx, j) * (lam * q_power(ctx, j - 1)
-                                                   - lam_inv * q_power(ctx, 1 - j)) / delta
-                Xm[j - 1][j] = mi * q_power(ctx, j - 1) * core
-            if j != Q - 1:
-                Ym[j + 1][j] = mi * lam * q_power(ctx, j + 1)
-        Xm[Q - 1][0] = mi * q_power(ctx, -1) * a
-        Ym[0][Q - 1] = mi * lam * b
-        rep = Representation(ctx, Q, 2, {"lambda": lam, "a": a, "b": b},
-                             "exact", Xm, Ym, Z, Zinv)
+        lam, a, b = (GaussCyclo.from_scalar(v, ctx) for v in (lam, a, b))
+        qp, qn = partial(q_power, ctx), partial(q_number, ctx)
+        mi, zero = -gauss_i(ctx), ctx.zero()
     elif backend == "approx":
-        lam = complex(to_complex(lam))
-        a = complex(to_complex(a))
-        b = complex(to_complex(b))
-        if lam == 0:
-            raise ValueError("lambda must be nonzero")
-        q = ctx.q_complex
-        delta = q - 1 / q
-        Z = np.zeros((Q, Q), dtype=complex)
-        Zinv = np.zeros((Q, Q), dtype=complex)
-        Xm = np.zeros((Q, Q), dtype=complex)
-        Ym = np.zeros((Q, Q), dtype=complex)
-        for j in range(Q):
-            zj = lam * q ** (2 * j)
-            Z[j, j] = zj
-            Zinv[j, j] = 1 / zj
-            if j != 0:
-                qnj = to_complex(q_number(ctx, j))
-                core = a * b - qnj * (lam * q ** (j - 1) - q ** (1 - j) / lam) / delta
-                Xm[j - 1, j] = -1j * q ** (j - 1) * core
-            if j != Q - 1:
-                Ym[j + 1, j] = -1j * lam * q ** (j + 1)
-        Xm[Q - 1, 0] = -1j * a / q
-        Ym[0, Q - 1] = -1j * lam * b
-        rep = Representation(ctx, Q, 2, {"lambda": lam, "a": a, "b": b},
-                             "approx", Xm, Ym, Z, Zinv)
+        lam, a, b = (complex(to_complex(v)) for v in (lam, a, b))
+        qp, mi, zero = partial(pow, ctx.q_complex), -1j, 0j
+
+        def qn(k):
+            return to_complex(q_number(ctx, k))
     else:
         raise ValueError(f"unknown backend {backend!r}")
+    if not lam:
+        raise ValueError("lambda must be nonzero")
+    delta = qp(1) - qp(-1)
+    Z, Zinv, Xm, Ym = ([[zero] * Q for _ in range(Q)] for _ in range(4))
+    for j in range(Q):
+        zj = lam * qp(2 * j)
+        Z[j][j] = zj
+        Zinv[j][j] = 1 / zj
+        if j != 0:
+            core = a * b - qn(j) * (lam * qp(j - 1) - qp(1 - j) / lam) / delta
+            Xm[j - 1][j] = mi * qp(j - 1) * core
+        if j != Q - 1:
+            Ym[j + 1][j] = mi * lam * qp(j + 1)
+    Xm[Q - 1][0] = mi * a / qp(1)
+    Ym[0][Q - 1] = mi * lam * b
+    if backend == "approx":
+        Z, Zinv, Xm, Ym = (np.array(M, dtype=complex) for M in (Z, Zinv, Xm, Ym))
+    rep = Representation(ctx, Q, 2, {"lambda": lam, "a": a, "b": b},
+                         backend, Xm, Ym, Z, Zinv)
     if validate:
         _require_defining(rep)
     return rep
@@ -269,52 +264,71 @@ def _require_defining(rep):
 
 
 # ---------------------------------------------------------------------------
-# generic matrix arithmetic over either backend
+# evaluating symbolic polynomials onto matrices
 # ---------------------------------------------------------------------------
 
+def _coefficient(c, ctx: RootContext, exact: bool):
+    """The y-free coefficient's value at q, cached on the context under its
+    canonical numerator and denominator."""
+    if set(c.terms) - {0}:
+        raise ValueError("only y-free polynomials can be evaluated onto matrices")
+    qr = c.terms[0]
+    key = (exact, tuple(sorted(qr.num.items())), tuple(sorted(qr.den.items())))
+    got = ctx._subs_cache.get(key)
+    if got is None:
+        got = ctx._subs_cache[key] = qr.subs_q(q_power(ctx, 1) if exact else ctx.q_complex)
+    return got
 
-class _Ops:
-    """Uniform matrix operations so relation checks are written once."""
 
-    def __init__(self, rep: Representation):
-        self.rep = rep
-        self.exact = rep.backend == "exact"
-        ctx = rep.ctx
-        if self.exact:
-            self.q = q_power(ctx, 1)
-            self.qi = q_power(ctx, -1)
-            self.eye = ex_eye(ctx, rep.dim)
-            self.mul = ex_mul
-            self.add = ex_add
-            self.sub = ex_sub
-            self.scale = lambda A, s: ex_scale(A, s)
-            self.residual = ex_residual
-        else:
-            self.q = ctx.q_complex
-            self.qi = 1 / ctx.q_complex
-            self.eye = np.eye(rep.dim, dtype=complex)
-            self.mul = lambda A, B: A @ B
-            self.add = lambda A, B: A + B
-            self.sub = lambda A, B: A - B
-            self.scale = lambda A, s: s * A
-            self.residual = lambda A: float(np.max(np.abs(A))) if A.size else 0.0
+def evaluate(polys, rep: Representation, exact: bool | None = None) -> list:
+    """Matrices of y-free NcPolys over X, Y, Z, Zi, J on the representation.
+    Each word becomes a matrix product, memoized by prefix and shared across
+    `polys` for this call only; J becomes j_matrix(rep); each coefficient is
+    its rational function of q at the root of unity.  exact=False evaluates
+    an exact representation on the floating path (complex embeddings)."""
+    if exact is None:
+        exact = rep.backend == "exact"
+    elif exact and rep.backend != "exact":
+        raise ValueError("a floating representation has no exact evaluation")
+    ctx, d = rep.ctx, rep.dim
+    if exact:
+        g, mul, eye = rep.mats(), ex_mul, ex_eye(ctx, d)
+    else:
+        g, mul, eye = rep.complex_mats(), np.matmul, np.eye(d, dtype=complex)
+    memo = {"": eye, "X": g["X"], "Y": g["Y"], "Z": g["Z"], "z": g["Zinv"]}
 
-    def qnum(self, x):
-        v = q_number(self.rep.ctx, x)
-        return v if self.exact else to_complex(v)
+    def word(w):
+        got = memo.get(w)
+        if got is None:
+            if w == "J":
+                got = j_matrix(rep) if exact else j_matrix_complex(rep)
+            elif len(w) > 1:
+                got = mul(word(w[:-1]), word(w[-1]))
+            else:
+                raise ValueError(f"unknown letter {w!r}")
+            memo[w] = got
+        return got
 
-    def scalar_mat(self, s):
-        return self.scale(self.eye, s)
+    out = []
+    for p in polys:
+        terms = [(_coefficient(c, ctx, exact), word(w)) for w, c in p.terms.items()]
+        out.append(ex_lincomb(terms, ctx, d) if exact
+                   else sum((s * M for s, M in terms), np.zeros((d, d), dtype=complex)))
+    return out
 
-    def close(self, A, B, tol):
-        diff = self.sub(A, B)
-        r = self.residual(diff)
-        if self.exact:
-            return r == 0.0, r
-        scale = max(1.0,
-                    float(np.max(np.abs(A))) if A.size else 0.0,
-                    float(np.max(np.abs(B))) if B.size else 0.0)
-        return r <= tol * scale + ABS_TOL, r
+
+def _max_abs(A) -> float:
+    return float(np.max(np.abs(A))) if A.size else 0.0
+
+
+def _close(A, B, exact: bool, tol: float):
+    """(ok, residual) for A = B: an exact zero difference on the exact
+    backend, else relative to max(1, |A|, |B|) with the absolute floor."""
+    if exact:
+        r = ex_residual(ex_sub(A, B))
+        return r == 0.0, r
+    r = _max_abs(A - B)
+    return r <= tol * max(1.0, _max_abs(A), _max_abs(B)) + ABS_TOL, r
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +375,23 @@ class RelationReport:
 
 
 def j_matrix(rep: Representation, tol: float = REL_TOL):
-    """(q X - q^-1 Y) Z^-1; asserts agreement with the equivalent form
+    """J = (q X - q^-1 Y) Z^-1, the matrix that `evaluate` substitutes for
+    the letter J; asserts agreement with the equivalent form
     Z^-1 (q^-1 X - q Y) and caches the result on the representation."""
     got = rep._cache.get("J")
     if got is not None:
         return got
-    ops = _Ops(rep)
-    lhs = ops.mul(ops.sub(ops.scale(rep.X, ops.q), ops.scale(rep.Y, ops.qi)), rep.Zinv)
-    rhs = ops.mul(rep.Zinv, ops.sub(ops.scale(rep.X, ops.qi), ops.scale(rep.Y, ops.q)))
-    same, r = ops.close(lhs, rhs, tol)
+    exact = rep.backend == "exact"
+    X, Y, Zinv = rep.X, rep.Y, rep.Zinv
+    if exact:
+        q, qi = q_power(rep.ctx, 1), q_power(rep.ctx, -1)
+        lhs = ex_mul(ex_sub(ex_scale(X, q), ex_scale(Y, qi)), Zinv)
+        rhs = ex_mul(Zinv, ex_sub(ex_scale(X, qi), ex_scale(Y, q)))
+    else:
+        q, qi = rep.ctx.q_complex, 1 / rep.ctx.q_complex
+        lhs = (q * X - qi * Y) @ Zinv
+        rhs = Zinv @ (qi * X - q * Y)
+    same, r = _close(lhs, rhs, exact, tol)
     if not same:
         raise ArithmeticError(f"the two J forms disagree (residual {r:.3g}); "
                               "representation is corrupted")
@@ -387,80 +409,51 @@ def j_matrix_complex(rep: Representation) -> np.ndarray:
 
 
 def recover_xy(rep: Representation):
-    """X' = (q J Z - q^-1 Z J)/(q^2 - q^-2) and the Y' counterpart; the
-    round trip contract is X' = X, Y' = Y."""
-    ops = _Ops(rep)
-    Jm = j_matrix(rep)
-    JZ = ops.mul(Jm, rep.Z)
-    ZJ = ops.mul(rep.Z, Jm)
-    if ops.exact:
-        denom = (q_power(rep.ctx, 2) - q_power(rep.ctx, -2)).inverse()
-    else:
-        denom = 1 / (ops.q ** 2 - ops.qi ** 2)
-    Xp = ops.scale(ops.sub(ops.scale(JZ, ops.q), ops.scale(ZJ, ops.qi)), denom)
-    Yp = ops.scale(ops.sub(ops.scale(JZ, ops.qi), ops.scale(ZJ, ops.q)), denom)
-    return Xp, Yp
+    """X' = (q J Z - q^-1 Z J)/(q^2 - q^-2) and the Y' counterpart
+    (ncpoly.xy_recovery); the round trip contract is X' = X, Y' = Y."""
+    return tuple(evaluate(xy_recovery(), rep))
 
 
 def verify_relations(rep: Representation, which: str,
                      tol: float = REL_TOL) -> RelationReport:
-    """which = defining | zj | central | star_original."""
-    ops = _Ops(rep)
+    """which = defining | zj | central | star_original.  The defining and
+    J-Z relations are the (LHS, RHS) pairs of ncpoly.relation_sides,
+    evaluated onto the matrices."""
+    exact = rep.backend == "exact"
+    mul = ex_mul if exact else np.matmul
     X, Y, Z, Zinv = rep.X, rep.Y, rep.Z, rep.Zinv
     report = RelationReport(which=which)
 
     def check(name, A, B, detail=""):
-        ok, r = ops.close(A, B, tol)
+        ok, r = _close(A, B, exact, tol)
         report.checks.append(CheckResult(name, ok, r, detail))
 
-    if which == "defining":
-        check("Z Zi = 1", ops.mul(Z, Zinv), ops.eye)
-        check("Zi Z = 1", ops.mul(Zinv, Z), ops.eye)
-        check("Z X = q^-2 X Z", ops.mul(Z, X), ops.scale(ops.mul(X, Z), ops.qi * ops.qi))
-        check("Z Y = q^2 Y Z", ops.mul(Z, Y), ops.scale(ops.mul(Y, Z), ops.q * ops.q))
-        if ops.exact:
-            delta_inv = (q_power(rep.ctx, 1) - q_power(rep.ctx, -1)).inverse()
+    if which in ("defining", "zj"):
+        if which == "defining":
+            # words cancel Z Zi on contact, so these two cannot be polynomials
+            eye = ex_eye(rep.ctx, rep.dim) if exact else np.eye(rep.dim, dtype=complex)
+            check("Z Zi = 1", mul(Z, Zinv), eye)
+            check("Zi Z = 1", mul(Zinv, Z), eye)
         else:
-            delta_inv = 1 / (ops.q - ops.qi)
-        lhs = ops.sub(ops.scale(ops.mul(X, Y), ops.qi), ops.scale(ops.mul(Y, X), ops.q))
-        rhs = ops.scale(ops.sub(ops.mul(Z, Z), ops.eye), delta_inv)
-        check("q^-1 X Y - q Y X = (Z^2 - 1)/(q - q^-1)", lhs, rhs)
-        return report
-
-    if which == "zj":
-        Jm = j_matrix(rep, tol)
-        ZJ = ops.mul(Z, Jm)
-        JZ = ops.mul(Jm, Z)
-        ZJZ = ops.mul(ZJ, Z)
-        zeros = ex_zeros(rep.ctx, rep.dim) if ops.exact \
-            else np.zeros((rep.dim, rep.dim), dtype=complex)
-        mid = ops.q ** 2 + ops.qi ** 2 if not ops.exact else \
-            q_power(rep.ctx, 2) + q_power(rep.ctx, -2)
-        lhs1 = ops.add(ops.sub(ops.mul(Z, ZJ), ops.scale(ZJZ, mid)), ops.mul(JZ, Z))
-        check("Z^2 J - (q^2+q^-2) Z J Z + J Z^2 = 0", lhs1, zeros)
-        front = (q_power(rep.ctx, 2) + rep.ctx.one() + q_power(rep.ctx, -2)) if ops.exact \
-            else ops.q ** 2 + 1 + ops.qi ** 2
-        t = q_power(rep.ctx, 1) + q_power(rep.ctx, -1) if ops.exact else ops.q + ops.qi
-        t2 = t * t
-        lhs2 = ops.sub(ops.sub(ops.sub(ops.scale(ops.mul(ops.mul(ZJ, Jm), Z), front),
-                                       ops.mul(JZ, JZ)),
-                               ops.mul(ops.mul(JZ, Z), Jm)),
-                       ops.mul(ZJ, ZJ))
-        rhs2 = ops.scale(ops.sub(ops.mul(Z, Z), ops.eye), t2)
-        check("(q^2+1+q^-2) Z J^2 Z - J Z J Z - J Z^2 J - Z J Z J = [2]^2 (Z^2 - 1)",
-              lhs2, rhs2)
+            j_matrix(rep, tol)  # builds J, comparing its two forms at this tolerance
+        sides = relation_sides(which)
+        mats = evaluate([p for pair in sides.values() for p in pair], rep)
+        for k, name in enumerate(sides):
+            check(name, mats[2 * k], mats[2 * k + 1])
         return report
 
     if which == "central":
         Jm = j_matrix(rep, tol)
-        if ops.exact:
+        if exact:
             ZQ = ex_pow(Z, rep.ctx.Q, rep.ctx)
         else:
             ZQ = np.linalg.matrix_power(Z, rep.ctx.Q)
         for name, M in (("X", X), ("Y", Y), ("J", Jm)):
-            check(f"Z^Q {name} = {name} Z^Q", ops.mul(ZQ, M), ops.mul(M, ZQ))
-        scalar = ZQ[0][0] if ops.exact else ZQ[0, 0]
-        check("Z^Q is scalar", ZQ, ops.scalar_mat(scalar))
+            check(f"Z^Q {name} = {name} Z^Q", mul(ZQ, M), mul(M, ZQ))
+        scalar = ZQ[0][0]
+        check("Z^Q is scalar", ZQ,
+              ex_scale(ex_eye(rep.ctx, rep.dim), scalar) if exact
+              else scalar * np.eye(rep.dim, dtype=complex))
         report.extra["scalar"] = [to_complex(scalar).real, to_complex(scalar).imag]
         return report
 
@@ -468,9 +461,9 @@ def verify_relations(rep: Representation, which: str,
         mats = rep.complex_mats()
         for name in ("X", "Y", "Z"):
             M = mats[name]
-            r = float(np.max(np.abs(M.conj().T - M))) if M.size else 0.0
-            scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
-            report.checks.append(CheckResult(f"{name} self-adjoint", r <= tol * scale, r))
+            r = _max_abs(M.conj().T - M)
+            report.checks.append(CheckResult(f"{name} self-adjoint",
+                                             r <= tol * max(1.0, _max_abs(M)), r))
         return report
 
     raise ValueError(f"unknown relation set {which!r}")

@@ -86,7 +86,7 @@ class RootContext:
     zeta^0 .. zeta^(Q-1) in the power basis."""
 
     __slots__ = ("P", "Q", "phi_q", "degree", "_powers", "_zeta_c", "q_complex",
-                 "_qnum_cache", "_zero", "_one")
+                 "_qnum_cache", "_subs_cache", "_zero", "_one")
 
     def __init__(self, P: int, Q: int):
         if not isinstance(P, int) or not isinstance(Q, int):
@@ -116,6 +116,8 @@ class RootContext:
         self._zeta_c = tuple(cmath.exp(2j * math.pi * k / Q) for k in range(self.degree))
         self.q_complex = cmath.exp(2j * math.pi * P / Q)
         self._qnum_cache: dict[int, CycloNum] = {}
+        # values at this q of rational functions of q, filled by their callers
+        self._subs_cache: dict = {}
         self._zero = CycloNum(self, (0,) * self.degree, 1, _canonical=True)
         self._one = CycloNum(self, (1,) + (0,) * (self.degree - 1), 1, _canonical=True)
 
@@ -270,7 +272,7 @@ class CycloNum:
                 raise ZeroDivisionError("element shares a factor with Phi_Q")
             if len(r1) == 1:
                 break
-            quot, rem = _frac_poly_divmod(r0, r1)
+            quot, rem = _poly_divmod(r0, r1)
             r0, r1 = r1, rem
             u0, u1 = u1, _frac_poly_sub(u0, _frac_poly_mul(quot, u1))
         scale = r1[0]
@@ -463,10 +465,12 @@ def gauss_i(ctx: RootContext) -> GaussCyclo:
     return GaussCyclo(ctx.zero(), ctx.one())
 
 
-# -- Fraction polynomial helpers for the inverse ----------------------------
+# -- Fraction polynomial helpers (dense ascending coefficient lists) ---------
 
 
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by b over Q; the remainder keeps at least
+    one coefficient."""
     a = list(a)
     db = len(b) - 1
     lead = b[-1]
@@ -477,7 +481,7 @@ def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
             quot[k - db] = c
             for i in range(db + 1):
                 a[k - db + i] -= c * b[i]
-    while len(a) > 1 and a[-1] == 0:
+    while len(a) > 1 and not a[-1]:
         a.pop()
     return quot, a
 

@@ -2,6 +2,10 @@
 raising/lowering ladder, tridiagonality of Z in the chain eigenbasis, and the
 search for the sign involution + metric realizing the modified star structure.
 
+The cubic identity is not typed in here: its y-coefficients come from
+`ncpoly.identity_coefficients` and are evaluated onto the matrices by
+`reps.evaluate`.
+
 Eigenvalues come from the characteristic polynomial (Faddeev-LeVerrier
 coefficients, simultaneous Durand-Kerner root iteration); eigenvectors from
 the nullspace of M - lambda I by Gaussian elimination with partial pivoting.
@@ -16,8 +20,10 @@ from itertools import product
 
 import numpy as np
 
-from .scalar import ABS_TOL, REL_TOL, _as_int, q_number, to_complex
-from .reps import (Representation, _Ops, ex_to_complex, j_matrix,
+from .ncpoly import identity_coefficients, identity_sides, y_coefficients
+from .scalar import ABS_TOL, REL_TOL, _as_int, q_number, q_power, to_complex
+# j_matrix is re-exported next to j_matrix_complex
+from .reps import (Representation, evaluate, ex_lincomb, ex_residual, j_matrix,
                    j_matrix_complex)
 
 EIGEN_TOL = 1e-8
@@ -181,82 +187,40 @@ class IdentityReport:
     ok: bool
 
 
-def _identity_pieces(rep: Representation):
-    """Products of J and Z reused across evaluation points (cached)."""
-    got = rep._cache.get("identity_pieces")
-    if got is not None:
-        return got
-    ops = _Ops(rep)
-    Jm = j_matrix(rep)
-    Zm = rep.Z
-    mul = ops.mul
-    ZJ = mul(Zm, Jm)
-    JZ = mul(Jm, Zm)
-    ZJZ = mul(ZJ, Zm)
-    ZJ2Z = mul(mul(ZJ, Jm), Zm)
-    ZJ3Z = mul(mul(mul(ZJ, Jm), Jm), Zm)
-    Z2 = mul(Zm, Zm)
-    Z2J = mul(Zm, ZJ)
-    JZ2 = mul(JZ, Zm)
-    JZJZ = mul(JZ, JZ)
-    ZJZJ = mul(ZJ, ZJ)
-    JZ2J = mul(JZ2, Jm)
-    JZJZJ = mul(JZJZ, Jm)
-    got = {"I": ops.eye, "J": Jm, "Z2": Z2, "ZJZ": ZJZ, "ZJ2Z": ZJ2Z,
-           "ZJ3Z": ZJ3Z, "Z2J": Z2J, "JZ2": JZ2, "JZJZ": JZJZ, "ZJZJ": ZJZJ,
-           "JZ2J": JZ2J, "JZJZJ": JZJZJ}
-    rep._cache["identity_pieces"] = got
+def _identity_matrices(rep: Representation, exact: bool):
+    """{k: C_k}, the matrices of the y-coefficients of LHS - RHS, and on the
+    floating path also {k: L_k} for the LHS alone (its size sets the
+    relative scale, as the RHS is LHS - sum_k y^k C_k).  Cached on the
+    representation."""
+    key = "identity_exact" if exact else "identity_float"
+    got = rep._cache.get(key)
+    if got is None:
+        coeffs = identity_coefficients()
+        lhs = {} if exact else y_coefficients(identity_sides()[0])
+        mats = evaluate(list(coeffs.values()) + list(lhs.values()), rep, exact)
+        got = (dict(zip(coeffs, mats)), dict(zip(lhs, mats[len(coeffs):])))
+        rep._cache[key] = got
     return got
 
 
 def verify_identity(rep: Representation, x, tol: float = REL_TOL) -> IdentityReport:
     """Check Z (J - [x+2]) (J - [x]) (J - [x-2]) Z =
-    ((J - [x]) Z (J - [x]) Z - [2]^2) (J - [x]) on the representation.
-    Exact-zero contract on the exact backend with integer x."""
-    ops = _Ops(rep)
-    exact = ops.exact and _as_int(x) is not None
-    pieces = _identity_pieces(rep)
-
-    def qn(v):
-        s = q_number(rep.ctx, v)
-        return s if exact else to_complex(s)
-
-    a2, a0, am2 = qn(x + 2), qn(x), qn(x - 2)
-    t = qn(2)
-    t2 = t * t
-    s1 = a2 + a0 + am2
-    s2 = a2 * a0 + a2 * am2 + a0 * am2
-    s3 = a2 * a0 * am2
+    ((J - [x]) Z (J - [x]) Z - [2]^2) (J - [x]) on the representation, as
+    LHS - RHS = sum_k y^k C_k with y = q^x.  Exact-zero contract on the exact
+    backend with integer x."""
+    xi = _as_int(x)
+    exact = rep.backend == "exact" and xi is not None
+    C, L = _identity_matrices(rep, exact)
     if exact:
-        P = pieces
-        add, sub, scale = ops.add, ops.sub, ops.scale
-    else:
-        P = {k: (ex_to_complex(v) if rep.backend == "exact" else np.asarray(v, dtype=complex))
-             for k, v in pieces.items()}
-        a2, a0, am2, t2 = complex(a2), complex(a0), complex(am2), complex(t2)
-        s1, s2, s3 = complex(s1), complex(s2), complex(s3)
-        add, sub, scale = (lambda A, B: A + B), (lambda A, B: A - B), (lambda A, s: s * A)
-
-    lhs = sub(add(sub(P["ZJ3Z"], scale(P["ZJ2Z"], s1)), scale(P["ZJZ"], s2)),
-              scale(P["Z2"], s3))
-    a0sq = a0 * a0
-    rhs = P["JZJZJ"]
-    rhs = sub(rhs, scale(P["JZ2J"], a0))
-    rhs = sub(rhs, scale(P["ZJZJ"], a0))
-    rhs = sub(rhs, scale(P["JZJZ"], a0))
-    rhs = add(rhs, scale(P["Z2J"], a0sq))
-    rhs = add(rhs, scale(P["JZ2"], a0sq))
-    rhs = add(rhs, scale(P["ZJZ"], a0sq))
-    rhs = sub(rhs, scale(P["Z2"], a0sq * a0))
-    rhs = sub(rhs, scale(P["J"], t2))
-    rhs = add(rhs, scale(P["I"], a0 * t2))
-
-    if exact:
-        ok, residual = ops.close(lhs, rhs, tol)
-        return IdentityReport(complex(to_complex(x) if not isinstance(x, complex) else x),
-                              True, residual, ok)
-    residual = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-    scale_ref = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+        diff = ex_lincomb([(q_power(rep.ctx, k * xi), M) for k, M in C.items()],
+                          rep.ctx, rep.dim)
+        residual = ex_residual(diff)
+        return IdentityReport(to_complex(x), True, residual, residual == 0.0)
+    y = to_complex(q_power(rep.ctx, x))
+    diff = sum(y ** k * M for k, M in C.items())
+    lhs = sum(y ** k * M for k, M in L.items())
+    residual = float(np.max(np.abs(diff)))
+    scale_ref = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(lhs - diff))))
     return IdentityReport(complex(x), False, residual,
                           bool(residual <= tol * scale_ref + ABS_TOL))
 

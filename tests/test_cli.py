@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +164,21 @@ def test_env_tolerance_override(tmp_path, monkeypatch):
     monkeypatch.setenv("QSL2R_TOL", "junk")
     args = parse_command(["verify", "--P", "1", "--Q", "3", "--check", "defining"])
     assert args.tol == pytest.approx(1e-9)
+
+
+# exact fields of `qsl2r suite --P 2 --Q 5`, recorded before the relations
+# moved into ncpoly and onto the matrices through reps.evaluate
+SUITE_GOLDEN = Path(__file__).parent / "data" / "suite_P2_Q5_exact.json"
+
+
+def _exact_fields(payload):
+    # band_residual and unitarize are floating, so they are left out
+    fam1 = {name: {k: v for k, v in cell.items() if k not in ("band_residual", "unitarize")}
+            for name, cell in payload["family1"].items()}
+    return {"family1": fam1, "symbolic": payload["symbolic"]}
+
+
+def test_suite_exact_fields_match_golden(tmp_path):
+    out = tmp_path / "suite.json"
+    assert run(["suite", "--P", "2", "--Q", "5", "--out", str(out)]) == 0
+    assert _exact_fields(json.loads(out.read_text())) == json.loads(SUITE_GOLDEN.read_text())

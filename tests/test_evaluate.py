@@ -1,0 +1,109 @@
+"""The evaluator from ncpoly to matrices, the all-x identity certificate and
+negative checks: corrupted representations must fail."""
+
+from math import gcd
+
+import numpy as np
+import pytest
+
+from qsl2r.ncpoly import identity_coefficients, j_expansion, parse_expr
+from qsl2r.reps import (Representation, build_family1, build_family2,
+                        evaluate, ex_is_zero, ex_sub, j_matrix,
+                        j_matrix_complex, verify_relations)
+from qsl2r.scalar import RootContext, q_number, to_complex
+from qsl2r.spectral import verify_identity
+
+GRID_PQ = [(P, Q) for Q in (3, 5, 7, 9) for P in range(1, Q) if gcd(P, Q) == 1]
+
+
+def _with(rep, **mats):
+    """A copy of rep with some generator matrices replaced, unvalidated."""
+    m = {"X": rep.X, "Y": rep.Y, "Z": rep.Z, "Zinv": rep.Zinv, **mats}
+    return Representation(rep.ctx, rep.dim, rep.family, dict(rep.params),
+                          rep.backend, m["X"], m["Y"], m["Z"], m["Zinv"])
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+# -- the evaluator ----------------------------------------------------------------
+
+def test_evaluate_j_expansion_is_j_matrix():
+    rep = build_family1(RootContext(2, 7), 4, -1)
+    M, = evaluate([j_expansion()], rep)
+    assert ex_is_zero(ex_sub(M, j_matrix(rep)))
+    F, = evaluate([j_expansion()], rep, exact=False)
+    assert float(np.max(np.abs(F - j_matrix_complex(rep)))) < 1e-12
+
+
+def test_evaluate_scalars_words_and_floating_backend():
+    ctx = RootContext(1, 5)
+    rep = build_family2(ctx, 1.5 - 0.5j, 1.0, 2.0)
+    two, qnum, word = evaluate([parse_expr("2"), parse_expr("(q^2 - q^-2)/(q - q^-1)"),
+                                parse_expr("J*Z - Z*J")], rep)
+    eye = np.eye(ctx.Q)
+    assert np.array_equal(two, 2 * eye)
+    assert float(np.max(np.abs(qnum - to_complex(q_number(ctx, 2)) * eye))) < 1e-12
+    J, Z = j_matrix_complex(rep), rep.Z
+    assert float(np.max(np.abs(word - (J @ Z - Z @ J)))) < 1e-12
+
+
+def test_evaluate_rejects_y_and_exact_on_floating_reps():
+    rep = build_family1(RootContext(1, 3), 1, 1)
+    with pytest.raises(ValueError, match="y-free"):
+        evaluate([parse_expr("y*Z")], rep)
+    with pytest.raises(ValueError, match="no exact evaluation"):
+        evaluate([parse_expr("Z")], build_family2(RootContext(1, 3), 1.0, 0.0, 0.0), exact=True)
+
+
+# -- the cubic identity for every x ----------------------------------------------
+
+@pytest.mark.parametrize("P,Q", GRID_PQ)
+def test_identity_coefficients_vanish_on_family1(P, Q):
+    # LHS - RHS = sum_k y^k C_k with y = q^x, so zero C_k certify every x at
+    # once; the integer sweep -10..10 reaches only Q distinct values of y
+    ctx = RootContext(P, Q)
+    polys = list(identity_coefficients().values())
+    for r in range(Q):
+        for sign in (1, -1):
+            mats = evaluate(polys, build_family1(ctx, r, sign))
+            assert all(ex_is_zero(M) for M in mats), (r, sign)
+
+
+def test_identity_coefficients_vanish_on_exact_family2():
+    ctx = RootContext(2, 5)
+    rep = build_family2(ctx, ctx.zeta(3), 1, 2, backend="exact")
+    mats = evaluate(list(identity_coefficients().values()), rep)
+    assert len(mats) == 5 and all(ex_is_zero(M) for M in mats)
+
+
+# -- corrupted representations fail ----------------------------------------------
+
+def test_wrong_inverse_fails_the_z_zi_checks():
+    rep = build_family1(RootContext(1, 5), 2, 1)
+    report = verify_relations(_with(rep, Zinv=rep.Z), "defining")
+    assert not report.ok
+    for name in ("Z Zi = 1", "Zi Z = 1"):
+        check = _check(report, name)
+        assert not check.ok and check.residual > 0.0
+
+
+def _perturbed_x(ctx):
+    rep = build_family1(ctx, 2, 1)
+    X = [list(row) for row in rep.X]
+    X[1][0] = X[1][0] + 1
+    return _with(rep, X=X)
+
+
+def test_perturbed_x_fails_the_defining_relations():
+    report = verify_relations(_perturbed_x(RootContext(1, 5)), "defining")
+    assert not report.ok
+    bad = _check(report, "q^-1 X Y - q Y X = (Z^2 - 1)/(q - q^-1)")
+    assert not bad.ok and bad.residual > 0.0
+
+
+def test_perturbed_x_fails_the_identity():
+    rep = _perturbed_x(RootContext(1, 5))
+    report = verify_identity(rep, 1)
+    assert report.exact and not report.ok and report.residual != 0.0
