@@ -76,9 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--r", type=int, default=0, help="first-family index 0..Q-1")
             p.add_argument("--sign", type=_parse_sign, default=1)
             p.add_argument("--lambda", dest="lam", type=_parse_complex, default=1 + 0j,
-                           help="second-family lambda: re,im or q^k / -q^k for the exact path")
-            p.add_argument("--a", type=_parse_complex, default=0j)
-            p.add_argument("--b", type=_parse_complex, default=0j)
+                           help="second-family lambda: re,im or q^k / -q^k for the exact "
+                                "path; a value starting with '-' needs '=', as in "
+                                "--lambda=-q^2")
+            p.add_argument("--a", type=_parse_complex, default=0j,
+                           help="second-family a: re,im; a value starting with '-' "
+                                "needs '=', as in --a=-1,0")
+            p.add_argument("--b", type=_parse_complex, default=0j,
+                           help="second-family b: re,im; a value starting with '-' "
+                                "needs '=', as in --b=-1,0")
             group = p.add_mutually_exclusive_group()
             group.add_argument("--exact", dest="backend", action="store_const",
                                const="exact", default=None)
@@ -92,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("defining", "zj", "identity", "lemma", "hopf",
                             "central", "star"))
     p.add_argument("--x", type=_parse_complex, default=0j,
-                   help="evaluation point for --check identity")
+                   help="evaluation point for --check identity: re,im; a value "
+                        "starting with '-' needs '=', as in --x=-1,0")
 
     p = sub.add_parser("symbolic", help="generic-q symbolic checks and PBW normal forms")
     add_common(p, rep_flags=False)

@@ -3,8 +3,12 @@
 Basis convention: v_j is the j-th standard basis column (indices 0..d-1) and
 matrices act on the left, so the family formulas become column operations.
 Exact matrices are nested lists of CycloNum/GaussCyclo entries; the floating
-backend uses numpy complex128 arrays.  Every constructor verifies the
-defining relations before returning (exactly on the exact backend).
+backend uses numpy complex128 arrays.  The generators are sparse (X and Y
+bidiagonal, Z and Z^-1 diagonal, J tridiagonal), so the exact kernels skip
+structural zeros: products run row by row over the nonzero entries only, and
+exact comparisons test entrywise equality before forming any difference.
+Every constructor verifies the defining relations before returning (exactly
+on the exact backend).
 
 The relations themselves are not typed in here: they live once, as
 noncommutative polynomials in `ncpoly`, and `evaluate` maps them onto the
@@ -44,24 +48,24 @@ def ex_eye(ctx: RootContext, n: int):
 
 
 def ex_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
+    """A B by rows (Gustavson): each nonzero a = A[i][t] meets only the
+    nonzero entries of row t of B, so structural zeros cost nothing."""
     zero = A[0][0].ctx.zero()
+    m = len(B[0])
+    rows_b = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in B]
     out = []
-    for i in range(n):
-        row_a = A[i]
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                a = row_a[t]
-                if a.is_zero():
-                    continue
-                b = B[t][j]
-                if b.is_zero():
-                    continue
+    for row_a in A:
+        acc = {}
+        for t, a in enumerate(row_a):
+            if a.is_zero():
+                continue
+            for j, b in rows_b[t]:
                 p = a * b
-                acc = p if acc is None else acc + p
-            row.append(acc if acc is not None else zero)
+                o = acc.get(j)
+                acc[j] = p if o is None else o + p
+        row = [zero] * m
+        for j, v in acc.items():
+            row[j] = v
         out.append(row)
     return out
 
@@ -71,7 +75,7 @@ def ex_add(A, B):
 
 
 def ex_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[a if b.is_zero() else a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def ex_scale(A, s):
@@ -103,10 +107,17 @@ def ex_kron(A, B):
 
 
 def ex_pow(A, n: int, ctx: RootContext):
-    out = ex_eye(ctx, len(A))
-    for _ in range(n):
-        out = ex_mul(out, A)
-    return out
+    """A^n by repeated squaring: at most 2 log2(n) products."""
+    out, base = None, A
+    while n:
+        if n & 1:
+            out = base if out is None else ex_mul(out, base)
+        n >>= 1
+        if n:
+            base = ex_mul(base, base)
+    if out is None:
+        return ex_eye(ctx, len(A))
+    return [list(row) for row in out] if out is A else out
 
 
 def ex_lincomb(terms, ctx: RootContext, d: int):
@@ -128,7 +139,8 @@ def ex_lincomb(terms, ctx: RootContext, d: int):
 
 
 def ex_to_complex(A) -> np.ndarray:
-    return np.array([[to_complex(a) for a in row] for row in A], dtype=complex)
+    return np.array([[0j if a.is_zero() else to_complex(a) for a in row] for row in A],
+                    dtype=complex)
 
 
 def ex_residual(A) -> float:
@@ -322,9 +334,13 @@ def _max_abs(A) -> float:
 
 
 def _close(A, B, exact: bool, tol: float):
-    """(ok, residual) for A = B: an exact zero difference on the exact
-    backend, else relative to max(1, |A|, |B|) with the absolute floor."""
+    """(ok, residual) for A = B: entrywise equality on the exact backend
+    (CycloNum is canonical, so equal values compare equal), with the
+    difference's largest magnitude as residual on a mismatch; else relative
+    to max(1, |A|, |B|) with the absolute floor."""
     if exact:
+        if A == B:
+            return True, 0.0
         r = ex_residual(ex_sub(A, B))
         return r == 0.0, r
     r = _max_abs(A - B)

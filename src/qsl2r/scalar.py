@@ -85,8 +85,8 @@ class RootContext:
     exact arithmetic in Q(zeta_Q): Phi_Q and a reduction table for all powers
     zeta^0 .. zeta^(Q-1) in the power basis."""
 
-    __slots__ = ("P", "Q", "phi_q", "degree", "_powers", "_zeta_c", "q_complex",
-                 "_qnum_cache", "_subs_cache", "_zero", "_one")
+    __slots__ = ("P", "Q", "phi_q", "degree", "_powers", "_units", "_zeta_c",
+                 "q_complex", "_qnum_cache", "_subs_cache", "_zero", "_one")
 
     def __init__(self, P: int, Q: int):
         if not isinstance(P, int) or not isinstance(Q, int):
@@ -113,6 +113,12 @@ class RootContext:
             if top:
                 cur = [cur[i] - top * self.phi_q[i] for i in range(self.degree)]
         self._powers = tuple(powers)
+        # the 2Q units +-zeta^e by coefficient vector; no two coincide, as -1
+        # is not a Q-th root of unity for odd Q
+        self._units = {}
+        for e, row in enumerate(powers):
+            self._units[row] = (e, 1)
+            self._units[tuple(-c for c in row)] = (e, -1)
         self._zeta_c = tuple(cmath.exp(2j * math.pi * k / Q) for k in range(self.degree))
         self.q_complex = cmath.exp(2j * math.pi * P / Q)
         self._qnum_cache: dict[int, CycloNum] = {}
@@ -185,7 +191,7 @@ class CycloNum:
 
     def _coerce(self, other):
         if isinstance(other, CycloNum):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("operands live in different root contexts")
             return other
         if isinstance(other, int):
@@ -221,13 +227,17 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.__add__(-o)
+        if self.den == o.den:
+            return CycloNum(self.ctx, [a - b for a, b in zip(self.coeffs, o.coeffs)], self.den)
+        return CycloNum(self.ctx,
+                        [a * o.den - b * self.den for a, b in zip(self.coeffs, o.coeffs)],
+                        self.den * o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o.__add__(-self)
+        return o.__sub__(self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -255,10 +265,17 @@ class CycloNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNum":
-        """Multiplicative inverse via the extended Euclidean algorithm with
-        Phi_Q over Q[x]; Phi_Q is irreducible so every nonzero element is a unit."""
+        """Multiplicative inverse: +-zeta^-e by table lookup for the units
+        +-zeta^e, else the extended Euclidean algorithm with Phi_Q over Q[x]
+        (Phi_Q is irreducible, so every nonzero element is a unit)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
+        ctx = self.ctx
+        unit = ctx._units.get(self.coeffs) if self.den == 1 else None
+        if unit is not None:
+            e, sign = unit
+            inv = ctx.zeta(-e)
+            return inv if sign > 0 else -inv
         a = [Fraction(c, self.den) for c in self.coeffs]
         m = [Fraction(c) for c in self.ctx.phi_q]
         # extended gcd: u*a + v*m = r (constant), tracking u only
@@ -328,7 +345,8 @@ class CycloNum:
         if isinstance(other, (int, Fraction)):
             other = self.ctx.from_fraction(Fraction(other))
         if isinstance(other, CycloNum):
-            return self.ctx == other.ctx and self.coeffs == other.coeffs and self.den == other.den
+            return ((self.ctx is other.ctx or self.ctx == other.ctx)
+                    and self.coeffs == other.coeffs and self.den == other.den)
         return NotImplemented
 
     def __hash__(self):

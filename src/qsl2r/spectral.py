@@ -23,8 +23,7 @@ import numpy as np
 from .ncpoly import identity_coefficients, identity_sides, y_coefficients
 from .scalar import ABS_TOL, REL_TOL, _as_int, q_number, q_power, to_complex
 # j_matrix is re-exported next to j_matrix_complex
-from .reps import (Representation, evaluate, ex_lincomb, ex_residual, j_matrix,
-                   j_matrix_complex)
+from .reps import Representation, evaluate, j_matrix, j_matrix_complex
 
 EIGEN_TOL = 1e-8
 DK_TOL = 1e-12
@@ -203,19 +202,39 @@ def _identity_matrices(rep: Representation, exact: bool):
     return got
 
 
+def _identity_support(rep: Representation) -> dict:
+    """{k: [(i, j, c), ...]}, the nonzero entries of each exact C_k; cached
+    on the representation, and empty on every valid one."""
+    got = rep._cache.get("identity_support")
+    if got is None:
+        C, _ = _identity_matrices(rep, True)
+        got = {k: [(i, j, c) for i, row in enumerate(M) for j, c in enumerate(row)
+                   if not c.is_zero()]
+               for k, M in C.items()}
+        rep._cache["identity_support"] = got
+    return got
+
+
 def verify_identity(rep: Representation, x, tol: float = REL_TOL) -> IdentityReport:
     """Check Z (J - [x+2]) (J - [x]) (J - [x-2]) Z =
     ((J - [x]) Z (J - [x]) Z - [2]^2) (J - [x]) on the representation, as
     LHS - RHS = sum_k y^k C_k with y = q^x.  Exact-zero contract on the exact
     backend with integer x."""
     xi = _as_int(x)
-    exact = rep.backend == "exact" and xi is not None
-    C, L = _identity_matrices(rep, exact)
-    if exact:
-        diff = ex_lincomb([(q_power(rep.ctx, k * xi), M) for k, M in C.items()],
-                          rep.ctx, rep.dim)
-        residual = ex_residual(diff)
+    if rep.backend == "exact" and xi is not None:
+        # sum y^k C_k over the nonzero entries of the C_k only
+        diff = {}
+        for k, entries in _identity_support(rep).items():
+            if entries:
+                yk = q_power(rep.ctx, k * xi)
+                for i, j, c in entries:
+                    p = yk * c
+                    o = diff.get((i, j))
+                    diff[i, j] = p if o is None else o + p
+        mags = np.abs([to_complex(v) for v in diff.values() if not v.is_zero()])
+        residual = float(np.max(mags)) if mags.size else 0.0
         return IdentityReport(to_complex(x), True, residual, residual == 0.0)
+    C, L = _identity_matrices(rep, False)
     y = to_complex(q_power(rep.ctx, x))
     diff = sum(y ** k * M for k, M in C.items())
     lhs = sum(y ** k * M for k, M in L.items())

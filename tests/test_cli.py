@@ -95,6 +95,16 @@ def test_exact_family2_lambda_token(tmp_path):
     assert json.loads(out.read_text())["backend"] == "exact"
 
 
+def test_negative_values_parse_with_equals(tmp_path):
+    # argparse reads "--a -1,0" as a flag; the "--a=-1,0" form is documented
+    argv = ["verify", "--P", "2", "--Q", "5", "--family", "2", "--exact",
+            "--lambda=-q^2", "--a=-1,0", "--b=-2,0", "--check", "zj", "--x=-1,0"]
+    args = parse_command(argv)
+    assert args.lam == ("q", -1, 2) and args.a == -1 + 0j and args.b == -2 + 0j
+    assert args.x == -1 + 0j
+    assert run(argv + ["--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_emit_report_exit_codes(tmp_path, capsys):
     assert emit_report({"ok": True}, None, ["x: PASS"], True) == 0
     assert emit_report({"ok": False}, None, ["x: FAIL"], False) == 1
