@@ -125,13 +125,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_command(argv):
     """Parse and validate; exits with code 2 on usage errors, naming the
-    violated (P, Q) constraint in the diagnostic."""
+    violated (P, Q) or first-family r constraint in the diagnostic."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         args.ctx = RootContext(args.P, args.Q)
     except ValueError as exc:
         parser.error(str(exc))
+    if getattr(args, "family", None) == 1 and not 0 <= args.r < args.Q:
+        parser.error(f"r must lie in 0..Q-1 = 0..{args.Q - 1}, got {args.r}")
     args.tol = args.tol if args.tol is not None else _default_tol()
     return args
 

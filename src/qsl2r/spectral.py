@@ -6,10 +6,11 @@ The cubic identity is not typed in here: its y-coefficients come from
 `ncpoly.identity_coefficients` and are evaluated onto the matrices by
 `reps.evaluate`.
 
-Eigenvalues come from the characteristic polynomial (Faddeev-LeVerrier
-coefficients, simultaneous Durand-Kerner root iteration); eigenvectors from
-the nullspace of M - lambda I by Gaussian elimination with partial pivoting.
-Matrices here are at most 64 x 64, so this is accurate and dependency-free.
+Eigenvalues come from LAPACK (`np.linalg.eigvals`), clustered within
+EIGEN_TOL; each cluster's eigenvectors are the null right singular vectors
+of M - lambda I.  Matrices here are at most 64 x 64.  The (T, G) search
+walks the chain once: the links fix every product T_k T_{k+1}, so only
+steps that no matrix links leave a sign to branch on.
 """
 
 from __future__ import annotations
@@ -26,15 +27,11 @@ from .scalar import ABS_TOL, REL_TOL, _as_int, q_number, q_power, to_complex
 from .reps import Representation, evaluate, j_matrix, j_matrix_complex
 
 EIGEN_TOL = 1e-8
-DK_TOL = 1e-12
-DK_MAX_ITER = 500
 RANK_TOL = 1e-10
 
 
 class EigenSolveError(ArithmeticError):
-    def __init__(self, msg, best=None):
-        super().__init__(msg)
-        self.best = best
+    pass
 
 
 class ChainError(ArithmeticError):
@@ -48,89 +45,6 @@ class ChainError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 
-def char_poly(M: np.ndarray) -> list[complex]:
-    """Monic characteristic polynomial coefficients [1, c1, ..., cn] with
-    p(t) = t^n + c1 t^(n-1) + ... + cn (Faddeev-LeVerrier recursion)."""
-    M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
-    cs = [1 + 0j]
-    Mk = M.copy()
-    eye = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        ck = -np.trace(Mk) / k
-        cs.append(complex(ck))
-        if k < n:
-            Mk = M @ (Mk + ck * eye)
-    return cs
-
-
-def _polyval(cs, z):
-    acc = 0j
-    for c in cs:
-        acc = acc * z + c
-    return acc
-
-
-def durand_kerner(cs, max_iter: int = DK_MAX_ITER, tol: float = DK_TOL) -> np.ndarray:
-    """All roots of the monic polynomial simultaneously; initial points are
-    the powers of 0.4 + 0.9i."""
-    n = len(cs) - 1
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    base = 0.4 + 0.9j
-    z = np.array([base ** k for k in range(n)], dtype=complex)
-    for _ in range(max_iter):
-        p = np.array([_polyval(cs, zi) for zi in z])
-        diffs = z[:, None] - z[None, :]
-        np.fill_diagonal(diffs, 1.0)
-        denom = np.prod(diffs, axis=1)
-        w = np.zeros(n, dtype=complex)
-        at_root = np.abs(p) < 1e-250
-        stuck = (~at_root) & (np.abs(denom) < 1e-250)
-        live = ~(at_root | stuck)
-        w[live] = p[live] / denom[live]
-        z = z - w
-        if np.any(stuck):
-            z[stuck] += 1e-8 * base
-            continue
-        if float(np.max(np.abs(w), initial=0.0)) < tol:
-            return z
-    raise EigenSolveError(f"root iteration did not converge in {max_iter} steps", best=z)
-
-
-def nullspace(A: np.ndarray, rank_tol: float) -> list[np.ndarray]:
-    """Orthogonal-ish basis of the nullspace via row reduction with partial
-    pivoting; pivots below rank_tol count as zero."""
-    A = np.array(A, dtype=complex)
-    n, m = A.shape
-    pivots = []
-    row = 0
-    for col in range(m):
-        if row >= n:
-            break
-        sub = np.abs(A[row:, col])
-        k = int(np.argmax(sub)) + row
-        if abs(A[k, col]) <= rank_tol:
-            continue
-        if k != row:
-            A[[row, k]] = A[[k, row]]
-        A[row] = A[row] / A[row, col]
-        for r in range(n):
-            if r != row and A[r, col] != 0:
-                A[r] = A[r] - A[r, col] * A[row]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(m, dtype=complex)
-        v[f] = 1.0
-        for r, c in enumerate(pivots):
-            v[c] = -A[r, f]
-        basis.append(v / np.linalg.norm(v))
-    return basis
-
-
 @dataclass
 class EigenPair:
     value: complex
@@ -140,17 +54,18 @@ class EigenPair:
 
 def eigen_solve(M) -> list[EigenPair]:
     """All eigenpairs of a square complex matrix (dim <= 64), values sorted by
-    (real, imag); repeated eigenvalues get the distinct nullspace basis
-    vectors of their cluster.  Raises EigenSolveError when J is defective or
-    the root iteration stalls."""
+    (real, imag) and clustered within EIGEN_TOL; a cluster of size m gets the
+    m right singular vectors of M - lambda I with the smallest singular
+    values, which must lie within RANK_TOL of the largest.  Raises
+    EigenSolveError when the matrix is defective (or too ill-conditioned to
+    tell)."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
     if n > 64:
         raise ValueError("matrices beyond 64 x 64 are out of scope")
     if n == 0:
         return []
-    roots = sorted(durand_kerner(char_poly(M)),
-                   key=lambda z: (z.real, z.imag))
+    roots = sorted(np.linalg.eigvals(M), key=lambda z: (z.real, z.imag))
     scale = max(1.0, max(abs(r) for r in roots))
     clusters: list[list[complex]] = []
     for r in roots:
@@ -161,14 +76,13 @@ def eigen_solve(M) -> list[EigenPair]:
     pairs = []
     for cluster in clusters:
         lam = sum(cluster) / len(cluster)
-        shifted = M - lam * np.eye(n, dtype=complex)
-        rank_tol = RANK_TOL * max(1.0, float(np.max(np.abs(shifted))))
-        basis = nullspace(shifted, rank_tol)
-        if len(basis) < len(cluster):
+        _, sv, vh = np.linalg.svd(M - lam * np.eye(n, dtype=complex))
+        null = int(np.count_nonzero(sv <= RANK_TOL * sv[0]))
+        if null < len(cluster):
             raise EigenSolveError(
                 f"eigenvalue {lam:.6g} has multiplicity {len(cluster)} but only "
-                f"{len(basis)} independent eigenvectors (defective or ill-conditioned)")
-        for v in basis[:len(cluster)]:
+                f"{null} independent eigenvectors (defective or ill-conditioned)")
+        for v in vh[n - len(cluster):].conj():
             pairs.append(EigenPair(complex(lam), v, float(np.linalg.norm(M @ v - lam * v))))
     return pairs
 
@@ -494,8 +408,12 @@ def unitarize_search(rep: Representation, tol: float = EIGEN_TOL) -> Unitarizing
     """Search a diagonal sign matrix T and a positive diagonal metric G, in
     the chain-ordered J-eigenbasis, with G^-1 M* G = T M T for M = X, Y, Z
     (the modified star realized as the G-adjoint), T J = J T and J G-self-
-    adjoint.  G is solved along the chain with G_00 = 1; T is scanned over
-    all sign patterns (global sign fixed)."""
+    adjoint.  G is solved along the chain with G_00 = 1 in one pass: at each
+    step linked by Z, X or Y (the first with both entries nonzero) the ratio
+    fixes G_{k+1} / G_k and the sign T_k T_{k+1}, so T_0 = 1 determines T up
+    to the signs of unlinked steps, which are tried in lexicographic order
+    (+1 first).  The first T meeting tol wins, else the one with the least
+    residual; no admissible G gives T = 1, G = 1 with ok False."""
     chain = spectrum_chain(rep, tol)
     B = np.column_stack([p.vector for p in chain.pairs])
     cm = rep.complex_mats()
@@ -518,37 +436,41 @@ def unitarize_search(rep: Representation, tol: float = EIGEN_TOL) -> Unitarizing
         out["TJ=JT"] = float(np.max(np.abs(np.diag(Tv) @ Jp - Jp @ np.diag(Tv))))
         return out
 
-    best = None
-    for tail in product((1, -1), repeat=d - 1):
-        T = (1,) + tail
-        g = [1.0] * d
-        feasible = True
-        for k in range(d - 1):
-            ratio = None
-            for name in ("Z", "X", "Y"):
-                M = mats[name]
-                num, den = M[k, k + 1], np.conj(M[k + 1, k])
-                if abs(num) > eps and abs(den) > eps:
-                    ratio = T[k] * T[k + 1] * num / den
-                    break
-            if ratio is None:
-                ratio = 1.0 + 0j
-            if abs(ratio.imag) > tol * max(1.0, abs(ratio)) or ratio.real <= 0:
-                feasible = False
+    # each ratio is taken once, without T: a +-1 factor is exact, so G is
+    # the same bit for bit as with T_k T_{k+1} folded into the ratio
+    steps = []          # forced sign of T_k T_{k+1}, or None where unlinked
+    g = [1.0]
+    for k in range(d - 1):
+        ratio = None
+        for name in ("Z", "X", "Y"):
+            M = mats[name]
+            num, den = M[k, k + 1], np.conj(M[k + 1, k])
+            if abs(num) > eps and abs(den) > eps:
+                ratio = num / den
                 break
-            g[k + 1] = g[k] * ratio.real
-        if not feasible:
+        if ratio is None:
+            steps.append(None)
+            g.append(g[k])
             continue
+        if abs(ratio.imag) > tol * max(1.0, abs(ratio)) or ratio.real == 0:
+            # no positive G for any T
+            return UnitarizingStructure(False, [1] * d, [1.0] * d,
+                                        residuals_for((1,) * d, [1.0] * d), B)
+        sign = 1 if ratio.real > 0 else -1
+        steps.append(sign)
+        g.append(float(g[k] * (sign * ratio).real))
+
+    scale = max(1.0, max(float(np.max(np.abs(M))) for M in mats.values()))
+    best = None
+    for choice in product((1, -1), repeat=steps.count(None)):
+        free = iter(choice)     # signs of the unlinked steps, +1 first
+        T = [1]
+        for k, sign in enumerate(steps):
+            T.append(next(free) if sign is None else sign * T[k])
         res = residuals_for(T, g)
-        worst = max(res.values())
-        scale = max(1.0, max(float(np.max(np.abs(M))) for M in mats.values()))
-        cand = UnitarizingStructure(bool(worst <= tol * scale), list(T),
-                                    [float(x) for x in g], res, B)
+        cand = UnitarizingStructure(bool(max(res.values()) <= tol * scale), T, g, res, B)
         if cand.ok:
             return cand
         if best is None or cand.max_residual < best.max_residual:
             best = cand
-    if best is None:
-        best = UnitarizingStructure(False, [1] * d, [1.0] * d,
-                                    residuals_for((1,) * d, [1.0] * d), B)
     return best

@@ -29,6 +29,8 @@ def test_parse_command_valid():
     (["rep", "--P", "3", "--Q", "9"], 2),          # not coprime
     (["rep", "--nonsense"], 2),                    # unknown flag
     (["bogus"], 2),                                # unknown command
+    (["rep", "--Q", "3", "--r", "3"], 2),          # r out of range
+    (["spectrum", "--Q", "5", "--r=-1"], 2),       # r negative
 ])
 def test_usage_errors_exit_2(argv, needle, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,14 +1,17 @@
 import random
+from itertools import product
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qsl2r.scalar import RootContext, q_number, to_complex
 from qsl2r.reps import build_family1, build_family2, j_matrix_complex
-from qsl2r.spectral import (EigenSolveError, char_poly,
-                            durand_kerner, eigen_solve, ladder_apply,
-                            nullspace, spectrum_chain, tridiagonality_check,
+from qsl2r import spectral
+from qsl2r.spectral import (EigenPair, EigenSolveError, LadderChain,
+                            eigen_solve, ladder_apply,
+                            spectrum_chain, tridiagonality_check,
                             unitarize_search, verify_identity)
 
 C3 = RootContext(1, 3)
@@ -16,21 +19,6 @@ C5 = RootContext(1, 5)
 
 
 # -- eigen machinery -----------------------------------------------------------
-
-def test_char_poly_known():
-    M = np.array([[0, -1], [-1, 0]], dtype=complex)
-    cs = char_poly(M)
-    assert np.allclose(cs, [1, 0, -1])  # t^2 - 1
-    cs3 = char_poly(np.diag([1.0, 2.0, 3.0]))
-    assert np.allclose(cs3, [1, -6, 11, -6])
-
-
-def test_durand_kerner_simple_and_repeated():
-    roots = sorted(durand_kerner([1, -3, 2]).real)  # t^2 - 3t + 2
-    assert np.allclose(roots, [1, 2], atol=1e-10)
-    roots = durand_kerner([1, -2, 1])               # (t-1)^2
-    assert np.allclose(sorted(np.abs(roots - 1)), [0, 0], atol=1e-6)
-
 
 def test_eigen_solve_examples():
     pairs = eigen_solve(np.eye(2, dtype=complex))
@@ -61,11 +49,14 @@ def test_eigen_trace_det_reconstruction():
         assert all(pr.condition < 1e-8 for pr in pairs)
 
 
-def test_nullspace_rank_threshold():
-    A = np.array([[1, 1], [1, 1]], dtype=complex)
-    basis = nullspace(A, 1e-10)
-    assert len(basis) == 1
-    assert np.linalg.norm(A @ basis[0]) < 1e-12
+def test_eigen_solve_repeated_eigenvalue_gets_independent_vectors():
+    S = np.array([[1, 2, 0], [0, 1, 3], [1, 0, 1]], dtype=complex)
+    M = S @ np.diag([1.0, 1.0, 2.0]) @ np.linalg.inv(S)
+    pairs = eigen_solve(M)
+    assert np.allclose([p.value for p in pairs], [1, 1, 2], atol=1e-10)
+    V = np.column_stack([p.vector for p in pairs[:2]])
+    assert np.linalg.matrix_rank(V, tol=1e-8) == 2
+    assert all(p.condition < 1e-10 for p in pairs)
 
 
 # -- identity at matrix level ----------------------------------------------------
@@ -243,3 +234,115 @@ def test_unitarize_family2_failure_report():
     assert not u.ok
     assert u.max_residual > 1e-3
     assert len(u.T) == 3 and len(u.G) == 3
+
+
+# -- beyond the tested grid: d = 17..21 -------------------------------------------------
+
+FRONTIER = [(1, 19, r) for r in (16, 17, 18)] + [(2, 21, r) for r in (18, 19, 20)]
+
+
+@pytest.mark.parametrize("P,Q,r", FRONTIER)
+@pytest.mark.parametrize("sign", (1, -1))
+def test_frontier_spectrum_and_tridiagonality(P, Q, r, sign):
+    rep = build_family1(RootContext(P, Q), r, sign)
+    d = r + 1
+    predicted = [np.sin(2 * np.pi * P * n / Q) / np.sin(2 * np.pi * P / Q)
+                 for n in range(Q - d + 1, Q + d, 2)]
+    assert np.allclose(spectrum_chain(rep).values, predicted, rtol=0, atol=1e-8)
+    assert tridiagonality_check(rep).ok
+    if (P, Q, r) == (1, 19, 18):
+        assert unitarize_search(rep).ok
+
+
+# -- the O(d) sign walk against the exhaustive scan ---------------------------------------
+
+def _unitarize_scan(rep, tol=1e-8):
+    """Reference: scan all 2^(d-1) sign patterns T (T_0 = 1) in lexicographic
+    order, solve G along the chain for each, keep the first that meets tol or
+    else the least residual."""
+    chain = spectral.spectrum_chain(rep, tol)
+    B = np.column_stack([p.vector for p in chain.pairs])
+    cm = rep.complex_mats()
+    mats = {name: np.linalg.solve(B, cm[name] @ B) for name in ("X", "Y", "Z")}
+    mats["J"] = np.linalg.solve(B, spectral.j_matrix_complex(rep) @ B)
+    d = rep.dim
+
+    def residuals(T, g):
+        ratio = np.outer(1 / np.asarray(g, dtype=float), np.asarray(g, dtype=float))
+        Tv = np.asarray(T, dtype=float)
+        out = {name: float(np.max(np.abs(mats[name].conj().T * ratio
+                                          - np.outer(Tv, Tv) * mats[name])))
+               for name in ("X", "Y", "Z")}
+        Jp = mats["J"]
+        out["J_G_selfadjoint"] = float(np.max(np.abs(Jp.conj().T * ratio - Jp)))
+        out["TJ=JT"] = float(np.max(np.abs(np.diag(Tv) @ Jp - Jp @ np.diag(Tv))))
+        return out
+
+    scale = max(1.0, max(float(np.max(np.abs(M))) for M in mats.values()))
+    best = None
+    for tail in product((1, -1), repeat=d - 1):
+        T = (1,) + tail
+        g = [1.0] * d
+        for k in range(d - 1):
+            ratio = 1.0 + 0j
+            for name in ("Z", "X", "Y"):
+                num, den = mats[name][k, k + 1], np.conj(mats[name][k + 1, k])
+                if abs(num) > 1e-12 and abs(den) > 1e-12:
+                    ratio = T[k] * T[k + 1] * num / den
+                    break
+            if abs(ratio.imag) > tol * max(1.0, abs(ratio)) or ratio.real <= 0:
+                break
+            g[k + 1] = g[k] * ratio.real
+        else:
+            res = residuals(T, g)
+            ok = max(res.values()) <= tol * scale
+            if ok:
+                return ok, list(T), [float(x) for x in g]
+            if best is None or max(res.values()) < best[0]:
+                best = (max(res.values()), list(T), [float(x) for x in g])
+    if best is None:
+        return False, [1] * d, [1.0] * d
+    return False, best[1], best[2]
+
+
+@pytest.mark.parametrize("P,Q", [(P, Q) for Q in (3, 5, 7) for P in range(1, Q)
+                                 if gcd(P, Q) == 1])
+def test_unitarize_matches_exhaustive_scan(P, Q):
+    ctx = RootContext(P, Q)
+    reps = [build_family1(ctx, r, sign) for r in range(Q) for sign in (1, -1)]
+    reps.append(build_family2(ctx, complex(1.5, -0.5), 1.0, 2.0))
+    for rep in reps:
+        u = unitarize_search(rep)
+        assert (u.ok, u.T, u.G) == _unitarize_scan(rep), rep
+
+
+def _synthetic(monkeypatch, Z, X):
+    """A stand-in representation whose chain basis is the identity, with J
+    diagonal and Y = 0, so the walk sees Z and X as given."""
+    d = len(Z)
+    J = np.diag(np.arange(d, dtype=complex))
+    mats = {"X": np.asarray(X, dtype=complex), "Y": np.zeros((d, d), dtype=complex),
+            "Z": np.asarray(Z, dtype=complex)}
+    rep = SimpleNamespace(dim=d, complex_mats=lambda: mats)
+    chain = LadderChain(pairs=[EigenPair(complex(k), np.eye(d)[:, k], 0.0)
+                               for k in range(d)])
+    monkeypatch.setattr(spectral, "spectrum_chain", lambda rep, tol: chain)
+    monkeypatch.setattr(spectral, "j_matrix_complex", lambda rep: J)
+    return rep
+
+
+@pytest.mark.parametrize("x02,x20,ok,T", [
+    (1.0, -1.0, True, [1, 1, -1, -1]),   # only the second sign works
+    (0.0, 0.0, True, [1, 1, 1, 1]),      # both work: +1 comes first
+    (1.0, 0.0, False, [1, 1, 1, 1]),     # neither: first of the tied residuals
+])
+def test_unitarize_branches_only_at_unlinked_steps(monkeypatch, x02, x20, ok, T):
+    # Z links steps 0 and 2 (ratios 1 and 4); nothing links step 1
+    Z = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, -0.5, 0]]
+    X = np.zeros((4, 4))
+    X[0, 2], X[2, 0] = x02, x20
+    rep = _synthetic(monkeypatch, Z, X)
+    u = unitarize_search(rep)
+    assert (u.ok, u.T, u.G) == _unitarize_scan(rep)
+    assert u.G == [1.0, 1.0, 1.0, 4.0]
+    assert (u.ok, u.T) == (ok, T)
