@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_command(argv):
     """Parse and validate; exits with code 2 on usage errors, naming the
-    violated (P, Q) or first-family r constraint in the diagnostic."""
+    violated (P, Q) or first-family r constraint, or the misused or
+    unparsable --expr, in the diagnostic."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -134,6 +135,17 @@ def parse_command(argv):
         parser.error(str(exc))
     if getattr(args, "family", None) == 1 and not 0 <= args.r < args.Q:
         parser.error(f"r must lie in 0..Q-1 = 0..{args.Q - 1}, got {args.r}")
+    if args.command == "symbolic":
+        if args.check != "pbw" and args.expr is not None:
+            parser.error("--expr is only read by --check pbw")
+        if args.check == "pbw":
+            if args.expr is None:
+                parser.error("--check pbw needs --expr")
+            try:
+                args.poly = parse_expr(args.expr)
+            except (ValueError, ArithmeticError) as exc:
+                # ParseError, an over-long word, or division by zero
+                parser.error(f"--expr {args.expr!r} is refused: {exc}")
     args.tol = args.tol if args.tol is not None else _default_tol()
     return args
 
@@ -273,10 +285,7 @@ def _symbolic_payload(args, which: str) -> int:
         summaries.append(f"hopf checks: {_status(all(v['ok'] for v in sec.values()))}")
 
     if which == "pbw":
-        if not args.expr:
-            raise ValueError("--check pbw needs --expr")
-        p = parse_expr(args.expr)
-        nf = pbw_normal_form(substitute_j(p))
+        nf = pbw_normal_form(substitute_j(args.poly))
         payload["pbw"] = {"input": args.expr, "normal_form": format_expr(nf)}
         summaries.append(f"pbw: {format_expr(nf)}")
 

@@ -19,6 +19,7 @@ polynomials onto matrices for the representation-level checks.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -69,6 +70,53 @@ def _poly_gcd(a, b):
     return [c / lead for c in a]
 
 
+# Prime of the coprimality certificate.  Reducing mod p can only raise the
+# degree of a gcd, provided neither polynomial loses its degree, so a constant
+# gcd mod p proves a constant gcd over Q; any other outcome proves nothing.
+_CERT_PRIME = 2 ** 61 - 1
+
+
+def _mod_p(a):
+    """Image in GF(p) of a dense Fraction list, or None when p divides a
+    denominator or the leading coefficient (the degree must survive)."""
+    out = []
+    for c in a:
+        d = c.denominator
+        if d == 1:
+            out.append(c.numerator % _CERT_PRIME)
+        elif d % _CERT_PRIME:
+            out.append(c.numerator * pow(d, -1, _CERT_PRIME) % _CERT_PRIME)
+        else:
+            return None
+    return out if out[-1] else None
+
+
+def _coprime_mod_p(a, b):
+    """True when the images of a and b in GF(p)[q] keep their degrees and have
+    a constant gcd, which certifies gcd(a, b) = 1 over Q.  False means only
+    that the certificate failed."""
+    a, b = _mod_p(a), _mod_p(b)
+    if a is None or b is None:
+        return False
+    p = _CERT_PRIME
+    while len(b) > 1:
+        # a, b = b, a mod b, with trailing zeros stripped
+        db = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        for k in range(len(a) - 1, db - 1, -1):
+            c = a[k] * inv % p
+            if c:
+                for i in range(db + 1):
+                    a[k - db + i] = (a[k - db + i] - c * b[i]) % p
+        a = a[:db]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
 _DEN_ONE = {0: _F1}
 
 
@@ -97,10 +145,11 @@ class QRat:
             ld = min(den)
             nd = _dense(num, ln, max(num))
             dd = _dense(den, ld, max(den))
-            g = _poly_gcd(nd, dd)
-            if len(g) > 1:
-                nd, _ = _poly_divmod(nd, g)
-                dd, _ = _poly_divmod(dd, g)
+            if not _coprime_mod_p(nd, dd):
+                g = _poly_gcd(nd, dd)
+                if len(g) > 1:
+                    nd, _ = _poly_divmod(nd, g)
+                    dd, _ = _poly_divmod(dd, g)
             lead = dd[-1]
             shift = ln - ld
             num = {e + shift: c / lead for e, c in enumerate(nd) if c}
@@ -625,40 +674,77 @@ _QC_Q2 = QCoeff.q_pow(2)
 _QC_XY = QCoeff.of(QRat.q_pow(1) / _DELTA)        # q/(q - q^-1)
 
 
+_RANK = {Y: 0, X: 1, Z: 2, ZINV: 2}
+
+
+def _pbw_key(w):
+    """(number of X/Y letters, inversions against Y < X < Z), the measure
+    that every rewrite of `_rewrite` strictly lowers in lexicographic order."""
+    seen = [0, 0, 0]
+    inversions = 0
+    for ch in w:
+        r = _RANK[ch]
+        inversions += sum(seen[r + 1:])
+        seen[r] += 1
+    return seen[0] + seen[1], inversions
+
+
+def _rewrite(w, c):
+    """One step on c * w at its leftmost rewritable pair: a list of
+    (word, coefficient), or None when w is already ordered."""
+    for i in range(len(w) - 1):
+        pair = w[i:i + 2]
+        k = _SWAPS.get(pair)
+        if k is not None:
+            return [(cancel_word(w[:i] + pair[1] + pair[0] + w[i + 2:]), c * QCoeff.q_pow(k))]
+        if pair == "XY":
+            mid = c * _QC_XY
+            return [(cancel_word(w[:i] + "YX" + w[i + 2:]), c * _QC_Q2),
+                    (cancel_word(w[:i] + "ZZ" + w[i + 2:]), mid),
+                    (cancel_word(w[:i] + w[i + 2:]), -mid)]
+    return None
+
+
 def pbw_normal_form(p: NcPoly) -> NcPoly:
     """Rewrite onto the ordered basis Y^a X^b Z^c using
         Z X -> q^-2 X Z,   Z Y -> q^2 Y Z,
         z X -> q^2  X z,   z Y -> q^-2 Y z,
         X Y -> q^2 Y X + (q/(q - q^-1)) (Z^2 - 1).
-    The inversion count against the target order strictly drops at every
-    step, so the worklist terminates.  Input must be J-free."""
+    Each rewrite strictly lowers `_pbw_key` in lexicographic order: the swaps
+    and X Y -> Y X drop one inversion, X Y -> Z Z and X Y -> 1 drop two X/Y
+    letters, and Z z cancellation only removes letters.  (The inversion count
+    alone can rise: X Y X -> Z Z X.)  So the worklist always takes the word of
+    highest key; every contribution to it has then arrived, and each word is
+    rewritten once, with its summed coefficient.  Input must be J-free."""
     for w in p.terms:
         if J in w:
             raise ValueError("substitute_j must be applied before PBW rewriting")
     out = {}
-    work = list(p.terms.items())
-    while work:
-        w, c = work.pop()
-        for i in range(len(w) - 1):
-            pair = w[i:i + 2]
-            k = _SWAPS.get(pair)
-            if k is not None:
-                nw = cancel_word(w[:i] + pair[1] + pair[0] + w[i + 2:])
-                work.append((nw, c * QCoeff.q_pow(k)))
-                break
-            if pair == "XY":
-                work.append((cancel_word(w[:i] + "YX" + w[i + 2:]), c * _QC_Q2))
-                mid = c * _QC_XY
-                work.append((cancel_word(w[:i] + "ZZ" + w[i + 2:]), mid))
-                work.append((cancel_word(w[:i] + w[i + 2:]), -mid))
-                break
+    pending = {}
+    heap = []
+
+    def add(w, c):
+        s = pending.get(w)
+        if s is None:
+            pending[w] = c
+            nxy, inv = _pbw_key(w)
+            heapq.heappush(heap, (-nxy, -inv, w))
         else:
-            s = out.get(w)
-            c = c if s is None else s + c
-            if c.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = c
+            pending[w] = s + c
+
+    for w, c in p.terms.items():
+        add(w, c)
+    while heap:
+        w = heapq.heappop(heap)[2]
+        c = pending.pop(w)
+        if c.is_zero():
+            continue
+        steps = _rewrite(w, c)
+        if steps is None:
+            out[w] = c
+        else:
+            for nw, nc in steps:
+                add(nw, nc)
     return NcPoly(out, _canonical=True)
 
 

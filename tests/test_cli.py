@@ -31,6 +31,11 @@ def test_parse_command_valid():
     (["bogus"], 2),                                # unknown command
     (["rep", "--Q", "3", "--r", "3"], 2),          # r out of range
     (["spectrum", "--Q", "5", "--r=-1"], 2),       # r negative
+    (["symbolic", "--check", "pbw"], 2),           # pbw without --expr
+    (["symbolic", "--expr", "X*Y"], 2),            # --expr with the default check
+    (["symbolic", "--check", "lemma", "--expr", "X"], 2),  # --expr with another check
+    (["symbolic", "--check", "pbw", "--expr", "X*"], 2),   # --expr does not parse
+    (["symbolic", "--check", "pbw", "--expr", "Q"], 2),    # unknown identifier
 ])
 def test_usage_errors_exit_2(argv, needle, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -159,8 +164,12 @@ def test_symbolic_pbw_expression(tmp_path, capsys):
     assert json.loads(out.read_text())["pbw"]["normal_form"] == "0"
 
 
-def test_symbolic_parse_error_exit_1(tmp_path):
-    assert run(["symbolic", "--check", "pbw", "--expr", "W + 1"]) == 1
+def test_symbolic_parse_error_exit_2(capsys):
+    # an unparsable --expr is a usage error, refused before dispatch
+    with pytest.raises(SystemExit) as exc:
+        run(["symbolic", "--check", "pbw", "--expr", "W + 1"])
+    assert exc.value.code == 2
+    assert "unknown identifier 'W'" in capsys.readouterr().err
 
 
 def test_symbolic_counit_note_logged(capsys):
@@ -194,3 +203,21 @@ def test_suite_exact_fields_match_golden(tmp_path):
     out = tmp_path / "suite.json"
     assert run(["suite", "--P", "2", "--Q", "5", "--out", str(out)]) == 0
     assert _exact_fields(json.loads(out.read_text())) == json.loads(SUITE_GOLDEN.read_text())
+
+
+# full stdout of `qsl2r symbolic` and of two `--check pbw` runs, recorded
+# before PBW rewriting merged its worklist and QRat gained its mod-p
+# coprimality certificate
+SYMBOLIC_GOLDEN = [
+    ([], "symbolic_stdout.txt"),
+    (["--check", "pbw", "--expr", "Z*Z*J - (q^2 + q^-2)*Z*J*Z + J*Z*Z"],
+     "symbolic_pbw_readme_stdout.txt"),
+    (["--check", "pbw", "--expr", "X*Y*X*Y*X*Y*X*Y"], "symbolic_pbw_xy4_stdout.txt"),
+]
+
+
+@pytest.mark.parametrize("extra,golden", SYMBOLIC_GOLDEN)
+def test_symbolic_stdout_matches_golden(extra, golden, capsys):
+    assert run(["symbolic", *extra]) == 0
+    expected = (Path(__file__).parent / "data" / golden).read_text()
+    assert capsys.readouterr().out == expected
