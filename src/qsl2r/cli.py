@@ -4,13 +4,15 @@ emit JSON artifacts and human-readable summaries.
 Exit codes: 0 all requested checks passed, 1 any verification failure,
 2 usage error.  JSON output is byte-deterministic for exact-backend runs
 (sorted keys, canonical rational strings).  The environment variable
-QSL2R_TOL overrides the default floating tolerance.
+QSL2R_TOL overrides the default floating tolerance; a value that is not
+a finite number > 0 is ignored there and refused as --tol.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -29,14 +31,25 @@ from .spectral import (ChainError, spectrum_chain, tridiagonality_check,
                        unitarize_search, verify_identity)
 
 
+def _tolerance(text: str) -> float | None:
+    """text as a tolerance: a finite float > 0, else None."""
+    try:
+        tol = float(text)
+    except ValueError:
+        return None
+    return tol if math.isfinite(tol) and tol > 0 else None
+
+
+def _parse_tol(text: str) -> float:
+    tol = _tolerance(text)
+    if tol is None:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return tol
+
+
 def _default_tol() -> float:
-    env = os.environ.get("QSL2R_TOL")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            pass
-    return REL_TOL
+    """QSL2R_TOL when it is a valid tolerance, else REL_TOL."""
+    return _tolerance(os.environ.get("QSL2R_TOL", "")) or REL_TOL
 
 
 def _parse_complex(text: str):
@@ -69,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, rep_flags=True):
         p.add_argument("--P", type=int, default=1, help="numerator of the root exponent")
         p.add_argument("--Q", type=int, default=3, help="odd order of the root of unity")
-        p.add_argument("--tol", type=float, default=None, help="floating tolerance")
+        p.add_argument("--tol", type=_parse_tol, default=None,
+                       help="floating tolerance, finite and > 0")
         p.add_argument("--out", type=str, default=None, help="write the JSON report here")
         if rep_flags:
             p.add_argument("--family", type=int, choices=(1, 2), default=1)
@@ -116,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", type=int, default=1)
     p.add_argument("--Q", type=int, default=3)
     p.add_argument("--sign", type=_parse_sign, default=1)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_parse_tol, default=None)
     p.add_argument("--out", type=str, default=None)
     add_common(sub.add_parser("suite", help="run the full verification grid for (P, Q)"),
                rep_flags=False)

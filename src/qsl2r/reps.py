@@ -52,12 +52,13 @@ def ex_mul(A, B):
     nonzero entries of row t of B, so structural zeros cost nothing."""
     zero = A[0][0].ctx.zero()
     m = len(B[0])
-    rows_b = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in B]
+    rows_b = [[(j, b) for j, b in enumerate(row) if b is not zero and not b.is_zero()]
+              for row in B]
     out = []
     for row_a in A:
         acc = {}
         for t, a in enumerate(row_a):
-            if a.is_zero():
+            if a is zero or a.is_zero():
                 continue
             for j, b in rows_b[t]:
                 p = a * b
@@ -75,14 +76,16 @@ def ex_add(A, B):
 
 
 def ex_sub(A, B):
-    return [[a if b.is_zero() else a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    zero = A[0][0].ctx.zero()
+    return [[a if b is zero or b.is_zero() else a - b for a, b in zip(ra, rb)]
+            for ra, rb in zip(A, B)]
 
 
 def ex_scale(A, s):
+    zero = A[0][0].ctx.zero()
     if (isinstance(s, CycloNum) and s.is_zero()) or (isinstance(s, GaussCyclo) and s.is_zero()):
-        ctx = A[0][0].ctx
-        return ex_zeros(ctx, len(A), len(A[0]))
-    return [[(s * a if not a.is_zero() else a) for a in row] for row in A]
+        return ex_zeros(zero.ctx, len(A), len(A[0]))
+    return [[a if a is zero or a.is_zero() else s * a for a in row] for row in A]
 
 
 def ex_is_zero(A) -> bool:
@@ -123,7 +126,7 @@ def ex_pow(A, n: int, ctx: RootContext):
 def ex_lincomb(terms, ctx: RootContext, d: int):
     """sum of s * M over the (s, M) pairs of d x d matrices, skipping zero
     scalars and zero entries."""
-    one = ctx.one()
+    one, zero = ctx.one(), ctx.zero()
     out = ex_zeros(ctx, d)
     for s, M in terms:
         if s.is_zero():
@@ -131,16 +134,17 @@ def ex_lincomb(terms, ctx: RootContext, d: int):
         unit = s == one
         for row_o, row_m in zip(out, M):
             for j, a in enumerate(row_m):
-                if not a.is_zero():
+                if a is not zero and not a.is_zero():
                     p = a if unit else s * a
                     o = row_o[j]
-                    row_o[j] = p if o.is_zero() else o + p
+                    row_o[j] = p if o is zero or o.is_zero() else o + p
     return out
 
 
 def ex_to_complex(A) -> np.ndarray:
-    return np.array([[0j if a.is_zero() else to_complex(a) for a in row] for row in A],
-                    dtype=complex)
+    zero = A[0][0].ctx.zero()
+    return np.array([[0j if a is zero or a.is_zero() else to_complex(a) for a in row]
+                     for row in A], dtype=complex)
 
 
 def ex_residual(A) -> float:

@@ -15,6 +15,13 @@ complex floating point.  A scalar is therefore one of
 and arithmetic never mixes the exact and floating tags implicitly: combining
 a CycloNum with a float/complex raises TypeError, the embedding into complex
 is the explicit `to_complex`.
+
+Most exact products have a unit factor +-zeta^e (the entries of Z and
+Z^-1, the powers of q that scale X and Y).  Such a product rotates the
+other factor's coefficients and folds the overflow back with the rows of
+zeta^deg..zeta^(Q-1); it keeps the coefficient content, so it needs no
+gcd.  Units are inverted by table lookup, and the q-number [n] is a sum
+of n powers of q, so neither needs the extended Euclidean algorithm.
 """
 
 from __future__ import annotations
@@ -85,8 +92,8 @@ class RootContext:
     exact arithmetic in Q(zeta_Q): Phi_Q and a reduction table for all powers
     zeta^0 .. zeta^(Q-1) in the power basis."""
 
-    __slots__ = ("P", "Q", "phi_q", "degree", "_powers", "_units", "_zeta_c",
-                 "q_complex", "_qnum_cache", "_subs_cache", "_zero", "_one")
+    __slots__ = ("P", "Q", "phi_q", "degree", "_powers", "_sparse_powers", "_units",
+                 "_zeta_c", "q_complex", "_qnum_cache", "_subs_cache", "_zero", "_one")
 
     def __init__(self, P: int, Q: int):
         if not isinstance(P, int) or not isinstance(Q, int):
@@ -113,6 +120,9 @@ class RootContext:
             if top:
                 cur = [cur[i] - top * self.phi_q[i] for i in range(self.degree)]
         self._powers = tuple(powers)
+        # the same rows as (index, coefficient) pairs of their nonzero entries
+        self._sparse_powers = tuple(tuple((i, c) for i, c in enumerate(row) if c)
+                                    for row in powers)
         # the 2Q units +-zeta^e by coefficient vector; no two coincide, as -1
         # is not a Q-th root of unity for odd Q
         self._units = {}
@@ -243,24 +253,51 @@ class CycloNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        deg = self.ctx.degree
+        ctx = self.ctx
+        units = ctx._units
+        unit = units.get(o.coeffs) if o.den == 1 else None
+        if unit is not None:
+            return self._times_unit(*unit)
+        unit = units.get(self.coeffs) if self.den == 1 else None
+        if unit is not None:
+            return o._times_unit(*unit)
+        deg = ctx.degree
+        nonzero_o = [(j, b) for j, b in enumerate(o.coeffs) if b]
         conv = [0] * (2 * deg - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        out = list(conv[:deg])
-        powers = self.ctx._powers
-        Q = self.ctx.Q
+                for j, b in nonzero_o:
+                    conv[i + j] += a * b
+        out = conv[:deg]
+        rows = ctx._sparse_powers
+        Q = ctx.Q
         for e in range(deg, 2 * deg - 1):
             c = conv[e]
             if c:
-                row = powers[e % Q]
-                for i in range(deg):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycloNum(self.ctx, out, self.den * o.den)
+                for i, r in rows[e % Q]:
+                    out[i] += c * r
+        return CycloNum(ctx, out, self.den * o.den)
+
+    def _times_unit(self, e: int, sign: int) -> "CycloNum":
+        """self * (sign zeta^e): rotate the coefficients, padded to length
+        Q, by e and fold the slots deg..Q-1 back with the rows of
+        zeta^deg..zeta^(Q-1).  Multiplying by zeta^e is a Z-linear
+        automorphism of Z[zeta], so the coefficient content, and with it the
+        reduced denominator, does not change: no gcd is needed."""
+        ctx = self.ctx
+        Q, deg = ctx.Q, ctx.degree
+        v = list(self.coeffs) + [0] * (Q - deg)
+        v = v[Q - e:] + v[:Q - e]
+        out = v[:deg]
+        rows = ctx._sparse_powers
+        for s in range(deg, Q):
+            c = v[s]
+            if c:
+                for i, r in rows[s]:
+                    out[i] += c * r
+        if sign < 0:
+            out = [-c for c in out]
+        return CycloNum(ctx, out, self.den, _canonical=True)
 
     __rmul__ = __mul__
 
@@ -557,14 +594,16 @@ def q_number(ctx: RootContext, x):
     and odd: [-x] = -[x]."""
     xi = _as_int(x)
     if xi is not None:
-        cached = ctx._qnum_cache.get(xi % ctx.Q)
-        if cached is not None:
-            return cached
-        num = q_power(ctx, xi) - q_power(ctx, -xi)
-        den = ctx.zeta(ctx.P) - ctx.zeta(-ctx.P)
-        out = num / den
-        ctx._qnum_cache[xi % ctx.Q] = out
-        return out
+        m = xi % ctx.Q
+        cached = ctx._qnum_cache.get(m)
+        if cached is None:
+            # [m] = q^(m-1) + q^(m-3) + ... + q^(1-m): a sum of m powers of q
+            out = [0] * ctx.degree
+            for k in range(m):
+                for i, c in ctx._sparse_powers[ctx.P * (m - 1 - 2 * k) % ctx.Q]:
+                    out[i] += c
+            cached = ctx._qnum_cache[m] = CycloNum(ctx, out, 1, _canonical=True)
+        return cached
     qx = cmath.exp(2j * math.pi * ctx.P * x / ctx.Q)
     return (qx - 1 / qx) / (ctx.q_complex - 1 / ctx.q_complex)
 

@@ -8,9 +8,11 @@ The cubic identity is not typed in here: its y-coefficients come from
 
 Eigenvalues come from LAPACK (`np.linalg.eigvals`), clustered within
 EIGEN_TOL; each cluster's eigenvectors are the null right singular vectors
-of M - lambda I.  Matrices here are at most 64 x 64.  The (T, G) search
-walks the chain once: the links fix every product T_k T_{k+1}, so only
-steps that no matrix links leave a sign to branch on.
+of M - lambda I.  Matrices here are at most 64 x 64.  The chain is computed
+once per representation and tolerance and cached on the representation, so
+the tridiagonality check and the (T, G) search reuse its eigenvectors.  The
+(T, G) search walks the chain once: the links fix every product
+T_k T_{k+1}, so only steps that no matrix links leave a sign to branch on.
 """
 
 from __future__ import annotations
@@ -225,7 +227,17 @@ def spectrum_chain(rep: Representation, tol: float = EIGEN_TOL) -> LadderChain:
     carried by y = q^x; the branch (y versus -1/y) is chosen as the one that
     links.  For the first family the chain must start at x = Q - d + 1 (up to
     the Q-periodicity of the q-numbers) and the top raise must annihilate;
-    for the second family cyclic closure is reported, not asserted."""
+    for the second family cyclic closure is reported, not asserted.  A chain
+    is cached on the representation per tol, so tridiagonality_check and
+    unitarize_search reuse it; a ChainError is not cached."""
+    key = ("chain", tol)
+    got = rep._cache.get(key)
+    if got is None:
+        got = rep._cache[key] = _build_chain(rep, tol)
+    return got
+
+
+def _build_chain(rep: Representation, tol: float) -> LadderChain:
     Jc = j_matrix_complex(rep)
     Zc = rep.complex_mats()["Z"]
     q = rep.ctx.q_complex

@@ -36,6 +36,8 @@ def test_parse_command_valid():
     (["symbolic", "--check", "lemma", "--expr", "X"], 2),  # --expr with another check
     (["symbolic", "--check", "pbw", "--expr", "X*"], 2),   # --expr does not parse
     (["symbolic", "--check", "pbw", "--expr", "Q"], 2),    # unknown identifier
+    (["suite", "--Q", "5", "--tol", "nan"], 2),    # tolerance not finite
+    (["spectrum", "--Q", "5", "--tol=-1"], 2),     # tolerance not positive
 ])
 def test_usage_errors_exit_2(argv, needle, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -183,6 +185,13 @@ def test_env_tolerance_override(tmp_path, monkeypatch):
     args = parse_command(["verify", "--P", "1", "--Q", "3", "--check", "defining"])
     assert args.tol == 1e-3
     monkeypatch.setenv("QSL2R_TOL", "junk")
+    args = parse_command(["verify", "--P", "1", "--Q", "3", "--check", "defining"])
+    assert args.tol == pytest.approx(1e-9)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-3"])
+def test_env_tolerance_must_be_finite_and_positive(monkeypatch, value):
+    monkeypatch.setenv("QSL2R_TOL", value)
     args = parse_command(["verify", "--P", "1", "--Q", "3", "--check", "defining"])
     assert args.tol == pytest.approx(1e-9)
 

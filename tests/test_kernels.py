@@ -1,15 +1,17 @@
 """The sparse exact kernels against their naive definitions: products and
-powers, unit inverses by lookup, direct subtraction, and exact comparisons
-that still report the residual of a mismatch."""
+powers, products and inverses of units, q-numbers as sums of powers, direct
+subtraction, and exact comparisons that still report the residual of a
+mismatch."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from qsl2r.reps import (Representation, _close, build_family1, ex_eye, ex_lincomb,
-                        ex_mul, ex_pow, ex_residual, ex_sub)
-from qsl2r.scalar import CycloNum, GaussCyclo, RootContext, to_complex
+                        ex_mul, ex_pow, ex_residual, ex_scale, ex_sub, ex_to_complex)
+from qsl2r.scalar import CycloNum, GaussCyclo, RootContext, q_number, q_power, to_complex
 from qsl2r.spectral import _identity_matrices, verify_identity
 
 
@@ -139,3 +141,84 @@ def test_sparse_identity_sum_matches_the_dense_sum(name, i, j):
                             for k, M in C.items()], rep.ctx, rep.dim)
         report = verify_identity(rep, x)
         assert report.residual == ex_residual(dense) and not report.ok, x
+
+
+def _convolution_product(a, b):
+    """a * b by the dense convolution, reduced by long division by Phi_Q and
+    gcd-reduced by the CycloNum constructor."""
+    ctx = a.ctx
+    deg = ctx.degree
+    conv = [0] * (2 * deg - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            conv[i + j] += x * y
+    for k in range(len(conv) - 1, deg - 1, -1):
+        c = conv[k]
+        if c:
+            for i, p in enumerate(ctx.phi_q):
+                conv[k - deg + i] -= c * p
+    return CycloNum(ctx, conv[:deg], a.den * b.den)
+
+
+@pytest.mark.parametrize("Q", [3, 5, 7, 9, 15, 21, 25, 31])
+def test_unit_products_match_the_convolution(Q):
+    ctx = RootContext(2 if Q != 3 else 1, Q)
+    rng = random.Random(100 + Q)
+    units = [u for e in range(Q) for u in (ctx.zeta(e), -ctx.zeta(e))]
+    others = [_random_entry(ctx, rng, 1.0) for _ in range(4)]
+    # a content the denominator does not share, and denominators > 1
+    others += [CycloNum(ctx, [6 * rng.randint(-3, 3) for _ in range(ctx.degree)], 5),
+               CycloNum(ctx, [4] + [0] * (ctx.degree - 1), 1),
+               ctx.from_fraction(Fraction(-7, 3)), ctx.zero()]
+    for u in units:
+        for a in others + units[:4]:
+            want = _convolution_product(u, a)
+            for got in (u * a, a * u):
+                assert (got.coeffs, got.den) == (want.coeffs, want.den), (u, a)
+
+
+@pytest.mark.parametrize("Q", [3, 5, 7, 9, 15, 21, 25, 31])
+def test_general_products_match_the_convolution(Q):
+    ctx = RootContext(1, Q)
+    rng = random.Random(200 + Q)
+    for _ in range(6):
+        a, b = _random_entry(ctx, rng, 1.0), _random_entry(ctx, rng, 1.0)
+        want = _convolution_product(a, b)
+        for got in (a * b, b * a):
+            assert (got.coeffs, got.den) == (want.coeffs, want.den), (a, b)
+
+
+@pytest.mark.parametrize("P,Q", [(P, Q) for Q in (3, 5, 7, 9, 15) for P in range(1, Q)
+                                 if math.gcd(P, Q) == 1]
+                         + [(1, 21), (10, 21), (2, 25), (3, 31), (15, 31)])
+def test_q_numbers_match_the_division_formula(P, Q):
+    ctx = RootContext(P, Q)
+    inv_delta = (q_power(ctx, 1) - q_power(ctx, -1)).inverse()
+    for x in range(-Q, Q + 1):
+        want = (q_power(ctx, x) - q_power(ctx, -x)) * inv_delta
+        got = q_number(ctx, x)
+        assert (got.coeffs, got.den) == (want.coeffs, want.den), x
+
+
+def test_kernels_treat_cancelled_zeros_as_zeros():
+    # a - a is zero but not the shared ctx.zero() object, so the kernels'
+    # identity test misses it and is_zero() must catch it
+    ctx = RootContext(2, 7)
+    rng = random.Random(7)
+    for _ in range(5):
+        A = _random_matrix(ctx, rng, 4, 3, density=0.7)
+        B = _random_matrix(ctx, rng, 3, 4, density=0.7)
+        for M in (A, B):
+            for i, row in enumerate(M):
+                j = (i + 1) % len(row)
+                a = _random_entry(ctx, rng, 1.0)
+                row[j] = a - a
+                assert row[j] is not ctx.zero() and row[j].is_zero()
+        assert ex_mul(A, B) == _naive_mul(A, B)
+        assert ex_to_complex(A).tolist() == [[complex(a) for a in row] for row in A]
+        s = _random_entry(ctx, rng, 1.0)
+        assert ex_scale(A, s) == [[s * a for a in row] for row in A]
+        C = ex_mul(A, B)
+        assert ex_sub(C, C) == [[ctx.zero()] * 4 for _ in range(4)]
+        dense = [[s * x + y for x, y in zip(rx, ry)] for rx, ry in zip(C, ex_mul(A, B))]
+        assert ex_lincomb([(s, C), (ctx.one(), ex_mul(A, B))], ctx, 4) == dense

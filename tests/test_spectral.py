@@ -9,7 +9,7 @@ import pytest
 from qsl2r.scalar import RootContext, q_number, to_complex
 from qsl2r.reps import build_family1, build_family2, j_matrix_complex
 from qsl2r import spectral
-from qsl2r.spectral import (EigenPair, EigenSolveError, LadderChain,
+from qsl2r.spectral import (ChainError, EigenPair, EigenSolveError, LadderChain,
                             eigen_solve, ladder_apply,
                             spectrum_chain, tridiagonality_check,
                             unitarize_search, verify_identity)
@@ -346,3 +346,54 @@ def test_unitarize_branches_only_at_unlinked_steps(monkeypatch, x02, x20, ok, T)
     assert (u.ok, u.T, u.G) == _unitarize_scan(rep)
     assert u.G == [1.0, 1.0, 1.0, 4.0]
     assert (u.ok, u.T) == (ok, T)
+
+
+# -- one chain per (representation, tol) ------------------------------------------------
+
+def test_spectrum_chain_is_cached_per_tol():
+    rep = build_family1(RootContext(2, 7), 5, -1)
+    chain = spectrum_chain(rep)
+    assert spectrum_chain(rep) is chain
+    assert spectrum_chain(rep, 1e-8) is chain
+    other = spectrum_chain(rep, 1e-7)
+    assert other is not chain and spectrum_chain(rep, 1e-7) is other
+    assert other.values == chain.values
+
+
+def test_tridiagonality_and_unitarize_reuse_the_chain(monkeypatch):
+    rep = build_family1(RootContext(1, 5), 4, 1)
+    chain = spectrum_chain(rep)
+
+    def rebuild(rep, tol):
+        raise AssertionError("the chain was computed again")
+
+    monkeypatch.setattr(spectral, "_build_chain", rebuild)
+    B = np.column_stack([p.vector for p in chain.pairs])
+    tri = tridiagonality_check(rep)
+    assert tri.ok
+    assert np.array_equal(tri.matrix, np.linalg.solve(B, rep.complex_mats()["Z"] @ B))
+    uni = unitarize_search(rep)
+    assert uni.ok and np.array_equal(uni.basis, B)
+    with pytest.raises(AssertionError):
+        spectrum_chain(rep, 1e-7)
+
+
+def test_chain_errors_are_not_cached(monkeypatch):
+    # Z = 1 makes every ladder image vanish, so no first-family bottom links
+    d = 2
+    rep = SimpleNamespace(dim=d, family=1, ctx=C5, _cache={},
+                          complex_mats=lambda: {"Z": np.eye(d, dtype=complex)})
+    monkeypatch.setattr(spectral, "j_matrix_complex",
+                        lambda rep: np.diag([0.0, 1.0]).astype(complex))
+    solves = []
+
+    def counting_solve(M):
+        solves.append(M)
+        return eigen_solve(M)
+
+    monkeypatch.setattr(spectral, "eigen_solve", counting_solve)
+    for n in (1, 2, 3):
+        with pytest.raises(ChainError, match="no chain bottom"):
+            spectrum_chain(rep)
+        assert len(solves) == n
+    assert rep._cache == {}
