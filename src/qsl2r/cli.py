@@ -11,6 +11,7 @@ a finite number > 0 is ignored there and refused as --tol.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -53,16 +54,27 @@ def _default_tol() -> float:
 
 
 def _parse_complex(text: str):
-    """re,im pair, bare real, or an exact root-of-unity token q^k / -q^k."""
+    """re,im pair, bare real, or an exact root-of-unity token q^k / -q^k;
+    re and im must be finite."""
     text = text.strip()
     if text.startswith("q^") or text.startswith("-q^"):
         return ("q", -1 if text.startswith("-") else 1, int(text.split("^", 1)[1]))
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"cannot parse complex value {text!r}")
+    if len(parts) > 2:
+        raise argparse.ArgumentTypeError(f"cannot parse complex value {text!r}")
+    value = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _parse_point(text: str) -> complex:
+    """re,im pair or bare real, as --a, --b and --x take."""
+    value = _parse_complex(text)
+    if isinstance(value, tuple):
+        raise argparse.ArgumentTypeError(f"takes re,im; q^k tokens like {text!r} "
+                                         "are only read by --lambda")
+    return value
 
 
 def _parse_sign(text: str) -> int:
@@ -93,10 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="second-family lambda: re,im or q^k / -q^k for the exact "
                                 "path; a value starting with '-' needs '=', as in "
                                 "--lambda=-q^2")
-            p.add_argument("--a", type=_parse_complex, default=0j,
+            p.add_argument("--a", type=_parse_point, default=0j,
                            help="second-family a: re,im; a value starting with '-' "
                                 "needs '=', as in --a=-1,0")
-            p.add_argument("--b", type=_parse_complex, default=0j,
+            p.add_argument("--b", type=_parse_point, default=0j,
                            help="second-family b: re,im; a value starting with '-' "
                                 "needs '=', as in --b=-1,0")
             group = p.add_mutually_exclusive_group()
@@ -111,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True,
                    choices=("defining", "zj", "identity", "lemma", "hopf",
                             "central", "star"))
-    p.add_argument("--x", type=_parse_complex, default=0j,
+    p.add_argument("--x", type=_parse_point, default=0j,
                    help="evaluation point for --check identity: re,im; a value "
                         "starting with '-' needs '=', as in --x=-1,0")
 
@@ -139,8 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_command(argv):
     """Parse and validate; exits with code 2 on usage errors, naming the
-    violated (P, Q) or first-family r constraint, or the misused or
-    unparsable --expr, in the diagnostic."""
+    violated (P, Q) or first-family r constraint, the representation flags
+    no builder accepts, or the misused or unparsable --expr, in the
+    diagnostic."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -149,6 +162,11 @@ def parse_command(argv):
         parser.error(str(exc))
     if getattr(args, "family", None) == 1 and not 0 <= args.r < args.Q:
         parser.error(f"r must lie in 0..Q-1 = 0..{args.Q - 1}, got {args.r}")
+    if getattr(args, "family", None) is not None:
+        _resolve_rep_flags(parser, args)
+    if getattr(args, "x", None) is not None:
+        x = args.x
+        args.x = int(x.real) if not x.imag and x.real.is_integer() else x
     if args.command == "symbolic":
         if args.check != "pbw" and args.expr is not None:
             parser.error("--expr is only read by --check pbw")
@@ -164,35 +182,36 @@ def parse_command(argv):
     return args
 
 
+def _resolve_rep_flags(parser, args):
+    """Fix the backend and resolve --lambda, --a and --b into the values
+    build_family2 takes (args.family2_params), refusing (exit 2) the
+    combinations no builder accepts."""
+    if args.family == 1:
+        if args.backend == "approx":
+            parser.error("the first family is always exact; drop --approx")
+        return
+    args.backend = args.backend or "approx"
+    lam, a, b = args.lam, args.a, args.b
+    if args.backend == "approx":
+        if isinstance(lam, tuple):
+            lam = lam[1] * args.ctx.q_complex ** lam[2]
+        elif lam == 0:
+            parser.error("--lambda must be nonzero")
+        args.family2_params = (lam, a, b)
+        return
+    if not isinstance(lam, tuple):
+        parser.error("the exact second-family path needs --lambda q^k or -q^k")
+    for name, v in (("a", a), ("b", b)):
+        if v.imag or not v.real.is_integer():
+            parser.error(f"the exact second-family path needs an integer --{name}, "
+                         f"got {v.real:g},{v.imag:g}")
+    args.family2_params = (q_power(args.ctx, lam[2]) * lam[1], int(a.real), int(b.real))
+
+
 def _build_rep(args):
     if args.family == 1:
-        if getattr(args, "backend", None) == "approx":
-            raise ValueError("the first family is always exact")
         return build_family1(args.ctx, args.r, args.sign)
-    lam, a, b = args.lam, args.a, args.b
-    backend = args.backend or "approx"
-    if isinstance(lam, tuple):
-        sign, k = lam[1], lam[2]
-        if backend == "exact":
-            lam_exact = q_power(args.ctx, k)
-            lam = lam_exact if sign > 0 else -lam_exact
-        else:
-            lam = sign * args.ctx.q_complex ** k
-    elif backend == "exact":
-        raise ValueError("the exact second-family path needs --lambda q^k or -q^k")
-    if backend == "exact":
-        def as_exact(v):
-            if isinstance(v, complex):
-                if v.imag != 0 or v.real != int(v.real):
-                    raise ValueError("exact backend needs integer (or q^k) parameters")
-                return int(v.real)
-            return v
-        return build_family2(args.ctx, lam, as_exact(a), as_exact(b), backend="exact")
-    for name, v in (("--a", a), ("--b", b)):
-        if isinstance(v, tuple):
-            raise ValueError(f"{name} takes re,im (q^k tokens select the exact path "
-                             "and need --exact)")
-    return build_family2(args.ctx, lam, complex(a), complex(b))
+    return build_family2(args.ctx, *args.family2_params, backend=args.backend)
 
 
 def emit_report(payload: dict, out: str | None, summaries: list[str],
@@ -235,9 +254,7 @@ def cmd_verify(args) -> int:
         return _symbolic_payload(args, args.check)
     rep = _build_rep(args)
     if args.check == "identity":
-        if isinstance(args.x, tuple):
-            raise ValueError("--x takes re,im (q^k tokens are for --lambda)")
-        report = verify_identity(rep, _maybe_int(args.x), tol=args.tol)
+        report = verify_identity(rep, args.x, tol=args.tol)
         detail = "residual 0 exact" if report.exact and report.residual == 0.0 \
             else f"residual {report.residual:.3g}"
         payload = {"check": "identity", "x": [report.x.real, report.x.imag],
@@ -250,12 +267,6 @@ def cmd_verify(args) -> int:
     return emit_report(payload, args.out,
                        [f"{args.check}: {_status(report.ok)} "
                         f"(max residual {report.max_residual:.3g})"], report.ok)
-
-
-def _maybe_int(x: complex):
-    if x.imag == 0 and x.real == int(x.real):
-        return int(x.real)
-    return x
 
 
 def _symbolic_payload(args, which: str) -> int:

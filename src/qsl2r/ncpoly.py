@@ -11,6 +11,12 @@ Products cancel Z z pairs on contact and apply no other relation.  The
 defining relations of the algebra enter only through `pbw_normal_form`,
 which rewrites onto the ordered monomial basis Y^a X^b Z^c (c signed).
 
+`QRat` is its own class: its canonical form needs a gcd.  The three sparse
+sums share one base, `_SparseSum` (map key -> nonzero coefficient, with
++, -, * and scalars on either side), and differ only in keys and ring:
+`QCoeff` sums y-exponents over QRat, `NcPoly` words over QCoeff, and
+`TensorPoly` pairs of words over QCoeff, multiplied leg by leg.
+
 The relations (`relation_sides`), the cubic identity (`identity_sides`,
 `identity_coefficients`) and the recovery of X and Y from J and Z
 (`xy_recovery`) are written only here; `reps.evaluate` maps the same
@@ -23,8 +29,6 @@ import heapq
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-from .scalar import _poly_divmod
 
 X, Y, Z, ZINV, J = "X", "Y", "Z", "z", "J"
 LETTERS = "XYZzJ"
@@ -57,6 +61,24 @@ def _dense(d, lo, hi):
     for e, c in d.items():
         out[e - lo] = c
     return out
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by b over Q (dense ascending lists); the
+    remainder keeps at least one coefficient."""
+    a = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    quot = [_F0] * max(len(a) - db, 1)
+    for k in range(len(a) - 1, db - 1, -1):
+        if a[k]:
+            c = a[k] / lead
+            quot[k - db] = c
+            for i in range(db + 1):
+                a[k - db + i] -= c * b[i]
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    return quot, a
 
 
 def _poly_gcd(a, b):
@@ -152,8 +174,12 @@ class QRat:
                     dd, _ = _poly_divmod(dd, g)
             lead = dd[-1]
             shift = ln - ld
-            num = {e + shift: c / lead for e, c in enumerate(nd) if c}
-            den = {e: c / lead for e, c in enumerate(dd) if c}
+            if lead == 1:
+                num = {e + shift: c for e, c in enumerate(nd) if c}
+                den = {e: c for e, c in enumerate(dd) if c}
+            else:
+                num = {e + shift: c / lead for e, c in enumerate(nd) if c}
+                den = {e: c / lead for e, c in enumerate(dd) if c}
         self.num = num
         self.den = den
 
@@ -306,13 +332,29 @@ _QR_ONE = QRat({0: _F1}, _DEN_ONE, _canonical=True)
 
 
 # ---------------------------------------------------------------------------
-# coefficients: Laurent in y over Q(q)
+# sparse sums: coefficients in y, words, tensor words
 # ---------------------------------------------------------------------------
 
 
-class QCoeff:
-    """Finite sum of QRat * y^k; y is a free commuting variable, never
-    specialized inside this module."""
+def _add_term(out, k, c):
+    # out[k] += c, dropping a sum that cancels to zero
+    s = out.get(k)
+    if s is not None:
+        c = s + c
+        if c.is_zero():
+            del out[k]
+            return
+    out[k] = c
+
+
+class _SparseSum:
+    """Finite sum as a map key -> nonzero coefficient, canonical (keys in
+    normal form, no zero values), so equality is dict equality.  A subclass
+    fixes its keys and its coefficient ring: `_key` (normal form of one
+    key), `_join` (key of a product of two keys), `_UNIT` (key of 1),
+    `_RING` (coefficient class) and `_lift` (an int, Fraction or other
+    scalar of `_SCALARS` into the ring).  The ring is commutative, so a
+    scalar multiplies from either side."""
 
     __slots__ = ("terms",)
 
@@ -320,42 +362,43 @@ class QCoeff:
         if _canonical:
             self.terms = terms
             return
-        self.terms = {e: c for e, c in (terms or {}).items() if not c.is_zero()}
+        out = {}
+        for k, c in (terms or {}).items():
+            c = self._coeff(c)
+            if not c.is_zero():
+                _add_term(out, self._key(k), c)
+        self.terms = out
 
-    @staticmethod
-    def zero():
-        return QCoeff({}, _canonical=True)
+    @classmethod
+    def _coeff(cls, c):
+        # c in the coefficient ring, or None when it is no scalar
+        if isinstance(c, cls._RING):
+            return c
+        return cls._lift(c) if isinstance(c, cls._SCALARS) else None
 
-    @staticmethod
-    def one():
-        return QCoeff({0: _QR_ONE}, _canonical=True)
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        c = self._coeff(other)
+        return None if c is None else self.scalar(c)
 
-    @staticmethod
-    def of(qr):
-        if isinstance(qr, (int, Fraction)):
-            qr = QRat.integer(qr)
-        return QCoeff({0: qr})
+    @classmethod
+    def zero(cls):
+        return cls({}, _canonical=True)
 
-    @staticmethod
-    def q_pow(k):
-        return QCoeff({0: QRat.q_pow(k)}, _canonical=True)
+    @classmethod
+    def one(cls):
+        return cls({cls._UNIT: cls._RING.one()}, _canonical=True)
 
-    @staticmethod
-    def y_pow(k, qr=None):
-        return QCoeff({k: qr if qr is not None else _QR_ONE})
+    @classmethod
+    def scalar(cls, c):
+        return cls({cls._UNIT: c})
 
     def is_zero(self):
         return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
-
-    def _coerce(self, other):
-        if isinstance(other, QCoeff):
-            return other
-        if isinstance(other, (QRat, int, Fraction)):
-            return QCoeff.of(other)
-        return None
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -368,15 +411,14 @@ class QCoeff:
         if o is None:
             return NotImplemented
         out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return QCoeff(out)
+        for k, c in o.terms.items():
+            _add_term(out, k, c)
+        return type(self)(out, _canonical=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QCoeff({e: -c for e, c in self.terms.items()}, _canonical=True)
+        return type(self)({k: -c for k, c in self.terms.items()}, _canonical=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -387,20 +429,49 @@ class QCoeff:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in o.terms.items():
-                e = ea + eb
-                p = ca * cb
-                s = out.get(e)
-                out[e] = p if s is None else s + p
-        return QCoeff(out)
+    def scale(self, c):
+        c = self._coeff(c)
+        if c.is_zero():
+            return self.zero()
+        # the ring has no zero divisors, so no product vanishes
+        return type(self)({k: t * c for k, t in self.terms.items()}, _canonical=True)
 
-    __rmul__ = __mul__
+    def __mul__(self, other):
+        if not isinstance(other, type(self)):
+            return self.__rmul__(other)
+        join = self._join
+        out = {}
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                _add_term(out, join(ka, kb), ca * cb)
+        return type(self)(out, _canonical=True)
+
+    def __rmul__(self, other):
+        c = self._coeff(other)
+        return NotImplemented if c is None else self.scale(c)
+
+
+class QCoeff(_SparseSum):
+    """Finite sum of QRat * y^k; y is a free commuting variable, never
+    specialized inside this module."""
+
+    __slots__ = ()
+    _UNIT, _RING, _SCALARS = 0, QRat, (int, Fraction)
+    _lift = staticmethod(QRat.integer)
+    _key = staticmethod(lambda e: e)
+    _join = staticmethod(lambda a, b: a + b)
+
+    @classmethod
+    def of(cls, qr):
+        return cls.scalar(qr)
+
+    @staticmethod
+    def q_pow(k):
+        return QCoeff({0: QRat.q_pow(k)}, _canonical=True)
+
+    @staticmethod
+    def y_pow(k, qr=None):
+        return QCoeff({k: qr if qr is not None else _QR_ONE})
 
     def inverse(self):
         if len(self.terms) != 1:
@@ -436,117 +507,20 @@ def cancel_word(word):
     return "".join(out)
 
 
-class NcPoly:
+class NcPoly(_SparseSum):
     """Map word -> QCoeff, canonical: no Z z adjacencies, no zero values."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None, _canonical=False):
-        if _canonical:
-            self.terms = terms
-            return
-        out = {}
-        for w, c in (terms or {}).items():
-            if isinstance(c, (QRat, int, Fraction)):
-                c = QCoeff.of(c)
-            if c.is_zero():
-                continue
-            w = cancel_word(w)
-            s = out.get(w)
-            c = c if s is None else s + c
-            if c.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = c
-        self.terms = out
-
-    @staticmethod
-    def zero():
-        return NcPoly({}, _canonical=True)
-
-    @staticmethod
-    def one():
-        return NcPoly({"": QCoeff.one()}, _canonical=True)
+    __slots__ = ()
+    _UNIT, _RING, _SCALARS = "", QCoeff, (QRat, int, Fraction)
+    _lift = staticmethod(QCoeff.scalar)
+    _key = staticmethod(cancel_word)
+    _join = staticmethod(lambda a, b: cancel_word(a + b))
 
     @staticmethod
     def word(w, coeff=None):
         if any(ch not in LETTERS for ch in w):
             raise ValueError(f"unknown letter in word {w!r}")
         return NcPoly({w: coeff if coeff is not None else QCoeff.one()})
-
-    @staticmethod
-    def scalar(c):
-        return NcPoly({"": c})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QRat, QCoeff)):
-            other = NcPoly.scalar(other if isinstance(other, QCoeff) else QCoeff.of(other))
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, QRat, QCoeff)):
-            other = NcPoly.scalar(other if isinstance(other, QCoeff) else QCoeff.of(other))
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            c = c if s is None else s + c
-            if c.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = c
-        return NcPoly(out, _canonical=True)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NcPoly({w: -c for w, c in self.terms.items()}, _canonical=True)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, NcPoly) else -NcPoly.scalar(
-            other if isinstance(other, QCoeff) else QCoeff.of(other)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, c):
-        if isinstance(c, (QRat, int, Fraction)):
-            c = QCoeff.of(c)
-        if c.is_zero():
-            return NcPoly.zero()
-        return NcPoly({w: t * c for w, t in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QRat, QCoeff)):
-            return self.scale(other)
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        out = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
-                w = cancel_word(wa + wb)
-                p = ca * cb
-                s = out.get(w)
-                p = p if s is None else s + p
-                if p.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = p
-        return NcPoly(out, _canonical=True)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, QRat, QCoeff)):
-            return self.scale(other)
-        return NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -563,91 +537,15 @@ class NcPoly:
         return f"NcPoly({format_expr(self)})"
 
 
-class TensorPoly:
+class TensorPoly(_SparseSum):
     """Degree-2 tensor leg: map (word, word) -> QCoeff, multiplication acts
     legwise with the same Z z cancellation per leg."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None, _canonical=False):
-        if _canonical:
-            self.terms = terms
-            return
-        out = {}
-        for (w1, w2), c in (terms or {}).items():
-            if isinstance(c, (QRat, int, Fraction)):
-                c = QCoeff.of(c)
-            if c.is_zero():
-                continue
-            key = (cancel_word(w1), cancel_word(w2))
-            s = out.get(key)
-            c = c if s is None else s + c
-            if c.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = c
-        self.terms = out
-
-    @staticmethod
-    def zero():
-        return TensorPoly({}, _canonical=True)
-
-    @staticmethod
-    def one():
-        return TensorPoly({("", ""): QCoeff.one()}, _canonical=True)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            c = c if s is None else s + c
-            if c.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = c
-        return TensorPoly(out, _canonical=True)
-
-    def __neg__(self):
-        return TensorPoly({k: -c for k, c in self.terms.items()}, _canonical=True)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if isinstance(c, (QRat, int, Fraction)):
-            c = QCoeff.of(c)
-        if c.is_zero():
-            return TensorPoly.zero()
-        return TensorPoly({k: t * c for k, t in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QRat, QCoeff)):
-            return self.scale(other)
-        out = {}
-        for (a1, a2), ca in self.terms.items():
-            for (b1, b2), cb in other.terms.items():
-                key = (cancel_word(a1 + b1), cancel_word(a2 + b2))
-                p = ca * cb
-                s = out.get(key)
-                p = p if s is None else s + p
-                if p.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = p
-        return TensorPoly(out, _canonical=True)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, QRat, QCoeff)):
-            return self.scale(other)
-        return NotImplemented
+    __slots__ = ()
+    _UNIT, _RING, _SCALARS = ("", ""), QCoeff, (QRat, int, Fraction)
+    _lift = staticmethod(QCoeff.scalar)
+    _key = staticmethod(lambda k: (cancel_word(k[0]), cancel_word(k[1])))
+    _join = staticmethod(lambda a, b: (cancel_word(a[0] + b[0]), cancel_word(a[1] + b[1])))
 
     def __repr__(self):
         body = " + ".join(f"({w1 or '1'})(x)({w2 or '1'})" for w1, w2 in sorted(self.terms))
@@ -883,30 +781,26 @@ def identity_contracts(coeffs: dict[int, NcPoly] | None = None) -> dict[str, NcP
         (q-q^-1)^2 c_0     = 2 (J Z^2 - (q^2+q^-2) Z J Z + Z^2 J)
                              + (q-q^-1)^2 (Z J^3 Z - [2]^2 Z J Z - J Z J Z J + [2]^2 J)
 
-    plus the y = 1 cross-check: sum_k c_k equals the x = 0 specialization."""
+    plus the y = 1 cross-check: sum_k c_k equals the x = 0 specialization.
+    The right-hand sides are -R1, R2 and 2 R1 + (q-q^-1)^2 V in terms of the
+    J-Z relations R1, R2 (`_zj_relations`) and V (`lemma_v`)."""
     c = identity_coefficients() if coeffs is None else coeffs
     d1 = QCoeff.of(_DELTA)
     d2 = d1 * d1
-    t2 = _two_bracket_sq()
-    mid = QCoeff.of(QRat.q_pow(2) + QRat.q_pow(-2))
-
-    target_pm2 = -NcPoly.word("JZZ") + NcPoly.word("ZJZ", mid) - NcPoly.word("ZZJ")
-    target_1 = _zj_relations()[1]
-    target_0 = (NcPoly.word("JZZ") - NcPoly.word("ZJZ", mid) + NcPoly.word("ZZJ")) * 2 \
-        + (NcPoly.word("ZJJJZ") - NcPoly.word("ZJZ", t2)
-           - NcPoly.word("JZJZJ") + NcPoly.word(J, t2)) * d2
+    r1, r2 = _zj_relations()
+    v = lemma_v()
 
     res = {
-        "c2": c[2] * d2 - target_pm2,
-        "c-2": c[-2] * d2 - target_pm2,
-        "c-1": c[-1] * d1 - target_1,
-        "c1": c[1] * d1 + target_1,
-        "c0": c[0] * d2 - target_0,
+        "c2": c[2] * d2 + r1,
+        "c-2": c[-2] * d2 + r1,
+        "c-1": c[-1] * d1 - r2,
+        "c1": c[1] * d1 + r2,
+        "c0": c[0] * d2 - (r1 * 2 + v * d2),
     }
     total = NcPoly.zero()
     for k in range(-2, 3):
         total = total + c[k]
-    res["y=1"] = total - lemma_v()
+    res["y=1"] = total - v
     return res
 
 

@@ -21,7 +21,9 @@ Z^-1, the powers of q that scale X and Y).  Such a product rotates the
 other factor's coefficients and folds the overflow back with the rows of
 zeta^deg..zeta^(Q-1); it keeps the coefficient content, so it needs no
 gcd.  Units are inverted by table lookup, and the q-number [n] is a sum
-of n powers of q, so neither needs the extended Euclidean algorithm.
+of n powers of q.  Any other element a is inverted through the Galois maps
+sigma_k: zeta -> zeta^k (`_galois`, gcd(k, Q) = 1; `conjugate` is k = -1):
+the product of the sigma_k(a) for k != 1 over the field norm, a rational.
 """
 
 from __future__ import annotations
@@ -303,8 +305,8 @@ class CycloNum:
 
     def inverse(self) -> "CycloNum":
         """Multiplicative inverse: +-zeta^-e by table lookup for the units
-        +-zeta^e, else the extended Euclidean algorithm with Phi_Q over Q[x]
-        (Phi_Q is irreducible, so every nonzero element is a unit)."""
+        +-zeta^e, else the product of the other Galois conjugates sigma_k(a)
+        divided by the field norm N(a) = a * prod_k sigma_k(a), a rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         ctx = self.ctx
@@ -313,30 +315,14 @@ class CycloNum:
             e, sign = unit
             inv = ctx.zeta(-e)
             return inv if sign > 0 else -inv
-        a = [Fraction(c, self.den) for c in self.coeffs]
-        m = [Fraction(c) for c in self.ctx.phi_q]
-        # extended gcd: u*a + v*m = r (constant), tracking u only
-        r0, r1 = m, a
-        u0, u1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if not r1:
-                # unreachable for nonzero elements since Phi_Q is irreducible
-                raise ZeroDivisionError("element shares a factor with Phi_Q")
-            if len(r1) == 1:
-                break
-            quot, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            u0, u1 = u1, _frac_poly_sub(u0, _frac_poly_mul(quot, u1))
-        scale = r1[0]
-        inv = [c / scale for c in u1]
-        inv += [Fraction(0)] * (self.ctx.degree - len(inv))
-        den = 1
-        for c in inv:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in inv[:self.ctx.degree]]
-        return CycloNum(self.ctx, ints, den)
+        rest = ctx.one()
+        for k in range(2, ctx.Q):
+            if gcd(k, ctx.Q) == 1:
+                rest = rest * self._galois(k)
+        norm = self * rest
+        if any(norm.coeffs[1:]):
+            raise ArithmeticError(f"the norm of {self!r} is not rational")
+        return CycloNum(ctx, [c * norm.den for c in rest.coeffs], rest.den * norm.coeffs[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -364,17 +350,22 @@ class CycloNum:
             n >>= 1
         return out
 
-    def conjugate(self) -> "CycloNum":
-        """Complex conjugation, i.e. the field automorphism zeta -> zeta^-1."""
+    def _galois(self, k: int) -> "CycloNum":
+        """The field automorphism sigma_k: zeta -> zeta^k, gcd(k, Q) = 1.
+        It maps Z[zeta] onto itself, so the coefficient content and the
+        reduced denominator do not change: no gcd is needed."""
         ctx = self.ctx
         out = [0] * ctx.degree
+        rows = ctx._sparse_powers
         for e, c in enumerate(self.coeffs):
             if c:
-                row = ctx._powers[(-e) % ctx.Q]
-                for i in range(ctx.degree):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CycloNum(ctx, out, self.den)
+                for i, r in rows[k * e % ctx.Q]:
+                    out[i] += c * r
+        return CycloNum(ctx, out, self.den, _canonical=True)
+
+    def conjugate(self) -> "CycloNum":
+        """Complex conjugation, i.e. the field automorphism zeta -> zeta^-1."""
+        return self._galois(-1)
 
     # -- comparison / hashing -------------------------------------------------
 
@@ -518,44 +509,6 @@ class GaussCyclo:
 def gauss_i(ctx: RootContext) -> GaussCyclo:
     """The imaginary unit as an exact scalar."""
     return GaussCyclo(ctx.zero(), ctx.one())
-
-
-# -- Fraction polynomial helpers (dense ascending coefficient lists) ---------
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of a by b over Q; the remainder keeps at least
-    one coefficient."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    quot = [Fraction(0)] * max(len(a) - db, 1)
-    for k in range(len(a) - 1, db - 1, -1):
-        if a[k]:
-            c = a[k] / lead
-            quot[k - db] = c
-            for i in range(db + 1):
-                a[k - db + i] -= c * b[i]
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return quot, a
-
-
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------

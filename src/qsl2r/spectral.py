@@ -180,8 +180,15 @@ def ladder_apply(rep: Representation, v, x, direction: str,
     if nv == 0 or np.linalg.norm(Jc @ v - mu * v) > tol * max(1.0, nv):
         raise ValueError(f"v is not a [x]-eigenvector of J at x = {x}")
     other = complex(to_complex(q_number(rep.ctx, x - 2 if direction == "raise" else x + 2)))
-    eye = np.eye(rep.dim, dtype=complex)
-    return (Jc - mu * eye) @ (Jc - other * eye) @ Zc @ v
+    return _apply_ladder(Jc, Zc, mu, other, v)
+
+
+def _apply_ladder(Jc, Zc, mu, other, v):
+    """(J - mu)(J - other) Z v, one factor at a time from the right: three
+    matrix-vector products instead of two matrix-matrix products."""
+    w = Zc @ v
+    w = Jc @ w - other * w
+    return Jc @ w - mu * w
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +249,13 @@ def _build_chain(rep: Representation, tol: float) -> LadderChain:
     Zc = rep.complex_mats()["Z"]
     q = rep.ctx.q_complex
     d = rep.dim
-    eye = np.eye(d, dtype=complex)
     pairs = eigen_solve(Jc)
     scale = max(1.0, max(abs(p.value) for p in pairs))
 
     def image(v, y, direction):
         mu = _mu_of(y, q)
         other = _mu_of(y / q ** 2 if direction == "raise" else y * q ** 2, q)
-        return (Jc - mu * eye) @ (Jc - other * eye) @ Zc @ v
+        return _apply_ladder(Jc, Zc, mu, other, v)
 
     def vanishes(w, ref):
         return np.linalg.norm(w) < tol * max(1.0, np.linalg.norm(ref))

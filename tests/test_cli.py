@@ -38,6 +38,20 @@ def test_parse_command_valid():
     (["symbolic", "--check", "pbw", "--expr", "Q"], 2),    # unknown identifier
     (["suite", "--Q", "5", "--tol", "nan"], 2),    # tolerance not finite
     (["spectrum", "--Q", "5", "--tol=-1"], 2),     # tolerance not positive
+    (["rep", "--family", "1", "--approx"], 2),     # the first family is exact
+    (["rep", "--family", "2", "--exact"], 2),      # exact family 2 without q^k lambda
+    (["rep", "--family", "2", "--exact", "--lambda", "1,0"], 2),
+    (["rep", "--family", "2", "--a", "q^2"], 2),   # q^k tokens are for --lambda
+    (["rep", "--family", "2", "--b", "q^2"], 2),
+    (["rep", "--a", "q^2"], 2),
+    (["rep", "--Q", "5", "--family", "2", "--exact", "--lambda", "q^1",
+      "--a", "1.5,0"], 2),                         # exact family 2, non-integer a
+    (["rep", "--Q", "5", "--family", "2", "--exact", "--lambda", "q^1",
+      "--b", "2,1"], 2),                           # exact family 2, non-integer b
+    (["rep", "--family", "2", "--lambda", "0"], 2),  # lambda must be nonzero
+    (["verify", "--check", "identity", "--x", "q^2"], 2),
+    (["verify", "--check", "identity", "--x", "nan"], 2),  # values must be finite
+    (["rep", "--family", "2", "--lambda", "1,inf"], 2),
 ])
 def test_usage_errors_exit_2(argv, needle, capsys):
     with pytest.raises(SystemExit) as exc:

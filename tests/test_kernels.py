@@ -90,8 +90,8 @@ def test_unit_inverses_by_lookup(Q):
             assert inv == (ctx.zeta(-e) if u == ctx.zeta(e) else -ctx.zeta(-e))
 
 
-@pytest.mark.parametrize("Q", [3, 9, 15, 21])
-def test_non_unit_inverses_take_the_euclidean_path(Q):
+@pytest.mark.parametrize("Q", [3, 9, 15, 21, 25, 31, 45, 63])
+def test_non_unit_inverses_through_the_norm(Q):
     ctx = RootContext(2 if Q != 3 else 1, Q)
     rng = random.Random(Q)
     cases = [ctx.from_int(2), ctx.zeta(1) + ctx.one(), ctx.from_fraction(Fraction(3, 7))]

@@ -9,7 +9,7 @@ from qsl2r.ncpoly import (HOPF_CHECKS, NcPoly, ParseError, QCoeff, QRat,
                           format_expr, hopf_symbolic_check,
                           identity_coefficients, identity_contracts,
                           j_expansion, lemma_check, lemma_v, parse_expr,
-                          pbw_normal_form, substitute_j, tensor)
+                          pbw_normal_form, substitute_j, tensor, TensorPoly)
 
 P = parse_expr  # shorthand used throughout
 
@@ -78,6 +78,50 @@ def test_scale_and_scalar_embedding():
     p = NcPoly.word("XZ").scale(QRat.q_pow(-2))
     assert p == P("q^-2*X*Z")
     assert 2 * NcPoly.word("X") == P("2*X")
+
+
+# -- the sparse sums: ring laws ------------------------------------------------
+
+def _rand_qcoeff(rng):
+    def qrat():
+        num = {rng.randint(-2, 2): Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))}
+        den = {0: Fraction(1), rng.randint(1, 2): Fraction(rng.choice((-1, 2)))}
+        return QRat(num) if rng.random() < 0.5 else QRat(num, den)
+    return QCoeff({rng.randint(-2, 2): qrat() for _ in range(rng.randint(1, 3))})
+
+
+def _rand_word(rng):
+    return "".join(rng.choice("XYZz") for _ in range(rng.randint(0, 3)))
+
+
+def _rand_ncpoly(rng):
+    return NcPoly({_rand_word(rng): _rand_qcoeff(rng) for _ in range(rng.randint(1, 3))})
+
+
+def _rand_tensor(rng):
+    return TensorPoly({(_rand_word(rng), _rand_word(rng)): _rand_qcoeff(rng)
+                       for _ in range(rng.randint(1, 3))})
+
+
+@pytest.mark.parametrize("make", [_rand_qcoeff, _rand_ncpoly, _rand_tensor])
+def test_sparse_sum_ring_laws(make):
+    rng = random.Random(make.__name__)
+    one = type(make(rng)).one()
+    for _ in range(8):
+        a, b = make(rng), make(rng)
+        c = make(rng) - a            # cancels every term of a in a + c
+        assert not (a - a).terms and (a - a).is_zero() and not (a - a)
+        assert (a + c).terms == (c + a).terms == (c - (-a)).terms
+        assert ((a + c) - c).terms == a.terms and ((a + c) - a).terms == c.terms
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
+        assert a * one == a == one * a
+        assert 2 * a == a * 2 == a + a
+        assert (a * 0).is_zero() and (0 * a).is_zero()
+        for p in (a, b, c, a * b, a + c):
+            # canonical: no zero coefficient is ever stored
+            assert all(not v.is_zero() for v in p.terms.values())
 
 
 # -- PBW ----------------------------------------------------------------------

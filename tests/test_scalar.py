@@ -160,6 +160,26 @@ def test_field_axioms_and_embedding_agreement(P, Q):
             assert is_close(to_complex(exact), approx, rtol=1e-10, atol=1e-10)
 
 
+@pytest.mark.parametrize("Q", [7, 15, 45])
+def test_galois_maps_match_the_embedding_at_zeta_k(Q):
+    ctx = RootContext(1, Q)
+    rng = random.Random(Q)
+    elems = [CycloNum(ctx, [rng.randint(-5, 5) for _ in range(ctx.degree)], rng.randint(1, 6))
+             for _ in range(4)] + [ctx.zeta(2) + ctx.from_int(3), ctx.from_fraction(Fraction(-2, 3))]
+    for a in elems:
+        assert a.conjugate() == a._galois(-1) == a._galois(Q - 1)
+        for k in range(1, Q):
+            if math.gcd(k, Q) != 1:
+                continue
+            g = a._galois(k)
+            h = CycloNum(ctx, g.coeffs, g.den)   # gcd-reduced again
+            assert (g.coeffs, g.den) == (h.coeffs, h.den)
+            want = sum(c * cmath.exp(2j * math.pi * k * e / Q)
+                       for e, c in enumerate(a.coeffs)) / a.den
+            assert is_close(complex(g), want, rtol=1e-10, atol=1e-10), (a, k)
+        assert a._galois(1) == a
+
+
 def test_conjugation_matches_complex_conjugate():
     ctx = RootContext(2, 7)
     rng = random.Random(5)
