@@ -28,7 +28,7 @@ from .reps import (build_family1, build_family2, intersection_check,
                    j_matrix_complex, representation_to_json,
                    tensor_j_formula_residual, verify_relations)
 from .scalar import REL_TOL, RootContext, q_number, q_power, to_complex
-from .spectral import (ChainError, spectrum_chain, tridiagonality_check,
+from .spectral import (MAX_DIM, ChainError, spectrum_chain, tridiagonality_check,
                        unitarize_search, verify_identity)
 
 
@@ -151,9 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_command(argv):
     """Parse and validate; exits with code 2 on usage errors, naming the
-    violated (P, Q) or first-family r constraint, the representation flags
-    no builder accepts, or the misused or unparsable --expr, in the
-    diagnostic."""
+    violated (P, Q) or first-family r constraint, a spectral run beyond
+    MAX_DIM x MAX_DIM matrices, the representation flags no builder
+    accepts, or the misused or unparsable --expr, in the diagnostic."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -162,6 +162,12 @@ def parse_command(argv):
         parser.error(str(exc))
     if getattr(args, "family", None) == 1 and not 0 <= args.r < args.Q:
         parser.error(f"r must lie in 0..Q-1 = 0..{args.Q - 1}, got {args.r}")
+    if args.command in ("spectrum", "ladder", "unitarize", "intersect", "suite"):
+        # the J eigenproblem is solved on matrices of this dimension
+        dim = args.r + 1 if getattr(args, "family", None) == 1 else args.Q
+        if dim > MAX_DIM:
+            parser.error(f"{args.command} needs {dim} x {dim} matrices; the spectral "
+                         f"layer takes at most {MAX_DIM} x {MAX_DIM}")
     if getattr(args, "family", None) is not None:
         _resolve_rep_flags(parser, args)
     if getattr(args, "x", None) is not None:

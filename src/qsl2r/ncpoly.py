@@ -147,7 +147,7 @@ class QRat:
     denominator with nonzero constant term and leading coefficient 1, the two
     coprime.  Immutable and canonical, so equality is dict equality."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_key")
 
     def __init__(self, num, den=None, _canonical=False):
         if _canonical:
@@ -182,6 +182,16 @@ class QRat:
                 den = {e: c / lead for e, c in enumerate(dd) if c}
         self.num = num
         self.den = den
+
+    def key(self) -> tuple:
+        """The canonical numerator and denominator as a hashable tuple of
+        (exponent, numerator, denominator) triples, kept on the object."""
+        try:
+            return self._key
+        except AttributeError:
+            self._key = tuple(tuple((e, c.numerator, c.denominator) for e, c in sorted(d.items()))
+                              for d in (self.num, self.den))
+            return self._key
 
     # constructors ----------------------------------------------------------
 
@@ -740,7 +750,28 @@ def relation_sides(which: str) -> dict[str, tuple[NcPoly, NcPoly]]:
     """(LHS, RHS) of each relation in a set, keyed by its check name.
     "defining": the relations among X, Y, Z (Z Z^-1 = 1 is no polynomial
     identity here, since words cancel Z z on contact; see defining_relations).
-    "zj": the two J-Z relations."""
+    "zj": the two J-Z relations.  Built once per set."""
+    got = _RELATION_SIDES.get(which)
+    if got is None:
+        got = _RELATION_SIDES[which] = _build_relation_sides(which)
+    return got
+
+
+def relation_differences(which: str) -> dict[str, NcPoly]:
+    """LHS - RHS of each relation in a set, keyed by its check name; built
+    once per set."""
+    got = _RELATION_DIFFERENCES.get(which)
+    if got is None:
+        got = _RELATION_DIFFERENCES[which] = {
+            name: lhs - rhs for name, (lhs, rhs) in relation_sides(which).items()}
+    return got
+
+
+_RELATION_SIDES: dict[str, dict] = {}
+_RELATION_DIFFERENCES: dict[str, dict] = {}
+
+
+def _build_relation_sides(which: str) -> dict[str, tuple[NcPoly, NcPoly]]:
     if which == "defining":
         inv_delta = QCoeff.of(_DELTA.inverse())
         return {
@@ -769,7 +800,7 @@ def relation_sides(which: str) -> dict[str, tuple[NcPoly, NcPoly]]:
 def _zj_relations() -> list[NcPoly]:
     # R1 = Z^2 J - (q^2 + q^-2) Z J Z + J Z^2 and
     # R2 = (q^2 + 1 + q^-2) Z J^2 Z - J Z J Z - J Z^2 J - Z J Z J - [2]^2 (Z^2 - 1)
-    return [lhs - rhs for lhs, rhs in relation_sides("zj").values()]
+    return list(relation_differences("zj").values())
 
 
 def identity_contracts(coeffs: dict[int, NcPoly] | None = None) -> dict[str, NcPoly]:
@@ -1010,7 +1041,7 @@ def defining_relations() -> dict[str, NcPoly]:
     The two Z Z^-1 relations hold by word cancellation, so they are zero."""
     out = {"Z Zi = 1": NcPoly.word("Zz") - NcPoly.one(),
            "Zi Z = 1": NcPoly.word("zZ") - NcPoly.one()}
-    out.update((name, lhs - rhs) for name, (lhs, rhs) in relation_sides("defining").items())
+    out.update(relation_differences("defining"))
     return out
 
 

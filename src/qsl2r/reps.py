@@ -12,21 +12,37 @@ on the exact backend).
 
 The relations themselves are not typed in here: they live once, as
 noncommutative polynomials in `ncpoly`, and `evaluate` maps them onto the
-matrices of a representation on either backend.
+matrices of a representation on either backend.  `evaluate` is the only
+producer of exact matrices.  Whether a polynomial vanishes on an exact
+representation is asked first of `certified_zeros`, which decides it from
+images modulo split primes (the certificate is in `scalar`), keeping the
+images of the generators on the representation and those of words only
+for one call; whatever it does not certify is evaluated, so residuals
+and supports come from the CycloNum matrices as before.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .ncpoly import relation_sides, xy_recovery
-from .scalar import (ABS_TOL, REL_TOL, CycloNum, GaussCyclo, RootContext,
-                     gauss_i, is_exact, q_number, q_power, scalar_from_json,
-                     scalar_to_json, to_complex)
+from .ncpoly import relation_differences, relation_sides, xy_recovery
+from .scalar import (ABS_TOL, INT64_SUM_TERMS, REL_TOL, CycloNum, GaussCyclo,
+                     RootContext, gauss_i, is_exact, l1_content, q_number, q_power,
+                     scalar_from_json, scalar_to_json, split_images, to_complex)
+
+# Beyond this many split primes the bound is left undecided and the
+# CycloNum evaluation decides.
+MAX_SPLIT_PRIMES = 6
+# Below this dimension the CycloNum evaluation costs less than the images'
+# fixed cost of about 0.4 ms, so zeros are decided by it (measured on the
+# first family, Q = 3..31: the identity's C_k break even at d = 2, the
+# defining relations at d = 4 to 6).
+SPLIT_MIN_DIM = 3
 
 # ---------------------------------------------------------------------------
 # exact matrix helpers (nested lists over CycloNum / GaussCyclo)
@@ -283,16 +299,21 @@ def _require_defining(rep):
 # evaluating symbolic polynomials onto matrices
 # ---------------------------------------------------------------------------
 
-def _coefficient(c, ctx: RootContext, exact: bool):
-    """The y-free coefficient's value at q, cached on the context under its
-    canonical numerator and denominator."""
+def _coefficient_key(c, exact: bool):
+    """The key a y-free coefficient's values are cached under on the
+    context: its canonical numerator and denominator."""
     if set(c.terms) - {0}:
         raise ValueError("only y-free polynomials can be evaluated onto matrices")
-    qr = c.terms[0]
-    key = (exact, tuple(sorted(qr.num.items())), tuple(sorted(qr.den.items())))
+    return exact, c.terms[0].key()
+
+
+def _coefficient(c, ctx: RootContext, exact: bool):
+    """The y-free coefficient's value at q, cached on the context."""
+    key = _coefficient_key(c, exact)
     got = ctx._subs_cache.get(key)
     if got is None:
-        got = ctx._subs_cache[key] = qr.subs_q(q_power(ctx, 1) if exact else ctx.q_complex)
+        got = ctx._subs_cache[key] = c.terms[0].subs_q(q_power(ctx, 1) if exact
+                                                       else ctx.q_complex)
     return got
 
 
@@ -330,6 +351,173 @@ def evaluate(polys, rep: Representation, exact: bool | None = None) -> list:
         terms = [(_coefficient(c, ctx, exact), word(w)) for w, c in p.terms.items()]
         out.append(ex_lincomb(terms, ctx, d) if exact
                    else sum((s * M for s, M in terms), np.zeros((d, d), dtype=complex)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# exact zeros decided modulo split primes
+# ---------------------------------------------------------------------------
+#
+# A matrix's images are kept by diagonal, as (offsets, vals): vals[k, i] holds
+# the images of entry (i, i + offsets[k]), zero where that column lies outside
+# the matrix, with one image per column of the last axis.  The generators
+# are banded (family 2 adds two corner entries), so a word stays banded and a
+# product costs one multiply-add per pair of diagonals.
+
+
+def _split_letters(rep: Representation, letters) -> dict:
+    """For each letter: its matrix's nonzero entries, the integer D clearing
+    their denominators, N >= every row sum of |sigma(D M)|, and its images
+    per (prime count, gauss); cached on the representation."""
+    cache = rep._cache.setdefault("split_letters", {})
+    for letter in letters:
+        if letter in cache:
+            continue
+        M = j_matrix(rep) if letter == "J" else \
+            {"X": rep.X, "Y": rep.Y, "Z": rep.Z, "z": rep.Zinv}[letter]
+        zero = rep.ctx.zero()
+        entries = [(i, j, a) for i, row in enumerate(M) for j, a in enumerate(row)
+                   if a is not zero and not a.is_zero()]
+        contents = [l1_content(a) for _, _, a in entries]
+        D = math.lcm(*(Da for Da, _ in contents))
+        rows = [0] * rep.dim
+        for (i, _, _), (Da, n) in zip(entries, contents):
+            rows[i] += D // Da * n
+        cache[letter] = {"entries": entries, "D": D, "N": max(rows), "images": {},
+                         "gauss": any(isinstance(a, GaussCyclo) for _, _, a in entries)}
+    return {letter: cache[letter] for letter in letters}
+
+
+def _letter_images(letters: dict, rep: Representation, m: int, gauss: bool) -> dict:
+    """{letter: (offsets, vals)} from one split_images call over the entries
+    of every letter that lacks them."""
+    key = (m, gauss)
+    todo = [data for data in letters.values() if key not in data["images"]]
+    if todo:
+        img = split_images([a for data in todo for _, _, a in data["entries"]],
+                           rep.ctx, m, gauss)
+        start = 0
+        for data in todo:
+            entries = data["entries"]
+            offsets = sorted({j - i for i, j, _ in entries})
+            pos = {o: k for k, o in enumerate(offsets)}
+            vals = np.zeros((len(offsets), rep.dim, img.shape[1]), dtype=np.int64)
+            vals[[pos[j - i] for i, j, _ in entries], [i for i, _, _ in entries]] = \
+                img[start:start + len(entries)]
+            start += len(entries)
+            data["images"][key] = (offsets, vals)
+    return {letter: data["images"][key] for letter, data in letters.items()}
+
+
+def _split_coefficient(c, ctx: RootContext) -> dict:
+    """A coefficient's value at q with its (D, N) content, and its images
+    per prime count; cached on the context next to the value."""
+    key = _coefficient_key(c, True)
+    got = ctx._image_cache.get(key)
+    if got is None:
+        value = _coefficient(c, ctx, True)
+        D, N = l1_content(value)
+        got = ctx._image_cache[key] = {"value": value, "D": D, "N": N, "images": {}}
+    return got
+
+
+def _coefficient_images(coef: dict, ctx: RootContext, m: int, gauss: bool) -> np.ndarray:
+    got = coef["images"].get(m)
+    if got is None:
+        got = coef["images"][m] = split_images([coef["value"]], ctx, m, False)[0]
+    return np.repeat(got, 2) if gauss else got
+
+
+def _banded_mul(A, B, moduli, d: int):
+    """Images of the product of two matrices held by diagonal: diagonal a of
+    A times diagonal b of B, shifted by a, lands on diagonal a + b.  An
+    entry of the result sums at most one product per diagonal of B, each
+    below 2^50, so 2 d - 1 < 2^13 diagonals keep the sum inside int64
+    until the final reduction."""
+    offs_a, va = A
+    offs_b, vb = B
+    offs = sorted({a + b for a in offs_a for b in offs_b if abs(a + b) < d})
+    pos = {o: k for k, o in enumerate(offs)}
+    out = np.zeros((len(offs), d, va.shape[2]), dtype=np.int64)
+    for ka, a in enumerate(offs_a):
+        lo, hi = max(0, -a), min(d, d - a)
+        for kb, b in enumerate(offs_b):
+            if abs(a + b) < d:
+                out[pos[a + b], lo:hi] += va[ka, lo:hi] * vb[kb, lo + a:hi + a]
+    out %= moduli
+    return offs, out
+
+
+def _primes_needed(ctx: RootContext, bound: int) -> int | None:
+    """The fewest leading split primes whose product exceeds bound, or None
+    when MAX_SPLIT_PRIMES do not."""
+    prod = 1
+    for k in range(1, MAX_SPLIT_PRIMES + 1):
+        primes = ctx.split_primes(k)
+        if len(primes) < k:
+            return None
+        prod *= primes[-1][0]
+        if prod > bound:
+            return k
+    return None
+
+
+def certified_zeros(polys, rep: Representation) -> list:
+    """For each y-free NcPoly, whether its matrix on rep is exactly zero,
+    decided from the images modulo split primes (the certificate is stated
+    in `scalar`): True when every image vanishes and the bound B on the
+    embeddings of D alpha lies below the product of the primes, False when
+    an image is nonzero, None when undecided (the bound needs more than
+    MAX_SPLIT_PRIMES primes, a prime divides a denominator, rep is not
+    exact, or its dimension is below SPLIT_MIN_DIM).  A caller evaluates
+    the CycloNum matrix of every poly not decided True.  Word images are
+    shared across polys for this call only."""
+    out = [None] * len(polys)
+    ctx, d = rep.ctx, rep.dim
+    if (rep.backend != "exact" or d < SPLIT_MIN_DIM
+            or max(ctx.degree, 2 * d) >= INT64_SUM_TERMS):
+        return out
+    letters = _split_letters(rep, {ch for p in polys for w in p.terms for ch in w})
+    gauss = any(data["gauss"] for data in letters.values())
+    plans, m = [], 0
+    for p in polys:
+        terms, D, bounds = [], 1, []
+        for w, c in p.terms.items():
+            coef = _split_coefficient(c, ctx)
+            Dw, Nw = coef["D"], coef["N"]
+            for ch in w:
+                Dw, Nw = Dw * letters[ch]["D"], Nw * letters[ch]["N"]
+            terms.append((w, coef))
+            bounds.append((Dw, Nw))
+            D = math.lcm(D, Dw)
+        need = _primes_needed(ctx, sum(D // Dw * Nw for Dw, Nw in bounds))
+        plans.append((terms, need))
+        m = max(m, need or 0)
+    if not m:
+        return out
+    moduli = np.repeat([p for p, *_ in ctx.split_primes(m)], ctx.degree * (1 + gauss))
+    try:
+        memo = _letter_images(letters, rep, m, gauss)
+        memo[""] = ([0], np.ones((1, d, len(moduli)), dtype=np.int64))
+
+        def word(w):
+            got = memo.get(w)
+            if got is None:
+                got = memo[w] = _banded_mul(word(w[:-1]), memo[w[-1]], moduli, d)
+            return got
+
+        for k, (terms, need) in enumerate(plans):
+            if need is None:
+                continue
+            images = [(_coefficient_images(coef, ctx, m, gauss), word(w)) for w, coef in terms]
+            pos = {o: i for i, o in enumerate(sorted({o for _, (offs, _) in images
+                                                      for o in offs}))}
+            acc = np.zeros((len(pos), d, len(moduli)), dtype=np.int64)
+            for c, (offs, vals) in images:
+                acc[[pos[o] for o in offs]] += vals * c % moduli
+            out[k] = not (acc % moduli).any()
+    except ZeroDivisionError:   # a split prime divides a denominator
+        return [None] * len(polys)
     return out
 
 
@@ -437,9 +625,16 @@ def recover_xy(rep: Representation):
 def verify_relations(rep: Representation, which: str,
                      tol: float = REL_TOL) -> RelationReport:
     """which = defining | zj | central | star_original.  The defining and
-    J-Z relations are the (LHS, RHS) pairs of ncpoly.relation_sides,
-    evaluated onto the matrices."""
+    J-Z relations are the (LHS, RHS) pairs of ncpoly.relation_sides; on the
+    exact backend a pair whose LHS - RHS is certified zero modulo split
+    primes passes with residual 0, and the others are evaluated onto the
+    matrices and compared.  The "defining" report is cached on the
+    representation (per tolerance on the floating backend), so the check
+    each constructor runs is not repeated."""
     exact = rep.backend == "exact"
+    key = ("relations", which, None if exact else tol)
+    if which == "defining" and key in rep._cache:
+        return rep._cache[key]
     mul = ex_mul if exact else np.matmul
     X, Y, Z, Zinv = rep.X, rep.Y, rep.Z, rep.Zinv
     report = RelationReport(which=which)
@@ -457,9 +652,17 @@ def verify_relations(rep: Representation, which: str,
         else:
             j_matrix(rep, tol)  # builds J, comparing its two forms at this tolerance
         sides = relation_sides(which)
-        mats = evaluate([p for pair in sides.values() for p in pair], rep)
-        for k, name in enumerate(sides):
-            check(name, mats[2 * k], mats[2 * k + 1])
+        zero = certified_zeros(list(relation_differences(which).values()), rep)
+        rest = [name for name, z in zip(sides, zero) if not z]
+        mats = evaluate([p for name in rest for p in sides[name]], rep) if rest else []
+        pairs = {name: mats[2 * k:2 * k + 2] for k, name in enumerate(rest)}
+        for name, z in zip(sides, zero):
+            if z:
+                report.checks.append(CheckResult(name, True, 0.0))
+            else:
+                check(name, *pairs[name])
+        if which == "defining":
+            rep._cache[key] = report
         return report
 
     if which == "central":

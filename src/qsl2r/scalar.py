@@ -24,6 +24,42 @@ gcd.  Units are inverted by table lookup, and the q-number [n] is a sum
 of n powers of q.  Any other element a is inverted through the Galois maps
 sigma_k: zeta -> zeta^k (`_galois`, gcd(k, Q) = 1; `conjugate` is k = -1):
 the product of the sigma_k(a) for k != 1 over the field norm, a rational.
+
+Exact zeros modulo split primes.  Whether an exact expression is zero can
+be decided from its images in a few prime fields instead of its value.
+Take primes p = 1 (mod 4Q) below 2^25 (`RootContext.split_primes`): F_p
+then holds an omega of order Q and an iota with iota^2 = -1, and p splits
+completely in Q(zeta_4Q), which contains Q(zeta_Q)(i).  The images of a
+CycloNum a are a(omega^k) mod p for the k coprime to Q; a GaussCyclo
+re + i im gets re(omega^k) + iota im(omega^k) and re(omega^k) - iota
+im(omega^k) (`split_images`).  These are the reductions of Z[zeta_4Q]
+modulo the 2 phi(Q) primes above p, so they are ring maps on every element
+whose denominator p does not divide, and an expression's images follow from
+its parts' images by F_p arithmetic.
+
+Lemma.  Let alpha be an algebraic integer of Q(zeta_4Q) whose images all
+vanish modulo p_1, ..., p_m.  Then alpha lies in (p_1 ... p_m) Z[zeta_4Q];
+so if alpha != 0, then |N(alpha)| >= (p_1 ... p_m)^deg and some embedding
+sigma has |sigma(alpha)| >= p_1 ... p_m.
+Proof.  Z[zeta_4Q] is the ring of integers of Q(zeta_4Q).  Each p_i does
+not divide 4Q, so it is unramified, and p_i = 1 (mod 4Q) makes it split
+completely: p_i Z[zeta_4Q] is the product of the deg = phi(4Q) distinct
+primes (p_i, zeta_4Q - g^k), g of order 4Q mod p_i, whose residue maps are
+the images above.  An alpha in all of them lies in their intersection, which
+is their product p_i Z[zeta_4Q]; the p_i are coprime, so alpha lies in
+(p_1 ... p_m) Z[zeta_4Q].  Then alpha / (p_1 ... p_m) is a nonzero algebraic
+integer, its norm is a nonzero integer, and N(alpha) is (p_1 ... p_m)^deg
+times it; the norm is the product of the deg embeddings, so one of them
+has absolute value at least p_1 ... p_m.
+
+The bound.  |sigma(a)| <= ||a||_1, the sum of the absolute values of the
+power-basis coefficients divided by the denominator, for every embedding
+(each |sigma(zeta^e)| is 1); |sigma(re + i im)| <= ||re||_1 + ||im||_1.
+The bound carries through sums, products and matrix products (row sums).
+Certificate.  Clear the denominators of an expression alpha with an integer
+D that no p_i divides, so that D alpha is an algebraic integer, and bound
+|sigma(D alpha)| <= B.  If every image of alpha vanishes and B < p_1 ...
+p_m, then alpha = 0 exactly.  A nonzero image proves alpha != 0.
 """
 
 from __future__ import annotations
@@ -33,9 +69,16 @@ import math
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 # Default float comparison: relative with an absolute floor.
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
+
+# Every split prime lies below 2^25, so a product of two residues is below
+# 2^50 and an int64 holds a sum of 2^13 of them before it must be reduced.
+SPLIT_PRIME_BOUND = 1 << 25
+INT64_SUM_TERMS = 1 << 13
 
 
 def is_close(a, b, rtol: float = REL_TOL, atol: float = ABS_TOL) -> bool:
@@ -95,7 +138,8 @@ class RootContext:
     zeta^0 .. zeta^(Q-1) in the power basis."""
 
     __slots__ = ("P", "Q", "phi_q", "degree", "_powers", "_sparse_powers", "_units",
-                 "_zeta_c", "q_complex", "_qnum_cache", "_subs_cache", "_zero", "_one")
+                 "_zeta_c", "q_complex", "_qnum_cache", "_subs_cache", "_image_cache",
+                 "_split_primes", "_zero", "_one")
 
     def __init__(self, P: int, Q: int):
         if not isinstance(P, int) or not isinstance(Q, int):
@@ -134,8 +178,11 @@ class RootContext:
         self._zeta_c = tuple(cmath.exp(2j * math.pi * k / Q) for k in range(self.degree))
         self.q_complex = cmath.exp(2j * math.pi * P / Q)
         self._qnum_cache: dict[int, CycloNum] = {}
-        # values at this q of rational functions of q, filled by their callers
+        # values at this q of rational functions of q, and their images
+        # modulo split primes, filled by their callers
         self._subs_cache: dict = {}
+        self._image_cache: dict = {}
+        self._split_primes: list = []
         self._zero = CycloNum(self, (0,) * self.degree, 1, _canonical=True)
         self._one = CycloNum(self, (1,) + (0,) * (self.degree - 1), 1, _canonical=True)
 
@@ -155,6 +202,28 @@ class RootContext:
     def from_fraction(self, f: Fraction | int) -> "CycloNum":
         f = Fraction(f)
         return CycloNum(self, (f.numerator,) + (0,) * (self.degree - 1), f.denominator)
+
+    def split_primes(self, m: int) -> list:
+        """The m largest primes p < 2^25 with p = 1 (mod 4Q), each as
+        (p, omega, iota, E): omega of order Q, iota with iota^2 = -1 in F_p,
+        and E[i, t] = omega^(k_t i) mod p over the k_t coprime to Q, the
+        int64 matrix mapping power-basis coefficients to images.  Found on
+        first use and kept; fewer than m come back only when Q is so large
+        that fewer exist."""
+        found = self._split_primes
+        if len(found) >= m:
+            return found[:m]
+        step = 4 * self.Q
+        n = found[-1][0] - step if found else (SPLIT_PRIME_BOUND - 2) // step * step + 1
+        units = [k for k in range(1, self.Q) if gcd(k, self.Q) == 1]
+        while len(found) < m and n > step:
+            if _is_prime(n):
+                omega, iota = _root_of_order(n, self.Q), _root_of_order(n, 4)
+                E = np.array([[pow(omega, k * i, n) for k in units] for i in range(self.degree)],
+                             dtype=np.int64)
+                found.append((n, omega, iota, E))
+            n -= step
+        return found[:m]
 
     def __eq__(self, other):
         return isinstance(other, RootContext) and (self.P, self.Q) == (other.P, other.Q)
@@ -509,6 +578,95 @@ class GaussCyclo:
 def gauss_i(ctx: RootContext) -> GaussCyclo:
     """The imaginary unit as an exact scalar."""
     return GaussCyclo(ctx.zero(), ctx.one())
+
+
+# ---------------------------------------------------------------------------
+# images modulo split primes (the certificate is in the module docstring)
+# ---------------------------------------------------------------------------
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases 2, 3, 5, 7, which decide every n below
+    3,215,031,751."""
+    if n < 2:
+        return False
+    for b in (2, 3, 5, 7):
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _root_of_order(p: int, n: int) -> int:
+    """An element of order exactly n in F_p, for n dividing p - 1."""
+    factors = {f for f in range(2, n + 1) if n % f == 0 and _is_prime(f)}
+    for h in range(2, p):
+        r = pow(h, (p - 1) // n, p)
+        if all(pow(r, n // f, p) != 1 for f in factors):
+            return r
+    raise ArithmeticError(f"F_{p} has no element of order {n}")
+
+
+def split_images(values, ctx: RootContext, m: int, gauss: bool) -> np.ndarray:
+    """The images of CycloNum (or, with gauss, GaussCyclo) values under the
+    first m split primes of ctx: an int64 array of residues, one row per
+    value and one column per image.  The columns run over the primes, then
+    over the k coprime to Q and, with gauss, over iota then -iota; without
+    gauss the pair collapses to one column, as the images of an element of
+    Q(zeta_Q) agree there.  Raises ZeroDivisionError when a prime divides a
+    denominator."""
+    if gauss:
+        gv = [GaussCyclo.from_scalar(v, ctx) for v in values]
+        flat = [v.re for v in gv] + [v.im for v in gv]
+    else:
+        flat = list(values)
+    coeffs = [v.coeffs for v in flat]
+    try:
+        C = np.array(coeffs, dtype=np.int64).reshape(len(flat), ctx.degree)
+    except OverflowError:
+        C = None
+    cols = []
+    for p, _, iota, E in ctx.split_primes(m):
+        if C is not None:
+            Cp = C % p
+        else:
+            Cp = np.array([[c % p for c in row] for row in coeffs],
+                          dtype=np.int64).reshape(len(flat), ctx.degree)
+        inv = {}
+        for v in flat:
+            if v.den not in inv:
+                if v.den % p == 0:
+                    raise ZeroDivisionError(f"the split prime {p} divides a denominator")
+                inv[v.den] = pow(v.den, -1, p)
+        # degree < 2^13 terms, each below 2^50, per entry of the product
+        img = Cp @ E % p * np.array([inv[v.den] for v in flat], dtype=np.int64)[:, None] % p
+        if gauss:
+            n = len(values)
+            re, im = img[:n], img[n:] * iota % p
+            img = np.stack([(re + im) % p, (re - im) % p], axis=-1).reshape(n, 2 * img.shape[1])
+        cols.append(img)
+    return np.concatenate(cols, axis=1)
+
+
+def l1_content(v) -> tuple[int, int]:
+    """(D, n) with D v an algebraic integer and n = ||D v||_1 >= |sigma(D v)|
+    for every embedding sigma, for a CycloNum or GaussCyclo v."""
+    if isinstance(v, GaussCyclo):
+        D = math.lcm(v.re.den, v.im.den)
+        return D, sum(D // part.den * sum(map(abs, part.coeffs)) for part in (v.re, v.im))
+    return v.den, sum(map(abs, v.coeffs))
 
 
 # ---------------------------------------------------------------------------

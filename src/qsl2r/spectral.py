@@ -3,8 +3,11 @@ raising/lowering ladder, tridiagonality of Z in the chain eigenbasis, and the
 search for the sign involution + metric realizing the modified star structure.
 
 The cubic identity is not typed in here: its y-coefficients come from
-`ncpoly.identity_coefficients` and are evaluated onto the matrices by
-`reps.evaluate`.
+`ncpoly.identity_coefficients`.  On an exact representation the five C_k
+are first put to `reps.certified_zeros`; when all are certified zero
+modulo split primes the identity holds for every x and no matrix is
+built, and otherwise they are evaluated onto the matrices by
+`reps.evaluate` and summed over their nonzero entries.
 
 Eigenvalues come from LAPACK (`np.linalg.eigvals`), clustered within
 EIGEN_TOL; each cluster's eigenvectors are the null right singular vectors
@@ -26,10 +29,12 @@ import numpy as np
 from .ncpoly import identity_coefficients, identity_sides, y_coefficients
 from .scalar import ABS_TOL, REL_TOL, _as_int, q_number, q_power, to_complex
 # j_matrix is re-exported next to j_matrix_complex
-from .reps import Representation, evaluate, j_matrix, j_matrix_complex
+from .reps import (Representation, certified_zeros, evaluate, j_matrix,
+                   j_matrix_complex)
 
 EIGEN_TOL = 1e-8
 RANK_TOL = 1e-10
+MAX_DIM = 64        # the largest matrix eigen_solve takes
 
 
 class EigenSolveError(ArithmeticError):
@@ -55,7 +60,7 @@ class EigenPair:
 
 
 def eigen_solve(M) -> list[EigenPair]:
-    """All eigenpairs of a square complex matrix (dim <= 64), values sorted by
+    """All eigenpairs of a square complex matrix (dim <= MAX_DIM), values sorted by
     (real, imag) and clustered within EIGEN_TOL; a cluster of size m gets the
     m right singular vectors of M - lambda I with the smallest singular
     values, which must lie within RANK_TOL of the largest.  Raises
@@ -63,8 +68,8 @@ def eigen_solve(M) -> list[EigenPair]:
     tell)."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
-    if n > 64:
-        raise ValueError("matrices beyond 64 x 64 are out of scope")
+    if n > MAX_DIM:
+        raise ValueError(f"matrices beyond {MAX_DIM} x {MAX_DIM} are out of scope")
     if n == 0:
         return []
     roots = sorted(np.linalg.eigvals(M), key=lambda z: (z.real, z.imag))
@@ -120,13 +125,18 @@ def _identity_matrices(rep: Representation, exact: bool):
 
 def _identity_support(rep: Representation) -> dict:
     """{k: [(i, j, c), ...]}, the nonzero entries of each exact C_k; cached
-    on the representation, and empty on every valid one."""
+    on the representation, and empty on every valid one.  When all five
+    C_k are certified zero modulo split primes no matrix is built."""
     got = rep._cache.get("identity_support")
     if got is None:
-        C, _ = _identity_matrices(rep, True)
-        got = {k: [(i, j, c) for i, row in enumerate(M) for j, c in enumerate(row)
-                   if not c.is_zero()]
-               for k, M in C.items()}
+        coeffs = identity_coefficients()
+        if all(certified_zeros(list(coeffs.values()), rep)):
+            got = {k: [] for k in coeffs}
+        else:
+            C, _ = _identity_matrices(rep, True)
+            got = {k: [(i, j, c) for i, row in enumerate(M) for j, c in enumerate(row)
+                       if not c.is_zero()]
+                   for k, M in C.items()}
         rep._cache["identity_support"] = got
     return got
 

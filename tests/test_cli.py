@@ -52,11 +52,24 @@ def test_parse_command_valid():
     (["verify", "--check", "identity", "--x", "q^2"], 2),
     (["verify", "--check", "identity", "--x", "nan"], 2),  # values must be finite
     (["rep", "--family", "2", "--lambda", "1,inf"], 2),
+    (["spectrum", "--Q", "65", "--r", "64"], 2),   # matrices beyond 64 x 64
+    (["ladder", "--Q", "67", "--r", "66"], 2),
+    (["unitarize", "--Q", "65", "--family", "2"], 2),
+    (["intersect", "--Q", "67"], 2),
+    (["suite", "--Q", "65"], 2),
 ])
 def test_usage_errors_exit_2(argv, needle, capsys):
     with pytest.raises(SystemExit) as exc:
         parse_command(argv)
     assert exc.value.code == needle
+
+
+def test_spectral_commands_take_64_x_64_and_rep_any_q():
+    for argv in (["spectrum", "--Q", "65", "--r", "63"], ["ladder", "--Q", "67", "--r", "63"],
+                 ["unitarize", "--Q", "63", "--family", "2"], ["intersect", "--Q", "63"],
+                 ["suite", "--Q", "63"], ["rep", "--Q", "67", "--r", "66"],
+                 ["verify", "--Q", "67", "--family", "2", "--check", "zj"]):
+        assert parse_command(argv).command == argv[0]
 
 
 def test_q_must_be_odd_diagnostic(capsys):
