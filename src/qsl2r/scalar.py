@@ -54,7 +54,9 @@ has absolute value at least p_1 ... p_m.
 
 The bound.  |sigma(a)| <= ||a||_1, the sum of the absolute values of the
 power-basis coefficients divided by the denominator, for every embedding
-(each |sigma(zeta^e)| is 1); |sigma(re + i im)| <= ||re||_1 + ||im||_1.
+(each |sigma(zeta^e)| is 1), and as the zeta^i for i < Q sum to zero, the
+coefficients of zeta^0..zeta^(Q-1) may first be shifted by a common
+integer; |sigma(re + i im)| <= ||re||_1 + ||im||_1.
 The bound carries through sums, products and matrix products (row sums).
 Certificate.  Clear the denominators of an expression alpha with an integer
 D that no p_i divides, so that D alpha is an algebraic integer, and bound
@@ -661,12 +663,23 @@ def split_images(values, ctx: RootContext, m: int, gauss: bool) -> np.ndarray:
 
 
 def l1_content(v) -> tuple[int, int]:
-    """(D, n) with D v an algebraic integer and n = ||D v||_1 >= |sigma(D v)|
-    for every embedding sigma, for a CycloNum or GaussCyclo v."""
+    """(D, n) with D v an algebraic integer and n >= |sigma(D v)| for every
+    embedding sigma, for a CycloNum or GaussCyclo v."""
     if isinstance(v, GaussCyclo):
         D = math.lcm(v.re.den, v.im.den)
-        return D, sum(D // part.den * sum(map(abs, part.coeffs)) for part in (v.re, v.im))
-    return v.den, sum(map(abs, v.coeffs))
+        return D, sum(D // part.den * _l1(part) for part in (v.re, v.im))
+    return v.den, _l1(v)
+
+
+def _l1(a: CycloNum) -> int:
+    """A bound on |sigma(den * a)|.  The Q powers zeta^0..zeta^(Q-1) sum to
+    zero, so den * a = sum_{i<Q} (c_i - t) zeta^i for every integer t, with
+    c_i = 0 for i >= deg; the median t gives the least sum of |c_i - t|, at
+    most the plain one (t = 0), and 1 for every unit at prime Q, where
+    zeta^(Q-1) folds to Q - 1 coefficients -1."""
+    c = sorted(a.coeffs + (0,) * (a.ctx.Q - a.ctx.degree))
+    t = c[len(c) // 2]
+    return sum(abs(x - t) for x in c)
 
 
 # ---------------------------------------------------------------------------

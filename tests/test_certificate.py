@@ -122,17 +122,28 @@ def test_l1_content_clears_denominators_and_bounds_every_embedding():
     b = CycloNum(ctx, [3, 0, 0, 0, -1, 0], 3)
     assert l1_content(a) == (2, 7)
     assert l1_content(GaussCyclo(a, b)) == (6, 3 * 7 + 2 * 4)
-    rng = random.Random(9)
-    for _ in range(20):
-        v = GaussCyclo(_random_cyclo(ctx, rng, rng.choice([1, 2, 5])),
-                       _random_cyclo(ctx, rng, rng.choice([1, 3])))
-        D, n = l1_content(v)
-        for part in (v.re, v.im):
-            assert all(D * c % part.den == 0 for c in part.coeffs)
-        for k in (1, 2, 4, 5, 7, 8):
-            for s in (1, -1):
-                sigma = complex(v.re._galois(k)) + s * 1j * complex(v.im._galois(k))
-                assert abs(D * sigma) <= n + 1e-9
+    # five times zeta^0 + ... + zeta^5 is -5 (zeta^6 + zeta^7 + zeta^8), of size
+    # up to 12.66: the shift covers all Q = 9 slots, three of them empty
+    five = CycloNum(ctx, [5] * 6)
+    assert l1_content(five) == (1, 15)
+    assert max(abs(complex(five._galois(k))) for k in (1, 2, 4)) > 12.6
+    # at prime Q every unit counts 1, though zeta^(Q-1) folds to Q - 1 terms
+    c7 = RootContext(2, 7)
+    assert [l1_content(-c7.zeta(e)) for e in range(7)] == [(1, 1)] * 7
+    assert l1_content(c7.zeta(6) * 3 + 1) == (1, 4)
+    for ctx in (RootContext(1, 9), c7, RootContext(3, 11)):
+        rng = random.Random(ctx.Q)
+        units = [k for k in range(1, ctx.Q) if gcd(k, ctx.Q) == 1]
+        for _ in range(20):
+            v = GaussCyclo(_random_cyclo(ctx, rng, rng.choice([1, 2, 5])),
+                           _random_cyclo(ctx, rng, rng.choice([1, 3])) * ctx.zeta(ctx.Q - 1))
+            D, n = l1_content(v)
+            for part in (v.re, v.im):
+                assert all(D * c % part.den == 0 for c in part.coeffs)
+            for k in units:
+                for s in (1, -1):
+                    sigma = complex(v.re._galois(k)) + s * 1j * complex(v.im._galois(k))
+                    assert abs(D * sigma) <= n + 1e-9
 
 
 def test_a_prime_dividing_a_denominator_is_refused():
