@@ -23,7 +23,7 @@ import numpy as np
 from . import ncpoly
 from .ncpoly import (HOPF_CHECKS, format_expr, hopf_symbolic_check,
                      identity_contracts, lemma_check, parse_expr,
-                     pbw_normal_form, substitute_j)
+                     pbw_with_j)
 from .reps import (build_family1, build_family2, intersection_check,
                    j_matrix_complex, representation_to_json,
                    tensor_j_formula_residual, verify_relations)
@@ -316,7 +316,7 @@ def _symbolic_payload(args, which: str) -> int:
         summaries.append(f"hopf checks: {_status(all(v['ok'] for v in sec.values()))}")
 
     if which == "pbw":
-        nf = pbw_normal_form(substitute_j(args.poly))
+        nf = pbw_with_j(args.poly)
         payload["pbw"] = {"input": args.expr, "normal_form": format_expr(nf)}
         summaries.append(f"pbw: {format_expr(nf)}")
 

@@ -9,7 +9,11 @@ for generic q, which is stronger than at any particular root of unity.
 
 Products cancel Z z pairs on contact and apply no other relation.  The
 defining relations of the algebra enter only through `pbw_normal_form`,
-which rewrites onto the ordered monomial basis Y^a X^b Z^c (c signed).
+the unique normal form on the ordered basis Y^a X^b Z^c (c signed) of the
+rewrite rules it lists (unique by Bergman's diamond lemma).  It multiplies
+each word onto 1 one letter at a time by closed forms of those rules, so
+no unordered word is built; `pbw_with_j` does the same with J read as
+q X Z^-1 - q^-1 Y Z^-1, factor by factor.
 
 `QRat` is its own class: its canonical form needs a gcd.  The three sparse
 sums share one base, `_SparseSum` (map key -> nonzero coefficient, with
@@ -25,10 +29,10 @@ polynomials onto matrices for the representation-level checks.
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 X, Y, Z, ZINV, J = "X", "Y", "Z", "z", "J"
 LETTERS = "XYZzJ"
@@ -208,10 +212,6 @@ class QRat:
         return QRat({0: Fraction(n)})
 
     @staticmethod
-    def rational(n, d=1):
-        return QRat({0: Fraction(n, d)})
-
-    @staticmethod
     def q_pow(k):
         return QRat({k: _F1}, _DEN_ONE, _canonical=True) if k else _QR_ONE
 
@@ -320,11 +320,12 @@ class QRat:
 
 
 def _conv(a, b):
+    # product of Laurent polynomials; integer coefficients stay integers
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
             e = ea + eb
-            out[e] = out.get(e, _F0) + ca * cb
+            out[e] = out.get(e, 0) + ca * cb
     return _strip(out)
 
 
@@ -535,10 +536,10 @@ class NcPoly(_SparseSum):
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers of a general element")
-        out = NcPoly.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        if n == 0:
+            return NcPoly.one()
+        half = self ** (n // 2)  # by squaring
+        return half * half * self if n % 2 else half * half
 
     def items(self):
         return self.terms.items()
@@ -571,100 +572,105 @@ def tensor(a: NcPoly, b: NcPoly) -> TensorPoly:
 
 
 # ---------------------------------------------------------------------------
-# PBW rewriting
+# PBW normal form
 # ---------------------------------------------------------------------------
 
-# swap rules: moving X/Y left past Z or Z^-1 multiplies by q^(exponent)
-_SWAPS = {"ZX": -2, "ZY": 2, "zX": 2, "zY": -2}
-
 _DELTA = QRat.q_pow(1) - QRat.q_pow(-1)           # q - q^-1
-_QC_Q2 = QCoeff.q_pow(2)
-_QC_XY = QCoeff.of(QRat.q_pow(1) / _DELTA)        # q/(q - q^-1)
 
 
-_RANK = {Y: 0, X: 1, Z: 2, ZINV: 2}
+@lru_cache(maxsize=None)
+def _xy_numerators(b):
+    """q^2 A_b and -q^2 B_b, the numerators over q^2 - 1 of kappa A_b and
+    -kappa B_b, as integer Laurent polynomials."""
+    return {2 - 2 * i: 1 for i in range(b)}, {2 + 2 * i: -1 for i in range(b)}
 
 
-def _pbw_key(w):
-    """(number of X/Y letters, inversions against Y < X < Z), the measure
-    that every rewrite of `_rewrite` strictly lowers in lexicographic order."""
-    seen = [0, 0, 0]
-    inversions = 0
-    for ch in w:
-        r = _RANK[ch]
-        inversions += sum(seen[r + 1:])
-        seen[r] += 1
-    return seen[0] + seen[1], inversions
+@lru_cache(maxsize=None)
+def _den_power(k):
+    # (q^2 - 1)^k
+    return _conv(_den_power(k - 1), {0: -_F1, 2: _F1}) if k else _DEN_ONE
 
 
-def _rewrite(w, c):
-    """One step on c * w at its leftmost rewritable pair: a list of
-    (word, coefficient), or None when w is already ordered."""
-    for i in range(len(w) - 1):
-        pair = w[i:i + 2]
-        k = _SWAPS.get(pair)
-        if k is not None:
-            return [(cancel_word(w[:i] + pair[1] + pair[0] + w[i + 2:]), c * QCoeff.q_pow(k))]
-        if pair == "XY":
-            mid = c * _QC_XY
-            return [(cancel_word(w[:i] + "YX" + w[i + 2:]), c * _QC_Q2),
-                    (cancel_word(w[:i] + "ZZ" + w[i + 2:]), mid),
-                    (cancel_word(w[:i] + w[i + 2:]), -mid)]
-    return None
+def _shift(t, s):
+    return {e + s: v for e, v in t.items()} if s else t
+
+
+def _add_laurent(out, key, n):
+    # out[key] += n on integer Laurent polynomials, dropping a zero sum
+    s = out.pop(key, None)
+    if s is not None:
+        n = _strip({e: s.get(e, 0) + n.get(e, 0) for e in s.keys() | n.keys()})
+    if n:
+        out[key] = n
+
+
+def _times_letter(state, ch):
+    # state: (a, b, c) -> numerator of Y^a X^b Z^c, times one letter
+    out = {}
+    for (a, b, c), t in state.items():
+        if ch == Z or ch == ZINV:
+            out[a, b, c + (1 if ch == Z else -1)] = t
+        elif ch == X:
+            out[a, b + 1, c] = _shift(t, -2 * c)
+        else:
+            t = _shift(t, 2 * c)
+            _add_laurent(out, (a + 1, b, c), _shift(t, 2 * b))
+            if b:
+                ka, kb = _xy_numerators(b)
+                _add_laurent(out, (a, b - 1, c + 2), _conv(t, ka))
+                _add_laurent(out, (a, b - 1, c), _conv(t, kb))
+    return out
 
 
 def pbw_normal_form(p: NcPoly) -> NcPoly:
-    """Rewrite onto the ordered basis Y^a X^b Z^c using
+    """Normal form on the ordered basis Y^a X^b Z^c (c signed) under
         Z X -> q^-2 X Z,   Z Y -> q^2 Y Z,
         z X -> q^2  X z,   z Y -> q^-2 Y z,
-        X Y -> q^2 Y X + (q/(q - q^-1)) (Z^2 - 1).
-    Each rewrite strictly lowers `_pbw_key` in lexicographic order: the swaps
-    and X Y -> Y X drop one inversion, X Y -> Z Z and X Y -> 1 drop two X/Y
-    letters, and Z z cancellation only removes letters.  (The inversion count
-    alone can rise: X Y X -> Z Z X.)  So the worklist always takes the word of
-    highest key; every contribution to it has then arrived, and each word is
-    rewritten once, with its summed coefficient.  Input must be J-free."""
-    for w in p.terms:
-        if J in w:
-            raise ValueError("substitute_j must be applied before PBW rewriting")
+        X Y -> q^2 Y X + kappa (Z^2 - 1),   kappa = q/(q - q^-1).
+    Each word is multiplied onto 1 from the right, one letter at a time, by
+    closed forms of the rules: Y^a X^b Z^c times Z^+-1 is Y^a X^b Z^(c+-1),
+    times X is q^-2c Y^a X^(b+1) Z^c, and times Y is
+        q^2c [q^2b Y^(a+1) X^b Z^c + kappa A_b Y^a X^(b-1) Z^(c+2)
+              - kappa B_b Y^a X^(b-1) Z^c],
+    A_b = sum_{i<b} q^-2i, B_b = sum_{i<b} q^2i, by induction on b from
+    X^b Y = q^2b Y X^b + kappa X^(b-1) (A_b Z^2 - B_b).  No unordered word is
+    built.  The rules terminate and their overlaps Z X Y, z X Y resolve, so
+    by Bergman's diamond lemma every rewriting order ends in one normal
+    form, and this is it.  kappa A_b, kappa B_b are the only coefficients
+    that are not monomials, so Y^a X^b Z^c carries n / (q^2 - 1)^k with n an
+    integer Laurent polynomial and k the X Y pairs the word lost; a QRat is
+    reduced once per term and word.  Input must be J-free."""
+    if any(J in w for w in p.terms):
+        raise ValueError("substitute_j must be applied before PBW rewriting")
+    return pbw_with_j(p)
+
+
+def pbw_with_j(p: NcPoly) -> NcPoly:
+    """pbw_normal_form(substitute_j(p)), each J multiplied onto the normal
+    form so far as q X Z^-1 - q^-1 Y Z^-1, so J^k never becomes 2^k words."""
     out = {}
-    pending = {}
-    heap = []
-
-    def add(w, c):
-        s = pending.get(w)
-        if s is None:
-            pending[w] = c
-            nxy, inv = _pbw_key(w)
-            heapq.heappush(heap, (-nxy, -inv, w))
-        else:
-            pending[w] = s + c
-
     for w, c in p.terms.items():
-        add(w, c)
-    while heap:
-        w = heapq.heappop(heap)[2]
-        c = pending.pop(w)
-        if c.is_zero():
-            continue
-        steps = _rewrite(w, c)
-        if steps is None:
-            out[w] = c
-        else:
-            for nw, nc in steps:
-                add(nw, nc)
+        cancel_word(w.replace(J, "Xz"))  # the cap on substitute_j's words
+        state = {(0, 0, 0): {0: 1}}
+        for ch in w:
+            if ch == J:
+                nxt = {key: _shift(n, 1) for key, n in _times_letter(state, X).items()}
+                for key, n in _times_letter(state, Y).items():
+                    _add_laurent(nxt, key, {e - 1: -v for e, v in n.items()})
+                state = _times_letter(nxt, ZINV)
+            else:
+                state = _times_letter(state, ch)
+        nxy = len(w) - w.count(Z) - w.count(ZINV)
+        for (a, b, e), n in state.items():
+            r = QRat({k: Fraction(v) for k, v in n.items()}, _den_power((nxy - a - b) // 2))
+            _add_term(out, Y * a + X * b + (Z * e if e > 0 else ZINV * -e), c.scale(r))
     return NcPoly(out, _canonical=True)
 
 
-_J_EXPANSION = None
-
-
+@lru_cache(maxsize=None)
 def j_expansion() -> NcPoly:
     """J written in the original generators: q X Z^-1 - q^-1 Y Z^-1."""
-    global _J_EXPANSION
-    if _J_EXPANSION is None:
-        _J_EXPANSION = NcPoly({"Xz": QCoeff.q_pow(1), "Yz": -QCoeff.q_pow(-1)})
-    return _J_EXPANSION
+    return NcPoly({"Xz": QCoeff.q_pow(1), "Yz": -QCoeff.q_pow(-1)})
 
 
 def substitute_j(p: NcPoly) -> NcPoly:
@@ -746,32 +752,19 @@ def identity_coefficients() -> dict[int, NcPoly]:
     return dict(_IDENTITY_COEFFS)
 
 
+@lru_cache(maxsize=None)
+def relation_differences(which: str) -> dict[str, NcPoly]:
+    """LHS - RHS of each relation in a set, keyed by its check name; built
+    once per set."""
+    return {name: lhs - rhs for name, (lhs, rhs) in relation_sides(which).items()}
+
+
+@lru_cache(maxsize=None)
 def relation_sides(which: str) -> dict[str, tuple[NcPoly, NcPoly]]:
     """(LHS, RHS) of each relation in a set, keyed by its check name.
     "defining": the relations among X, Y, Z (Z Z^-1 = 1 is no polynomial
     identity here, since words cancel Z z on contact; see defining_relations).
     "zj": the two J-Z relations.  Built once per set."""
-    got = _RELATION_SIDES.get(which)
-    if got is None:
-        got = _RELATION_SIDES[which] = _build_relation_sides(which)
-    return got
-
-
-def relation_differences(which: str) -> dict[str, NcPoly]:
-    """LHS - RHS of each relation in a set, keyed by its check name; built
-    once per set."""
-    got = _RELATION_DIFFERENCES.get(which)
-    if got is None:
-        got = _RELATION_DIFFERENCES[which] = {
-            name: lhs - rhs for name, (lhs, rhs) in relation_sides(which).items()}
-    return got
-
-
-_RELATION_SIDES: dict[str, dict] = {}
-_RELATION_DIFFERENCES: dict[str, dict] = {}
-
-
-def _build_relation_sides(which: str) -> dict[str, tuple[NcPoly, NcPoly]]:
     if which == "defining":
         inv_delta = QCoeff.of(_DELTA.inverse())
         return {

@@ -303,6 +303,23 @@ def test_parse_powers_of_z():
         QCoeff.of((QRat.q_pow(1) - QRat.q_pow(-1)) * (QRat.q_pow(1) - QRat.q_pow(-1))))
 
 
+@pytest.mark.parametrize("text", ["X + q*Y*Zi - 2", "Z*X + y*J", "q - q^-1", "Zi"])
+def test_powers_match_repeated_products(text):
+    base = parse_expr(text)
+    acc = NcPoly.one()
+    for k in range(8):
+        assert base ** k == acc, k
+        assert parse_expr(f"({text})^{k}") == acc, k
+        acc = acc * base
+    inv = parse_expr("1/(2*q)")
+    assert parse_expr("(2*q)^-5") == inv * inv * inv * inv * inv
+
+
+def test_large_scalar_powers_parse_at_once():
+    assert parse_expr("q^1000000*X") == NcPoly.word("X", QCoeff.q_pow(1000000))
+    assert parse_expr("(-q)^-999999") == NcPoly.scalar(-QCoeff.q_pow(-999999))
+
+
 @pytest.mark.parametrize("bad", ["X +", "W", "q^", "(X", "X^-1", "1/X", "X ? Y"])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):

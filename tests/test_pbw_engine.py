@@ -1,6 +1,7 @@
-"""The merged PBW worklist and the mod-p coprimality certificate of QRat,
+"""The closed-form PBW engine and the mod-p coprimality certificate of QRat,
 each against a reference that is written here: the per-path worklist that
-rewrote every path to a word separately, and the exact Euclidean reduction."""
+rewrites every path to a word separately with the five rules, and the exact
+Euclidean reduction."""
 
 import itertools
 import random
@@ -10,20 +11,10 @@ import pytest
 
 from qsl2r import ncpoly
 from qsl2r.ncpoly import (NcPoly, QCoeff, QRat, cancel_word, format_expr,
-                          identity_sides, pbw_normal_form, relation_sides,
-                          substitute_j)
+                          identity_sides, parse_expr, pbw_normal_form, pbw_with_j,
+                          relation_sides, substitute_j)
 
 PRIME = ncpoly._CERT_PRIME
-
-
-# -- the termination measure ----------------------------------------------------
-
-def key(w):
-    # (X/Y letters, pairs out of the order Y < X < Z), by brute force
-    rank = {"Y": 0, "X": 1, "Z": 2, "z": 2}
-    inversions = sum(1 for i, j in itertools.combinations(range(len(w)), 2)
-                     if rank[w[i]] > rank[w[j]])
-    return sum(ch in "XY" for ch in w), inversions
 
 
 def all_words(max_len):
@@ -32,34 +23,14 @@ def all_words(max_len):
             yield "".join(t)
 
 
-def test_every_rewrite_lowers_the_key():
-    one = QCoeff.one()
-    rewritten = 0
-    for w in all_words(6):
-        assert ncpoly._pbw_key(w) == key(w), w
-        steps = ncpoly._rewrite(w, one)
-        if steps is None:
-            continue
-        rewritten += 1
-        for nw, _ in steps:
-            assert key(nw) < key(w), (w, nw)
-    assert rewritten > 4000
-
-
-def test_inversions_alone_can_rise():
-    # X Y -> Z Z turns one inversion into two, so the X/Y count leads the key
-    assert key("XYX")[1] == 1 and key("ZZX")[1] == 2
-    assert "ZZX" in [nw for nw, _ in ncpoly._rewrite("XYX", QCoeff.one())]
-
-
-# -- the merged worklist against the per-path one ---------------------------------
+# -- the engine against the per-path worklist ------------------------------------
 
 _SWAPS = {"ZX": -2, "ZY": 2, "zX": 2, "zY": -2}
 _QC_XY = QCoeff.of(QRat.q_pow(1) / (QRat.q_pow(1) - QRat.q_pow(-1)))
 
 
 def pbw_per_path(p):
-    # the worklist before the merge: each path to a word is rewritten alone
+    # the reference: each path to a word is rewritten alone by the five rules
     out = {}
     work = list(p.terms.items())
     while work:
@@ -125,6 +96,83 @@ def test_merged_worklist_matches_per_path_on_relations_and_identity():
     polys += [substitute_j(side) for side in identity_sides()]
     for p in polys:
         assert_same_normal_form(p)
+
+
+_WORDS = {}
+
+
+def normal_forms_up_to_6():
+    # every word of length <= 6 over X, Y, Z, Zi (5,461 of them), reduced once
+    if not _WORDS:
+        _WORDS.update((w, pbw_normal_form(NcPoly.word(w))) for w in all_words(6))
+    return _WORDS
+
+
+def test_every_word_up_to_length_6_matches_per_path():
+    forms = normal_forms_up_to_6()
+    assert len(forms) == 5461
+    for w, nf in forms.items():
+        ref = pbw_per_path(NcPoly.word(w))
+        assert nf == ref, w
+        assert format_expr(nf) == format_expr(ref), w
+
+
+@pytest.mark.parametrize("b", range(11))
+def test_x_power_times_y_matches_per_path(b):
+    assert_same_normal_form(NcPoly.word("X" * b + "Y"))
+
+
+def _divides(den, root):
+    # den / (q - root), or None when root is no root of den
+    coeffs = [den.get(e, Fraction(0)) for e in range(max(den) + 1)]
+    out, carry = [], Fraction(0)
+    for c in reversed(coeffs):
+        carry = carry * root + c
+        out.append(carry)
+    return None if out.pop() else {e: c for e, c in enumerate(reversed(out)) if c}
+
+
+def test_denominators_are_powers_of_q_minus_1_and_q_plus_1():
+    # the coefficients lie in Z[q, q^-1, 1/(q^2 - 1)], so the normal form
+    # specializes at every q with q^2 != 1
+    seen = set()
+    for w, nf in normal_forms_up_to_6().items():
+        for coeff in nf.terms.values():
+            for r in coeff.terms.values():
+                den, i, j = r.den, 0, 0
+                while (d := _divides(den, 1)) is not None:
+                    den, i = d, i + 1
+                while (d := _divides(den, -1)) is not None:
+                    den, j = d, j + 1
+                assert den == {0: 1}, (w, r)
+                assert all(c.denominator == 1 for c in r.num.values()), (w, r)
+                seen.add((i, j))
+    assert (0, 0) in seen and (1, 1) in seen and (3, 3) in seen
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_j_power_factor_by_factor_matches_the_expansion(k):
+    p = parse_expr(f"J^{k}")
+    assert pbw_with_j(p) == pbw_normal_form(substitute_j(p))
+
+
+@pytest.mark.parametrize("expr", ["J*Z*J*Zi*J", "X*J*Y*Zi*J*Z - q^3*J*J*X",
+                                  "(J - y)*Z*(J - y^-1)*Zi*J*X*Y + 1/(q + 2)*J*Y"])
+def test_mixed_words_factor_by_factor_match_the_expansion(expr):
+    p = parse_expr(expr)
+    new, ref = pbw_with_j(p), pbw_normal_form(substitute_j(p))
+    assert new == ref
+    assert format_expr(new) == format_expr(ref)
+
+
+def test_j_words_keep_the_word_cap():
+    assert len(pbw_with_j(parse_expr("J^5*Zi^54")).terms) > 0
+    with pytest.raises(ncpoly.WordLengthError):
+        pbw_with_j(parse_expr("J^33"))
+    with pytest.raises(ncpoly.WordLengthError):
+        substitute_j(parse_expr("J^5*Zi^55"))
+    with pytest.raises(ncpoly.WordLengthError):
+        pbw_with_j(parse_expr("J^5*Zi^55"))
 
 
 def test_confluence_of_xy_power():
