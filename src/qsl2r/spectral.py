@@ -9,13 +9,17 @@ modulo split primes the identity holds for every x and no matrix is
 built, and otherwise they are evaluated onto the matrices by
 `reps.evaluate` and summed over their nonzero entries.
 
-Eigenvalues come from LAPACK (`np.linalg.eigvals`), clustered within
-EIGEN_TOL; each cluster's eigenvectors are the null right singular vectors
-of M - lambda I.  Matrices here are at most 64 x 64.  The chain is computed
-once per representation and tolerance and cached on the representation, so
-the tridiagonality check and the (T, G) search reuse its eigenvectors.  The
-(T, G) search walks the chain once: the links fix every product
-T_k T_{k+1}, so only steps that no matrix links leave a sign to branch on.
+Eigenpairs come from one LAPACK `np.linalg.eig` call when the spectrum is
+simple under EIGEN_TOL clustering, every eigenvalue condition number is at
+most KAPPA_MAX and every residual is at most RANK_TOL times the largest
+off-diagonal entry; otherwise the values come from `np.linalg.eigvals`,
+clustered within EIGEN_TOL, and each cluster's eigenvectors are the null
+right singular vectors of M - lambda I.  Matrices here are at most 64 x 64.
+The chain is computed once per representation and tolerance and cached on
+the representation, so the tridiagonality check and the (T, G) search
+reuse its eigenvectors.  The (T, G) search walks the chain once: the links
+fix every product T_k T_{k+1}, so only steps that no matrix links leave a
+sign to branch on.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .reps import (Representation, certified_zeros, evaluate, j_matrix,
 
 EIGEN_TOL = 1e-8
 RANK_TOL = 1e-10
+KAPPA_MAX = 1e4     # the largest eigenvalue condition number eig's vectors may have
 MAX_DIM = 64        # the largest matrix eigen_solve takes
 
 
@@ -54,24 +59,48 @@ class ChainError(ArithmeticError):
 
 @dataclass
 class EigenPair:
+    """An eigenvalue with a unit eigenvector; `condition` is the residual
+    ||M v - value v||, not a condition number."""
     value: complex
     vector: np.ndarray
     condition: float
 
 
 def eigen_solve(M) -> list[EigenPair]:
-    """All eigenpairs of a square complex matrix (dim <= MAX_DIM), values sorted by
-    (real, imag) and clustered within EIGEN_TOL; a cluster of size m gets the
-    m right singular vectors of M - lambda I with the smallest singular
-    values, which must lie within RANK_TOL of the largest.  Raises
-    EigenSolveError when the matrix is defective (or too ill-conditioned to
-    tell)."""
+    """All eigenpairs of a square complex matrix (dim <= MAX_DIM), values
+    sorted by (real, imag).  One `np.linalg.eig` call; its unit eigenvectors
+    are returned as they are when every eigenvalue is simple under EIGEN_TOL
+    clustering, every condition number kappa_i = ||y_i|| ||x_i|| / |y_i^H x_i|
+    (Golub & Van Loan, Matrix Computations, 7.2.2; for unit x_i the norm of
+    row i of V^-1) is at most KAPPA_MAX and every residual
+    ||M v - lambda v|| is at most RANK_TOL max_{i != j} |M_ij|; as that entry
+    bounds sigma_max(M - lambda I) and the residual bounds sigma_min, such a
+    pair also passes the null-space test below.  Any other matrix takes
+    `np.linalg.eigvals`, clusters the values within EIGEN_TOL and gives a
+    cluster of size m the m right singular vectors of M - lambda I with the
+    smallest singular values, which must lie within RANK_TOL of the largest.
+    Raises EigenSolveError when the matrix is defective (or too
+    ill-conditioned to tell)."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
     if n > MAX_DIM:
         raise ValueError(f"matrices beyond {MAX_DIM} x {MAX_DIM} are out of scope")
     if n == 0:
         return []
+    w, V = np.linalg.eig(M)
+    order = sorted(range(n), key=lambda i: (w[i].real, w[i].imag))
+    w, V = w[order], V[:, order]
+    res = np.linalg.norm(M @ V - V * w, axis=0)
+    if (np.all(np.abs(np.diff(w)) > EIGEN_TOL * max(1.0, np.max(np.abs(w))))
+            and np.all(res <= RANK_TOL * np.max(np.abs(M - np.diag(np.diag(M)))))):
+        try:
+            W = np.abs(np.linalg.inv(V))
+        except np.linalg.LinAlgError:   # V exactly singular
+            W = np.full((n, n), np.inf)
+        # kappa_i is the norm of row i of V^-1; with no entry above KAPPA_MAX
+        # its squares cannot overflow
+        if np.max(W) <= KAPPA_MAX and np.max(np.linalg.norm(W, axis=1)) <= KAPPA_MAX:
+            return [EigenPair(complex(lam), v, float(r)) for lam, v, r in zip(w, V.T, res)]
     roots = sorted(np.linalg.eigvals(M), key=lambda z: (z.real, z.imag))
     scale = max(1.0, max(abs(r) for r in roots))
     clusters: list[list[complex]] = []
@@ -270,30 +299,21 @@ def _build_chain(rep: Representation, tol: float) -> LadderChain:
     def vanishes(w, ref):
         return np.linalg.norm(w) < tol * max(1.0, np.linalg.norm(ref))
 
-    # locate a bottom: a pair and branch whose lowering image vanishes while
-    # the raising image either links or also vanishes (d = 1).  Every chain
-    # has a mirror (the branch swap y -> -1/y exchanges raising and
-    # lowering), so for the first family prefer the bottom matching the
-    # expected start y = q^(Q-d+1); the mirror starts at a non-integer label.
-    bottoms = []
-    for idx, p in enumerate(pairs):
-        for y in _y_branches(p.value, q):
-            if vanishes(image(p.vector, y, "lower"), p.vector):
-                if d == 1 or not vanishes(image(p.vector, y, "raise"), p.vector):
-                    bottoms.append((idx, y))
-    start = None
-    if rep.family == 1:
-        y_expected = q ** (rep.ctx.Q - d + 1)
-        for idx, y in bottoms:
-            if abs(y - y_expected) <= tol * max(1.0, abs(y)):
-                start = (idx, y)
-                break
-        if start is None:
-            raise ChainError(
-                f"no chain bottom found at the expected start x = {rep.ctx.Q - d + 1}",
-                partial=LadderChain())
-    elif bottoms:
-        start = bottoms[0]
+    # locate a bottom: the first pair and branch whose lowering image
+    # vanishes while the raising image either links or also vanishes (d = 1).
+    # Every chain has a mirror (the branch swap y -> -1/y exchanges raising
+    # and lowering), so for the first family only branches at the expected
+    # start y = q^(Q-d+1) are tried; the mirror starts at a non-integer label.
+    y_expected = q ** (rep.ctx.Q - d + 1) if rep.family == 1 else None
+    start = next(((idx, y) for idx, p in enumerate(pairs) for y in _y_branches(p.value, q)
+                  if (y_expected is None or abs(y - y_expected) <= tol * max(1.0, abs(y)))
+                  and vanishes(image(p.vector, y, "lower"), p.vector)
+                  and (d == 1 or not vanishes(image(p.vector, y, "raise"), p.vector))),
+                 None)
+    if rep.family == 1 and start is None:
+        raise ChainError(
+            f"no chain bottom found at the expected start x = {rep.ctx.Q - d + 1}",
+            partial=LadderChain())
     cyclic_start = start is None
     if cyclic_start:
         # no path bottom: try every pair/branch until one raises into the set
@@ -399,13 +419,10 @@ def tridiagonality_check(rep: Representation, tol: float = EIGEN_TOL,
     B = np.column_stack([p.vector for p in chain.pairs])
     Zc = rep.complex_mats()["Z"]
     Zp = np.linalg.solve(B, Zc @ B)
-    d = rep.dim
-    band = 0.0
-    for i in range(d):
-        for j in range(d):
-            dist = abs(i - j) if mode == "plain" else min(abs(i - j), d - abs(i - j))
-            if dist > 1:
-                band = max(band, float(abs(Zp[i, j])))
+    i, j = np.indices(Zp.shape)
+    dist = abs(i - j) if mode == "plain" else np.minimum(abs(i - j), rep.dim - abs(i - j))
+    # a left fold from 0.0 in row-major order, entry by entry as float(abs(z))
+    band = max([0.0] + [float(abs(z)) for z in Zp[dist > 1]])
     scale = max(1.0, float(np.max(np.abs(Zp))))
     return TridiagReport(mode, band, band <= tol * scale, Zp)
 

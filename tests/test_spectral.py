@@ -1,4 +1,5 @@
 import random
+import warnings
 from itertools import product
 from math import gcd
 from types import SimpleNamespace
@@ -32,8 +33,10 @@ def test_eigen_solve_examples():
 
 
 def test_eigen_solve_defective_raises():
-    with pytest.raises(EigenSolveError, match="independent eigenvectors"):
-        eigen_solve(np.array([[0, 1], [0, 0]], dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EigenSolveError, match="independent eigenvectors"):
+            eigen_solve(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_eigen_trace_det_reconstruction():
@@ -57,6 +60,77 @@ def test_eigen_solve_repeated_eigenvalue_gets_independent_vectors():
     V = np.column_stack([p.vector for p in pairs[:2]])
     assert np.linalg.matrix_rank(V, tol=1e-8) == 2
     assert all(p.condition < 1e-10 for p in pairs)
+
+
+def _eigen_solve_svd(M):
+    """Reference: eigvals, clustered within EIGEN_TOL, and the null right
+    singular vectors of M - lambda I per cluster."""
+    M = np.asarray(M, dtype=complex)
+    n = M.shape[0]
+    roots = sorted(np.linalg.eigvals(M), key=lambda z: (z.real, z.imag))
+    scale = max(1.0, max(abs(r) for r in roots))
+    clusters = []
+    for r in roots:
+        if clusters and abs(r - clusters[-1][-1]) <= spectral.EIGEN_TOL * scale:
+            clusters[-1].append(r)
+        else:
+            clusters.append([r])
+    pairs = []
+    for cluster in clusters:
+        lam = sum(cluster) / len(cluster)
+        _, sv, vh = np.linalg.svd(M - lam * np.eye(n, dtype=complex))
+        if np.count_nonzero(sv <= spectral.RANK_TOL * sv[0]) < len(cluster):
+            raise EigenSolveError("independent eigenvectors")
+        for v in vh[n - len(cluster):].conj():
+            pairs.append(EigenPair(complex(lam), v, float(np.linalg.norm(M @ v - lam * v))))
+    return pairs
+
+
+def _off_diagonal_max(M):
+    return float(np.max(np.abs(M - np.diag(np.diag(M)))))
+
+
+def test_eigen_solve_well_conditioned_takes_eig_vectors(monkeypatch):
+    # kappa about 1.3e3: one eig call, no SVD
+    J = j_matrix_complex(build_family1(RootContext(1, 25), 24, 1))
+    ref = _eigen_solve_svd(J)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD on a well-conditioned matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    pairs = eigen_solve(J)
+    assert len(pairs) == len(ref) == 25
+    for p, r in zip(pairs, ref):
+        assert abs(p.value - r.value) <= 1e-12
+        phase = np.vdot(p.vector, r.vector)
+        assert abs(abs(phase) - 1) <= 1e-9
+        assert np.max(np.abs(phase * p.vector - r.vector)) <= 1e-9
+        bound = spectral.RANK_TOL * _off_diagonal_max(J)
+        assert p.condition <= bound
+        assert np.linalg.norm(J @ p.vector - p.value * p.vector) <= bound
+
+
+@pytest.mark.parametrize("M", [
+    # kappa about 1.9e6 at (P, Q, r) = (8, 31, 20)
+    j_matrix_complex(build_family1(RootContext(8, 31), 20, 1)),
+    # a cluster
+    np.diag([1.0, 1.0, 2.0]).astype(complex),
+    # kappa about 1e200: inv(V) holds entries whose squares overflow
+    np.array([[0, 1e200], [0, 1]], dtype=complex),
+    # simple and kappa about 1, but residuals above RANK_TOL times the tiny
+    # off-diagonal entries
+    np.diag([1e3, 2e3, 3e3, 4e3]) + 1e-8 * np.random.default_rng(3).normal(size=(4, 4)),
+])
+def test_eigen_solve_falls_back_bit_identically(M):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pairs = eigen_solve(M)
+    ref = _eigen_solve_svd(M)
+    assert len(pairs) == len(ref)
+    for p, r in zip(pairs, ref):
+        assert p.value == r.value and p.condition == r.condition
+        assert np.array_equal(p.vector, r.vector)
 
 
 # -- identity at matrix level ----------------------------------------------------
@@ -397,3 +471,78 @@ def test_chain_errors_are_not_cached(monkeypatch):
             spectrum_chain(rep)
         assert len(solves) == n
     assert rep._cache == {}
+
+
+# -- eig guard, band mask and chain start ---------------------------------------------
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_unitarize_ill_conditioned_j_keeps_svd_verdict(sign):
+    # kappa(J) is about 1.9e6 here; LAPACK's own eigenvectors fail the search
+    u = unitarize_search(build_family1(RootContext(8, 31), 20, sign))
+    assert u.ok
+    assert u.T == [(-1) ** k for k in range(21)]
+
+
+@pytest.mark.parametrize("mode", ("plain", "cyclic"))
+@pytest.mark.parametrize("d", range(1, 9))
+def test_band_residual_matches_double_loop(monkeypatch, mode, d):
+    rng = np.random.default_rng(100 * d + len(mode))
+    Z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rep = SimpleNamespace(dim=d, complex_mats=lambda: {"Z": Z})
+    chain = LadderChain(pairs=[EigenPair(complex(k), np.eye(d)[:, k], 0.0)
+                               for k in range(d)])
+    monkeypatch.setattr(spectral, "spectrum_chain", lambda rep, tol: chain)
+    tri = tridiagonality_check(rep, mode=mode)
+    Zp = tri.matrix
+    band = 0.0
+    for i in range(d):
+        for j in range(d):
+            dist = abs(i - j) if mode == "plain" else min(abs(i - j), d - abs(i - j))
+            if dist > 1:
+                band = max(band, float(abs(Zp[i, j])))
+    assert tri.band_residual == band
+    assert (d > 3 or mode == "plain" and d > 2) == (band > 0)
+
+
+def test_chain_start_checks_the_label_before_any_image(monkeypatch):
+    ctx = RootContext(2, 21)
+    rep = build_family1(ctx, 20, 1)
+    d, q = rep.dim, ctx.q_complex
+    Jc, Zc = j_matrix_complex(rep), rep.complex_mats()["Z"]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return apply_ladder(*args)
+
+    apply_ladder = spectral._apply_ladder
+    monkeypatch.setattr(spectral, "_apply_ladder", counting)
+    chain = spectrum_chain(rep)
+    assert len(calls) <= d + 2
+
+    # reference: every bottom over all pairs and branches, then the first at
+    # the expected start y = q^(Q - d + 1)
+    def image(v, y, direction):
+        other = spectral._mu_of(y / q ** 2 if direction == "raise" else y * q ** 2, q)
+        return apply_ladder(Jc, Zc, spectral._mu_of(y, q), other, v)
+
+    def vanishes(w, v):
+        return np.linalg.norm(w) < 1e-8 * max(1.0, np.linalg.norm(v))
+
+    pairs = eigen_solve(Jc)
+    bottoms = [(p, y) for p in pairs for y in spectral._y_branches(p.value, q)
+               if vanishes(image(p.vector, y, "lower"), p.vector)
+               and not vanishes(image(p.vector, y, "raise"), p.vector)]
+    y_expected = q ** (ctx.Q - d + 1)
+    start, y = next((p, y) for p, y in bottoms if abs(y - y_expected) <= 1e-8 * max(1, abs(y)))
+    assert len(bottoms) > 1
+    assert chain.pairs[0].value == start.value
+    assert np.array_equal(chain.pairs[0].vector, start.vector)
+    ref = [start]
+    for _ in range(d - 1):
+        w = image(ref[-1].vector, y, "raise")
+        y = y * q ** 2
+        ref.append(max(pairs, key=lambda p: abs(np.vdot(p.vector, w))))
+    assert [p.value for p in chain.pairs] == [p.value for p in ref]
+    assert chain.x_labels == list(range(ctx.Q - d + 1, ctx.Q + d, 2))
+    assert [kind for kind, _ in chain.links] == ["raised"] * (d - 1) + ["vanished"]
