@@ -28,8 +28,8 @@ from .reps import (build_family1, build_family2, intersection_check,
                    j_matrix_complex, representation_to_json,
                    tensor_j_formula_residual, verify_relations)
 from .scalar import REL_TOL, RootContext, q_number, q_power, to_complex
-from .spectral import (MAX_DIM, ChainError, spectrum_chain, tridiagonality_check,
-                       unitarize_search, verify_identity)
+from .spectral import (EIGEN_TOL, MAX_DIM, ChainError, spectrum_chain,
+                       tridiagonality_check, unitarize_search, verify_identity)
 
 
 def _tolerance(text: str) -> float | None:
@@ -46,11 +46,6 @@ def _parse_tol(text: str) -> float:
     if tol is None:
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
     return tol
-
-
-def _default_tol() -> float:
-    """QSL2R_TOL when it is a valid tolerance, else REL_TOL."""
-    return _tolerance(os.environ.get("QSL2R_TOL", "")) or REL_TOL
 
 
 def _parse_complex(text: str):
@@ -91,11 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification toolkit for the q-deformed sl(2,R) at odd roots of unity")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, rep_flags=True):
+    def add_common(p, rep_flags=True, tol=True):
         p.add_argument("--P", type=int, default=1, help="numerator of the root exponent")
         p.add_argument("--Q", type=int, default=3, help="odd order of the root of unity")
-        p.add_argument("--tol", type=_parse_tol, default=None,
-                       help="floating tolerance, finite and > 0")
+        if tol:
+            p.add_argument("--tol", type=_parse_tol, default=None,
+                           help="floating tolerance, finite and > 0")
         p.add_argument("--out", type=str, default=None, help="write the JSON report here")
         if rep_flags:
             p.add_argument("--family", type=int, choices=(1, 2), default=1)
@@ -138,12 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ladder", help="verify ladder images on every eigenpair")
     add_common(p)
     add_common(sub.add_parser("unitarize", help="search the sign involution and metric"))
-    p = sub.add_parser("intersect", help="compare the two families at their common point")
-    p.add_argument("--P", type=int, default=1)
-    p.add_argument("--Q", type=int, default=3)
+    p = sub.add_parser("intersect", help="check exactly that the two families meet "
+                                         "at their common point")
+    add_common(p, rep_flags=False, tol=False)
     p.add_argument("--sign", type=_parse_sign, default=1)
-    p.add_argument("--tol", type=_parse_tol, default=None)
-    p.add_argument("--out", type=str, default=None)
     add_common(sub.add_parser("suite", help="run the full verification grid for (P, Q)"),
                rep_flags=False)
     return parser
@@ -162,7 +156,8 @@ def parse_command(argv):
         parser.error(str(exc))
     if getattr(args, "family", None) == 1 and not 0 <= args.r < args.Q:
         parser.error(f"r must lie in 0..Q-1 = 0..{args.Q - 1}, got {args.r}")
-    if args.command in ("spectrum", "ladder", "unitarize", "intersect", "suite"):
+    spectral_cmd = args.command in ("spectrum", "ladder", "unitarize", "suite")
+    if spectral_cmd:
         # the J eigenproblem is solved on matrices of this dimension
         dim = args.r + 1 if getattr(args, "family", None) == 1 else args.Q
         if dim > MAX_DIM:
@@ -184,7 +179,11 @@ def parse_command(argv):
             except (ValueError, ArithmeticError) as exc:
                 # ParseError, an over-long word, or division by zero
                 parser.error(f"--expr {args.expr!r} is refused: {exc}")
-    args.tol = args.tol if args.tol is not None else _default_tol()
+    if "tol" in args:   # intersect is exact and takes none
+        # --tol, else a valid QSL2R_TOL, else REL_TOL; the spectral layer
+        # clusters eigenvalues at EIGEN_TOL, so it takes no finer tolerance
+        tol = args.tol or _tolerance(os.environ.get("QSL2R_TOL", "")) or REL_TOL
+        args.tol = max(tol, EIGEN_TOL) if spectral_cmd else tol
     return args
 
 
@@ -330,12 +329,12 @@ def cmd_symbolic(args) -> int:
 def cmd_spectrum(args) -> int:
     rep = _build_rep(args)
     try:
-        chain = spectrum_chain(rep, tol=max(args.tol, 1e-8))
+        chain = spectrum_chain(rep, tol=args.tol)
     except ChainError as exc:
         payload = {"error": str(exc), "partial": exc.partial.to_json() if exc.partial else None}
         return emit_report(payload, args.out, [f"spectrum: FAIL ({exc})"], False)
-    tri = tridiagonality_check(rep, tol=max(args.tol, 1e-8))
-    uni = unitarize_search(rep, tol=max(args.tol, 1e-8))
+    tri = tridiagonality_check(rep, tol=args.tol)
+    uni = unitarize_search(rep, tol=args.tol)
     payload = chain.to_json()
     payload["band_residual"] = tri.band_residual
     payload["band_mode"] = tri.mode
@@ -353,8 +352,7 @@ def cmd_spectrum(args) -> int:
 def cmd_ladder(args) -> int:
     from .spectral import ladder_apply
     rep = _build_rep(args)
-    tol = max(args.tol, 1e-8)
-    chain = spectrum_chain(rep, tol=tol)
+    chain = spectrum_chain(rep, tol=args.tol)
     J = j_matrix_complex(rep)
     results = []
     ok = True
@@ -362,9 +360,9 @@ def cmd_ladder(args) -> int:
         entry = {"x": [complex(x).real, complex(x).imag],
                  "eigenvalue": [pair.value.real, pair.value.imag]}
         for direction, shift in (("raise", 2), ("lower", -2)):
-            w = ladder_apply(rep, pair.vector, x, direction, tol=tol)
+            w = ladder_apply(rep, pair.vector, x, direction, tol=args.tol)
             norm = float(np.linalg.norm(w))
-            if norm < tol:
+            if norm < args.tol:
                 entry[direction] = "vanished"
                 continue
             w = w / norm
@@ -372,7 +370,7 @@ def cmd_ladder(args) -> int:
             res = float(np.linalg.norm(J @ w - mu * w))
             entry[direction] = "shifted"
             entry[f"{direction}_residual"] = res
-            ok &= res < tol
+            ok &= res < args.tol
         results.append(entry)
     payload = {"ladder": results, "ok": ok}
     return emit_report(payload, args.out,
@@ -381,7 +379,7 @@ def cmd_ladder(args) -> int:
 
 def cmd_unitarize(args) -> int:
     rep = _build_rep(args)
-    uni = unitarize_search(rep, tol=max(args.tol, 1e-8))
+    uni = unitarize_search(rep, tol=args.tol)
     payload = uni.to_json()
     return emit_report(payload, args.out,
                        [f"unitarize: {_status(uni.ok)} "
@@ -389,14 +387,13 @@ def cmd_unitarize(args) -> int:
 
 
 def cmd_intersect(args) -> int:
-    report = intersection_check(args.ctx, args.sign, tol=max(args.tol, 1e-8))
+    report = intersection_check(args.ctx, args.sign)
     return emit_report(report.to_json(), args.out,
                        [f"intersection: {_status(report.ok)}"], report.ok)
 
 
 def cmd_suite(args) -> int:
-    ctx = args.ctx
-    tol = max(args.tol, 1e-8)
+    ctx, tol = args.ctx, args.tol
     payload = {"P": ctx.P, "Q": ctx.Q}
     summaries = []
     all_ok = True
@@ -495,14 +492,9 @@ def cmd_suite(args) -> int:
     record("tensor coproduct of J", tens_res < 1e-10)
 
     # family intersection
-    inter = {}
-    inter_ok = True
-    for sign in (1, -1):
-        rp = intersection_check(ctx, sign, tol=tol)
-        inter[f"sign={sign:+d}"] = rp.to_json()
-        inter_ok &= rp.ok
-    payload["intersection"] = inter
-    record("family intersection", inter_ok)
+    inter = {sign: intersection_check(ctx, sign) for sign in (1, -1)}
+    payload["intersection"] = {f"sign={sign:+d}": rp.to_json() for sign, rp in inter.items()}
+    record("family intersection", all(rp.ok for rp in inter.values()))
 
     return emit_report(payload, args.out, summaries, all_ok)
 

@@ -23,10 +23,10 @@ and supports come from the CycloNum matrices as before.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from operator import mul
 
 import numpy as np
 
@@ -211,8 +211,7 @@ class Representation:
                 f"params={self.params!r})")
 
 
-def build_family1(ctx: RootContext, r: int, sign: int = 1,
-                  validate: bool = True) -> Representation:
+def build_family1(ctx: RootContext, r: int, sign: int = 1) -> Representation:
     """(r+1)-dimensional representation:
         Z v_j = sign q^(r-2j) v_j,
         X v_j = -q^(r-2j-1) [r-j] v_(j+1),
@@ -238,13 +237,11 @@ def build_family1(ctx: RootContext, r: int, sign: int = 1,
         if j - 1 >= 0:
             Ym[j - 1][j] = q_number(ctx, j)
     rep = Representation(ctx, d, 1, {"r": r, "sign": sign}, "exact", Xm, Ym, Z, Zinv)
-    if validate:
-        _require_defining(rep)
+    _require_defining(rep)
     return rep
 
 
-def build_family2(ctx: RootContext, lam, a, b, backend: str = "approx",
-                  validate: bool = True) -> Representation:
+def build_family2(ctx: RootContext, lam, a, b, backend: str = "approx") -> Representation:
     """Q-dimensional cyclic representation:
         Z v_j = lam q^(2j) v_j,
         X v_j = -i q^(j-1) (a b - [j] (lam q^(j-1) - lam^-1 q^(1-j))/(q - q^-1)) v_(j-1),
@@ -257,24 +254,29 @@ def build_family2(ctx: RootContext, lam, a, b, backend: str = "approx",
         lam, a, b = (GaussCyclo.from_scalar(v, ctx) for v in (lam, a, b))
         qp, qn = partial(q_power, ctx), partial(q_number, ctx)
         mi, zero = -gauss_i(ctx), ctx.zero()
+        # one Galois-norm inverse per build, not one per column
+        over_delta = partial(mul, (qp(1) - qp(-1)).inverse())
     elif backend == "approx":
         lam, a, b = (complex(to_complex(v)) for v in (lam, a, b))
         qp, mi, zero = partial(pow, ctx.q_complex), -1j, 0j
+        delta = qp(1) - qp(-1)
 
         def qn(k):
             return to_complex(q_number(ctx, k))
+
+        def over_delta(v):
+            return v / delta
     else:
         raise ValueError(f"unknown backend {backend!r}")
     if not lam:
         raise ValueError("lambda must be nonzero")
-    delta = qp(1) - qp(-1)
     Z, Zinv, Xm, Ym = ([[zero] * Q for _ in range(Q)] for _ in range(4))
     for j in range(Q):
         zj = lam * qp(2 * j)
         Z[j][j] = zj
         Zinv[j][j] = 1 / zj
         if j != 0:
-            core = a * b - qn(j) * (lam * qp(j - 1) - qp(1 - j) / lam) / delta
+            core = a * b - over_delta(qn(j) * (lam * qp(j - 1) - qp(1 - j) / lam))
             Xm[j - 1][j] = mi * qp(j - 1) * core
         if j != Q - 1:
             Ym[j + 1][j] = mi * lam * qp(j + 1)
@@ -284,8 +286,7 @@ def build_family2(ctx: RootContext, lam, a, b, backend: str = "approx",
         Z, Zinv, Xm, Ym = (np.array(M, dtype=complex) for M in (Z, Zinv, Xm, Ym))
     rep = Representation(ctx, Q, 2, {"lambda": lam, "a": a, "b": b},
                          backend, Xm, Ym, Z, Zinv)
-    if validate:
-        _require_defining(rep)
+    _require_defining(rep)
     return rep
 
 
@@ -697,8 +698,7 @@ def verify_relations(rep: Representation, which: str,
 # ---------------------------------------------------------------------------
 
 
-def tensor_rep(a: Representation, b: Representation,
-               validate: bool = True) -> Representation:
+def tensor_rep(a: Representation, b: Representation) -> Representation:
     """Action on the tensor product through the coproduct:
     X -> 1 (x) X + X (x) Z, Y -> 1 (x) Y + Y (x) Z, Z -> Z (x) Z."""
     if a.ctx != b.ctx:
@@ -723,8 +723,7 @@ def tensor_rep(a: Representation, b: Representation,
                          {"left": a.params, "right": b.params,
                           "families": [a.family, b.family]},
                          backend, X, Y, Z, Zinv)
-    if validate:
-        _require_defining(rep)
+    _require_defining(rep)
     return rep
 
 
@@ -744,60 +743,48 @@ def tensor_j_formula_residual(a: Representation, b: Representation,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IntersectionReport:
-    ok: bool
-    z_spectra_dev: float
-    j_spectra_dev: float
-    trace_dev: float
-    sign: int
-    tol: float
+def intersection_check(ctx: RootContext, sign: int = 1) -> RelationReport:
+    """The d = Q member of the first family (r = Q - 1, basis v_j) is the
+    second-family point lambda = sign q^(1-Q), a = b = 0 (basis w_k).  Both
+    are built exactly and, with k = Q - 1 - j, checked for
+      pattern  X1, Y1, Z1 nonzero exactly at (j+1, j), (j-1, j), (j, j) and
+               X2, Y2, Z2 at (k-1, k), (k+1, k), (k, k), so the wrap entries
+               X2[Q-1][0] and Y2[0][Q-1] are zero;
+      Z        Z1[j][j] = Z2[k][k] for every j;
+      XY       X1[j][j-1] Y1[j-1][j] = X2[k][k+1] Y2[k+1][k], j = 1..Q-1.
+    Lemma: then S v_j = s_j w_k, s_0 = 1, s_(j+1) = s_j X2[k-1][k] / X1[j+1][j]
+    is invertible, and S Z1 = Z2 S, S X1 = X2 S, S Y1 = Y2 S (for Y,
+    Y1[j-1][j] s_(j-1) = s_j Y2[k+1][k] is XY once s_j / s_(j-1) is put in).
+    Z1 has distinct eigenvalues, so any intertwiner has this monomial form.
+    S is never formed: only entries of Q(zeta_Q)(i) are multiplied and
+    compared.  A failing check names its first failure in `detail`."""
+    Q, zero = ctx.Q, ctx.zero()
+    r1 = build_family1(ctx, Q - 1, sign)
+    r2 = build_family2(ctx, sign * q_power(ctx, 1 - Q), 0, 0, backend="exact")
+    bands = (("X1", r1.X, 1), ("Y1", r1.Y, -1), ("Z1", r1.Z, 0),   # row - column
+             ("X2", r2.X, -1), ("Y2", r2.Y, 1), ("Z2", r2.Z, 0))
 
-    def to_json(self):
-        return {"ok": self.ok, "sign": self.sign, "tol": self.tol,
-                "z_spectra_dev": self.z_spectra_dev,
-                "j_spectra_dev": self.j_spectra_dev,
-                "trace_dev": self.trace_dev}
+    def off_band(name, M, offset):
+        band = {(j + offset, j) for j in range(Q) if 0 <= j + offset < Q}
+        support = {(i, j) for i, row in enumerate(M) for j, a in enumerate(row)
+                   if a is not zero and not a.is_zero()}
+        return [(f"{name}[{i}][{j}] is {'off' if (i, j) in support else 'zero on'} the band",
+                 abs(to_complex(M[i][j]))) for i, j in sorted(support ^ band)]
 
+    def unequal(pairs, j0):
+        return [(f"first mismatch at j = {j}", abs(to_complex(a - b)))
+                for j, (a, b) in enumerate(pairs, j0) if a != b]
 
-def _sorted_multiset(values) -> list[complex]:
-    return sorted((complex(v) for v in values), key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-
-
-def multiset_deviation(a, b) -> float:
-    a, b = _sorted_multiset(a), _sorted_multiset(b)
-    if len(a) != len(b):
-        return float("inf")
-    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
-
-
-def intersection_check(ctx: RootContext, sign: int = 1,
-                       tol: float = 1e-8) -> IntersectionReport:
-    """The d = Q member of the first family coincides with the second-family
-    point (lambda = sign q^(1-Q), a = b = 0): compare Z spectra, J spectra and
-    traces of all words in X, Y, Z up to length 4 (isomorphism invariants)."""
-    from .spectral import eigen_solve
-
-    r1 = build_family1(ctx, ctx.Q - 1, sign)
-    lam = sign * ctx.q_complex ** (1 - ctx.Q)
-    r2 = build_family2(ctx, lam, 0.0, 0.0)
-
-    m1, m2 = r1.complex_mats(), r2.complex_mats()
-    z_dev = multiset_deviation(np.diag(m1["Z"]), np.diag(m2["Z"]))
-    j_dev = multiset_deviation([p.value for p in eigen_solve(j_matrix_complex(r1))],
-                               [p.value for p in eigen_solve(j_matrix_complex(r2))])
-    trace_dev = 0.0
-    for length in range(1, 5):
-        for word in itertools.product("XYZ", repeat=length):
-            t1 = np.eye(ctx.Q, dtype=complex)
-            t2 = np.eye(ctx.Q, dtype=complex)
-            for ch in word:
-                t1 = t1 @ m1[ch]
-                t2 = t2 @ m2[ch]
-            trace_dev = max(trace_dev, float(abs(np.trace(t1) - np.trace(t2))))
-    z_dev, j_dev = float(z_dev), float(j_dev)
-    ok = z_dev <= tol and j_dev <= tol and trace_dev <= tol
-    return IntersectionReport(ok, z_dev, j_dev, trace_dev, sign, tol)
+    flip = range(Q - 1, -1, -1)   # k for j = 0..Q-1
+    failures = {   # (detail, embedded |difference| or stray entry) per failure
+        "pattern": [f for b in bands for f in off_band(*b)],
+        "Z": unequal(zip([r1.Z[j][j] for j in range(Q)], [r2.Z[k][k] for k in flip]), 0),
+        "XY": unequal(zip([r1.X[j][j - 1] * r1.Y[j - 1][j] for j in range(1, Q)],
+                          [r2.X[k][k + 1] * r2.Y[k + 1][k] for k in flip[1:]]), 1),
+    }
+    return RelationReport("intersection", [
+        CheckResult(name, not f, max((r for _, r in f), default=0.0), f[0][0] if f else "")
+        for name, f in failures.items()], {"sign": sign})
 
 
 # ---------------------------------------------------------------------------

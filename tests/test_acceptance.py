@@ -170,7 +170,7 @@ def test_criterion_7_intersection():
     ok = True
     for Q in (3, 5, 7):
         for sign in (1, -1):
-            report = intersection_check(RootContext(1, Q), sign, tol=1e-8)
+            report = intersection_check(RootContext(1, Q), sign)
             ok &= report.ok
     _report(7, "family intersection", ok)
 

@@ -7,6 +7,7 @@ from qsl2r.cli import emit_report, main, parse_command
 from qsl2r.ncpoly import NcPoly, format_expr, lemma_check, lemma_v
 from qsl2r.ncpoly import _two_bracket_sq
 from qsl2r.reps import representation_from_json, verify_relations
+from qsl2r.spectral import EIGEN_TOL
 
 
 def run(argv):
@@ -55,7 +56,7 @@ def test_parse_command_valid():
     (["spectrum", "--Q", "65", "--r", "64"], 2),   # matrices beyond 64 x 64
     (["ladder", "--Q", "67", "--r", "66"], 2),
     (["unitarize", "--Q", "65", "--family", "2"], 2),
-    (["intersect", "--Q", "67"], 2),
+    (["intersect", "--tol", "1e-3"], 2),           # intersect is exact: no --tol
     (["suite", "--Q", "65"], 2),
 ])
 def test_usage_errors_exit_2(argv, needle, capsys):
@@ -66,7 +67,7 @@ def test_usage_errors_exit_2(argv, needle, capsys):
 
 def test_spectral_commands_take_64_x_64_and_rep_any_q():
     for argv in (["spectrum", "--Q", "65", "--r", "63"], ["ladder", "--Q", "67", "--r", "63"],
-                 ["unitarize", "--Q", "63", "--family", "2"], ["intersect", "--Q", "63"],
+                 ["unitarize", "--Q", "63", "--family", "2"], ["intersect", "--Q", "67"],
                  ["suite", "--Q", "63"], ["rep", "--Q", "67", "--r", "66"],
                  ["verify", "--Q", "67", "--family", "2", "--check", "zj"]):
         assert parse_command(argv).command == argv[0]
@@ -214,6 +215,15 @@ def test_env_tolerance_override(tmp_path, monkeypatch):
     monkeypatch.setenv("QSL2R_TOL", "junk")
     args = parse_command(["verify", "--P", "1", "--Q", "3", "--check", "defining"])
     assert args.tol == pytest.approx(1e-9)
+
+
+def test_spectral_commands_floor_the_tolerance_and_intersect_takes_none(monkeypatch):
+    monkeypatch.setenv("QSL2R_TOL", "1e-12")
+    for command in ("spectrum", "ladder", "unitarize", "suite"):
+        assert parse_command([command, "--Q", "5"]).tol == EIGEN_TOL
+        assert parse_command([command, "--Q", "5", "--tol", "1e-3"]).tol == 1e-3
+    assert parse_command(["verify", "--check", "zj"]).tol == 1e-12
+    assert "tol" not in parse_command(["intersect", "--Q", "5"])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-3"])

@@ -5,10 +5,11 @@ from math import gcd
 import numpy as np
 import pytest
 
-from qsl2r.scalar import RootContext, q_number, q_power, to_complex
+from qsl2r.scalar import RootContext, q_number, q_power
+from qsl2r import reps
 from qsl2r.reps import (build_family1, build_family2, ex_is_zero, ex_sub,
                         intersection_check, j_matrix, j_matrix_complex,
-                        multiset_deviation, recover_xy, representation_from_json,
+                        recover_xy, representation_from_json,
                         representation_to_json, tensor_j_formula_residual,
                         tensor_rep, verify_relations)
 
@@ -204,20 +205,103 @@ def test_tensor_context_mismatch():
 
 
 def test_intersection_z_spectrum_explicit():
-    # Q=3: both Z spectra are {1, q, q^2}
+    # Q=3: Z1 = diag(q^2, 1, q^-2) and Z2 = diag(q^-2, 1, q^2) on the exact
+    # second-family point, so the index reversal j <-> 2 - j matches them
     rep1 = build_family1(C3, 2, 1)
-    z1 = [to_complex(rep1.Z[j][j]) for j in range(3)]
-    lam = C3.q_complex ** (1 - 3)
-    rep2 = build_family2(C3, lam, 0, 0)
-    z2 = list(np.diag(rep2.Z))
-    assert multiset_deviation(z1, z2) < 1e-12
+    rep2 = build_family2(C3, q_power(C3, -2), 0, 0, backend="exact")
+    assert [rep1.Z[j][j] for j in range(3)] == [q_power(C3, e) for e in (2, 0, -2)]
+    assert all(rep1.Z[j][j] == rep2.Z[2 - j][2 - j] for j in range(3))
 
 
-@pytest.mark.parametrize("Q", [3, 5, 7])
+# one coprime P per Q; the checks are exact, so Q = 45 and 63 pass too
+INTERSECTION_P = {3: 1, 5: 2, 7: 1, 11: 3, 21: 10, 45: 1, 63: 1}
+
+
+@pytest.mark.parametrize("Q", sorted(INTERSECTION_P))
 @pytest.mark.parametrize("sign", [1, -1])
 def test_intersection_check(Q, sign):
-    report = intersection_check(RootContext(1, Q), sign)
+    report = intersection_check(RootContext(INTERSECTION_P[Q], Q), sign)
     assert report.ok, report
+    assert [c.name for c in report.checks] == ["pattern", "Z", "XY"]
+    assert report.max_residual == 0.0
+    assert set(report.to_json()) == {"which", "ok", "max_residual", "checks", "sign"}
+    assert report.to_json()["sign"] == sign
+
+
+def _tampered(monkeypatch, builder, edit):
+    """Make reps.<builder> apply edit(rep) to every representation it
+    returns, so intersection_check meets the edited matrices."""
+    orig = getattr(reps, builder)
+
+    def wrapped(*args, **kwargs):
+        rep = orig(*args, **kwargs)
+        edit(rep)
+        return rep
+
+    monkeypatch.setattr(reps, builder, wrapped)
+
+
+def _bump(name, i, j):
+    def edit(rep):
+        M = getattr(rep, name)
+        M[i][j] = M[i][j] + 1
+    return edit
+
+
+# Q = 5, k = 4 - j: Y1[2][3] sits at j = 3, Y2[3][2] at k = 2, so j = 2
+@pytest.mark.parametrize("builder,edit,check,detail", [
+    ("build_family1", _bump("Y", 2, 3), "XY", "first mismatch at j = 3"),
+    ("build_family2", _bump("Y", 3, 2), "XY", "first mismatch at j = 2"),
+    ("build_family1", _bump("Z", 1, 1), "Z", "first mismatch at j = 1"),
+    ("build_family2", _bump("Z", 1, 1), "Z", "first mismatch at j = 3"),
+    ("build_family1", _bump("X", 0, 0), "pattern", "X1[0][0] is off the band"),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_intersection_check_catches_tampering(monkeypatch, builder, edit, check,
+                                              detail, sign):
+    _tampered(monkeypatch, builder, edit)
+    report = intersection_check(RootContext(2, 5), sign)
+    failed = {c.name: c for c in report.checks if not c.ok}
+    assert set(failed) == {check}
+    assert failed[check].detail == detail
+    assert failed[check].residual > 0.0 and report.max_residual > 0.0
+
+
+def test_intersection_check_catches_a_zero_on_the_band(monkeypatch):
+    def edit(rep):
+        rep.X[2][3] = rep.ctx.zero()    # X2[k][k+1] at k = 2, so j = 2
+    _tampered(monkeypatch, "build_family2", edit)
+    report = intersection_check(RootContext(2, 5), 1)
+    failed = {c.name: c for c in report.checks if not c.ok}
+    assert set(failed) == {"pattern", "XY"}
+    assert failed["pattern"].detail == "X2[2][3] is zero on the band"
+    assert failed["XY"].detail == "first mismatch at j = 2"
+
+
+def _family2_with(monkeypatch, change):
+    orig = reps.build_family2
+
+    def wrapped(ctx, lam, a, b, backend="approx"):
+        return orig(ctx, *change(lam, a, b), backend=backend)
+
+    monkeypatch.setattr(reps, "build_family2", wrapped)
+
+
+def test_intersection_check_catches_wrong_sign_pairing(monkeypatch):
+    _family2_with(monkeypatch, lambda lam, a, b: (-lam, a, b))
+    report = intersection_check(RootContext(1, 7), 1)
+    failed = {c.name: c for c in report.checks if not c.ok}
+    assert set(failed) == {"Z"}   # the band products agree for either sign
+    assert failed["Z"].detail == "first mismatch at j = 0"
+
+
+def test_intersection_check_catches_the_wrap(monkeypatch):
+    _family2_with(monkeypatch, lambda lam, a, b: (lam, 1, b))
+    report = intersection_check(RootContext(1, 7), -1)
+    failed = {c.name: c for c in report.checks if not c.ok}
+    assert set(failed) == {"pattern"}
+    assert failed["pattern"].detail == "X2[6][0] is off the band"
+    assert failed["pattern"].residual == pytest.approx(1.0)
 
 
 def test_representation_json_round_trip_exact():
