@@ -12,8 +12,8 @@ defining relations of the algebra enter only through `pbw_normal_form`,
 the unique normal form on the ordered basis Y^a X^b Z^c (c signed) of the
 rewrite rules it lists (unique by Bergman's diamond lemma).  It multiplies
 each word onto 1 one letter at a time by closed forms of those rules, so
-no unordered word is built; `pbw_with_j` does the same with J read as
-q X Z^-1 - q^-1 Y Z^-1, factor by factor.
+no unordered word is built; J is multiplied in as q X Z^-1 - q^-1 Y Z^-1,
+factor by factor.
 
 `QRat` is its own class: its canonical form needs a gcd.  The three sparse
 sums share one base, `_SparseSum` (map key -> nonzero coefficient, with
@@ -639,18 +639,11 @@ def pbw_normal_form(p: NcPoly) -> NcPoly:
     form, and this is it.  kappa A_b, kappa B_b are the only coefficients
     that are not monomials, so Y^a X^b Z^c carries n / (q^2 - 1)^k with n an
     integer Laurent polynomial and k the X Y pairs the word lost; a QRat is
-    reduced once per term and word.  Input must be J-free."""
-    if any(J in w for w in p.terms):
-        raise ValueError("substitute_j must be applied before PBW rewriting")
-    return pbw_with_j(p)
-
-
-def pbw_with_j(p: NcPoly) -> NcPoly:
-    """pbw_normal_form(substitute_j(p)), each J multiplied onto the normal
-    form so far as q X Z^-1 - q^-1 Y Z^-1, so J^k never becomes 2^k words."""
+    reduced once per term and word.  J is multiplied in as
+    q X Z^-1 - q^-1 Y Z^-1, factor by factor, so J^k never becomes 2^k words."""
     out = {}
     for w, c in p.terms.items():
-        cancel_word(w.replace(J, "Xz"))  # the cap on substitute_j's words
+        cancel_word(w.replace(J, "Xz"))  # the word cap, J counted as two letters
         state = {(0, 0, 0): {0: 1}}
         for ch in w:
             if ch == J:
@@ -678,15 +671,10 @@ def substitute_j(p: NcPoly) -> NcPoly:
     out = NcPoly.zero()
     jp = j_expansion()
     for w, c in p.terms.items():
-        if J not in w:
-            out = out + NcPoly({w: c}, _canonical=True)
-            continue
         parts = w.split(J)
         acc = NcPoly({parts[0]: c})
         for part in parts[1:]:
-            acc = acc * jp
-            if part:
-                acc = acc * NcPoly.word(part)
+            acc = acc * jp * NcPoly.word(part)
         out = out + acc
     return out
 
@@ -706,24 +694,18 @@ def _two_bracket_sq() -> QCoeff:
     return QCoeff.of(t * t)
 
 
-_IDENTITY_SIDES = None
-_IDENTITY_COEFFS = None
-
-
+@lru_cache(maxsize=None)
 def identity_sides():
     """LHS and RHS of the cubic ladder identity over the letters Z, J, with
     the spectral parameter carried by y (built once, on first use)."""
-    global _IDENTITY_SIDES
-    if _IDENTITY_SIDES is None:
-        a2, a0, am2 = bracket_shift(2), bracket_shift(0), bracket_shift(-2)
-        t2 = _two_bracket_sq()
-        Zp, Jp = NcPoly.word(Z), NcPoly.word(J)
-        lhs = Zp * (Jp - NcPoly.scalar(a2)) * (Jp - NcPoly.scalar(a0)) \
-            * (Jp - NcPoly.scalar(am2)) * Zp
-        rhs = ((Jp - NcPoly.scalar(a0)) * Zp * (Jp - NcPoly.scalar(a0)) * Zp
-               - NcPoly.scalar(t2)) * (Jp - NcPoly.scalar(a0))
-        _IDENTITY_SIDES = (lhs, rhs)
-    return _IDENTITY_SIDES
+    a2, a0, am2 = bracket_shift(2), bracket_shift(0), bracket_shift(-2)
+    t2 = _two_bracket_sq()
+    Zp, Jp = NcPoly.word(Z), NcPoly.word(J)
+    lhs = Zp * (Jp - NcPoly.scalar(a2)) * (Jp - NcPoly.scalar(a0)) \
+        * (Jp - NcPoly.scalar(am2)) * Zp
+    rhs = ((Jp - NcPoly.scalar(a0)) * Zp * (Jp - NcPoly.scalar(a0)) * Zp
+           - NcPoly.scalar(t2)) * (Jp - NcPoly.scalar(a0))
+    return lhs, rhs
 
 
 def y_coefficients(p: NcPoly) -> dict[int, NcPoly]:
@@ -736,20 +718,22 @@ def y_coefficients(p: NcPoly) -> dict[int, NcPoly]:
 
 
 def identity_coefficients() -> dict[int, NcPoly]:
-    """Collect LHS - RHS of the cubic ladder identity by powers of y.
-    The y^(+-3) contributions cancel among themselves; the survivors are the
-    five coefficients c_-2 .. c_2 (y-free noncommutative polynomials)."""
-    global _IDENTITY_COEFFS
-    if _IDENTITY_COEFFS is None:
-        lhs, rhs = identity_sides()
-        coeffs = y_coefficients(lhs - rhs)
-        stray = [ey for ey in coeffs if abs(ey) > 2]
-        if stray:
-            raise AssertionError(f"unexpected y-powers survive the expansion: {stray}")
-        for k in range(-2, 3):
-            coeffs.setdefault(k, NcPoly.zero())
-        _IDENTITY_COEFFS = coeffs
-    return dict(_IDENTITY_COEFFS)
+    """LHS - RHS of the cubic ladder identity by powers of y, in a fresh dict:
+    the y^(+-3) contributions cancel among themselves, and the survivors are
+    the five coefficients c_-2 .. c_2 (y-free noncommutative polynomials)."""
+    return dict(_identity_coefficients())
+
+
+@lru_cache(maxsize=None)
+def _identity_coefficients() -> dict[int, NcPoly]:
+    lhs, rhs = identity_sides()
+    coeffs = y_coefficients(lhs - rhs)
+    stray = [ey for ey in coeffs if abs(ey) > 2]
+    if stray:
+        raise AssertionError(f"unexpected y-powers survive the expansion: {stray}")
+    for k in range(-2, 3):
+        coeffs.setdefault(k, NcPoly.zero())
+    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -790,12 +774,6 @@ def relation_sides(which: str) -> dict[str, tuple[NcPoly, NcPoly]]:
     raise ValueError(f"unknown relation set {which!r}")
 
 
-def _zj_relations() -> list[NcPoly]:
-    # R1 = Z^2 J - (q^2 + q^-2) Z J Z + J Z^2 and
-    # R2 = (q^2 + 1 + q^-2) Z J^2 Z - J Z J Z - J Z^2 J - Z J Z J - [2]^2 (Z^2 - 1)
-    return list(relation_differences("zj").values())
-
-
 def identity_contracts(coeffs: dict[int, NcPoly] | None = None) -> dict[str, NcPoly]:
     """Residuals of the displayed coefficient identities.  All residuals are
     zero exactly when the machine expansion reproduces them:
@@ -807,11 +785,11 @@ def identity_contracts(coeffs: dict[int, NcPoly] | None = None) -> dict[str, NcP
 
     plus the y = 1 cross-check: sum_k c_k equals the x = 0 specialization.
     The right-hand sides are -R1, R2 and 2 R1 + (q-q^-1)^2 V in terms of the
-    J-Z relations R1, R2 (`_zj_relations`) and V (`lemma_v`)."""
+    J-Z relations R1, R2 (`relation_differences("zj")`) and V (`lemma_v`)."""
     c = identity_coefficients() if coeffs is None else coeffs
     d1 = QCoeff.of(_DELTA)
     d2 = d1 * d1
-    r1, r2 = _zj_relations()
+    r1, r2 = relation_differences("zj").values()
     v = lemma_v()
 
     res = {
@@ -855,11 +833,11 @@ def lemma_check(v: NcPoly | None = None, consequence_depth: int = 5) -> LemmaRep
     (each reduces to zero under PBW, so Z V + V Z lies in the defining ideal).
     Then confirm the consequence Z^k V = (-1)^k V Z^k for k up to
     `consequence_depth`, both via the telescoped certificate and by PBW
-    reduction after substitution."""
+    reduction."""
     v = lemma_v() if v is None else v
     Zp = NcPoly.word(Z)
     s = Zp * v + v * Zp
-    r1, r2 = _zj_relations()
+    r1, r2 = relation_differences("zj").values()
     decomposition = (r2 * NcPoly.word("JZ") + NcPoly.word("ZJ") * r2
                      + r1 * NcPoly.word("JJZ") + NcPoly.word("ZJJ") * r1)
     residual = s - decomposition
@@ -874,7 +852,7 @@ def lemma_check(v: NcPoly | None = None, consequence_depth: int = 5) -> LemmaRep
             rhs = NcPoly.zero()
             for j in range(k):
                 rhs = rhs + NcPoly.word(Z * (k - 1 - j)) * s * NcPoly.word(Z * j) * ((-1) ** j)
-            if lhs != rhs or not pbw_normal_form(substitute_j(lhs)).is_zero():
+            if lhs != rhs or not pbw_normal_form(lhs).is_zero():
                 consequence_ok = False
                 break
     return LemmaReport(ok=ok, residual=residual,
@@ -886,27 +864,22 @@ def lemma_check(v: NcPoly | None = None, consequence_depth: int = 5) -> LemmaRep
 # Hopf structure on generators
 # ---------------------------------------------------------------------------
 
-_COPRODUCT = None
-_ANTIPODE = None
-
-
+@lru_cache(maxsize=None)
 def _hopf_tables():
-    global _COPRODUCT, _ANTIPODE
-    if _COPRODUCT is None:
-        one = QCoeff.one()
-        _COPRODUCT = {
-            X: TensorPoly({("", X): one, (X, Z): one}),
-            Y: TensorPoly({("", Y): one, (Y, Z): one}),
-            Z: TensorPoly({(Z, Z): one}),
-            ZINV: TensorPoly({(ZINV, ZINV): one}),
-        }
-        _ANTIPODE = {
-            X: NcPoly({"Xz": -QCoeff.one()}),
-            Y: NcPoly({"Yz": -QCoeff.one()}),
-            Z: NcPoly.word(ZINV),
-            ZINV: NcPoly.word(Z),
-        }
-    return _COPRODUCT, _ANTIPODE
+    one = QCoeff.one()
+    coproduct = {
+        X: TensorPoly({("", X): one, (X, Z): one}),
+        Y: TensorPoly({("", Y): one, (Y, Z): one}),
+        Z: TensorPoly({(Z, Z): one}),
+        ZINV: TensorPoly({(ZINV, ZINV): one}),
+    }
+    antipode = {
+        X: NcPoly({"Xz": -one}),
+        Y: NcPoly({"Yz": -one}),
+        Z: NcPoly.word(ZINV),
+        ZINV: NcPoly.word(Z),
+    }
+    return coproduct, antipode
 
 
 def coproduct(p: NcPoly) -> TensorPoly:
@@ -1002,15 +975,15 @@ def hopf_symbolic_check(which: str) -> HopfReport:
         return HopfReport(which, ok, residual, "(eps (x) id) Delta g = g on generators")
 
     if which == "zj_relations":
-        r1, r2 = (pbw_normal_form(substitute_j(r)) for r in _zj_relations())
+        r1, r2 = (pbw_normal_form(r) for r in relation_differences("zj").values())
         residual = r1 + r2
         return HopfReport(which, r1.is_zero() and r2.is_zero(), residual,
                           "both J-Z relations reduce to 0 under PBW")
 
     if which == "xy_recovery":
         xhat, yhat = xy_recovery()
-        rx = pbw_normal_form(substitute_j(xhat)) - NcPoly.word(X)
-        ry = pbw_normal_form(substitute_j(yhat)) - NcPoly.word(Y)
+        rx = pbw_normal_form(xhat) - NcPoly.word(X)
+        ry = pbw_normal_form(yhat) - NcPoly.word(Y)
         residual = rx + ry
         return HopfReport(which, rx.is_zero() and ry.is_zero(), residual,
                           "X and Y recovered from J and Z")

@@ -823,29 +823,32 @@ def representation_to_json(rep: Representation) -> dict:
 
 
 def representation_from_json(data: dict) -> Representation:
+    """Inverse of representation_to_json; ValueError unless X, Y and Z are
+    square of one dimension and Z is diagonal with no zero on its diagonal."""
     ctx = RootContext(int(data["P"]), int(data["Q"]))
     backend = data["backend"]
     gens = data["generators"]
+    d = len(gens["Z"])
+    if not d or any(len(gens[g]) != d or any(len(row) != d for row in gens[g]) for g in "XYZ"):
+        raise ValueError("X, Y and Z must be square matrices of one dimension")
 
     if backend == "exact":
         def mat(rows):
             return [[scalar_from_json(a, ctx) for a in row] for row in rows]
         X, Y, Z = mat(gens["X"]), mat(gens["Y"]), mat(gens["Z"])
-        d = len(Z)
         Zinv = ex_zeros(ctx, d)
         for i in range(d):
             for j in range(d):
-                if i != j and not Z[i][j].is_zero():
-                    raise ValueError("Z is expected diagonal in this export")
+                if (i != j) != Z[i][j].is_zero():
+                    raise ValueError("Z must be diagonal with no zero on its diagonal")
             Zinv[i][i] = Z[i][i].inverse()
     else:
         def mat(rows):
             return np.array([[complex(a[0], a[1]) for a in row] for row in rows],
                             dtype=complex)
         X, Y, Z = mat(gens["X"]), mat(gens["Y"]), mat(gens["Z"])
-        d = Z.shape[0]
-        if float(np.max(np.abs(Z - np.diag(np.diag(Z))))) > 0.0:
-            raise ValueError("Z is expected diagonal in this export")
+        if not np.array_equal(Z != 0, np.eye(d, dtype=bool)):
+            raise ValueError("Z must be diagonal with no zero on its diagonal")
         Zinv = np.diag(1 / np.diag(Z))
     return Representation(ctx, d, data["family"], dict(data.get("params", {})),
                           backend, X, Y, Z, Zinv)

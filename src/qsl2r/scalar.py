@@ -69,6 +69,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -94,9 +95,6 @@ def is_close(a, b, rtol: float = REL_TOL, atol: float = ABS_TOL) -> bool:
 # cyclotomic polynomials (integer coefficients, ascending degree)
 # ---------------------------------------------------------------------------
 
-_CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
-
-
 def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     # den is monic; division must be exact (used only inside the Phi recursion)
     num = list(num)
@@ -113,20 +111,17 @@ def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of Phi_n, ascending, computed by dividing x^n - 1 by the
     Phi_d of all proper divisors d | n.  Exact integer arithmetic throughout."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n in _CYCLO_CACHE:
-        return _CYCLO_CACHE[n]
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
             poly = _int_poly_div_exact(poly, list(cyclotomic_polynomial(d)))
-    out = tuple(poly)
-    _CYCLO_CACHE[n] = out
-    return out
+    return tuple(poly)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@ raising/lowering ladder, tridiagonality of Z in the chain eigenbasis, and the
 search for the sign involution + metric realizing the modified star structure.
 
 The cubic identity is not typed in here: its y-coefficients come from
-`ncpoly.identity_coefficients`.  On an exact representation the five C_k
-are first put to `reps.certified_zeros`; when all are certified zero
-modulo split primes the identity holds for every x and no matrix is
-built, and otherwise they are evaluated onto the matrices by
-`reps.evaluate` and summed over their nonzero entries.
+`ncpoly.identity_coefficients`.  On an exact representation the C_k that
+`reps.certified_zeros` does not certify zero modulo split primes are
+evaluated by `reps.evaluate`, the nonzero ones are kept on the
+representation, and each x sums y^k C_k over them; a valid representation
+keeps none, so the identity holds there for every x.
 
 Eigenpairs come from one LAPACK `np.linalg.eig` call when the spectrum is
 simple under EIGEN_TOL clustering, every eigenvalue condition number is at
@@ -33,8 +33,8 @@ import numpy as np
 from .ncpoly import identity_coefficients, identity_sides, y_coefficients
 from .scalar import ABS_TOL, REL_TOL, _as_int, q_number, q_power, to_complex
 # j_matrix is re-exported next to j_matrix_complex
-from .reps import (Representation, certified_zeros, evaluate, j_matrix,
-                   j_matrix_complex)
+from .reps import (Representation, certified_zeros, evaluate, ex_is_zero, ex_lincomb,
+                   ex_residual, j_matrix, j_matrix_complex)
 
 EIGEN_TOL = 1e-8
 RANK_TOL = 1e-10
@@ -137,36 +137,23 @@ class IdentityReport:
 
 
 def _identity_matrices(rep: Representation, exact: bool):
-    """{k: C_k}, the matrices of the y-coefficients of LHS - RHS, and on the
-    floating path also {k: L_k} for the LHS alone (its size sets the
-    relative scale, as the RHS is LHS - sum_k y^k C_k).  Cached on the
-    representation."""
+    """{k: C_k}, the matrices of the y-coefficients of LHS - RHS (on the exact
+    path only those neither certified nor evaluated zero), and on the floating
+    path also {k: L_k} for the LHS alone (its size sets the relative scale, as
+    the RHS is LHS - sum_k y^k C_k).  Cached on the representation."""
     key = "identity_exact" if exact else "identity_float"
     got = rep._cache.get(key)
     if got is None:
         coeffs = identity_coefficients()
         lhs = {} if exact else y_coefficients(identity_sides()[0])
-        mats = evaluate(list(coeffs.values()) + list(lhs.values()), rep, exact)
-        got = (dict(zip(coeffs, mats)), dict(zip(lhs, mats[len(coeffs):])))
+        if exact:
+            zero = certified_zeros(list(coeffs.values()), rep)
+            coeffs = {k: c for (k, c), z in zip(coeffs.items(), zero) if not z}
+        polys = list(coeffs.values()) + list(lhs.values())
+        mats = evaluate(polys, rep, exact) if polys else []
+        C = {k: M for k, M in zip(coeffs, mats) if not (exact and ex_is_zero(M))}
+        got = (C, dict(zip(lhs, mats[len(coeffs):])))
         rep._cache[key] = got
-    return got
-
-
-def _identity_support(rep: Representation) -> dict:
-    """{k: [(i, j, c), ...]}, the nonzero entries of each exact C_k; cached
-    on the representation, and empty on every valid one.  When all five
-    C_k are certified zero modulo split primes no matrix is built."""
-    got = rep._cache.get("identity_support")
-    if got is None:
-        coeffs = identity_coefficients()
-        if all(certified_zeros(list(coeffs.values()), rep)):
-            got = {k: [] for k in coeffs}
-        else:
-            C, _ = _identity_matrices(rep, True)
-            got = {k: [(i, j, c) for i, row in enumerate(M) for j, c in enumerate(row)
-                       if not c.is_zero()]
-                   for k, M in C.items()}
-        rep._cache["identity_support"] = got
     return got
 
 
@@ -177,17 +164,9 @@ def verify_identity(rep: Representation, x, tol: float = REL_TOL) -> IdentityRep
     backend with integer x."""
     xi = _as_int(x)
     if rep.backend == "exact" and xi is not None:
-        # sum y^k C_k over the nonzero entries of the C_k only
-        diff = {}
-        for k, entries in _identity_support(rep).items():
-            if entries:
-                yk = q_power(rep.ctx, k * xi)
-                for i, j, c in entries:
-                    p = yk * c
-                    o = diff.get((i, j))
-                    diff[i, j] = p if o is None else o + p
-        mags = np.abs([to_complex(v) for v in diff.values() if not v.is_zero()])
-        residual = float(np.max(mags)) if mags.size else 0.0
+        C, _ = _identity_matrices(rep, True)
+        terms = [(q_power(rep.ctx, k * xi), M) for k, M in C.items()]
+        residual = ex_residual(ex_lincomb(terms, rep.ctx, rep.dim)) if terms else 0.0
         return IdentityReport(to_complex(x), True, residual, residual == 0.0)
     C, L = _identity_matrices(rep, False)
     y = to_complex(q_power(rep.ctx, x))

@@ -147,11 +147,6 @@ def test_pbw_idempotent_and_fixed_points():
         assert pbw_normal_form(NcPoly.word(w)) == NcPoly.word(w)
 
 
-def test_pbw_rejects_j():
-    with pytest.raises(ValueError, match="substitute_j"):
-        pbw_normal_form(NcPoly.word("JZ"))
-
-
 def test_pbw_local_confluence_random_products():
     rng = random.Random(42)
     letters = "XYZz"
@@ -178,6 +173,15 @@ def test_identity_coefficients_support():
     c = identity_coefficients()
     assert sorted(c) == [-2, -1, 0, 1, 2]
     assert not c[2].is_zero() and not c[0].is_zero()
+
+
+def test_identity_coefficients_returns_a_fresh_dict():
+    first = identity_coefficients()
+    want = dict(first)
+    first[0] = NcPoly.zero()
+    del first[2]
+    again = identity_coefficients()
+    assert again == want and again is not first
 
 
 def test_identity_contracts_zero_residual():

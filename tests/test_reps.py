@@ -324,6 +324,44 @@ def test_representation_json_round_trip_approx():
     assert float(np.max(np.abs(back.X - rep.X))) == 0.0
 
 
+def _exported(backend):
+    rep = build_family1(C3, 2, 1) if backend == "exact" else build_family2(C3, 1.5, 1.0, 2.0)
+    data = representation_to_json(rep)
+    assert len(data["generators"]["Z"]) == 3
+    return data
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+def test_representation_from_json_refuses_a_non_square_generator(backend):
+    data = _exported(backend)
+    data["generators"]["X"] = data["generators"]["X"][:2]
+    with pytest.raises(ValueError, match="square"):
+        representation_from_json(data)
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+def test_representation_from_json_refuses_generators_of_two_dimensions(backend):
+    data = _exported(backend)
+    data["generators"]["Y"] = [row[:2] for row in data["generators"]["Y"][:2]]
+    with pytest.raises(ValueError, match="one dimension"):
+        representation_from_json(data)
+
+
+def test_representation_from_json_refuses_a_singular_float_z():
+    data = _exported("approx")
+    data["generators"]["Z"][1][1] = [0.0, 0.0]
+    with pytest.raises(ValueError, match="no zero on its diagonal"):
+        representation_from_json(data)
+
+
+def test_representation_from_json_refuses_a_singular_exact_z():
+    data = _exported("exact")
+    zero = data["generators"]["Z"][0][1]      # an off-diagonal exact zero
+    data["generators"]["Z"][1][1] = zero
+    with pytest.raises(ValueError, match="no zero on its diagonal"):
+        representation_from_json(data)
+
+
 def test_q_power_convention_in_z():
     # Z v_j = sign q^(r-2j) v_j against the scalar module directly
     for P, Q in [(2, 5), (3, 7)]:

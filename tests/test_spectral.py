@@ -9,7 +9,7 @@ import pytest
 
 from qsl2r.scalar import RootContext, q_number, to_complex
 from qsl2r.reps import build_family1, build_family2, j_matrix_complex
-from qsl2r import spectral
+from qsl2r import reps, spectral
 from qsl2r.spectral import (ChainError, EigenPair, EigenSolveError, LadderChain,
                             eigen_solve, ladder_apply,
                             spectrum_chain, tridiagonality_check,
@@ -145,6 +145,40 @@ def test_identity_exact_grid_sample():
     rep = build_family1(RootContext(1, 5), 3, 1)
     report = verify_identity(rep, 7)
     assert report.exact and report.ok and report.residual == 0.0
+
+
+def _count_evaluate(monkeypatch):
+    calls = []
+    real = spectral.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(spectral, "evaluate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("P,Q,r", [(1, 5, 2), (2, 7, 4), (3, 11, 10)])
+def test_exact_identity_at_split_dimensions_evaluates_nothing(monkeypatch, P, Q, r):
+    rep = build_family1(RootContext(P, Q), r, -1)
+    assert rep.dim >= reps.SPLIT_MIN_DIM
+    calls = _count_evaluate(monkeypatch)
+    for x in range(-10, 11):
+        report = verify_identity(rep, x)
+        assert report.exact and report.ok and report.residual == 0.0, x
+    assert calls == []
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_exact_identity_below_split_dimensions_evaluates_once_per_rep(monkeypatch, r):
+    assert r + 1 < reps.SPLIT_MIN_DIM
+    calls = _count_evaluate(monkeypatch)
+    for sign in (1, -1):
+        rep = build_family1(RootContext(2, 7), r, sign)
+        for x in range(-10, 11):
+            report = verify_identity(rep, x)
+            assert report.exact and report.ok and report.residual == 0.0, x
+    assert len(calls) == 2 and calls[0] is not calls[1]
 
 
 @pytest.mark.parametrize("P,Q", [(1, 3), (2, 5), (3, 7)])
