@@ -254,7 +254,7 @@ def build_family2(ctx: RootContext, lam, a, b, backend: str = "approx") -> Repre
         lam, a, b = (GaussCyclo.from_scalar(v, ctx) for v in (lam, a, b))
         qp, qn = partial(q_power, ctx), partial(q_number, ctx)
         mi, zero = -gauss_i(ctx), ctx.zero()
-        # one Galois-norm inverse per build, not one per column
+        # one Galois-norm inverse of q - q^-1 per build, not one per column
         over_delta = partial(mul, (qp(1) - qp(-1)).inverse())
     elif backend == "approx":
         lam, a, b = (complex(to_complex(v)) for v in (lam, a, b))
@@ -270,18 +270,19 @@ def build_family2(ctx: RootContext, lam, a, b, backend: str = "approx") -> Repre
         raise ValueError(f"unknown backend {backend!r}")
     if not lam:
         raise ValueError("lambda must be nonzero")
+    # lam^-1, a b and -i lam once per build, not once per column
+    lam_inv, ab, mi_lam = 1 / lam, a * b, mi * lam
     Z, Zinv, Xm, Ym = ([[zero] * Q for _ in range(Q)] for _ in range(4))
     for j in range(Q):
-        zj = lam * qp(2 * j)
-        Z[j][j] = zj
-        Zinv[j][j] = 1 / zj
+        Z[j][j] = lam * qp(2 * j)
+        Zinv[j][j] = lam_inv * qp(-2 * j)
         if j != 0:
-            core = a * b - over_delta(qn(j) * (lam * qp(j - 1) - qp(1 - j) / lam))
+            core = ab - over_delta(qn(j) * (lam * qp(j - 1) - qp(1 - j) * lam_inv))
             Xm[j - 1][j] = mi * qp(j - 1) * core
         if j != Q - 1:
-            Ym[j + 1][j] = mi * lam * qp(j + 1)
+            Ym[j + 1][j] = mi_lam * qp(j + 1)
     Xm[Q - 1][0] = mi * a / qp(1)
-    Ym[0][Q - 1] = mi * lam * b
+    Ym[0][Q - 1] = mi_lam * b
     if backend == "approx":
         Z, Zinv, Xm, Ym = (np.array(M, dtype=complex) for M in (Z, Zinv, Xm, Ym))
     rep = Representation(ctx, Q, 2, {"lambda": lam, "a": a, "b": b},

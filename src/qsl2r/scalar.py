@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -527,6 +528,9 @@ class GaussCyclo:
         return o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (CycloNum, int, Fraction)):
+            # a real factor scales both components: two products, not four
+            return GaussCyclo(self.re * other, self.im * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -683,7 +687,9 @@ def _l1(a: CycloNum) -> int:
 
 
 def _as_int(x):
-    """Return x as a Python int when it is (exactly) a mathematical integer."""
+    """Return x as a Python int when it is (exactly) a mathematical integer:
+    any integral number but a bool (numpy integers too), or an integral
+    float, complex or Fraction."""
     if isinstance(x, bool):
         return None
     if isinstance(x, int):
@@ -696,6 +702,9 @@ def _as_int(x):
         if x.imag == 0.0 and x.real == int(x.real):
             return int(x.real)
         return None
+    # last, as an ABC check costs more than the concrete ones above
+    if isinstance(x, numbers.Integral):
+        return int(x)
     return None
 
 
@@ -735,6 +744,8 @@ def to_complex(s) -> complex:
         return complex(s)
     if isinstance(s, Fraction):
         return complex(s.numerator / s.denominator)
+    if isinstance(s, numbers.Integral):
+        return complex(int(s))
     raise TypeError(f"not a scalar: {type(s).__name__}")
 
 

@@ -7,7 +7,12 @@ The cubic identity is not typed in here: its y-coefficients come from
 `reps.certified_zeros` does not certify zero modulo split primes are
 evaluated by `reps.evaluate`, the nonzero ones are kept on the
 representation, and each x sums y^k C_k over them; a valid representation
-keeps none, so the identity holds there for every x.
+keeps none, so the identity holds there for every x.  Any other x or
+backend takes the floating path: the C_k, the LHS coefficients L_k and the
+RHS coefficients L_k - C_k are evaluated once per representation into one
+complex stack S of shape (3, len(ks), d^2) over the sorted y-exponents ks,
+and each x costs one product (y ** ks) @ S and one max-abs reduction,
+which give the residual, max|LHS| and max|RHS| together.
 
 Eigenpairs come from one LAPACK `np.linalg.eig` call when the spectrum is
 simple under EIGEN_TOL clustering, every eigenvalue condition number is at
@@ -136,24 +141,38 @@ class IdentityReport:
     ok: bool
 
 
-def _identity_matrices(rep: Representation, exact: bool):
-    """{k: C_k}, the matrices of the y-coefficients of LHS - RHS (on the exact
-    path only those neither certified nor evaluated zero), and on the floating
-    path also {k: L_k} for the LHS alone (its size sets the relative scale, as
-    the RHS is LHS - sum_k y^k C_k).  Cached on the representation."""
-    key = "identity_exact" if exact else "identity_float"
-    got = rep._cache.get(key)
+def _identity_matrices(rep: Representation):
+    """{k: C_k}, the exact matrices of the y-coefficients of LHS - RHS that
+    are neither certified nor evaluated zero.  Cached on the representation."""
+    got = rep._cache.get("identity_exact")
     if got is None:
         coeffs = identity_coefficients()
-        lhs = {} if exact else y_coefficients(identity_sides()[0])
-        if exact:
-            zero = certified_zeros(list(coeffs.values()), rep)
-            coeffs = {k: c for (k, c), z in zip(coeffs.items(), zero) if not z}
-        polys = list(coeffs.values()) + list(lhs.values())
-        mats = evaluate(polys, rep, exact) if polys else []
-        C = {k: M for k, M in zip(coeffs, mats) if not (exact and ex_is_zero(M))}
-        got = (C, dict(zip(lhs, mats[len(coeffs):])))
-        rep._cache[key] = got
+        zero = certified_zeros(list(coeffs.values()), rep)
+        coeffs = {k: c for (k, c), z in zip(coeffs.items(), zero) if not z}
+        mats = evaluate(list(coeffs.values()), rep, True) if coeffs else []
+        got = rep._cache["identity_exact"] = {k: M for k, M in zip(coeffs, mats)
+                                              if not ex_is_zero(M)}
+    return got
+
+
+def _identity_stack(rep: Representation):
+    """(ks, S) for the floating identity: ks the sorted y-exponents of
+    LHS - RHS and of the LHS, and S of shape (3, len(ks), d^2) holding the
+    flattened y^ks[i]-coefficients of LHS - RHS (the C_k), of the LHS (the
+    L_k) and of the RHS (L_k - C_k), zero where a side has no such power.
+    (y ** ks) @ S is then the three sides at y.  Cached on the
+    representation."""
+    got = rep._cache.get("identity_float")
+    if got is None:
+        coeffs = identity_coefficients()
+        lhs = y_coefficients(identity_sides()[0])
+        ks = sorted(set(coeffs) | set(lhs))
+        mats = evaluate(list(coeffs.values()) + list(lhs.values()), rep, False)
+        C, L = dict(zip(coeffs, mats)), dict(zip(lhs, mats[len(coeffs):]))
+        zero = np.zeros(rep.dim ** 2, dtype=complex)
+        c, l = (np.array([side[k].ravel() if k in side else zero for k in ks])
+                for side in (C, L))
+        got = rep._cache["identity_float"] = (np.array(ks), np.stack([c, l, l - c]))
     return got
 
 
@@ -161,21 +180,19 @@ def verify_identity(rep: Representation, x, tol: float = REL_TOL) -> IdentityRep
     """Check Z (J - [x+2]) (J - [x]) (J - [x-2]) Z =
     ((J - [x]) Z (J - [x]) Z - [2]^2) (J - [x]) on the representation, as
     LHS - RHS = sum_k y^k C_k with y = q^x.  Exact-zero contract on the exact
-    backend with integer x."""
+    backend with integer x; otherwise one product of the powers of y with
+    the cached stack gives LHS - RHS, LHS and RHS at once."""
     xi = _as_int(x)
     if rep.backend == "exact" and xi is not None:
-        C, _ = _identity_matrices(rep, True)
+        C = _identity_matrices(rep)
         terms = [(q_power(rep.ctx, k * xi), M) for k, M in C.items()]
         residual = ex_residual(ex_lincomb(terms, rep.ctx, rep.dim)) if terms else 0.0
         return IdentityReport(to_complex(x), True, residual, residual == 0.0)
-    C, L = _identity_matrices(rep, False)
+    ks, S = _identity_stack(rep)
     y = to_complex(q_power(rep.ctx, x))
-    diff = sum(y ** k * M for k, M in C.items())
-    lhs = sum(y ** k * M for k, M in L.items())
-    residual = float(np.max(np.abs(diff)))
-    scale_ref = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(lhs - diff))))
+    residual, lhs, rhs = np.abs((y ** ks) @ S).max(axis=1).tolist()
     return IdentityReport(complex(x), False, residual,
-                          bool(residual <= tol * scale_ref + ABS_TOL))
+                          bool(residual <= tol * max(1.0, lhs, rhs) + ABS_TOL))
 
 
 # ---------------------------------------------------------------------------

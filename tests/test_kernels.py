@@ -135,7 +135,7 @@ def test_sparse_identity_sum_matches_the_dense_sum(name, i, j):
     mats[name] = bumped
     rep = Representation(good.ctx, good.dim, 1, {}, "exact",
                          mats["X"], mats["Y"], mats["Z"], mats["Zinv"])
-    C, _ = _identity_matrices(rep, True)
+    C = _identity_matrices(rep)
     for x in range(-6, 7):
         dense = ex_lincomb([(rep.ctx.zeta((rep.ctx.P * k * x) % rep.ctx.Q), M)
                             for k, M in C.items()], rep.ctx, rep.dim)

@@ -1,11 +1,12 @@
 import json
 import random
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
 import pytest
 
-from qsl2r.scalar import RootContext, q_number, q_power
+from qsl2r.scalar import GaussCyclo, RootContext, gauss_i, q_number, q_power
 from qsl2r import reps
 from qsl2r.reps import (build_family1, build_family2, ex_is_zero, ex_sub,
                         intersection_check, j_matrix, j_matrix_complex,
@@ -226,6 +227,43 @@ def test_intersection_check(Q, sign):
     assert report.max_residual == 0.0
     assert set(report.to_json()) == {"which", "ok", "max_residual", "checks", "sign"}
     assert report.to_json()["sign"] == sign
+
+
+def _raw(s):
+    """An exact entry as its stored coefficients and denominators."""
+    return (s.re.coeffs, s.re.den, s.im.coeffs, s.im.den)
+
+
+@pytest.mark.parametrize("params", ["intersection", "generic"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_exact_family2_matches_the_per_column_inverse_formulas(params, sign):
+    # the builder inverts lambda once; the formulas below invert lam q^2j and
+    # lam again in every column, as Z^-1 = 1 / Z and q^(1-j) / lam
+    ctx, Q = RootContext(3, 31), 31
+    if params == "intersection":
+        lam, a, b = sign * q_power(ctx, 1 - Q), 0, 0
+    else:
+        lam = GaussCyclo(sign * q_power(ctx, 4) + Fraction(1, 3), ctx.from_int(2))
+        a, b = q_power(ctx, 7) * 3, gauss_i(ctx) + Fraction(1, 2)
+    rep = build_family2(ctx, lam, a, b, backend="exact")
+    lam, a, b = (GaussCyclo.from_scalar(v, ctx) for v in (lam, a, b))
+    qp, qn, mi = (lambda k: q_power(ctx, k)), (lambda k: q_number(ctx, k)), -gauss_i(ctx)
+    delta = qp(1) - qp(-1)
+    for j in range(Q):
+        zj = lam * qp(2 * j)
+        assert _raw(rep.Z[j][j]) == _raw(zj)
+        assert _raw(rep.Zinv[j][j]) == _raw(1 / zj)
+        if j:
+            core = a * b - qn(j) * (lam * qp(j - 1) - qp(1 - j) / lam) / delta
+            assert _raw(rep.X[j - 1][j]) == _raw(mi * qp(j - 1) * core)
+        if j != Q - 1:
+            assert _raw(rep.Y[j + 1][j]) == _raw(mi * lam * qp(j + 1))
+    assert _raw(rep.X[Q - 1][0]) == _raw(mi * a / qp(1))
+    assert _raw(rep.Y[0][Q - 1]) == _raw(mi * lam * b)
+    if params == "intersection":
+        report = intersection_check(ctx, sign)
+        assert report.ok and report.max_residual == 0.0, report
+        assert [c.name for c in report.checks] == ["pattern", "Z", "XY"]
 
 
 def _tampered(monkeypatch, builder, edit):

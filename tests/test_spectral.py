@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qsl2r.scalar import RootContext, q_number, to_complex
-from qsl2r.reps import build_family1, build_family2, j_matrix_complex
+from qsl2r.scalar import RootContext, q_number, q_power, to_complex
+from qsl2r.reps import Representation, build_family1, build_family2, j_matrix_complex
 from qsl2r import reps, spectral
 from qsl2r.spectral import (ChainError, EigenPair, EigenSolveError, LadderChain,
                             eigen_solve, ladder_apply,
@@ -190,6 +190,116 @@ def test_identity_family2_random_complex(P, Q):
         x = complex(rng.uniform(-5, 5), rng.uniform(-1, 1))
         report = verify_identity(rep, x, tol=1e-9)
         assert report.ok, (x, report.residual)
+
+
+def test_numpy_integer_x_takes_the_exact_path():
+    ctx = RootContext(1, 5)
+    rep = build_family1(ctx, 3, 1)
+    for x in (2, np.int64(2), np.float64(2.0)):
+        report = verify_identity(rep, x)
+        assert report.exact and report.ok and report.residual == 0.0, type(x)
+        assert report.x == 2
+        assert q_power(ctx, x) == ctx.zeta(2), type(x)
+        assert q_number(ctx, x) == q_number(ctx, 2), type(x)
+    # a bool is not a spectral parameter
+    assert isinstance(q_power(ctx, True), complex)
+    assert isinstance(q_number(ctx, True), complex)
+
+
+# the criterion-3 grid of floating second-family representations
+FAMILY2_GRID = [(1, 3), (2, 5), (3, 7)]
+
+
+def _family2_samples(P, Q, reps_count=4, x_count=25):
+    ctx = RootContext(P, Q)
+    rng = random.Random(77 * P + Q)
+    for _ in range(reps_count):
+        lam = complex(rng.uniform(0.4, 2.0) * (-1) ** rng.randint(0, 1),
+                      rng.uniform(-1.5, 1.5))
+        a = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+        b = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+        rep = build_family2(ctx, lam, a, b)
+        yield rep, [complex(rng.uniform(-5, 5), rng.uniform(-1, 1)) for _ in range(x_count)]
+
+
+def _bumped_x(rep, eps=1e-3):
+    """A copy of a floating rep with X[0][1] moved by eps, unvalidated."""
+    X = np.array(rep.X, dtype=complex)
+    X[0, 1] += eps
+    return Representation(rep.ctx, rep.dim, rep.family, dict(rep.params),
+                          rep.backend, X, rep.Y, rep.Z, rep.Zinv)
+
+
+def _reference_identity(rep, x):
+    """max|LHS - RHS| and max(1, |LHS|, |RHS|) of the cubic identity, with
+    J = (q X - q^-1 Y) Z^-1 and [n] = (q^n - q^-n)/(q - q^-1) in numpy."""
+    X, Y, Z = (np.array(M, dtype=complex) for M in (rep.X, rep.Y, rep.Z))
+    ctx = rep.ctx
+    q = np.exp(2j * np.pi * ctx.P / ctx.Q)
+
+    def qn(n):
+        qx = np.exp(2j * np.pi * ctx.P * n / ctx.Q)
+        return (qx - 1 / qx) / (q - 1 / q)
+
+    J = (q * X - Y / q) @ np.linalg.inv(Z)
+    eye = np.eye(rep.dim)
+    Jx = J - qn(x) * eye
+    lhs = Z @ (J - qn(x + 2) * eye) @ Jx @ (J - qn(x - 2) * eye) @ Z
+    rhs = (Jx @ Z @ Jx @ Z - qn(2) ** 2 * eye) @ Jx
+    return (float(np.max(np.abs(lhs - rhs))),
+            max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs)))))
+
+
+@pytest.mark.parametrize("P,Q", FAMILY2_GRID)
+def test_floating_identity_matches_a_numpy_reference(P, Q):
+    tol = 1e-9
+    verdicts = set()
+    for good, xs in _family2_samples(P, Q):
+        for rep in (good, _bumped_x(good)):
+            for x in xs:
+                report = verify_identity(rep, x, tol=tol)
+                residual, scale = _reference_identity(rep, x)
+                assert not report.exact
+                assert abs(report.residual - residual) <= 1e-12 * scale, x
+                assert report.ok == (residual <= tol * scale + 1e-12), x
+                verdicts.add(report.ok)
+                if rep is not good:
+                    # the verdict flips where the reference scale says it does
+                    edge = (residual - 1e-12) / scale
+                    assert verify_identity(rep, x, tol=edge * (1 + 1e-6)).ok, x
+                    assert not verify_identity(rep, x, tol=edge * (1 - 1e-6)).ok, x
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("P,Q", FAMILY2_GRID)
+def test_floating_identity_fails_on_a_bumped_x_entry(P, Q):
+    for good, xs in _family2_samples(P, Q, reps_count=2):
+        bad = _bumped_x(good)
+        for x in xs:
+            assert verify_identity(good, x, tol=1e-9).ok, x
+            report = verify_identity(bad, x, tol=1e-9)
+            assert not report.exact and not report.ok and report.residual > 1e-6, x
+
+
+def test_exact_rep_at_complex_x_takes_the_floating_path():
+    rep = build_family1(RootContext(2, 7), 4, -1)
+    report = verify_identity(rep, 1.5 + 0.25j)
+    assert not report.exact and report.ok and report.residual < 1e-12
+    assert report.x == 1.5 + 0.25j
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_floating_identity_evaluates_once_per_rep(monkeypatch, exact):
+    calls = _count_evaluate(monkeypatch)
+    rng = random.Random(5)
+    reps_ = ([build_family1(RootContext(2, 7), r, 1) for r in (1, 4)] if exact else
+             [rep for rep, _ in _family2_samples(2, 5, reps_count=2, x_count=0)])
+    for rep in reps_:
+        for _ in range(100):
+            x = complex(rng.uniform(-5, 5), rng.uniform(-1, 1))
+            report = verify_identity(rep, x, tol=1e-9)
+            assert not report.exact and report.ok, x
+    assert len(calls) == 2 and calls[0] is reps_[0] and calls[1] is reps_[1]
 
 
 # -- ladder ---------------------------------------------------------------------
