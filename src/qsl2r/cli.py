@@ -2,10 +2,12 @@
 emit JSON artifacts and human-readable summaries.
 
 Exit codes: 0 all requested checks passed, 1 any verification failure,
-2 usage error.  JSON output is byte-deterministic for exact-backend runs
-(sorted keys, canonical rational strings).  The environment variable
-QSL2R_TOL overrides the default floating tolerance; a value that is not
-a finite number > 0 is ignored there and refused as --tol.
+2 usage error.  A ChainError from any command is reported as an
+{"error", "partial"} payload and a "<command>: FAIL (<message>)" line.
+JSON output is byte-deterministic for exact-backend runs (sorted keys,
+canonical rational strings).  The environment variable QSL2R_TOL
+overrides the default floating tolerance; a value that is not a finite
+number > 0 is ignored there and refused as --tol.
 """
 
 from __future__ import annotations
@@ -328,11 +330,7 @@ def cmd_symbolic(args) -> int:
 
 def cmd_spectrum(args) -> int:
     rep = _build_rep(args)
-    try:
-        chain = spectrum_chain(rep, tol=args.tol)
-    except ChainError as exc:
-        payload = {"error": str(exc), "partial": exc.partial.to_json() if exc.partial else None}
-        return emit_report(payload, args.out, [f"spectrum: FAIL ({exc})"], False)
+    chain = spectrum_chain(rep, tol=args.tol)
     tri = tridiagonality_check(rep, tol=args.tol)
     uni = unitarize_search(rep, tol=args.tol)
     payload = chain.to_json()
@@ -515,6 +513,9 @@ def main(argv=None) -> int:
     args = parse_command(sys.argv[1:] if argv is None else argv)
     try:
         return _DISPATCH[args.command](args)
+    except ChainError as exc:
+        payload = {"error": str(exc), "partial": exc.partial.to_json() if exc.partial else None}
+        return emit_report(payload, args.out, [f"{args.command}: FAIL ({exc})"], False)
     except (ValueError, ArithmeticError, ncpoly.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

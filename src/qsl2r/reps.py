@@ -7,8 +7,11 @@ backend uses numpy complex128 arrays.  The generators are sparse (X and Y
 bidiagonal, Z and Z^-1 diagonal, J tridiagonal), so the exact kernels skip
 structural zeros: products run row by row over the nonzero entries only, and
 exact comparisons test entrywise equality before forming any difference.
-Every constructor verifies the defining relations before returning (exactly
-on the exact backend).
+Every constructor, and `representation_from_json`, verifies the defining
+relations before returning (exactly on the exact backend).  Those relations
+imply every other form of a derived matrix, so each is computed once from
+one formula: J = (q X - q^-1 Y) Z^-1, and the tensor product's generators
+from the coproduct, written once for either backend.
 
 The relations themselves are not typed in here: they live once, as
 noncommutative polynomials in `ncpoly`, and `evaluate` maps them onto the
@@ -584,29 +587,22 @@ class RelationReport:
         return f"RelationReport({self.which}: {state}, max_residual={self.max_residual:.3g})"
 
 
-def j_matrix(rep: Representation, tol: float = REL_TOL):
+def j_matrix(rep: Representation):
     """J = (q X - q^-1 Y) Z^-1, the matrix that `evaluate` substitutes for
-    the letter J; asserts agreement with the equivalent form
-    Z^-1 (q^-1 X - q Y) and caches the result on the representation."""
+    the letter J (`ncpoly.j_expansion`), cached on the representation.  The
+    paper's second form Z^-1 (q^-1 X - q Y) follows from the defining
+    relations, which every way into a Representation checks."""
     got = rep._cache.get("J")
-    if got is not None:
-        return got
-    exact = rep.backend == "exact"
-    X, Y, Zinv = rep.X, rep.Y, rep.Zinv
-    if exact:
-        q, qi = q_power(rep.ctx, 1), q_power(rep.ctx, -1)
-        lhs = ex_mul(ex_sub(ex_scale(X, q), ex_scale(Y, qi)), Zinv)
-        rhs = ex_mul(Zinv, ex_sub(ex_scale(X, qi), ex_scale(Y, q)))
-    else:
-        q, qi = rep.ctx.q_complex, 1 / rep.ctx.q_complex
-        lhs = (q * X - qi * Y) @ Zinv
-        rhs = Zinv @ (qi * X - q * Y)
-    same, r = _close(lhs, rhs, exact, tol)
-    if not same:
-        raise ArithmeticError(f"the two J forms disagree (residual {r:.3g}); "
-                              "representation is corrupted")
-    rep._cache["J"] = lhs
-    return lhs
+    if got is None:
+        X, Y, Zinv = rep.X, rep.Y, rep.Zinv
+        if rep.backend == "exact":
+            q, qi = q_power(rep.ctx, 1), q_power(rep.ctx, -1)
+            got = ex_mul(ex_sub(ex_scale(X, q), ex_scale(Y, qi)), Zinv)
+        else:
+            q, qi = rep.ctx.q_complex, 1 / rep.ctx.q_complex
+            got = (q * X - qi * Y) @ Zinv
+        rep._cache["J"] = got
+    return got
 
 
 def j_matrix_complex(rep: Representation) -> np.ndarray:
@@ -651,8 +647,6 @@ def verify_relations(rep: Representation, which: str,
             eye = ex_eye(rep.ctx, rep.dim) if exact else np.eye(rep.dim, dtype=complex)
             check("Z Zi = 1", mul(Z, Zinv), eye)
             check("Zi Z = 1", mul(Zinv, Z), eye)
-        else:
-            j_matrix(rep, tol)  # builds J, comparing its two forms at this tolerance
         sides = relation_sides(which)
         zero = certified_zeros(list(relation_differences(which).values()), rep)
         rest = [name for name, z in zip(sides, zero) if not z]
@@ -668,7 +662,7 @@ def verify_relations(rep: Representation, which: str,
         return report
 
     if which == "central":
-        Jm = j_matrix(rep, tol)
+        Jm = j_matrix(rep)
         if exact:
             ZQ = ex_pow(Z, rep.ctx.Q, rep.ctx)
         else:
@@ -706,20 +700,15 @@ def tensor_rep(a: Representation, b: Representation) -> Representation:
         raise ValueError("tensor factors live in different root contexts")
     ctx = a.ctx
     if a.backend == "exact" and b.backend == "exact":
-        ia = ex_eye(ctx, a.dim)
-        X = ex_add(ex_kron(ia, b.X), ex_kron(a.X, b.Z))
-        Y = ex_add(ex_kron(ia, b.Y), ex_kron(a.Y, b.Z))
-        Z = ex_kron(a.Z, b.Z)
-        Zinv = ex_kron(a.Zinv, b.Zinv)
-        backend = "exact"
+        am, bm, backend = a.mats(), b.mats(), "exact"
+        kron, add, eye = ex_kron, ex_add, ex_eye(ctx, a.dim)
     else:
-        am, bm = a.complex_mats(), b.complex_mats()
-        ia = np.eye(a.dim, dtype=complex)
-        X = np.kron(ia, bm["X"]) + np.kron(am["X"], bm["Z"])
-        Y = np.kron(ia, bm["Y"]) + np.kron(am["Y"], bm["Z"])
-        Z = np.kron(am["Z"], bm["Z"])
-        Zinv = np.kron(am["Zinv"], bm["Zinv"])
-        backend = "approx"
+        am, bm, backend = a.complex_mats(), b.complex_mats(), "approx"
+        kron, add, eye = np.kron, np.add, np.eye(a.dim, dtype=complex)
+    X = add(kron(eye, bm["X"]), kron(am["X"], bm["Z"]))
+    Y = add(kron(eye, bm["Y"]), kron(am["Y"], bm["Z"]))
+    Z = kron(am["Z"], bm["Z"])
+    Zinv = kron(am["Zinv"], bm["Zinv"])
     rep = Representation(ctx, a.dim * b.dim, "tensor",
                          {"left": a.params, "right": b.params,
                           "families": [a.family, b.family]},
@@ -824,10 +813,14 @@ def representation_to_json(rep: Representation) -> dict:
 
 
 def representation_from_json(data: dict) -> Representation:
-    """Inverse of representation_to_json; ValueError unless X, Y and Z are
-    square of one dimension and Z is diagonal with no zero on its diagonal."""
+    """Inverse of representation_to_json.  ValueError unless the backend is
+    exact or approx, X, Y and Z are square of one dimension and Z is
+    diagonal with no zero on its diagonal; ArithmeticError, as from every
+    constructor, unless the matrices satisfy the defining relations."""
     ctx = RootContext(int(data["P"]), int(data["Q"]))
     backend = data["backend"]
+    if backend not in ("exact", "approx"):
+        raise ValueError(f"unknown backend {backend!r}")
     gens = data["generators"]
     d = len(gens["Z"])
     if not d or any(len(gens[g]) != d or any(len(row) != d for row in gens[g]) for g in "XYZ"):
@@ -851,5 +844,7 @@ def representation_from_json(data: dict) -> Representation:
         if not np.array_equal(Z != 0, np.eye(d, dtype=bool)):
             raise ValueError("Z must be diagonal with no zero on its diagonal")
         Zinv = np.diag(1 / np.diag(Z))
-    return Representation(ctx, d, data["family"], dict(data.get("params", {})),
-                          backend, X, Y, Z, Zinv)
+    rep = Representation(ctx, d, data["family"], dict(data.get("params", {})),
+                         backend, X, Y, Z, Zinv)
+    _require_defining(rep)
+    return rep

@@ -37,7 +37,8 @@ import numpy as np
 
 from .ncpoly import identity_coefficients, identity_sides, y_coefficients
 from .scalar import ABS_TOL, REL_TOL, _as_int, q_number, q_power, to_complex
-# j_matrix is re-exported next to j_matrix_complex
+# j_matrix is unused here; the bench tracer requires this import site
+# (REQUIRED_SITES in perfbench/tracing.py)
 from .reps import (Representation, certified_zeros, evaluate, ex_is_zero, ex_lincomb,
                    ex_residual, j_matrix, j_matrix_complex)
 

@@ -4,6 +4,7 @@ evaluation, corrupted representations, and the int64 invariant at the
 largest dimension the spectral commands take."""
 
 import random
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -235,6 +236,29 @@ def test_an_entry_divisible_by_the_primes_falls_back_with_todays_residual(cyclon
     cyclonum_only()
     assert _report(_bumped(good, "X", 1, 0, bump)) == got
     assert not got[0][4][1] and got[0][4][2] > 0.0   # the XY relation fails
+
+
+def test_a_split_prime_in_a_denominator_leaves_the_relations_to_the_cyclonum_path(
+        monkeypatch):
+    ctx = RootContext(1, 7)
+    good = build_family1(ctx, 4, 1)
+    (p1, *_), = ctx.split_primes(1)
+    # X / p1 and Y p1 keep every defining relation, and p1 divides X's denominators
+    rep = Representation(ctx, good.dim, 1, {}, "exact",
+                         [[a * Fraction(1, p1) for a in row] for row in good.X],
+                         [[a * p1 for a in row] for row in good.Y], good.Z, good.Zinv)
+    polys = list(relation_differences("defining").values())
+    assert certified_zeros(polys, rep) == [None] * len(polys)
+    evaluated = []
+
+    def spy(ps, r, exact=None):
+        evaluated.extend(ps)
+        return evaluate(ps, r, exact)
+
+    monkeypatch.setattr(reps, "evaluate", spy)
+    report = verify_relations(rep, "defining")
+    assert report.ok and report.max_residual == 0.0
+    assert len(evaluated) == 2 * len(polys)    # both sides of every relation
 
 
 # -- agreement with the CycloNum verdict ---------------------------------------

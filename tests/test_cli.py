@@ -186,6 +186,19 @@ def test_unitarize_family2_fails_with_exit_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["spectrum", "ladder", "unitarize"])
+def test_a_chain_error_is_reported_as_json_and_a_fail_line(command, capsys):
+    code = run([command, "--P", "1", "--Q", "3", "--family", "2", "--lambda", "1,0"])
+    out = capsys.readouterr()
+    assert code == 1 and out.err == ""
+    *text, summary = out.out.splitlines()
+    assert summary == f"{command}: FAIL (chain links 2 of 3 eigenvalues)"
+    payload = json.loads("\n".join(text))
+    assert set(payload) == {"error", "partial"}
+    assert payload["error"] == "chain links 2 of 3 eigenvalues"
+    assert payload["partial"]["links"] == ["raised", "vanished"]
+
+
 def test_symbolic_pbw_expression(tmp_path, capsys):
     out = tmp_path / "p.json"
     code = run(["symbolic", "--check", "pbw",

@@ -8,9 +8,9 @@ import pytest
 
 from qsl2r.scalar import GaussCyclo, RootContext, gauss_i, q_number, q_power
 from qsl2r import reps
-from qsl2r.reps import (build_family1, build_family2, ex_is_zero, ex_sub,
-                        intersection_check, j_matrix, j_matrix_complex,
-                        recover_xy, representation_from_json,
+from qsl2r.reps import (Representation, build_family1, build_family2, ex_is_zero,
+                        ex_mul, ex_scale, ex_sub, intersection_check, j_matrix,
+                        j_matrix_complex, recover_xy, representation_from_json,
                         representation_to_json, tensor_j_formula_residual,
                         tensor_rep, verify_relations)
 
@@ -100,15 +100,22 @@ def test_j_matrix_examples():
     assert np.allclose(J, np.array([[0, -1], [-1, 0]]), atol=1e-12)
 
 
+def _second_j_form(rep):
+    """Z^-1 (q^-1 X - q Y), the paper's other form of J, on an exact rep."""
+    q, qi = q_power(rep.ctx, 1), q_power(rep.ctx, -1)
+    return ex_mul(rep.Zinv, ex_sub(ex_scale(rep.X, qi), ex_scale(rep.Y, q)))
+
+
 def test_j_matrix_both_forms_agree_exactly():
-    for r in range(3):
-        rep = build_family1(C3, r, -1)
-        ops_q = C3.zeta(1)
-        lhs = j_matrix(rep)
-        from qsl2r.reps import ex_mul, ex_scale
-        rhs = ex_mul(rep.Zinv, ex_sub(ex_scale(rep.X, ops_q.inverse()),
-                                      ex_scale(rep.Y, ops_q)))
-        assert ex_is_zero(ex_sub(lhs, rhs))
+    C5 = RootContext(2, 5)
+    exact_reps = [build_family1(C3, r, -1) for r in range(3)] + [
+        build_family2(C5, C5.zeta(3), 1, 2, backend="exact"),
+        tensor_rep(build_family1(C3, 1, 1), build_family1(C3, 2, -1)),
+        tensor_rep(build_family1(C3, 1, 1),
+                   build_family2(C3, C3.zeta(1), 1, 0, backend="exact"))]
+    for rep in exact_reps:
+        assert rep.backend == "exact"
+        assert ex_is_zero(ex_sub(j_matrix(rep), _second_j_form(rep))), rep
 
 
 def test_recover_xy_round_trip_exact():
@@ -190,6 +197,27 @@ def test_tensor_j_coproduct_formula():
             report = verify_relations(t, "defining")
             assert report.ok and report.max_residual == 0.0
             assert tensor_j_formula_residual(a, b, t) < 1e-12
+
+
+@pytest.mark.parametrize("left", ["exact family 1", "floating family 2"])
+def test_tensor_rep_floating_path(left):
+    ctx = RootContext(1, 3)
+    a = (build_family1(ctx, 2, -1) if left == "exact family 1"
+         else build_family2(ctx, 0.5 + 1j, 1.0, -0.5j))
+    b = build_family2(ctx, 1.5 - 0.5j, 1.0, 2.0)
+    t = tensor_rep(a, b)
+    assert t.backend == "approx" and t.dim == a.dim * b.dim
+    for which in ("defining", "zj"):
+        assert verify_relations(t, which).ok, which
+    assert tensor_j_formula_residual(a, b, t) < 1e-12
+    # the coproduct in numpy, on the factors' embedded matrices
+    A, B = a.complex_mats(), b.complex_mats()
+    eye = np.eye(a.dim)
+    want = {"X": np.kron(eye, B["X"]) + np.kron(A["X"], B["Z"]),
+            "Y": np.kron(eye, B["Y"]) + np.kron(A["Y"], B["Z"]),
+            "Z": np.kron(A["Z"], B["Z"])}
+    for name, M in want.items():
+        assert float(np.max(np.abs(t.mats()[name] - M))) < 1e-12, name
 
 
 def test_tensor_triple_associativity_on_z():
@@ -362,9 +390,12 @@ def test_representation_json_round_trip_approx():
     assert float(np.max(np.abs(back.X - rep.X))) == 0.0
 
 
+def _sample(backend):
+    return build_family1(C3, 2, 1) if backend == "exact" else build_family2(C3, 1.5, 1.0, 2.0)
+
+
 def _exported(backend):
-    rep = build_family1(C3, 2, 1) if backend == "exact" else build_family2(C3, 1.5, 1.0, 2.0)
-    data = representation_to_json(rep)
+    data = representation_to_json(_sample(backend))
     assert len(data["generators"]["Z"]) == 3
     return data
 
@@ -398,6 +429,27 @@ def test_representation_from_json_refuses_a_singular_exact_z():
     data["generators"]["Z"][1][1] = zero
     with pytest.raises(ValueError, match="no zero on its diagonal"):
         representation_from_json(data)
+
+
+@pytest.mark.parametrize("backend,label", [("exact", "Exact"), ("approx", "float"),
+                                           ("exact", None)])
+def test_representation_from_json_refuses_an_unknown_backend(backend, label):
+    data = _exported(backend)
+    data["backend"] = label
+    with pytest.raises(ValueError, match="unknown backend"):
+        representation_from_json(data)
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+def test_representation_from_json_refuses_a_bumped_x_entry(backend):
+    rep = _sample(backend)
+    X = [list(row) for row in rep.X] if backend == "exact" else np.array(rep.X)
+    X[1][0] = X[1][0] + 1
+    bad = Representation(rep.ctx, rep.dim, rep.family, dict(rep.params), backend,
+                         X, rep.Y, rep.Z, rep.Zinv)
+    with pytest.raises(ArithmeticError, match="defining relations"):
+        representation_from_json(representation_to_json(bad))
+    assert representation_from_json(representation_to_json(rep)).backend == backend
 
 
 def test_q_power_convention_in_z():
