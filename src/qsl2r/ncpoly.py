@@ -15,7 +15,9 @@ each word onto 1 one letter at a time by closed forms of those rules, so
 no unordered word is built; J is multiplied in as q X Z^-1 - q^-1 Y Z^-1,
 factor by factor.
 
-`QRat` is its own class: its canonical form needs a gcd.  The three sparse
+`QRat` is its own class: its canonical form needs a gcd.  Its coefficients
+are plain ints while they are integral, as every coefficient the PBW engine
+builds is, and Fractions only once a division makes them so.  The three sparse
 sums share one base, `_SparseSum` (map key -> nonzero coefficient, with
 +, -, * and scalars on either side), and differ only in keys and ring:
 `QCoeff` sums y-exponents over QRat, `NcPoly` words over QCoeff, and
@@ -39,9 +41,6 @@ LETTERS = "XYZzJ"
 
 MAX_WORD_LEN = 64
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 class WordLengthError(ValueError):
     pass
@@ -61,19 +60,20 @@ def _strip(d):
 
 
 def _dense(d, lo, hi):
-    out = [_F0] * (hi - lo + 1)
+    out = [0] * (hi - lo + 1)
     for e, c in d.items():
         out[e - lo] = c
     return out
 
 
 def _poly_divmod(a, b):
-    """Quotient and remainder of a by b over Q (dense ascending lists); the
-    remainder keeps at least one coefficient."""
+    """Quotient and remainder of a by b over Q (dense ascending lists of int
+    or Fraction, divided as Fractions); the remainder keeps at least one
+    coefficient."""
     a = list(a)
     db = len(b) - 1
-    lead = b[-1]
-    quot = [_F0] * max(len(a) - db, 1)
+    lead = Fraction(b[-1])
+    quot = [0] * max(len(a) - db, 1)
     for k in range(len(a) - 1, db - 1, -1):
         if a[k]:
             c = a[k] / lead
@@ -92,7 +92,7 @@ def _poly_gcd(a, b):
         a, b = b, r
         if len(b) == 1 and not b[0]:
             break
-    lead = a[-1]
+    lead = Fraction(a[-1])
     return [c / lead for c in a]
 
 
@@ -103,8 +103,8 @@ _CERT_PRIME = 2 ** 61 - 1
 
 
 def _mod_p(a):
-    """Image in GF(p) of a dense Fraction list, or None when p divides a
-    denominator or the leading coefficient (the degree must survive)."""
+    """Image in GF(p) of a dense int or Fraction list, or None when p divides
+    a denominator or the leading coefficient (the degree must survive)."""
     out = []
     for c in a:
         d = c.denominator
@@ -143,13 +143,19 @@ def _coprime_mod_p(a, b):
     return True
 
 
-_DEN_ONE = {0: _F1}
+_DEN_ONE = {0: 1}
 
 
 class QRat:
     """Rational function of q: Laurent numerator over an ordinary-polynomial
     denominator with nonzero constant term and leading coefficient 1, the two
-    coprime.  Immutable and canonical, so equality is dict equality."""
+    coprime.  Immutable and canonical, so equality is dict equality.  Each
+    coefficient is an int or a Fraction, never a float: ints while integral,
+    Fractions from the gcd fallback or a division by a leading coefficient
+    that is not 1.  Fraction(n) == n and the two hash alike, so the type
+    that holds a value changes neither equality nor key() nor the printed
+    form.  Coprimality is certified mod p (`_coprime_mod_p`) before the
+    exact gcd is tried."""
 
     __slots__ = ("num", "den", "_key")
 
@@ -182,6 +188,7 @@ class QRat:
                 num = {e + shift: c for e, c in enumerate(nd) if c}
                 den = {e: c for e, c in enumerate(dd) if c}
             else:
+                lead = Fraction(lead)
                 num = {e + shift: c / lead for e, c in enumerate(nd) if c}
                 den = {e: c / lead for e, c in enumerate(dd) if c}
         self.num = num
@@ -209,11 +216,11 @@ class QRat:
 
     @staticmethod
     def integer(n):
-        return QRat({0: Fraction(n)})
+        return QRat({0: n})
 
     @staticmethod
     def q_pow(k):
-        return QRat({k: _F1}, _DEN_ONE, _canonical=True) if k else _QR_ONE
+        return QRat({k: 1}, _DEN_ONE, _canonical=True) if k else _QR_ONE
 
     # predicates / comparisons ------------------------------------------------
 
@@ -249,14 +256,14 @@ class QRat:
         if self.den == o.den:
             num = dict(self.num)
             for e, c in o.num.items():
-                num[e] = num.get(e, _F0) + c
+                num[e] = num.get(e, 0) + c
             num = _strip(num)
             if self.den == _DEN_ONE:
                 return QRat(num, _DEN_ONE, _canonical=True)
             return QRat(num, self.den)
         num = _conv(self.num, o.den)
         for e, c in _conv(o.num, self.den).items():
-            num[e] = num.get(e, _F0) + c
+            num[e] = num.get(e, 0) + c
         return QRat(num, _conv(self.den, o.den))
 
     __radd__ = __add__
@@ -339,7 +346,7 @@ def _eval_laurent(d, value):
 
 
 _QR_ZERO = QRat({}, _DEN_ONE, _canonical=True)
-_QR_ONE = QRat({0: _F1}, _DEN_ONE, _canonical=True)
+_QR_ONE = QRat({0: 1}, _DEN_ONE, _canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +595,7 @@ def _xy_numerators(b):
 @lru_cache(maxsize=None)
 def _den_power(k):
     # (q^2 - 1)^k
-    return _conv(_den_power(k - 1), {0: -_F1, 2: _F1}) if k else _DEN_ONE
+    return _conv(_den_power(k - 1), {0: -1, 2: 1}) if k else _DEN_ONE
 
 
 def _shift(t, s):
@@ -622,6 +629,16 @@ def _times_letter(state, ch):
     return out
 
 
+def _pbw_coefficient(n, k):
+    """n / (q^2 - 1)^k for an integer Laurent polynomial n.  The only roots of
+    (q^2 - 1)^k are +-1 and q is a unit, so the pair is coprime, and already
+    canonical, unless k > 0 and n(1) = 0 or n(-1) = 0; only then is it
+    reduced."""
+    if k and not (sum(n.values()) and sum(v if e % 2 == 0 else -v for e, v in n.items())):
+        return QRat(n, _den_power(k))
+    return QRat(n, _den_power(k), _canonical=True)
+
+
 def pbw_normal_form(p: NcPoly) -> NcPoly:
     """Normal form on the ordered basis Y^a X^b Z^c (c signed) under
         Z X -> q^-2 X Z,   Z Y -> q^2 Y Z,
@@ -638,8 +655,12 @@ def pbw_normal_form(p: NcPoly) -> NcPoly:
     by Bergman's diamond lemma every rewriting order ends in one normal
     form, and this is it.  kappa A_b, kappa B_b are the only coefficients
     that are not monomials, so Y^a X^b Z^c carries n / (q^2 - 1)^k with n an
-    integer Laurent polynomial and k the X Y pairs the word lost; a QRat is
-    reduced once per term and word.  J is multiplied in as
+    integer Laurent polynomial (plain ints) and k the X Y pairs the word
+    lost; one QRat is built per term and word by `_pbw_coefficient`, with no
+    mod-p certificate when n(1) != 0 and n(-1) != 0, the only roots of
+    (q^2 - 1)^k being +-1.  For one word that is every term: at q = +-1 all
+    paths to one term carry the same sign, since the term fixes how many
+    kappa A_b, kappa B_b and J choices they took.  J is multiplied in as
     q X Z^-1 - q^-1 Y Z^-1, factor by factor, so J^k never becomes 2^k words."""
     out = {}
     for w, c in p.terms.items():
@@ -655,7 +676,7 @@ def pbw_normal_form(p: NcPoly) -> NcPoly:
                 state = _times_letter(state, ch)
         nxy = len(w) - w.count(Z) - w.count(ZINV)
         for (a, b, e), n in state.items():
-            r = QRat({k: Fraction(v) for k, v in n.items()}, _den_power((nxy - a - b) // 2))
+            r = _pbw_coefficient(n, (nxy - a - b) // 2)
             _add_term(out, Y * a + X * b + (Z * e if e > 0 else ZINV * -e), c.scale(r))
     return NcPoly(out, _canonical=True)
 

@@ -814,14 +814,17 @@ def representation_to_json(rep: Representation) -> dict:
 
 def representation_from_json(data: dict) -> Representation:
     """Inverse of representation_to_json.  ValueError unless the backend is
-    exact or approx, X, Y and Z are square of one dimension and Z is
-    diagonal with no zero on its diagonal; ArithmeticError, as from every
-    constructor, unless the matrices satisfy the defining relations."""
+    exact or approx, "generators" holds X, Y and Z, square of one dimension,
+    every entry is in its backend's encoding and Z is diagonal with no zero
+    on its diagonal; ArithmeticError, as from every constructor, unless the
+    matrices satisfy the defining relations."""
     ctx = RootContext(int(data["P"]), int(data["Q"]))
     backend = data["backend"]
     if backend not in ("exact", "approx"):
         raise ValueError(f"unknown backend {backend!r}")
-    gens = data["generators"]
+    gens = data.get("generators")
+    if not isinstance(gens, dict) or any(g not in gens for g in "XYZ"):
+        raise ValueError('"generators" must hold the matrices X, Y and Z')
     d = len(gens["Z"])
     if not d or any(len(gens[g]) != d or any(len(row) != d for row in gens[g]) for g in "XYZ"):
         raise ValueError("X, Y and Z must be square matrices of one dimension")
@@ -837,9 +840,14 @@ def representation_from_json(data: dict) -> Representation:
                     raise ValueError("Z must be diagonal with no zero on its diagonal")
             Zinv[i][i] = Z[i][i].inverse()
     else:
+        def entry(a):
+            if not (isinstance(a, list) and len(a) == 2
+                    and all(isinstance(v, (int, float)) for v in a)):
+                raise ValueError(f"a floating entry must be [re, im], not {a!r}")
+            return complex(a[0], a[1])
+
         def mat(rows):
-            return np.array([[complex(a[0], a[1]) for a in row] for row in rows],
-                            dtype=complex)
+            return np.array([[entry(a) for a in row] for row in rows], dtype=complex)
         X, Y, Z = mat(gens["X"]), mat(gens["Y"]), mat(gens["Z"])
         if not np.array_equal(Z != 0, np.eye(d, dtype=bool)):
             raise ValueError("Z must be diagonal with no zero on its diagonal")

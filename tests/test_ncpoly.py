@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from qsl2r import ncpoly
 from qsl2r.ncpoly import (HOPF_CHECKS, NcPoly, ParseError, QCoeff, QRat,
                           WordLengthError, antipode, bracket_shift,
                           cancel_word, coproduct, counit, defining_relations,
                           format_expr, hopf_symbolic_check,
                           identity_coefficients, identity_contracts,
                           j_expansion, lemma_check, lemma_v, parse_expr,
-                          pbw_normal_form, substitute_j, tensor, TensorPoly)
+                          pbw_normal_form, qrat_str, relation_differences,
+                          substitute_j, tensor, TensorPoly)
 
 P = parse_expr  # shorthand used throughout
 
@@ -342,3 +344,71 @@ def test_random_round_trip_corpus():
             terms[w] = QCoeff.y_pow(rng.randint(-1, 1), QRat(num))
         p = NcPoly(terms)
         assert parse_expr(format_expr(p)) == p
+
+
+# -- exact coefficients: int or Fraction, never float ----------------------------
+
+def _coefficients(x):
+    # every numerator and denominator coefficient inside x
+    if isinstance(x, QRat):
+        yield from x.num.values()
+        yield from x.den.values()
+    elif isinstance(x, (NcPoly, TensorPoly, QCoeff)):
+        for c in x.terms.values():
+            yield from _coefficients(c)
+    elif isinstance(x, dict):
+        for v in x.values():
+            yield from _coefficients(v)
+
+
+def _coefficient_types(*values):
+    return {type(c) for x in values for c in _coefficients(x)}
+
+
+def test_symbolic_results_have_exact_coefficients():
+    report = lemma_check()
+    values = [identity_contracts(), identity_coefficients(), report.residual, report.pieces,
+              relation_differences("defining"), relation_differences("zj"),
+              pbw_normal_form(parse_expr("J^8"))]
+    values += [hopf_symbolic_check(which).residual for which in HOPF_CHECKS]
+    assert _coefficient_types(*values) <= {int, Fraction}
+    assert int in _coefficient_types(*values)
+
+
+def test_rational_expression_and_its_normal_form_have_exact_coefficients():
+    p = parse_expr("1/2*X*Y*J - 3/4*Z*J*Z/(q-1)")
+    nf = pbw_normal_form(p)
+    assert _coefficient_types(p) == _coefficient_types(nf) == {int, Fraction}
+    assert parse_expr(format_expr(nf)) == nf
+
+
+def test_gcd_and_division_on_int_lists_are_exact():
+    # a float equals the Fraction it rounds to, so the types are checked too
+    results = {
+        "(q^2 - 1) / (2 q + 1)": (ncpoly._poly_divmod([-1, 0, 1], [1, 2]),
+                                  ([Fraction(-1, 4), Fraction(1, 2)], [Fraction(-3, 4)])),
+        "(6 q^3 + 3 q) / (3 q)": (ncpoly._poly_divmod([0, 3, 0, 6], [0, 3]),
+                                  ([1, 0, 2], [0])),
+        "gcd(2 q^2 - 2, 3 q - 3)": (ncpoly._poly_gcd([-2, 0, 2], [-3, 3]), [-1, 1]),
+        "gcd(4, 6)": (ncpoly._poly_gcd([4], [6]), [1]),
+    }
+    for name, (got, want) in results.items():
+        assert got == want, name
+        flat = got[0] + got[1] if isinstance(got, tuple) else got
+        assert all(type(c) in (int, Fraction) for c in flat), (name, flat)
+
+
+@pytest.mark.parametrize("num,den", [
+    ({1: 2, -1: -3}, {0: -1, 2: 1}),           # canonical as given
+    ({0: -1, 2: 1}, {0: 1, 1: 1}),             # reduces to q - 1
+    ({0: 2, 1: 4}, {0: 6, 1: 3}),              # leading coefficient 3, not 1
+    ({3: 5}, None),
+])
+def test_int_built_qrat_equals_the_fraction_built_one(num, den):
+    a = QRat(num, den)
+    b = QRat({e: Fraction(c) for e, c in num.items()},
+             None if den is None else {e: Fraction(c) for e, c in den.items()})
+    assert a == b and (a.num, a.den) == (b.num, b.den)
+    assert a.key() == b.key()
+    assert qrat_str(a) == qrat_str(b)
+    assert _coefficient_types(a, b) <= {int, Fraction}

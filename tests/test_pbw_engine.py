@@ -298,3 +298,57 @@ def test_leading_coefficient_divisible_by_p_falls_back(gcd_calls):
     r = QRat(num, den)
     assert gcd_calls
     assert (r.num, r.den) == ({0: 1}, {0: 2, 1: 1})
+
+
+# -- the +-1 shortcut for PBW output coefficients -----------------------------------
+
+def _value_at(n, s):
+    # n(s) for s = +-1
+    return sum(v * (s if e % 2 else 1) for e, v in n.items())
+
+
+def _shortcut_matches_generic(n, k):
+    r, generic = ncpoly._pbw_coefficient(n, k), QRat(n, ncpoly._den_power(k))
+    assert (r.num, r.den) == (generic.num, generic.den), (n, k)
+    assert r.key() == generic.key()
+
+
+def test_engine_numerators_never_vanish_at_plus_or_minus_one(monkeypatch):
+    # at q = +-1 every path to one output term carries the same sign (the key
+    # fixes how many kappa A_b, kappa B_b and J choices it took), so the
+    # engine's numerators never vanish there and the shortcut always holds
+    terms = []
+    shortcut = ncpoly._pbw_coefficient
+
+    def recorded(n, k):
+        terms.append((dict(n), k))
+        return shortcut(n, k)
+    monkeypatch.setattr(ncpoly, "_pbw_coefficient", recorded)
+    corpus = [NcPoly.word(w) for w in ("XY" * 5, "XXYY" * 2, "XXXYYY", "XYYX" * 2,
+                                       "ZXYzXY", "XXYXYYZ")]
+    corpus += [parse_expr("J^6"), parse_expr("X*J*Y*Zi*J*Z - q^3*J*J*X")]
+    corpus += list(seeded_corpus(100))
+    for p in corpus:
+        pbw_normal_form(p)
+    monkeypatch.undo()
+    assert sum(1 for _, k in terms if k) > 200
+    for n, k in terms:
+        assert _value_at(n, 1) and _value_at(n, -1), (n, k)
+        _shortcut_matches_generic(n, k)
+
+
+# numerators that vanish at q = 1, at q = -1 or at both, with a cofactor that
+# does not, so only the generic reduction gets them right
+_Q_MINUS_1, _Q_PLUS_1, _COFACTOR = {0: -1, 1: 1}, {0: 1, 1: 1}, {-1: 2, 0: 1, 3: 1}
+
+
+@pytest.mark.parametrize("factors", [[_Q_MINUS_1], [_Q_PLUS_1], [_Q_MINUS_1, _Q_PLUS_1],
+                                     [_Q_MINUS_1] * 3 + [_Q_PLUS_1], [_Q_PLUS_1] * 2])
+@pytest.mark.parametrize("k", range(4))
+def test_pbw_coefficient_shortcut_on_numerators_vanishing_at_one_or_minus_one(factors, k):
+    n = _COFACTOR
+    for f in factors:
+        n = poly_mul(n, f)
+    assert _value_at(_COFACTOR, 1) and _value_at(_COFACTOR, -1)
+    assert not _value_at(n, 1) or not _value_at(n, -1)
+    _shortcut_matches_generic(n, k)

@@ -441,6 +441,22 @@ def test_representation_from_json_refuses_an_unknown_backend(backend, label):
 
 
 @pytest.mark.parametrize("backend", ["exact", "approx"])
+def test_representation_from_json_refuses_a_payload_without_generators(backend):
+    data = _exported(backend)
+    del data["generators"]
+    with pytest.raises(ValueError, match="generators"):
+        representation_from_json(data)
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+def test_representation_from_json_refuses_a_string_entry(backend):
+    data = _exported(backend)
+    data["generators"]["X"][0][0] = "1"
+    with pytest.raises(ValueError):
+        representation_from_json(data)
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
 def test_representation_from_json_refuses_a_bumped_x_entry(backend):
     rep = _sample(backend)
     X = [list(row) for row in rep.X] if backend == "exact" else np.array(rep.X)
