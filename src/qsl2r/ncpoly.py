@@ -17,7 +17,10 @@ factor by factor.
 
 `QRat` is its own class: its canonical form needs a gcd.  Its coefficients
 are plain ints while they are integral, as every coefficient the PBW engine
-builds is, and Fractions only once a division makes them so.  The three sparse
+builds is, and Fractions only once a division makes them so.  Every
+denominator the generic-q proof meets is a power (q^2 - 1)^k, and a sum or
+product of two such fractions is formed over a power again with no gcd,
+unless its numerator vanishes at q = 1 or q = -1.  The three sparse
 sums share one base, `_SparseSum` (map key -> nonzero coefficient, with
 +, -, * and scalars on either side), and differ only in keys and ring:
 `QCoeff` sums y-exponents over QRat, `NcPoly` words over QCoeff, and
@@ -35,6 +38,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 X, Y, Z, ZINV, J = "X", "Y", "Z", "z", "J"
 LETTERS = "XYZzJ"
@@ -155,7 +159,11 @@ class QRat:
     that is not 1.  Fraction(n) == n and the two hash alike, so the type
     that holds a value changes neither equality nor key() nor the printed
     form.  Coprimality is certified mod p (`_coprime_mod_p`) before the
-    exact gcd is tried."""
+    exact gcd is tried.  When both operands have a denominator (q^2 - 1)^i,
+    (q^2 - 1)^j, a sum lifts the numerator of the lower power by
+    (q^2 - 1)^|i - j| and a product adds the powers; the result skips the
+    certificate and the gcd when its numerator is nonzero at q = +-1
+    (`_pbw_coefficient`), and is reduced by the constructor otherwise."""
 
     __slots__ = ("num", "den", "_key")
 
@@ -253,18 +261,13 @@ class QRat:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        i, j = _den_exponent(self.den), _den_exponent(o.den)
+        if i is not None and j is not None:
+            return _pbw_coefficient(*_over_common_power(self.num, i, o.num, j))
         if self.den == o.den:
-            num = dict(self.num)
-            for e, c in o.num.items():
-                num[e] = num.get(e, 0) + c
-            num = _strip(num)
-            if self.den == _DEN_ONE:
-                return QRat(num, _DEN_ONE, _canonical=True)
-            return QRat(num, self.den)
-        num = _conv(self.num, o.den)
-        for e, c in _conv(o.num, self.den).items():
-            num[e] = num.get(e, 0) + c
-        return QRat(num, _conv(self.den, o.den))
+            return QRat(_plus(self.num, o.num), self.den)
+        return QRat(_plus(_conv(self.num, o.den), _conv(o.num, self.den)),
+                    _conv(self.den, o.den))
 
     __radd__ = __add__
 
@@ -286,8 +289,6 @@ class QRat:
             return NotImplemented
         if not self.num or not o.num:
             return _QR_ZERO
-        if self.den == _DEN_ONE and o.den == _DEN_ONE:
-            return QRat(_conv(self.num, o.num), _DEN_ONE, _canonical=True)
         # scaling by a Laurent monomial cannot disturb coprimality with the
         # denominator (its constant term is nonzero), so skip the gcd
         if o.den == _DEN_ONE and len(o.num) == 1:
@@ -298,6 +299,9 @@ class QRat:
             (e, c), = self.num.items()
             return QRat({ke + e: kc * c for ke, kc in o.num.items()},
                         o.den, _canonical=True)
+        i, j = _den_exponent(self.den), _den_exponent(o.den)
+        if i is not None and j is not None:
+            return _pbw_coefficient(_conv(self.num, o.num), i + j)
         return QRat(_conv(self.num, o.num), _conv(self.den, o.den))
 
     __rmul__ = __mul__
@@ -336,9 +340,53 @@ def _conv(a, b):
     return _strip(out)
 
 
+def _plus(a, b):
+    # sum of Laurent polynomials, dropping the coefficients that cancel
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _strip(out)
+
+
+@lru_cache(maxsize=None)
+def _den_power(k):
+    # (q^2 - 1)^k = sum_i C(k, i) (-1)^(k - i) q^2i
+    return {2 * i: comb(k, i) * (-1) ** (k - i) for i in range(k + 1)}
+
+
+def _den_exponent(den):
+    """k when den is (q^2 - 1)^k, else None; (q^2 - 1)^k has k + 1 terms
+    and leading coefficient 1."""
+    k = len(den) - 1
+    return k if den.get(2 * k) == 1 and den == _den_power(k) else None
+
+
+def _over_common_power(a, i, b, j):
+    """a / (q^2 - 1)^i + b / (q^2 - 1)^j as (n, k) with n / (q^2 - 1)^k,
+    k = max(i, j): the numerator of the lower power is lifted."""
+    if i < j:
+        a = _conv(a, _den_power(j - i))
+    elif j < i:
+        b = _conv(b, _den_power(i - j))
+    return _plus(a, b), max(i, j)
+
+
+def _pbw_coefficient(n, k):
+    """QRat n / (q^2 - 1)^k for a Laurent polynomial n.  The only roots of
+    (q^2 - 1)^k are +-1 and q is a unit, so the pair is coprime, and already
+    canonical, when k = 0 or when n(1) != 0 and n(-1) != 0; only otherwise
+    is it reduced by the generic constructor."""
+    if k and not (sum(n.values()) and sum(v if e % 2 == 0 else -v for e, v in n.items())):
+        return QRat(n, _den_power(k))
+    return QRat(n, _den_power(k), _canonical=True)
+
+
 def _eval_laurent(d, value):
+    # summed by ascending exponent, so equal dicts give equal floats whatever
+    # order their terms were inserted in
     acc = None
-    for e, c in d.items():
+    for e in sorted(d):
+        c = d[e]
         term = (c.numerator * value ** e) / c.denominator if e >= 0 \
             else (c.numerator * (1 / value) ** (-e)) / c.denominator
         acc = term if acc is None else acc + term
@@ -585,30 +633,36 @@ def tensor(a: NcPoly, b: NcPoly) -> TensorPoly:
 _DELTA = QRat.q_pow(1) - QRat.q_pow(-1)           # q - q^-1
 
 
-@lru_cache(maxsize=None)
-def _xy_numerators(b):
-    """q^2 A_b and -q^2 B_b, the numerators over q^2 - 1 of kappa A_b and
-    -kappa B_b, as integer Laurent polynomials."""
-    return {2 - 2 * i: 1 for i in range(b)}, {2 + 2 * i: -1 for i in range(b)}
-
-
-@lru_cache(maxsize=None)
-def _den_power(k):
-    # (q^2 - 1)^k
-    return _conv(_den_power(k - 1), {0: -1, 2: 1}) if k else _DEN_ONE
-
-
 def _shift(t, s):
     return {e + s: v for e, v in t.items()} if s else t
 
 
 def _add_laurent(out, key, n):
-    # out[key] += n on integer Laurent polynomials, dropping a zero sum
+    # out[key] += n on Laurent polynomials, dropping a zero sum
     s = out.pop(key, None)
     if s is not None:
-        n = _strip({e: s.get(e, 0) + n.get(e, 0) for e in s.keys() | n.keys()})
+        n = _plus(s, n)
     if n:
         out[key] = n
+
+
+def _times_kappa_a(t, b):
+    """t times q^2 A_b = sum_{i<b} q^(2 - 2i), the numerator over q^2 - 1 of
+    kappa A_b: a running sum of b terms with stride 2 over each parity class
+    of t's exponents, so O(len(t) + b) where the full product is
+    O(len(t) b).  The kappa B_b numerator -q^2 B_b gives this product
+    negated and shifted by 2b - 2."""
+    out = {}
+    for par in (0, 1):
+        es = [e for e in t if e % 2 == par]
+        if not es:
+            continue
+        run = 0
+        for e in range(max(es) + 2, min(es) + 2 - 2 * b, -2):
+            run += t.get(e - 2, 0) - t.get(e + 2 * b - 2, 0)
+            if run:
+                out[e] = run
+    return out
 
 
 def _times_letter(state, ch):
@@ -623,20 +677,29 @@ def _times_letter(state, ch):
             t = _shift(t, 2 * c)
             _add_laurent(out, (a + 1, b, c), _shift(t, 2 * b))
             if b:
-                ka, kb = _xy_numerators(b)
-                _add_laurent(out, (a, b - 1, c + 2), _conv(t, ka))
-                _add_laurent(out, (a, b - 1, c), _conv(t, kb))
+                ta = _times_kappa_a(t, b)
+                _add_laurent(out, (a, b - 1, c + 2), ta)
+                _add_laurent(out, (a, b - 1, c), {e + 2 * b - 2: -v for e, v in ta.items()})
     return out
 
 
-def _pbw_coefficient(n, k):
-    """n / (q^2 - 1)^k for an integer Laurent polynomial n.  The only roots of
-    (q^2 - 1)^k are +-1 and q is a unit, so the pair is coprime, and already
-    canonical, unless k > 0 and n(1) = 0 or n(-1) = 0; only then is it
-    reduced."""
-    if k and not (sum(n.values()) and sum(v if e % 2 == 0 else -v for e, v in n.items())):
-        return QRat(n, _den_power(k))
-    return QRat(n, _den_power(k), _canonical=True)
+def _word_terms(w):
+    """Normal form of one word: normal word -> (n, k), its coefficient being
+    n / (q^2 - 1)^k with n an integer Laurent polynomial and k the X Y pairs
+    the word lost."""
+    cancel_word(w.replace(J, "Xz"))  # the word cap, J counted as two letters
+    state = {(0, 0, 0): {0: 1}}
+    for ch in w:
+        if ch == J:
+            nxt = {key: _shift(n, 1) for key, n in _times_letter(state, X).items()}
+            for key, n in _times_letter(state, Y).items():
+                _add_laurent(nxt, key, {e - 1: -v for e, v in n.items()})
+            state = _times_letter(nxt, ZINV)
+        else:
+            state = _times_letter(state, ch)
+    nxy = len(w) - w.count(Z) - w.count(ZINV)
+    return {Y * a + X * b + (Z * e if e > 0 else ZINV * -e): (n, (nxy - a - b) // 2)
+            for (a, b, e), n in state.items()}
 
 
 def pbw_normal_form(p: NcPoly) -> NcPoly:
@@ -653,32 +716,42 @@ def pbw_normal_form(p: NcPoly) -> NcPoly:
     X^b Y = q^2b Y X^b + kappa X^(b-1) (A_b Z^2 - B_b).  No unordered word is
     built.  The rules terminate and their overlaps Z X Y, z X Y resolve, so
     by Bergman's diamond lemma every rewriting order ends in one normal
-    form, and this is it.  kappa A_b, kappa B_b are the only coefficients
-    that are not monomials, so Y^a X^b Z^c carries n / (q^2 - 1)^k with n an
-    integer Laurent polynomial (plain ints) and k the X Y pairs the word
-    lost; one QRat is built per term and word by `_pbw_coefficient`, with no
-    mod-p certificate when n(1) != 0 and n(-1) != 0, the only roots of
-    (q^2 - 1)^k being +-1.  For one word that is every term: at q = +-1 all
-    paths to one term carry the same sign, since the term fixes how many
-    kappa A_b, kappa B_b and J choices they took.  J is multiplied in as
-    q X Z^-1 - q^-1 Y Z^-1, factor by factor, so J^k never becomes 2^k words."""
-    out = {}
+    form, and this is it.  J is multiplied in as q X Z^-1 - q^-1 Y Z^-1,
+    factor by factor, so J^k never becomes 2^k words.
+
+    kappa A_b, kappa B_b are the only coefficients that are not monomials,
+    so each output word of one input word carries n / (q^2 - 1)^k with n an
+    integer Laurent polynomial (`_word_terms`).  Times an input coefficient
+    m / (q^2 - 1)^j this is m n / (q^2 - 1)^(j+k), and these numerators are
+    summed per output word and y-power, across all input words, over the
+    largest power met.  One QRat is built per output coefficient, by
+    `_pbw_coefficient`: no gcd when the sum is nonzero at q = +-1, the only
+    roots of (q^2 - 1)^k.  For one word that holds for every term (at
+    q = +-1 all paths to one term carry the same sign, since the term fixes
+    how many kappa A_b, kappa B_b and J choices they took), so only a sum
+    that cancels across input words is reduced.  An input coefficient with
+    another denominator is summed apart, per denominator, and reduced by the
+    generic QRat constructor."""
+    acc = {}   # (word, y-power, other denominator or None) -> (numerator, k)
     for w, c in p.terms.items():
-        cancel_word(w.replace(J, "Xz"))  # the word cap, J counted as two letters
-        state = {(0, 0, 0): {0: 1}}
-        for ch in w:
-            if ch == J:
-                nxt = {key: _shift(n, 1) for key, n in _times_letter(state, X).items()}
-                for key, n in _times_letter(state, Y).items():
-                    _add_laurent(nxt, key, {e - 1: -v for e, v in n.items()})
-                state = _times_letter(nxt, ZINV)
-            else:
-                state = _times_letter(state, ch)
-        nxy = len(w) - w.count(Z) - w.count(ZINV)
-        for (a, b, e), n in state.items():
-            r = _pbw_coefficient(n, (nxy - a - b) // 2)
-            _add_term(out, Y * a + X * b + (Z * e if e > 0 else ZINV * -e), c.scale(r))
-    return NcPoly(out, _canonical=True)
+        terms = _word_terms(w)
+        for ey, r in c.terms.items():
+            j = _den_exponent(r.den)
+            other = None if j is not None else tuple(sorted(r.den.items()))
+            for v, (n, k) in terms.items():
+                if r.num != _DEN_ONE:   # a numerator other than 1
+                    n = _conv(n, r.num)
+                key, k = (v, ey, other), k + (j or 0)
+                s = acc.get(key)
+                acc[key] = (n, k) if s is None else _over_common_power(*s, n, k)
+    out = {}
+    for (v, ey, other), (n, k) in acc.items():
+        r = (_pbw_coefficient(n, k) if other is None
+             else QRat(n, _conv(dict(other), _den_power(k))))
+        if r:
+            _add_term(out.setdefault(v, {}), ey, r)
+    return NcPoly({v: QCoeff(t, _canonical=True) for v, t in out.items() if t},
+                  _canonical=True)
 
 
 @lru_cache(maxsize=None)

@@ -531,17 +531,29 @@ def _max_abs(A) -> float:
 
 
 def _close(A, B, exact: bool, tol: float):
-    """(ok, residual) for A = B: entrywise equality on the exact backend
-    (CycloNum is canonical, so equal values compare equal), with the
+    """(ok, residual, detail) for A = B: entrywise equality on the exact
+    backend (CycloNum is canonical, so equal values compare equal), with the
     difference's largest magnitude as residual on a mismatch; else relative
-    to max(1, |A|, |B|) with the absolute floor."""
+    to max(1, |A|, |B|) with the absolute floor.  On a mismatch `detail`
+    names the first nonzero entry of A - B and its embedded magnitude
+    (exact), or its largest entry (floating); it is empty on a pass."""
     if exact:
         if A == B:
-            return True, 0.0
-        r = ex_residual(ex_sub(A, B))
-        return r == 0.0, r
-    r = _max_abs(A - B)
-    return r <= tol * max(1.0, _max_abs(A), _max_abs(B)) + ABS_TOL, r
+            return True, 0.0, ""
+        D = ex_sub(A, B)
+        r = ex_residual(D)
+        if r == 0.0:
+            return True, r, ""
+        i, j = next((i, j) for i, row in enumerate(D) for j, a in enumerate(row)
+                    if not a.is_zero())
+        return False, r, (f"first nonzero entry ({i}, {j}) of LHS - RHS, "
+                          f"magnitude {abs(to_complex(D[i][j])):.6g}")
+    D = A - B
+    r = _max_abs(D)
+    if r <= tol * max(1.0, _max_abs(A), _max_abs(B)) + ABS_TOL:
+        return True, r, ""
+    i, j = np.unravel_index(np.argmax(np.abs(D)), D.shape)
+    return False, r, f"largest entry ({i}, {j}) of LHS - RHS, magnitude {r:.6g}"
 
 
 # ---------------------------------------------------------------------------
@@ -637,9 +649,8 @@ def verify_relations(rep: Representation, which: str,
     X, Y, Z, Zinv = rep.X, rep.Y, rep.Z, rep.Zinv
     report = RelationReport(which=which)
 
-    def check(name, A, B, detail=""):
-        ok, r = _close(A, B, exact, tol)
-        report.checks.append(CheckResult(name, ok, r, detail))
+    def check(name, A, B):
+        report.checks.append(CheckResult(name, *_close(A, B, exact, tol)))
 
     if which in ("defining", "zj"):
         if which == "defining":

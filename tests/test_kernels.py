@@ -115,12 +115,13 @@ def test_sub_equals_adding_the_negation():
 
 def test_exact_close_reports_a_one_entry_mismatch():
     rep = build_family1(RootContext(1, 7), 4, 1)
-    assert _close(rep.X, [list(row) for row in rep.X], True, 0.0) == (True, 0.0)
+    assert _close(rep.X, [list(row) for row in rep.X], True, 0.0) == (True, 0.0, "")
     bumped = [list(row) for row in rep.X]
     delta = rep.ctx.zeta(3)
     bumped[2][3] = bumped[2][3] + delta
-    ok, residual = _close(rep.X, bumped, True, 0.0)
+    ok, residual, detail = _close(rep.X, bumped, True, 0.0)
     assert not ok and residual == pytest.approx(abs(to_complex(delta)))
+    assert detail == "first nonzero entry (2, 3) of LHS - RHS, magnitude 1"
     assert residual == ex_residual(ex_sub(rep.X, bumped))
 
 

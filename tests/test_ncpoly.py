@@ -12,6 +12,7 @@ from qsl2r.ncpoly import (HOPF_CHECKS, NcPoly, ParseError, QCoeff, QRat,
                           j_expansion, lemma_check, lemma_v, parse_expr,
                           pbw_normal_form, qrat_str, relation_differences,
                           substitute_j, tensor, TensorPoly)
+from qsl2r.scalar import RootContext
 
 P = parse_expr  # shorthand used throughout
 
@@ -45,6 +46,20 @@ def test_qrat_field_laws_random():
         assert a * b == b * a
         if not b.is_zero():
             assert (a / b) * b == a
+
+
+def test_subs_q_does_not_depend_on_how_a_qrat_was_built():
+    # equal QRats built in different orders hold their terms in different
+    # dict orders; the float value must not depend on it
+    q = RootContext(2, 7).q_complex
+    rng = random.Random(1)
+    for _ in range(100):
+        a, b = (QRat({e: rng.randint(-9, 9) for e in range(-4, 5)},
+                     ncpoly._den_power(rng.randint(0, 3))) for _ in range(2))
+        for r, s in ((a + b, b + a), (a * b, b * a),
+                     (a, QRat(dict(reversed(a.num.items())), dict(reversed(a.den.items()))))):
+            assert r == s
+            assert r.subs_q(q) == s.subs_q(q)
 
 
 def test_qcoeff_y_layers():

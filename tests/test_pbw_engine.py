@@ -11,7 +11,7 @@ import pytest
 
 from qsl2r import ncpoly
 from qsl2r.ncpoly import (NcPoly, QCoeff, QRat, cancel_word, format_expr,
-                          identity_sides, parse_expr, pbw_normal_form,
+                          identity_sides, parse_expr, pbw_normal_form, qrat_str,
                           relation_sides, substitute_j)
 
 PRIME = ncpoly._CERT_PRIME
@@ -316,14 +316,16 @@ def _shortcut_matches_generic(n, k):
 def test_engine_numerators_never_vanish_at_plus_or_minus_one(monkeypatch):
     # at q = +-1 every path to one output term carries the same sign (the key
     # fixes how many kappa A_b, kappa B_b and J choices it took), so the
-    # engine's numerators never vanish there and the shortcut always holds
+    # numerators of one word never vanish there and the shortcut always
+    # holds; they are recorded per word, before the sum across input words
     terms = []
-    shortcut = ncpoly._pbw_coefficient
+    word_terms = ncpoly._word_terms
 
-    def recorded(n, k):
-        terms.append((dict(n), k))
-        return shortcut(n, k)
-    monkeypatch.setattr(ncpoly, "_pbw_coefficient", recorded)
+    def recorded(w):
+        out = word_terms(w)
+        terms.extend((dict(n), k) for n, k in out.values())
+        return out
+    monkeypatch.setattr(ncpoly, "_word_terms", recorded)
     corpus = [NcPoly.word(w) for w in ("XY" * 5, "XXYY" * 2, "XXXYYY", "XYYX" * 2,
                                        "ZXYzXY", "XXYXYYZ")]
     corpus += [parse_expr("J^6"), parse_expr("X*J*Y*Zi*J*Z - q^3*J*J*X")]
@@ -352,3 +354,139 @@ def test_pbw_coefficient_shortcut_on_numerators_vanishing_at_one_or_minus_one(fa
     assert _value_at(_COFACTOR, 1) and _value_at(_COFACTOR, -1)
     assert not _value_at(n, 1) or not _value_at(n, -1)
     _shortcut_matches_generic(n, k)
+
+
+# -- the running-sum kernel for X^b Y ------------------------------------------------
+
+@pytest.mark.parametrize("b", range(1, 9))
+def test_kappa_kernel_matches_the_full_product(b):
+    # kappa A_b and -kappa B_b have numerators q^2 A_b and -q^2 B_b over q^2 - 1
+    a_num = {2 - 2 * i: 1 for i in range(b)}
+    b_num = {2 + 2 * i: -1 for i in range(b)}
+    rng = random.Random(b)
+    for trial in range(40):
+        lo = rng.randint(-9, 5)
+        exps = range(lo, lo + rng.randint(0, 12))
+        if trial % 2:   # one parity class, as the engine's numerators are
+            exps = [e for e in exps if (e - lo) % 2 == 0]
+        t = {e: rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-5, 5), rng.randint(1, 4))))
+             for e in exps}
+        t = {e: v for e, v in t.items() if v} or {lo: 1}
+        ta = ncpoly._times_kappa_a(t, b)
+        assert ta == ncpoly._conv(t, a_num), (t, b)
+        assert {e + 2 * b - 2: -v for e, v in ta.items()} == ncpoly._conv(t, b_num), (t, b)
+
+
+# -- (q^2 - 1)^k fast paths of QRat against the generic constructor -----------------
+
+@pytest.fixture
+def certificate_calls(monkeypatch):
+    calls = []
+    certify = ncpoly._coprime_mod_p
+
+    def counted(a, b):
+        calls.append((a, b))
+        return certify(a, b)
+    monkeypatch.setattr(ncpoly, "_coprime_mod_p", counted)
+    return calls
+
+
+def _generic_sum(a, b):
+    return QRat(ncpoly._plus(ncpoly._conv(a.num, b.den), ncpoly._conv(b.num, a.den)),
+                ncpoly._conv(a.den, b.den))
+
+
+def _generic_product(a, b):
+    return QRat(ncpoly._conv(a.num, b.num), ncpoly._conv(a.den, b.den))
+
+
+def _same(r, ref):
+    assert (r.num, r.den) == (ref.num, ref.den)
+    assert r.key() == ref.key()
+    assert qrat_str(r) == qrat_str(ref)
+
+
+def _power_rat(rng, lo, hi, k, shift=None):
+    # a canonical n / (q^2 - 1)^k: n random (plus `shift`) until n(1) n(-1) != 0
+    while True:
+        n = random_poly(rng, lo, hi)
+        if shift is not None:
+            n = ncpoly._plus(shift, poly_mul(rng.choice((_Q_MINUS_1, _Q_PLUS_1)), n))
+        if n and _value_at(n, 1) and _value_at(n, -1):
+            return ncpoly._pbw_coefficient(n, k)
+
+
+def _power_pairs(seed, n):
+    # canonical n / (q^2 - 1)^i, unequal and equal powers, int and Fraction
+    # numerators, and partners whose sum or product vanishes at q = 1 or -1
+    rng = random.Random(seed)
+    for t in range(n):
+        i, j = rng.randint(0, 3), rng.randint(0, 3)
+        a = _power_rat(rng, -3, 4, i)
+        kind = t % 4
+        if kind == 0:     # random partner
+            b = _power_rat(rng, -2, 5, j)
+        elif kind == 1:   # same power, the sum vanishes at q = 1 or q = -1
+            b = _power_rat(rng, -2, 3, i, {e: -c for e, c in a.num.items()})
+        elif kind == 2:   # no denominator, a numerator vanishing at +-1: the
+            # product with a power of q^2 - 1 cancels
+            b = QRat(poly_mul(rng.choice((_Q_MINUS_1, _Q_PLUS_1, poly_mul(_Q_MINUS_1, _Q_PLUS_1))),
+                              random_poly(rng, -2, 2)))
+        else:             # unequal powers
+            b = _power_rat(rng, -2, 2, i + 1)
+        yield (a, b) if rng.random() < 0.5 else (b, a)
+
+
+def test_power_fast_paths_match_the_generic_constructor(gcd_calls):
+    reduced = 0
+    for a, b in _power_pairs(11, 400):
+        assert ncpoly._den_exponent(a.den) is not None
+        assert ncpoly._den_exponent(b.den) is not None
+        _same(a + b, _generic_sum(a, b))
+        _same(a - b, _generic_sum(a, -b))
+        _same(a * b, _generic_product(a, b))
+        reduced += ncpoly._den_exponent((a + b).den) is None
+    # some sums lost a factor q -+ 1, which only the exact gcd removes
+    assert reduced and gcd_calls
+
+
+def test_power_fast_paths_skip_the_certificate(certificate_calls, gcd_calls):
+    # n(+-1) != 0 on both sides and on the result: no gcd work at all
+    a = ncpoly._pbw_coefficient({0: 3, 1: Fraction(1, 2)}, 2)
+    b = ncpoly._pbw_coefficient({-1: 1, 2: -4}, 1)
+    for r in (a + b, a - b, a * b, b * b, a + QRat.q_pow(3), a * QRat.integer(7) + b):
+        assert ncpoly._den_exponent(r.den) is not None
+    assert not certificate_calls and not gcd_calls
+
+
+def test_other_denominators_keep_the_generic_path(certificate_calls, gcd_calls):
+    a = ncpoly._pbw_coefficient({0: 3, 1: 1}, 2)
+    c = QRat({0: 1}, {0: 2, 1: 1})                     # 1 / (q + 2)
+    d = QRat({1: 1}, {0: 1, 1: 1})                     # q / (q + 1)
+    for r, ref in ((a + c, _generic_sum(a, c)), (a * c, _generic_product(a, c)),
+                   (c + d, _generic_sum(c, d)), (a * d, _generic_product(a, d))):
+        _same(r, ref)
+    assert ncpoly._den_exponent(c.den) is None and ncpoly._den_exponent(d.den) is None
+    assert certificate_calls or gcd_calls
+    # (q + 1)^-1 times (q^2 - 1)^-2 is not a power of q^2 - 1
+    assert ncpoly._den_exponent((a * d).den) is None
+
+
+def test_cross_word_cancellation_is_reduced():
+    # X Y = q^2 Y X + kappa (Z^2 - 1), kappa = q^2 / (q^2 - 1): the constant
+    # term cancels its denominator only once summed with the scalar
+    p = parse_expr("X*Y + q^2/(q^2-1) - q + 1")
+    nf = pbw_normal_form(p)
+    assert format_expr(nf) == "(-q + 1) + q^2*Y*X + (q^2)/(q^2 - 1)*Z*Z"
+    assert_same_normal_form(p)
+
+
+@pytest.mark.parametrize("expr", ["(X*Y*Zi + 1/(q+1)*Y*J)^3 + X*Y + q^2/(q^2-1) - q + 1"
+                                  " - 3/4*Z*J*Z/(q-1)",
+                                  "1/(q+2)*X*Y + (q - 1)/(q^2 - 1)*Y*X*X*Y - 1/(q + 2)*Y*X"])
+def test_mixed_denominators_sum_per_word(expr):
+    # powers of q^2 - 1, Fractions and other denominators in one input
+    p = parse_expr(expr)
+    new, ref = pbw_normal_form(p), pbw_normal_form(substitute_j(p))
+    assert new == ref == pbw_per_path(substitute_j(p))
+    assert format_expr(new) == format_expr(ref)

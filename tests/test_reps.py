@@ -468,6 +468,33 @@ def test_representation_from_json_refuses_a_bumped_x_entry(backend):
     assert representation_from_json(representation_to_json(rep)).backend == backend
 
 
+@pytest.mark.parametrize("backend,defining,zj", [
+    ("exact", "first nonzero entry (1, 1) of LHS - RHS, magnitude 1.24698",
+     "first nonzero entry (1, 1) of LHS - RHS, magnitude 3.03194"),
+    ("approx", "largest entry (1, 1) of LHS - RHS, magnitude 1.24698",
+     "largest entry (1, 1) of LHS - RHS, magnitude 3.03194")])
+def test_a_failing_check_names_its_entry(backend, defining, zj):
+    # X[2][1] += q on the first family at (1, 7), r = 4, in either backend
+    ctx = RootContext(1, 7)
+    rep = build_family1(ctx, 4, 1)
+    if backend == "exact":
+        X, q = [list(row) for row in rep.X], q_power(ctx, 1)
+    else:
+        m = rep.complex_mats()
+        rep = Representation(ctx, rep.dim, rep.family, dict(rep.params), backend,
+                             m["X"], m["Y"], m["Z"], m["Zinv"])
+        X, q = m["X"].copy(), ctx.q_complex
+    X[2][1] = X[2][1] + q
+    bad = Representation(ctx, rep.dim, rep.family, dict(rep.params), backend,
+                         X, rep.Y, rep.Z, rep.Zinv)
+    for which, first in (("defining", defining), ("zj", zj)):
+        failed = [c for c in verify_relations(bad, which).checks if not c.ok]
+        assert failed and failed[0].detail == first, which
+        assert all(c.detail for c in failed)
+    passing = verify_relations(rep, "defining").to_json()
+    assert all("detail" not in c for c in passing["checks"])
+
+
 def test_q_power_convention_in_z():
     # Z v_j = sign q^(r-2j) v_j against the scalar module directly
     for P, Q in [(2, 5), (3, 7)]:
