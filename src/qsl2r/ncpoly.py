@@ -15,12 +15,13 @@ each word onto 1 one letter at a time by closed forms of those rules, so
 no unordered word is built; J is multiplied in as q X Z^-1 - q^-1 Y Z^-1,
 factor by factor.
 
-`QRat` is its own class: its canonical form needs a gcd.  Its coefficients
-are plain ints while they are integral, as every coefficient the PBW engine
-builds is, and Fractions only once a division makes them so.  Every
-denominator the generic-q proof meets is a power (q^2 - 1)^k, and a sum or
-product of two such fractions is formed over a power again with no gcd,
-unless its numerator vanishes at q = 1 or q = -1.  The three sparse
+`QRat` is its own class: its canonical form needs a gcd, save over a power
+(q^2 - 1)^k, which every denominator the generic-q proof meets is.  Its
+coefficients are plain ints while they are integral, as every coefficient
+the PBW engine builds is, and Fractions only once a division makes them so.
+A fraction over (q^2 - 1)^k, and a sum or product of two of them, is in
+lowest terms with no gcd unless its numerator vanishes at q = 1 or q = -1;
+any other fraction is reduced by the exact gcd.  The three sparse
 sums share one base, `_SparseSum` (map key -> nonzero coefficient, with
 +, -, * and scalars on either side), and differ only in keys and ring:
 `QCoeff` sums y-exponents over QRat, `NcPoly` words over QCoeff, and
@@ -100,53 +101,6 @@ def _poly_gcd(a, b):
     return [c / lead for c in a]
 
 
-# Prime of the coprimality certificate.  Reducing mod p can only raise the
-# degree of a gcd, provided neither polynomial loses its degree, so a constant
-# gcd mod p proves a constant gcd over Q; any other outcome proves nothing.
-_CERT_PRIME = 2 ** 61 - 1
-
-
-def _mod_p(a):
-    """Image in GF(p) of a dense int or Fraction list, or None when p divides
-    a denominator or the leading coefficient (the degree must survive)."""
-    out = []
-    for c in a:
-        d = c.denominator
-        if d == 1:
-            out.append(c.numerator % _CERT_PRIME)
-        elif d % _CERT_PRIME:
-            out.append(c.numerator * pow(d, -1, _CERT_PRIME) % _CERT_PRIME)
-        else:
-            return None
-    return out if out[-1] else None
-
-
-def _coprime_mod_p(a, b):
-    """True when the images of a and b in GF(p)[q] keep their degrees and have
-    a constant gcd, which certifies gcd(a, b) = 1 over Q.  False means only
-    that the certificate failed."""
-    a, b = _mod_p(a), _mod_p(b)
-    if a is None or b is None:
-        return False
-    p = _CERT_PRIME
-    while len(b) > 1:
-        # a, b = b, a mod b, with trailing zeros stripped
-        db = len(b) - 1
-        inv = pow(b[-1], -1, p)
-        for k in range(len(a) - 1, db - 1, -1):
-            c = a[k] * inv % p
-            if c:
-                for i in range(db + 1):
-                    a[k - db + i] = (a[k - db + i] - c * b[i]) % p
-        a = a[:db]
-        while a and not a[-1]:
-            a.pop()
-        if not a:
-            return False
-        a, b = b, a
-    return True
-
-
 _DEN_ONE = {0: 1}
 
 
@@ -155,15 +109,15 @@ class QRat:
     denominator with nonzero constant term and leading coefficient 1, the two
     coprime.  Immutable and canonical, so equality is dict equality.  Each
     coefficient is an int or a Fraction, never a float: ints while integral,
-    Fractions from the gcd fallback or a division by a leading coefficient
+    Fractions from the exact gcd or a division by a leading coefficient
     that is not 1.  Fraction(n) == n and the two hash alike, so the type
     that holds a value changes neither equality nor key() nor the printed
-    form.  Coprimality is certified mod p (`_coprime_mod_p`) before the
-    exact gcd is tried.  When both operands have a denominator (q^2 - 1)^i,
-    (q^2 - 1)^j, a sum lifts the numerator of the lower power by
-    (q^2 - 1)^|i - j| and a product adds the powers; the result skips the
-    certificate and the gcd when its numerator is nonzero at q = +-1
-    (`_pbw_coefficient`), and is reduced by the constructor otherwise."""
+    form.  The constructor shifts the denominator to an ordinary polynomial
+    and reduces by two rules: over exactly (q^2 - 1)^k a numerator nonzero
+    at q = +-1 is coprime already (`_coprime_to_den_power`); any other pair
+    is divided by its exact gcd.  Over (q^2 - 1)^i and (q^2 - 1)^j a sum
+    lifts the lower power and a product adds the powers, then takes the same
+    test (`_pbw_coefficient`); other pairs are cross-multiplied."""
 
     __slots__ = ("num", "den", "_key")
 
@@ -180,25 +134,26 @@ class QRat:
             self.num = {}
             self.den = _DEN_ONE
             return
-        if den != _DEN_ONE:
+        ld = min(den)
+        if ld:
+            num = {e - ld: c for e, c in num.items()}
+            den = {e - ld: c for e, c in den.items()}
+        k = _den_exponent(den)
+        if k is None or not _coprime_to_den_power(num, k):
             ln = min(num)
-            ld = min(den)
             nd = _dense(num, ln, max(num))
-            dd = _dense(den, ld, max(den))
-            if not _coprime_mod_p(nd, dd):
-                g = _poly_gcd(nd, dd)
-                if len(g) > 1:
-                    nd, _ = _poly_divmod(nd, g)
-                    dd, _ = _poly_divmod(dd, g)
+            dd = _dense(den, 0, max(den))
+            g = _poly_gcd(nd, dd)
+            if len(g) > 1:
+                nd, _ = _poly_divmod(nd, g)
+                dd, _ = _poly_divmod(dd, g)
             lead = dd[-1]
-            shift = ln - ld
-            if lead == 1:
-                num = {e + shift: c for e, c in enumerate(nd) if c}
-                den = {e: c for e, c in enumerate(dd) if c}
-            else:
+            if lead != 1:
                 lead = Fraction(lead)
-                num = {e + shift: c / lead for e, c in enumerate(nd) if c}
-                den = {e: c / lead for e, c in enumerate(dd) if c}
+                nd = [c / lead for c in nd]
+                dd = [c / lead for c in dd]
+            num = {e + ln: c for e, c in enumerate(nd) if c}
+            den = {e: c for e, c in enumerate(dd) if c}
         self.num = num
         self.den = den
 
@@ -264,8 +219,6 @@ class QRat:
         i, j = _den_exponent(self.den), _den_exponent(o.den)
         if i is not None and j is not None:
             return _pbw_coefficient(*_over_common_power(self.num, i, o.num, j))
-        if self.den == o.den:
-            return QRat(_plus(self.num, o.num), self.den)
         return QRat(_plus(_conv(self.num, o.den), _conv(o.num, self.den)),
                     _conv(self.den, o.den))
 
@@ -371,14 +324,18 @@ def _over_common_power(a, i, b, j):
     return _plus(a, b), max(i, j)
 
 
+def _coprime_to_den_power(n, k):
+    """True when the Laurent polynomial n is coprime to (q^2 - 1)^k: k = 0,
+    or n(1) != 0 and n(-1) != 0, since +-1 are the only roots of
+    (q^2 - 1)^k and q is a unit."""
+    return not k or (sum(n.values()) != 0
+                     and sum(v if e % 2 == 0 else -v for e, v in n.items()) != 0)
+
+
 def _pbw_coefficient(n, k):
-    """QRat n / (q^2 - 1)^k for a Laurent polynomial n.  The only roots of
-    (q^2 - 1)^k are +-1 and q is a unit, so the pair is coprime, and already
-    canonical, when k = 0 or when n(1) != 0 and n(-1) != 0; only otherwise
-    is it reduced by the generic constructor."""
-    if k and not (sum(n.values()) and sum(v if e % 2 == 0 else -v for e, v in n.items())):
-        return QRat(n, _den_power(k))
-    return QRat(n, _den_power(k), _canonical=True)
+    """QRat n / (q^2 - 1)^k for a Laurent polynomial n, built canonical when
+    the pair is coprime and reduced by the constructor otherwise."""
+    return QRat(n, _den_power(k), _canonical=_coprime_to_den_power(n, k))
 
 
 def _eval_laurent(d, value):
@@ -540,6 +497,8 @@ class QCoeff(_SparseSum):
         return QCoeff({k: qr if qr is not None else _QR_ONE})
 
     def inverse(self):
+        if not self.terms:
+            raise ZeroDivisionError("division by zero in Q(q)[y,y^-1]")
         if len(self.terms) != 1:
             raise ZeroDivisionError("only monomial coefficients are invertible in Q(q)[y,y^-1]")
         (e, c), = self.terms.items()

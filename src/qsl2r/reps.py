@@ -824,21 +824,26 @@ def representation_to_json(rep: Representation) -> dict:
 
 
 def representation_from_json(data: dict) -> Representation:
-    """Inverse of representation_to_json.  ValueError unless the backend is
-    exact or approx, "generators" holds X, Y and Z, square of one dimension,
-    every entry is in its backend's encoding and Z is diagonal with no zero
-    on its diagonal; ArithmeticError, as from every constructor, unless the
-    matrices satisfy the defining relations."""
-    ctx = RootContext(int(data["P"]), int(data["Q"]))
+    """Inverse of representation_to_json.  ValueError unless P, Q, backend
+    and family are present, P and Q are integers, the backend is exact or
+    approx, "generators" holds X, Y and Z as lists of rows, square of one
+    dimension, every entry is in its backend's encoding and Z is diagonal
+    with no zero on its diagonal; ArithmeticError, as from every
+    constructor, unless the matrices satisfy the defining relations."""
+    if missing := [k for k in ("P", "Q", "backend", "family") if k not in data]:
+        raise ValueError(f"the payload has no {', '.join(missing)}")
+    ctx = RootContext(data["P"], data["Q"])
     backend = data["backend"]
     if backend not in ("exact", "approx"):
         raise ValueError(f"unknown backend {backend!r}")
     gens = data.get("generators")
     if not isinstance(gens, dict) or any(g not in gens for g in "XYZ"):
         raise ValueError('"generators" must hold the matrices X, Y and Z')
-    d = len(gens["Z"])
-    if not d or any(len(gens[g]) != d or any(len(row) != d for row in gens[g]) for g in "XYZ"):
-        raise ValueError("X, Y and Z must be square matrices of one dimension")
+    d = len(gens["Z"]) if isinstance(gens["Z"], list) else 0
+    if not d or any(not isinstance(gens[g], list) or len(gens[g]) != d
+                    or any(not isinstance(row, list) or len(row) != d for row in gens[g])
+                    for g in "XYZ"):
+        raise ValueError("X, Y and Z must be square matrices of one dimension, lists of rows")
 
     if backend == "exact":
         def mat(rows):

@@ -37,6 +37,8 @@ def test_parse_command_valid():
     (["symbolic", "--check", "lemma", "--expr", "X"], 2),  # --expr with another check
     (["symbolic", "--check", "pbw", "--expr", "X*"], 2),   # --expr does not parse
     (["symbolic", "--check", "pbw", "--expr", "Q"], 2),    # unknown identifier
+    (["symbolic", "--check", "pbw", "--expr", "1/0"], 2),  # division by zero
+    (["symbolic", "--check", "pbw", "--expr", "(q-q)^-1"], 2),
     (["suite", "--Q", "5", "--tol", "nan"], 2),    # tolerance not finite
     (["spectrum", "--Q", "5", "--tol=-1"], 2),     # tolerance not positive
     (["rep", "--family", "1", "--approx"], 2),     # the first family is exact
@@ -213,6 +215,14 @@ def test_symbolic_parse_error_exit_2(capsys):
         run(["symbolic", "--check", "pbw", "--expr", "W + 1"])
     assert exc.value.code == 2
     assert "unknown identifier 'W'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", ["1/0", "(q-q)^-1", "X/(q - q)"])
+def test_symbolic_division_by_zero_is_named(expr, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["symbolic", "--check", "pbw", "--expr", expr])
+    assert exc.value.code == 2
+    assert "division by zero" in capsys.readouterr().err
 
 
 def test_symbolic_counit_note_logged(capsys):

@@ -69,6 +69,8 @@ def test_qcoeff_y_layers():
     assert set(prod.terms) == {2, 0, -2}
     with pytest.raises(ZeroDivisionError):
         (a + QCoeff.one()).inverse()
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        QCoeff.zero().inverse()
     assert QCoeff.y_pow(3).inverse() == QCoeff.y_pow(-3)
 
 

@@ -1,7 +1,9 @@
-"""The closed-form PBW engine and the mod-p coprimality certificate of QRat,
-each against a reference that is written here: the per-path worklist that
-rewrites every path to a word separately with the five rules, and the exact
-Euclidean reduction."""
+"""The closed-form PBW engine and the canonical form of QRat, each against a
+reference that is written here: the per-path worklist that rewrites every
+path to a word separately with the five rules, and the exact Euclidean
+reduction.  QRat reduces by two rules: a numerator nonzero at q = +-1 over
+exactly (q^2 - 1)^k is coprime already, and every other pair runs the exact
+gcd."""
 
 import itertools
 import random
@@ -14,7 +16,7 @@ from qsl2r.ncpoly import (NcPoly, QCoeff, QRat, cancel_word, format_expr,
                           identity_sides, parse_expr, pbw_normal_form, qrat_str,
                           relation_sides, substitute_j)
 
-PRIME = ncpoly._CERT_PRIME
+PRIME = 2 ** 61 - 1   # the inputs below are traps for a coprimality test mod PRIME
 
 
 def all_words(max_len):
@@ -180,7 +182,7 @@ def test_confluence_of_xy_power():
     assert pbw_normal_form(NcPoly.word("XY" * 8)) == pbw_normal_form(half * half)
 
 
-# -- the coprimality certificate against exact Euclid -------------------------------
+# -- the canonical form against exact Euclid -----------------------------------------
 
 def _divmod(a, b):
     a = list(a)
@@ -240,9 +242,8 @@ def gcd_calls(monkeypatch):
     return calls
 
 
-def test_certificate_matches_exact_euclid_on_random_pairs(gcd_calls):
+def test_certificate_matches_exact_euclid_on_random_pairs():
     rng = random.Random(7)
-    pairs = 0
     for i in range(300):
         num, den = random_poly(rng, -3, 4), random_poly(rng, 0, 4)
         if i % 3 == 0:
@@ -250,14 +251,11 @@ def test_certificate_matches_exact_euclid_on_random_pairs(gcd_calls):
             num, den = poly_mul(num, common), poly_mul(den, common)
         if not den or set(den) == {0} and den[0] == 1:
             continue
-        pairs += 1
         r = QRat(num, den)
         ref_num, ref_den = exact_canonical(num, den)
         assert (r.num, r.den) == (ref_num, ref_den)
         assert list(r.num) == sorted(r.num) == list(ref_num)
         assert list(r.den) == sorted(r.den) == list(ref_den)
-    # both the certified path and the exact fallback were taken
-    assert 0 < len(gcd_calls) < pairs
 
 
 def test_certified_pair_skips_euclid(gcd_calls):
@@ -356,6 +354,29 @@ def test_pbw_coefficient_shortcut_on_numerators_vanishing_at_one_or_minus_one(fa
     _shortcut_matches_generic(n, k)
 
 
+# Laurent denominators that shift to exactly (q^2 - 1)^k, k = 1, 2, 3
+_LAURENT_POWERS = [({1: 1, -1: -1}, 1),                 # q - q^-1
+                   ({0: 1, -2: -2, -4: 1}, 2),          # (1 - q^-2)^2
+                   ({3: 1, 1: -3, -1: 3, -3: -1}, 3)]   # (q - q^-1)^3
+
+
+@pytest.mark.parametrize("den,k", _LAURENT_POWERS)
+@pytest.mark.parametrize("factors", [[], [_Q_MINUS_1], [_Q_PLUS_1], [_Q_MINUS_1, _Q_PLUS_1]])
+def test_constructor_reduces_laurent_powers_by_the_plus_minus_one_rule(den, k, factors,
+                                                                       gcd_calls):
+    # 1/(q - q^-1), q^-3/(1 - q^-2)^2 and the like: the exact gcd runs exactly
+    # when the numerator vanishes at q = 1 or q = -1
+    for n in ({-3: 1}, _COFACTOR, {0: Fraction(1, 2), 1: Fraction(-3, 4)}):
+        for f in factors:
+            n = poly_mul(n, f)
+        calls = len(gcd_calls)
+        r = QRat(n, den)
+        assert (r.num, r.den) == exact_canonical(n, den), (n, den)
+        coprime = bool(_value_at(n, 1) and _value_at(n, -1))
+        assert (len(gcd_calls) > calls) == (not coprime), (n, den)
+        assert (r.den == ncpoly._den_power(k)) == coprime
+
+
 # -- the running-sum kernel for X^b Y ------------------------------------------------
 
 @pytest.mark.parametrize("b", range(1, 9))
@@ -378,18 +399,6 @@ def test_kappa_kernel_matches_the_full_product(b):
 
 
 # -- (q^2 - 1)^k fast paths of QRat against the generic constructor -----------------
-
-@pytest.fixture
-def certificate_calls(monkeypatch):
-    calls = []
-    certify = ncpoly._coprime_mod_p
-
-    def counted(a, b):
-        calls.append((a, b))
-        return certify(a, b)
-    monkeypatch.setattr(ncpoly, "_coprime_mod_p", counted)
-    return calls
-
 
 def _generic_sum(a, b):
     return QRat(ncpoly._plus(ncpoly._conv(a.num, b.den), ncpoly._conv(b.num, a.den)),
@@ -450,16 +459,16 @@ def test_power_fast_paths_match_the_generic_constructor(gcd_calls):
     assert reduced and gcd_calls
 
 
-def test_power_fast_paths_skip_the_certificate(certificate_calls, gcd_calls):
+def test_power_fast_paths_skip_the_certificate(gcd_calls):
     # n(+-1) != 0 on both sides and on the result: no gcd work at all
     a = ncpoly._pbw_coefficient({0: 3, 1: Fraction(1, 2)}, 2)
     b = ncpoly._pbw_coefficient({-1: 1, 2: -4}, 1)
     for r in (a + b, a - b, a * b, b * b, a + QRat.q_pow(3), a * QRat.integer(7) + b):
         assert ncpoly._den_exponent(r.den) is not None
-    assert not certificate_calls and not gcd_calls
+    assert not gcd_calls
 
 
-def test_other_denominators_keep_the_generic_path(certificate_calls, gcd_calls):
+def test_other_denominators_keep_the_generic_path(gcd_calls):
     a = ncpoly._pbw_coefficient({0: 3, 1: 1}, 2)
     c = QRat({0: 1}, {0: 2, 1: 1})                     # 1 / (q + 2)
     d = QRat({1: 1}, {0: 1, 1: 1})                     # q / (q + 1)
@@ -467,7 +476,7 @@ def test_other_denominators_keep_the_generic_path(certificate_calls, gcd_calls):
                    (c + d, _generic_sum(c, d)), (a * d, _generic_product(a, d))):
         _same(r, ref)
     assert ncpoly._den_exponent(c.den) is None and ncpoly._den_exponent(d.den) is None
-    assert certificate_calls or gcd_calls
+    assert gcd_calls
     # (q + 1)^-1 times (q^2 - 1)^-2 is not a power of q^2 - 1
     assert ncpoly._den_exponent((a * d).den) is None
 

@@ -402,10 +402,13 @@ def _exported(backend):
 
 @pytest.mark.parametrize("backend", ["exact", "approx"])
 def test_representation_from_json_refuses_a_non_square_generator(backend):
-    data = _exported(backend)
-    data["generators"]["X"] = data["generators"]["X"][:2]
-    with pytest.raises(ValueError, match="square"):
-        representation_from_json(data)
+    # nor a generator that is not a list of rows
+    for bad in (lambda x: x[:2], lambda x: 7, lambda x: x[0], lambda x: [7] * 3,
+                lambda x: {"rows": x}, lambda x: [tuple(row) for row in x]):
+        data = _exported(backend)
+        data["generators"]["X"] = bad(data["generators"]["X"])
+        with pytest.raises(ValueError, match="square"):
+            representation_from_json(data)
 
 
 @pytest.mark.parametrize("backend", ["exact", "approx"])
@@ -442,9 +445,20 @@ def test_representation_from_json_refuses_an_unknown_backend(backend, label):
 
 @pytest.mark.parametrize("backend", ["exact", "approx"])
 def test_representation_from_json_refuses_a_payload_without_generators(backend):
+    # nor one without any other field it reads
+    for key in ("generators", "P", "Q", "backend", "family"):
+        data = _exported(backend)
+        del data[key]
+        with pytest.raises(ValueError, match=key):
+            representation_from_json(data)
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+@pytest.mark.parametrize("key,value", [("P", 1.5), ("Q", 3.5), ("Q", "3"), ("P", None)])
+def test_representation_from_json_refuses_a_non_integral_p_or_q(backend, key, value):
     data = _exported(backend)
-    del data["generators"]
-    with pytest.raises(ValueError, match="generators"):
+    data[key] = value
+    with pytest.raises(ValueError, match="integers"):
         representation_from_json(data)
 
 
