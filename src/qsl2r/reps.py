@@ -21,14 +21,17 @@ representation is asked first of `certified_zeros`, which decides it from
 images modulo split primes (the certificate is in `scalar`), keeping the
 images of the generators on the representation and those of words only
 for one call; whatever it does not certify is evaluated, so residuals
-and supports come from the CycloNum matrices as before.
+and supports come from the CycloNum matrices as before.  The images sit
+in int64: residues below 2^25, products below 2^50, so a sum is reduced
+once, after at most INT64_SUM_TERMS products: once per entry of a word
+and once per entry of a polynomial.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from operator import mul
 
 import numpy as np
@@ -42,10 +45,12 @@ from .scalar import (ABS_TOL, INT64_SUM_TERMS, REL_TOL, CycloNum, GaussCyclo,
 # CycloNum evaluation decides.
 MAX_SPLIT_PRIMES = 6
 # Below this dimension the CycloNum evaluation costs less than the images'
-# fixed cost of about 0.4 ms, so zeros are decided by it (measured on the
-# first family, Q = 3..31: the identity's C_k break even at d = 2, the
-# defining relations at d = 4 to 6).
-SPLIT_MIN_DIM = 3
+# fixed cost of about 0.3 ms, so zeros are decided by it.  Measured on the
+# first family, Q = 3..31, images against evaluation: the identity's C_k
+# 0.32 against 0.20 ms at d = 1 and 0.39 against 0.81 ms at d = 2; the
+# defining relations 0.23 against 0.09 ms at d = 1, 0.26 against 0.22 ms at
+# d = 2 and 0.19 against 0.23 ms at d = 3.
+SPLIT_MIN_DIM = 2
 
 # ---------------------------------------------------------------------------
 # exact matrix helpers (nested lists over CycloNum / GaussCyclo)
@@ -366,8 +371,9 @@ def evaluate(polys, rep: Representation, exact: bool | None = None) -> list:
 # A matrix's images are kept by diagonal, as (offsets, vals): vals[k, i] holds
 # the images of entry (i, i + offsets[k]), zero where that column lies outside
 # the matrix, with one image per column of the last axis.  The generators
-# are banded (family 2 adds two corner entries), so a word stays banded and a
-# product costs one multiply-add per pair of diagonals.
+# are banded (family 2 adds two corner entries), so a word stays banded.
+# Words and polynomials are evaluated together on one int64 tape along a
+# cached plan of gather indices (`_plan`, `_poly_images`).
 
 
 def _split_letters(rep: Representation, letters) -> dict:
@@ -404,7 +410,7 @@ def _letter_images(letters: dict, rep: Representation, m: int, gauss: bool) -> d
         start = 0
         for data in todo:
             entries = data["entries"]
-            offsets = sorted({j - i for i, j, _ in entries})
+            offsets = tuple(sorted({j - i for i, j, _ in entries}))
             pos = {o: k for k, o in enumerate(offsets)}
             vals = np.zeros((len(offsets), rep.dim, img.shape[1]), dtype=np.int64)
             vals[[pos[j - i] for i, j, _ in entries], [i for i, _, _ in entries]] = \
@@ -433,24 +439,112 @@ def _coefficient_images(coef: dict, ctx: RootContext, m: int, gauss: bool) -> np
     return np.repeat(got, 2) if gauss else got
 
 
-def _banded_mul(A, B, moduli, d: int):
-    """Images of the product of two matrices held by diagonal: diagonal a of
-    A times diagonal b of B, shifted by a, lands on diagonal a + b.  An
-    entry of the result sums at most one product per diagonal of B, each
-    below 2^50, so 2 d - 1 < 2^13 diagonals keep the sum inside int64
-    until the final reduction."""
-    offs_a, va = A
-    offs_b, vb = B
-    offs = sorted({a + b for a in offs_a for b in offs_b if abs(a + b) < d})
-    pos = {o: k for k, o in enumerate(offs)}
-    out = np.zeros((len(offs), d, va.shape[2]), dtype=np.int64)
-    for ka, a in enumerate(offs_a):
-        lo, hi = max(0, -a), min(d, d - a)
-        for kb, b in enumerate(offs_b):
-            if abs(a + b) < d:
-                out[pos[a + b], lo:hi] += va[ka, lo:hi] * vb[kb, lo + a:hi + a]
-    out %= moduli
-    return offs, out
+@lru_cache(maxsize=64)
+def _plan(d: int, letters: tuple, polys: tuple):
+    """Tape layout and gather indices for polynomials, each given as its
+    words term by term, over letters with the diagonal offsets ((letter,
+    offsets), ...) at dimension d.  From row 1 (row 0 stays zero) the tape
+    holds the letters, the identity (word ""), one row per term's
+    coefficient from row `coefs`, the suffixes of two or more letters of
+    the terms' words by length, and the polynomials 0, 1, ...; `start` and
+    `offsets` place each block, d rows per diagonal.  Each level (a suffix
+    length, the polynomials last) is (lo, hi, left, right): row lo + r is
+    the sum over w of T[left[r, w]] T[right[r, w]].  In a word L u, entry
+    (i, i + a) of L meets entry (i + a, i + a + b) of u, so a row sums one
+    product per diagonal of L; a polynomial's row, one per term."""
+    start, offsets, size = {}, {}, 1
+
+    def place(key, offs):
+        nonlocal size
+        start[key], offsets[key] = size, tuple(offs)
+        size += len(offs) * d
+
+    for letter, offs in letters:
+        place(letter, offs)
+    place("", (0,))
+    terms = [w for words in polys for w in words]
+    coefs, size = size, size + len(terms)
+    words = sorted({w[k:] for w in terms for k in range(len(w) - 1)}, key=len)
+    levels = []
+    for n in sorted({len(w) for w in words}):
+        lo, rows, lefts, rights = size, [], [], []
+        for w in (w for w in words if len(w) == n):
+            L, u = w[0], w[1:]
+            sums = sorted({a + b for a in offsets[L] for b in offsets[u] if -d < a + b < d})
+            place(w, sums)
+            for ka, a in enumerate(offsets[L]):
+                i = np.arange(max(0, -a), min(d, d - a))
+                for kb, b in enumerate(offsets[u]):
+                    if -d < a + b < d:
+                        rows.append(start[w] + sums.index(a + b) * d + i)
+                        lefts.append(start[L] + ka * d + i)
+                        rights.append(start[u] + kb * d + i + a)
+        levels.append((lo, size) + _gather(rows, lefts, rights, lo, size))
+    lo, rows, lefts, rights = size, [], [], []
+    i, t = np.arange(d), coefs
+    for k, poly in enumerate(polys):
+        sums = sorted({o for w in poly for o in offsets[w]})
+        place(k, sums)
+        for w in poly:
+            for kw, o in enumerate(offsets[w]):
+                rows.append(start[k] + sums.index(o) * d + i)
+                lefts.append(np.full(d, t))
+                rights.append(start[w] + kw * d + i)
+            t += 1
+    levels.append((lo, size) + _gather(rows, lefts, rights, lo, size))
+    return size, start, offsets, coefs, levels
+
+
+def _gather(rows, lefts, rights, lo: int, hi: int):
+    """(left, right) index matrices for tape rows lo..hi-1: row r - lo lists
+    the factors of every product summed into row r, padded with row 0."""
+    left = np.zeros((hi - lo, 1), dtype=np.intp)
+    right = left.copy()
+    if rows:
+        rows, lefts, rights = (np.concatenate(a) for a in (rows, lefts, rights))
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order] - lo
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        left = np.zeros((hi - lo, rank.max() + 1), dtype=np.intp)
+        right = left.copy()
+        left[rows, rank] = lefts[order]
+        right[rows, rank] = rights[order]
+    return left, right
+
+
+def _sum_reduced(prod, moduli) -> np.ndarray:
+    """prod summed over its second axis and reduced, with at most
+    INT64_SUM_TERMS summands in each unreduced sum (a carried residue
+    counts as one)."""
+    acc = prod[:, :INT64_SUM_TERMS].sum(axis=1) % moduli
+    for k in range(INT64_SUM_TERMS, prod.shape[1], INT64_SUM_TERMS - 1):
+        acc += prod[:, k:k + INT64_SUM_TERMS - 1].sum(axis=1)
+        acc %= moduli
+    return acc
+
+
+def _poly_images(letters: dict, polys, coefs, moduli, d: int) -> list:
+    """(offsets, vals) of each polynomial, given as its list of words, over
+    the letters' images {letter: (offsets, vals)}: the sum over its terms
+    of coefs[t] times the word, t counting the terms of all polynomials in
+    order.  Evaluated on a tape along the cached `_plan`: a take, a multiply
+    and a reduced sum per word length and for the polynomials, whatever the
+    number of words, terms and diagonals."""
+    size, start, offsets, first, levels = _plan(
+        d, tuple((letter, tuple(offs)) for letter, (offs, _) in sorted(letters.items())),
+        tuple(tuple(words) for words in polys))
+    T = np.empty((size, len(moduli)), dtype=np.int64)
+    T[0] = 0
+    for letter, (offs, vals) in letters.items():
+        T[start[letter]:start[letter] + len(offs) * d] = vals.reshape(-1, len(moduli))
+    T[start[""]:start[""] + d] = 1
+    T[first:first + len(coefs)] = coefs
+    for lo, hi, left, right in levels:
+        prod = T.take(left, axis=0)
+        prod *= T.take(right, axis=0)
+        T[lo:hi] = _sum_reduced(prod, moduli)
+    return [(offsets[k], T[start[k]:start[k] + len(offsets[k]) * d].reshape(-1, d, len(moduli)))
+            for k in range(len(polys))]
 
 
 def _primes_needed(ctx: RootContext, bound: int) -> int | None:
@@ -476,7 +570,9 @@ def certified_zeros(polys, rep: Representation) -> list:
     MAX_SPLIT_PRIMES primes, a prime divides a denominator, rep is not
     exact, or its dimension is below SPLIT_MIN_DIM).  A caller evaluates
     the CycloNum matrix of every poly not decided True.  Word images are
-    shared across polys for this call only."""
+    shared across polys for this call only (`_poly_images`): each entry of
+    a word or a polynomial is reduced once, after summing at most
+    INT64_SUM_TERMS products unreduced."""
     out = [None] * len(polys)
     ctx, d = rep.ctx, rep.dim
     if (rep.backend != "exact" or d < SPLIT_MIN_DIM
@@ -501,28 +597,17 @@ def certified_zeros(polys, rep: Representation) -> list:
     if not m:
         return out
     moduli = np.repeat([p for p, *_ in ctx.split_primes(m)], ctx.degree * (1 + gauss))
+    decided = [k for k, (_, need) in enumerate(plans) if need is not None]
     try:
-        memo = _letter_images(letters, rep, m, gauss)
-        memo[""] = ([0], np.ones((1, d, len(moduli)), dtype=np.int64))
-
-        def word(w):
-            got = memo.get(w)
-            if got is None:
-                got = memo[w] = _banded_mul(word(w[:-1]), memo[w[-1]], moduli, d)
-            return got
-
-        for k, (terms, need) in enumerate(plans):
-            if need is None:
-                continue
-            images = [(_coefficient_images(coef, ctx, m, gauss), word(w)) for w, coef in terms]
-            pos = {o: i for i, o in enumerate(sorted({o for _, (offs, _) in images
-                                                      for o in offs}))}
-            acc = np.zeros((len(pos), d, len(moduli)), dtype=np.int64)
-            for c, (offs, vals) in images:
-                acc[[pos[o] for o in offs]] += vals * c % moduli
-            out[k] = not (acc % moduli).any()
+        images = _letter_images(letters, rep, m, gauss)
+        coefs = [_coefficient_images(coef, ctx, m, gauss)
+                 for k in decided for _, coef in plans[k][0]]
     except ZeroDivisionError:   # a split prime divides a denominator
         return [None] * len(polys)
+    sums = _poly_images(images, [[w for w, _ in plans[k][0]] for k in decided],
+                        coefs, moduli, d)
+    for k, (_, vals) in zip(decided, sums):
+        out[k] = not vals.any()
     return out
 
 
@@ -825,13 +910,22 @@ def representation_to_json(rep: Representation) -> dict:
 
 def representation_from_json(data: dict) -> Representation:
     """Inverse of representation_to_json.  ValueError unless P, Q, backend
-    and family are present, P and Q are integers, the backend is exact or
-    approx, "generators" holds X, Y and Z as lists of rows, square of one
+    and family are present, P and Q are integers (not bools), the family is
+    1, 2 or "tensor", params (when present) is a dict, the backend is exact
+    or approx, "generators" holds X, Y and Z as lists of rows, square of one
     dimension, every entry is in its backend's encoding and Z is diagonal
     with no zero on its diagonal; ArithmeticError, as from every
     constructor, unless the matrices satisfy the defining relations."""
     if missing := [k for k in ("P", "Q", "backend", "family") if k not in data]:
         raise ValueError(f"the payload has no {', '.join(missing)}")
+    for key in ("P", "Q"):
+        if not isinstance(data[key], int) or isinstance(data[key], bool):
+            raise ValueError(f'"{key}" is {data[key]!r}, but P and Q must be integers')
+    if data["family"] not in (1, 2, "tensor") or type(data["family"]) not in (int, str):
+        raise ValueError(f'"family" is {data["family"]!r}, but it must be 1, 2 or "tensor"')
+    params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f'"params" is {params!r}, but it must be a dict')
     ctx = RootContext(data["P"], data["Q"])
     backend = data["backend"]
     if backend not in ("exact", "approx"):
@@ -868,7 +962,6 @@ def representation_from_json(data: dict) -> Representation:
         if not np.array_equal(Z != 0, np.eye(d, dtype=bool)):
             raise ValueError("Z must be diagonal with no zero on its diagonal")
         Zinv = np.diag(1 / np.diag(Z))
-    rep = Representation(ctx, d, data["family"], dict(data.get("params", {})),
-                         backend, X, Y, Z, Zinv)
+    rep = Representation(ctx, d, data["family"], dict(params), backend, X, Y, Z, Zinv)
     _require_defining(rep)
     return rep

@@ -140,7 +140,7 @@ class RootContext:
                  "_split_primes", "_zero", "_one")
 
     def __init__(self, P: int, Q: int):
-        if not isinstance(P, int) or not isinstance(Q, int):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (P, Q)):
             raise ValueError("P and Q must be integers")
         if Q < 3:
             raise ValueError("Q must be at least 3")

@@ -290,6 +290,70 @@ def test_verdicts_agree_on_exact_family2_and_tensor_reps(every_dim):
                       build_family2(ctx, ctx.zeta(1), 1, 0, backend="exact")))
 
 
+def _progression(offsets):
+    return len({b - a for a, b in zip(offsets, offsets[1:])}) <= 1
+
+
+def test_verdicts_agree_where_word_offsets_are_no_progression(every_dim):
+    """The corners of the second family and the tensor coproduct give J
+    diagonals that are no arithmetic progression; valid and bumped reps."""
+    reps_ = [build_family2(RootContext(P, Q), sign * RootContext(P, Q).zeta(e), a, b,
+                           backend="exact")
+             for P, Q, e, a, b in ((3, 7, 2, 1, 2), (4, 9, 1, 2, 1)) for sign in (1, -1)]
+    ctx = RootContext(2, 7)
+    reps_.append(tensor_rep(build_family1(ctx, 2, 1), build_family1(ctx, 1, -1)))
+    for rep in reps_:
+        entries = reps._split_letters(rep, "J")["J"]["entries"]
+        assert not _progression(sorted({j - i for i, j, _ in entries}))
+        _agree(rep)
+        bad = _bumped(rep, "X", rep.dim - 1, 0, 1)
+        verdicts = _verdicts(bad)
+        _consistent(verdicts)
+        assert any(False in got for got, _ in verdicts)
+
+
+def _identity_images(rep, coefs_seed):
+    letters = reps._split_letters(rep, "JZ")
+    images = reps._letter_images(letters, rep, 1, False)
+    moduli = np.repeat([p for p, *_ in rep.ctx.split_primes(1)], rep.ctx.degree)
+    words = [list(p.terms) for p in identity_coefficients().values()]
+    rng = np.random.default_rng(coefs_seed)
+    coefs = [rng.integers(0, moduli) for _ in range(sum(map(len, words)))]
+    return reps._poly_images(images, words, coefs, moduli, rep.dim), moduli
+
+
+def test_the_chunked_reduction_matches_one_unreduced_sum(monkeypatch):
+    rep = _bumped(build_family1(RootContext(2, 9), 6, 1), "X", 1, 0, 1)
+    whole, moduli = _identity_images(rep, 3)
+    monkeypatch.setattr(reps, "INT64_SUM_TERMS", 2)
+    chunked, _ = _identity_images(rep, 3)
+    assert any(vals.any() for _, vals in whole)
+    for (offs, vals), (offs2, vals2) in zip(whole, chunked):
+        assert offs == offs2 and np.array_equal(vals, vals2)
+    rng = np.random.default_rng(4)
+    prod = rng.integers(0, moduli, size=(5, 7, len(moduli))) * \
+        rng.integers(0, moduli, size=(5, 7, len(moduli)))
+    want = [[sum(int(v) for v in prod[r, :, c]) % int(p) for c, p in enumerate(moduli)]
+            for r in range(5)]
+    assert reps._sum_reduced(prod, moduli).tolist() == want
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_int64_sum_terms_full_residue_products_match_python_integers(extra):
+    # one polynomial of INT64_SUM_TERMS (+ 1) terms over one full diagonal, every
+    # residue near the top of its field: the unreduced sum reaches 2^63 - 2^40
+    d = MAX_DIM
+    moduli = np.array([p for p, *_ in RootContext(1, 3).split_primes(3)], dtype=np.int64)
+    n = reps.INT64_SUM_TERMS + extra
+    diag = moduli - 1 - np.arange(d)[:, None] % 5
+    coefs = [moduli - 1 - t % 3 for t in range(n)]
+    (offs, vals), = reps._poly_images({"A": ((0,), diag[None])}, [["A"] * n], coefs, moduli, d)
+    assert offs == (0,)
+    for t, p in enumerate(moduli.tolist()):
+        total = sum(p - 1 - s % 3 for s in range(n))
+        assert vals[0, :, t].tolist() == [(p - 1 - i % 5) * total % p for i in range(d)]
+
+
 def test_the_size_selection_leaves_small_reps_to_the_cyclonum_path():
     ctx = RootContext(1, 7)
     assert certified_zeros(_polys(), build_family1(ctx, reps.SPLIT_MIN_DIM - 2, 1)) \
@@ -340,10 +404,8 @@ def test_int64_images_match_python_integers_at_the_largest_dimension():
     letters = reps._split_letters(rep, "ZJ")
     imgs = reps._letter_images(letters, rep, m, False)
     moduli = np.repeat([p for p, *_ in ctx.split_primes(m)], ctx.degree)
-    word = imgs["Z"]
-    for ch in "JJZ":
-        word = reps._banded_mul(word, imgs[ch], moduli, d)
-    offs, vals = word
+    (offs, vals), = reps._poly_images(imgs, [["ZJJZ"]], [np.ones(len(moduli), dtype=np.int64)],
+                                      moduli, d)
     exact, = evaluate([NcPoly.word("ZJJZ")], rep)
     units = [k for k in range(1, ctx.Q) if gcd(k, ctx.Q) == 1]
     for t, (p, omega, _, _) in enumerate(ctx.split_primes(m)):
@@ -375,7 +437,8 @@ def test_banded_products_of_full_residue_matrices_do_not_overflow():
                 vals[k, i] = D[i, i + o]
         return offs, vals
 
-    offs, vals = reps._banded_mul(banded(dense[0]), banded(dense[1]), moduli, d)
+    (offs, vals), = reps._poly_images({"A": banded(dense[0]), "B": banded(dense[1])}, [["AB"]],
+                                      [np.ones(len(moduli), dtype=np.int64)], moduli, d)
     for t, p in enumerate(moduli.tolist()):
         A = dense[0][:, :, t].astype(object)
         B = dense[1][:, :, t].astype(object)

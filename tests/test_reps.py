@@ -454,11 +454,16 @@ def test_representation_from_json_refuses_a_payload_without_generators(backend):
 
 
 @pytest.mark.parametrize("backend", ["exact", "approx"])
-@pytest.mark.parametrize("key,value", [("P", 1.5), ("Q", 3.5), ("Q", "3"), ("P", None)])
+@pytest.mark.parametrize("key,value", [("P", 1.5), ("Q", 3.5), ("Q", "3"), ("P", None),
+                                       ("P", True), ("Q", False), ("family", "bogus"),
+                                       ("family", True), ("family", 1.0), ("params", 5),
+                                       ("params", "ab")])
 def test_representation_from_json_refuses_a_non_integral_p_or_q(backend, key, value):
+    # nor a family outside 1, 2, "tensor", nor params that are not a dict;
+    # the error names the field
     data = _exported(backend)
     data[key] = value
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match=f'"{key}" is {value!r}, but'):
         representation_from_json(data)
 
 
