@@ -17,7 +17,7 @@ The package is organized bottom-up:
 
 from .scalar import (RootContext, CycloNum, GaussCyclo, q_power, q_number,
                      to_complex, is_close)
-from .ncpoly import (NcPoly, QCoeff, QRat, parse_expr, format_expr,
+from .ncpoly import (NcPoly, QRat, parse_expr, format_expr,
                      pbw_normal_form, substitute_j, identity_coefficients,
                      identity_contracts, lemma_check, lemma_v,
                      hopf_symbolic_check, HOPF_CHECKS)
@@ -32,7 +32,7 @@ from .spectral import (EigenPair, LadderChain, UnitarizingStructure,
 __all__ = [
     "RootContext", "CycloNum", "GaussCyclo", "q_power", "q_number",
     "to_complex", "is_close",
-    "NcPoly", "QCoeff", "QRat", "parse_expr", "format_expr",
+    "NcPoly", "QRat", "parse_expr", "format_expr",
     "pbw_normal_form", "substitute_j", "identity_coefficients",
     "identity_contracts", "lemma_check", "lemma_v", "hopf_symbolic_check",
     "HOPF_CHECKS",

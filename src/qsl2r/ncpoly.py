@@ -2,7 +2,7 @@
 
 Words are strings over the letters X, Y, Z, z, J ('z' stands for Z^-1; the
 text grammar spells it Zi).  Coefficients are rational functions of a formal
-variable q, optionally carrying integer powers of an auxiliary commuting
+variable q.  A term may also carry an integer power of an auxiliary central
 variable y (used to expand the cubic ladder identity, where y plays the role
 of q^x).  q stays formal here: every identity verified in this module holds
 for generic q, which is stronger than at any particular root of unity.
@@ -21,11 +21,11 @@ coefficients are plain ints while they are integral, as every coefficient
 the PBW engine builds is, and Fractions only once a division makes them so.
 A fraction over (q^2 - 1)^k, and a sum or product of two of them, is in
 lowest terms with no gcd unless its numerator vanishes at q = 1 or q = -1;
-any other fraction is reduced by the exact gcd.  The three sparse
-sums share one base, `_SparseSum` (map key -> nonzero coefficient, with
-+, -, * and scalars on either side), and differ only in keys and ring:
-`QCoeff` sums y-exponents over QRat, `NcPoly` words over QCoeff, and
-`TensorPoly` pairs of words over QCoeff, multiplied leg by leg.
+any other fraction is reduced by the exact gcd.  The two sparse sums
+share one base, `_SparseSum` (map key -> nonzero QRat, with +, -, * and
+scalars on either side), and differ only in their keys: `NcPoly` maps
+(word, y-power) and `TensorPoly` (word, word, y-power), multiplied leg by
+leg.  Since y is central, a product joins the words and adds the powers.
 
 The relations (`relation_sides`), the cubic identity (`identity_sides`,
 `identity_coefficients`) and the recovery of X and Y from J and Z
@@ -355,7 +355,7 @@ _QR_ONE = QRat({0: 1}, _DEN_ONE, _canonical=True)
 
 
 # ---------------------------------------------------------------------------
-# sparse sums: coefficients in y, words, tensor words
+# sparse sums over QRat, each key with a power of y
 # ---------------------------------------------------------------------------
 
 
@@ -371,13 +371,12 @@ def _add_term(out, k, c):
 
 
 class _SparseSum:
-    """Finite sum as a map key -> nonzero coefficient, canonical (keys in
-    normal form, no zero values), so equality is dict equality.  A subclass
-    fixes its keys and its coefficient ring: `_key` (normal form of one
-    key), `_join` (key of a product of two keys), `_UNIT` (key of 1),
-    `_RING` (coefficient class) and `_lift` (an int, Fraction or other
-    scalar of `_SCALARS` into the ring).  The ring is commutative, so a
-    scalar multiplies from either side."""
+    """Finite sum as a map key -> nonzero QRat, canonical (keys in normal
+    form, no zero values), so equality is dict equality.  A subclass fixes
+    its keys: `_key` (normal form of one key), `_join` (key of a product of
+    two keys) and `_UNIT` (key of 1).  Every key ends in a power of y, a
+    central commuting variable, so y^e c is the term (..., e) -> c.  A QRat,
+    int or Fraction is a scalar and multiplies from either side."""
 
     __slots__ = ("terms",)
 
@@ -392,12 +391,12 @@ class _SparseSum:
                 _add_term(out, self._key(k), c)
         self.terms = out
 
-    @classmethod
-    def _coeff(cls, c):
-        # c in the coefficient ring, or None when it is no scalar
-        if isinstance(c, cls._RING):
+    @staticmethod
+    def _coeff(c):
+        # c as a QRat, or None when it is no scalar
+        if isinstance(c, QRat):
             return c
-        return cls._lift(c) if isinstance(c, cls._SCALARS) else None
+        return QRat.integer(c) if isinstance(c, (int, Fraction)) else None
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
@@ -411,7 +410,7 @@ class _SparseSum:
 
     @classmethod
     def one(cls):
-        return cls({cls._UNIT: cls._RING.one()}, _canonical=True)
+        return cls({cls._UNIT: _QR_ONE}, _canonical=True)
 
     @classmethod
     def scalar(cls, c):
@@ -474,46 +473,6 @@ class _SparseSum:
         return NotImplemented if c is None else self.scale(c)
 
 
-class QCoeff(_SparseSum):
-    """Finite sum of QRat * y^k; y is a free commuting variable, never
-    specialized inside this module."""
-
-    __slots__ = ()
-    _UNIT, _RING, _SCALARS = 0, QRat, (int, Fraction)
-    _lift = staticmethod(QRat.integer)
-    _key = staticmethod(lambda e: e)
-    _join = staticmethod(lambda a, b: a + b)
-
-    @classmethod
-    def of(cls, qr):
-        return cls.scalar(qr)
-
-    @staticmethod
-    def q_pow(k):
-        return QCoeff({0: QRat.q_pow(k)}, _canonical=True)
-
-    @staticmethod
-    def y_pow(k, qr=None):
-        return QCoeff({k: qr if qr is not None else _QR_ONE})
-
-    def inverse(self):
-        if not self.terms:
-            raise ZeroDivisionError("division by zero in Q(q)[y,y^-1]")
-        if len(self.terms) != 1:
-            raise ZeroDivisionError("only monomial coefficients are invertible in Q(q)[y,y^-1]")
-        (e, c), = self.terms.items()
-        return QCoeff({-e: c.inverse()})
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __repr__(self):
-        return f"QCoeff({qcoeff_str(self)})"
-
-
 # ---------------------------------------------------------------------------
 # words and polynomials
 # ---------------------------------------------------------------------------
@@ -533,19 +492,19 @@ def cancel_word(word):
 
 
 class NcPoly(_SparseSum):
-    """Map word -> QCoeff, canonical: no Z z adjacencies, no zero values."""
+    """Map (word, y-power) -> QRat, canonical: no Z z adjacencies, no zero
+    values.  A scalar in y is a polynomial on the empty word."""
 
     __slots__ = ()
-    _UNIT, _RING, _SCALARS = "", QCoeff, (QRat, int, Fraction)
-    _lift = staticmethod(QCoeff.scalar)
-    _key = staticmethod(cancel_word)
-    _join = staticmethod(lambda a, b: cancel_word(a + b))
+    _UNIT = ("", 0)
+    _key = staticmethod(lambda k: (cancel_word(k[0]), k[1]))
+    _join = staticmethod(lambda a, b: (cancel_word(a[0] + b[0]), a[1] + b[1]))
 
     @staticmethod
     def word(w, coeff=None):
         if any(ch not in LETTERS for ch in w):
             raise ValueError(f"unknown letter in word {w!r}")
-        return NcPoly({w: coeff if coeff is not None else QCoeff.one()})
+        return NcPoly({(w, 0): coeff if coeff is not None else _QR_ONE})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -555,34 +514,31 @@ class NcPoly(_SparseSum):
         half = self ** (n // 2)  # by squaring
         return half * half * self if n % 2 else half * half
 
-    def items(self):
-        return self.terms.items()
-
     def __repr__(self):
         return f"NcPoly({format_expr(self)})"
 
 
 class TensorPoly(_SparseSum):
-    """Degree-2 tensor leg: map (word, word) -> QCoeff, multiplication acts
-    legwise with the same Z z cancellation per leg."""
+    """Degree-2 tensor leg: map (word, word, y-power) -> QRat, multiplication
+    acts legwise with the same Z z cancellation per leg."""
 
     __slots__ = ()
-    _UNIT, _RING, _SCALARS = ("", ""), QCoeff, (QRat, int, Fraction)
-    _lift = staticmethod(QCoeff.scalar)
-    _key = staticmethod(lambda k: (cancel_word(k[0]), cancel_word(k[1])))
-    _join = staticmethod(lambda a, b: (cancel_word(a[0] + b[0]), cancel_word(a[1] + b[1])))
+    _UNIT = ("", "", 0)
+    _key = staticmethod(lambda k: (cancel_word(k[0]), cancel_word(k[1]), k[2]))
+    _join = staticmethod(lambda a, b: (cancel_word(a[0] + b[0]), cancel_word(a[1] + b[1]),
+                                       a[2] + b[2]))
 
     def __repr__(self):
-        body = " + ".join(f"({w1 or '1'})(x)({w2 or '1'})" for w1, w2 in sorted(self.terms))
+        body = " + ".join(f"({w1 or '1'})(x)({w2 or '1'})" for w1, w2, _ in sorted(self.terms))
         return f"TensorPoly({body or '0'})"
 
 
 def tensor(a: NcPoly, b: NcPoly) -> TensorPoly:
     out = {}
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            out[(wa, wb)] = ca * cb
-    return TensorPoly(out)
+    for (wa, ea), ca in a.terms.items():
+        for (wb, eb), cb in b.terms.items():
+            _add_term(out, (wa, wb, ea + eb), ca * cb)
+    return TensorPoly(out, _canonical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -692,40 +648,41 @@ def pbw_normal_form(p: NcPoly) -> NcPoly:
     another denominator is summed apart, per denominator, and reduced by the
     generic QRat constructor."""
     acc = {}   # (word, y-power, other denominator or None) -> (numerator, k)
-    for w, c in p.terms.items():
-        terms = _word_terms(w)
-        for ey, r in c.terms.items():
-            j = _den_exponent(r.den)
-            other = None if j is not None else tuple(sorted(r.den.items()))
-            for v, (n, k) in terms.items():
-                if r.num != _DEN_ONE:   # a numerator other than 1
-                    n = _conv(n, r.num)
-                key, k = (v, ey, other), k + (j or 0)
-                s = acc.get(key)
-                acc[key] = (n, k) if s is None else _over_common_power(*s, n, k)
+    words = {}  # a word met with several powers of y is reduced once
+    for (w, ey), r in p.terms.items():
+        j = _den_exponent(r.den)
+        other = None if j is not None else tuple(sorted(r.den.items()))
+        terms = words.get(w)
+        if terms is None:
+            terms = words[w] = _word_terms(w)
+        for v, (n, k) in terms.items():
+            if r.num != _DEN_ONE:   # a numerator other than 1
+                n = _conv(n, r.num)
+            key, k = (v, ey, other), k + (j or 0)
+            s = acc.get(key)
+            acc[key] = (n, k) if s is None else _over_common_power(*s, n, k)
     out = {}
     for (v, ey, other), (n, k) in acc.items():
         r = (_pbw_coefficient(n, k) if other is None
              else QRat(n, _conv(dict(other), _den_power(k))))
         if r:
-            _add_term(out.setdefault(v, {}), ey, r)
-    return NcPoly({v: QCoeff(t, _canonical=True) for v, t in out.items() if t},
-                  _canonical=True)
+            _add_term(out, (v, ey), r)
+    return NcPoly(out, _canonical=True)
 
 
 @lru_cache(maxsize=None)
 def j_expansion() -> NcPoly:
     """J written in the original generators: q X Z^-1 - q^-1 Y Z^-1."""
-    return NcPoly({"Xz": QCoeff.q_pow(1), "Yz": -QCoeff.q_pow(-1)})
+    return NcPoly({("Xz", 0): QRat.q_pow(1), ("Yz", 0): -QRat.q_pow(-1)})
 
 
 def substitute_j(p: NcPoly) -> NcPoly:
     """Replace every J letter by its expansion and canonicalize."""
     out = NcPoly.zero()
     jp = j_expansion()
-    for w, c in p.terms.items():
+    for (w, e), c in p.terms.items():
         parts = w.split(J)
-        acc = NcPoly({parts[0]: c})
+        acc = NcPoly({(parts[0], e): c})
         for part in parts[1:]:
             acc = acc * jp * NcPoly.word(part)
         out = out + acc
@@ -737,14 +694,14 @@ def substitute_j(p: NcPoly) -> NcPoly:
 # ---------------------------------------------------------------------------
 
 
-def bracket_shift(k: int) -> QCoeff:
-    """[x+k]_q rendered in y: (y q^k - y^-1 q^-k)/(q - q^-1)."""
-    return QCoeff({1: QRat.q_pow(k) / _DELTA, -1: -(QRat.q_pow(-k) / _DELTA)})
+def bracket_shift(k: int) -> NcPoly:
+    """[x+k]_q rendered in y, as a scalar: (y q^k - y^-1 q^-k)/(q - q^-1)."""
+    return NcPoly({("", 1): QRat.q_pow(k) / _DELTA, ("", -1): -(QRat.q_pow(-k) / _DELTA)})
 
 
-def _two_bracket_sq() -> QCoeff:
+def _two_bracket_sq() -> QRat:
     t = QRat.q_pow(1) + QRat.q_pow(-1)
-    return QCoeff.of(t * t)
+    return t * t
 
 
 @lru_cache(maxsize=None)
@@ -752,22 +709,18 @@ def identity_sides():
     """LHS and RHS of the cubic ladder identity over the letters Z, J, with
     the spectral parameter carried by y (built once, on first use)."""
     a2, a0, am2 = bracket_shift(2), bracket_shift(0), bracket_shift(-2)
-    t2 = _two_bracket_sq()
     Zp, Jp = NcPoly.word(Z), NcPoly.word(J)
-    lhs = Zp * (Jp - NcPoly.scalar(a2)) * (Jp - NcPoly.scalar(a0)) \
-        * (Jp - NcPoly.scalar(am2)) * Zp
-    rhs = ((Jp - NcPoly.scalar(a0)) * Zp * (Jp - NcPoly.scalar(a0)) * Zp
-           - NcPoly.scalar(t2)) * (Jp - NcPoly.scalar(a0))
+    lhs = Zp * (Jp - a2) * (Jp - a0) * (Jp - am2) * Zp
+    rhs = ((Jp - a0) * Zp * (Jp - a0) * Zp - _two_bracket_sq()) * (Jp - a0)
     return lhs, rhs
 
 
 def y_coefficients(p: NcPoly) -> dict[int, NcPoly]:
     """The y-free polynomials p_k with p = sum_k y^k p_k (nonzero ones only)."""
-    out: dict[int, dict[str, QCoeff]] = {}
-    for w, c in p.terms.items():
-        for ey, qr in c.terms.items():
-            out.setdefault(ey, {})[w] = QCoeff.of(qr)
-    return {ey: NcPoly(bucket) for ey, bucket in out.items()}
+    out: dict[int, dict] = {}
+    for (w, ey), c in p.terms.items():
+        out.setdefault(ey, {})[w, 0] = c
+    return {ey: NcPoly(bucket, _canonical=True) for ey, bucket in out.items()}
 
 
 def identity_coefficients() -> dict[int, NcPoly]:
@@ -803,17 +756,17 @@ def relation_sides(which: str) -> dict[str, tuple[NcPoly, NcPoly]]:
     identity here, since words cancel Z z on contact; see defining_relations).
     "zj": the two J-Z relations.  Built once per set."""
     if which == "defining":
-        inv_delta = QCoeff.of(_DELTA.inverse())
+        inv_delta = _DELTA.inverse()
         return {
-            "Z X = q^-2 X Z": (NcPoly.word("ZX"), NcPoly.word("XZ", QCoeff.q_pow(-2))),
-            "Z Y = q^2 Y Z": (NcPoly.word("ZY"), NcPoly.word("YZ", QCoeff.q_pow(2))),
+            "Z X = q^-2 X Z": (NcPoly.word("ZX"), NcPoly.word("XZ", QRat.q_pow(-2))),
+            "Z Y = q^2 Y Z": (NcPoly.word("ZY"), NcPoly.word("YZ", QRat.q_pow(2))),
             "q^-1 X Y - q Y X = (Z^2 - 1)/(q - q^-1)":
-                (NcPoly.word("XY", QCoeff.q_pow(-1)) - NcPoly.word("YX", QCoeff.q_pow(1)),
+                (NcPoly.word("XY", QRat.q_pow(-1)) - NcPoly.word("YX", QRat.q_pow(1)),
                  NcPoly.word("ZZ", inv_delta) - NcPoly.scalar(inv_delta)),
         }
     if which == "zj":
-        mid = QCoeff.of(QRat.q_pow(2) + QRat.q_pow(-2))
-        front = QCoeff.of(QRat.q_pow(2) + QRat.one() + QRat.q_pow(-2))
+        mid = QRat.q_pow(2) + QRat.q_pow(-2)
+        front = QRat.q_pow(2) + QRat.one() + QRat.q_pow(-2)
         t2 = _two_bracket_sq()
         return {
             "Z^2 J - (q^2+q^-2) Z J Z + J Z^2 = 0":
@@ -840,7 +793,7 @@ def identity_contracts(coeffs: dict[int, NcPoly] | None = None) -> dict[str, NcP
     The right-hand sides are -R1, R2 and 2 R1 + (q-q^-1)^2 V in terms of the
     J-Z relations R1, R2 (`relation_differences("zj")`) and V (`lemma_v`)."""
     c = identity_coefficients() if coeffs is None else coeffs
-    d1 = QCoeff.of(_DELTA)
+    d1 = _DELTA
     d2 = d1 * d1
     r1, r2 = relation_differences("zj").values()
     v = lemma_v()
@@ -919,16 +872,16 @@ def lemma_check(v: NcPoly | None = None, consequence_depth: int = 5) -> LemmaRep
 
 @lru_cache(maxsize=None)
 def _hopf_tables():
-    one = QCoeff.one()
+    one = QRat.one()
     coproduct = {
-        X: TensorPoly({("", X): one, (X, Z): one}),
-        Y: TensorPoly({("", Y): one, (Y, Z): one}),
-        Z: TensorPoly({(Z, Z): one}),
-        ZINV: TensorPoly({(ZINV, ZINV): one}),
+        X: TensorPoly({("", X, 0): one, (X, Z, 0): one}),
+        Y: TensorPoly({("", Y, 0): one, (Y, Z, 0): one}),
+        Z: TensorPoly({(Z, Z, 0): one}),
+        ZINV: TensorPoly({(ZINV, ZINV, 0): one}),
     }
     antipode = {
-        X: NcPoly({"Xz": -one}),
-        Y: NcPoly({"Yz": -one}),
+        X: NcPoly({("Xz", 0): -one}),
+        Y: NcPoly({("Yz", 0): -one}),
         Z: NcPoly.word(ZINV),
         ZINV: NcPoly.word(Z),
     }
@@ -937,43 +890,45 @@ def _hopf_tables():
 
 def coproduct(p: NcPoly) -> TensorPoly:
     """Multiplicative extension of Delta X = 1 (x) X + X (x) Z,
-    Delta Y = 1 (x) Y + Y (x) Z, Delta Z = Z (x) Z.  J-free input."""
+    Delta Y = 1 (x) Y + Y (x) Z, Delta Z = Z (x) Z, Delta y = y.  J-free
+    input."""
     table, _ = _hopf_tables()
     out = TensorPoly.zero()
-    for w, c in p.terms.items():
+    for (w, e), c in p.terms.items():
         if J in w:
             raise ValueError("substitute_j before taking the coproduct")
-        acc = TensorPoly.one()
+        acc = TensorPoly({("", "", e): c}, _canonical=True)
         for ch in w:
             acc = acc * table[ch]
-        out = out + acc.scale(c)
+        out = out + acc
     return out
 
 
 def antipode(p: NcPoly) -> NcPoly:
     """Antihomomorphic extension of S(X) = -X Z^-1, S(Y) = -Y Z^-1,
-    S(Z) = Z^-1.  J-free input."""
+    S(Z) = Z^-1, S(y) = y.  J-free input."""
     _, table = _hopf_tables()
     out = NcPoly.zero()
-    for w, c in p.terms.items():
+    for (w, e), c in p.terms.items():
         if J in w:
             raise ValueError("substitute_j before taking the antipode")
-        acc = NcPoly.one()
+        acc = NcPoly({("", e): c}, _canonical=True)
         for ch in reversed(w):
             acc = acc * table[ch]
-        out = out + acc.scale(c)
+        out = out + acc
     return out
 
 
-def counit(p: NcPoly) -> QCoeff:
-    """eps(X) = eps(Y) = 0, eps(Z) = eps(Z^-1) = 1, multiplicative."""
-    out = QCoeff.zero()
-    for w, c in p.terms.items():
+def counit(p: NcPoly) -> NcPoly:
+    """eps(X) = eps(Y) = 0, eps(Z) = eps(Z^-1) = 1, eps(y) = y,
+    multiplicative; the value is a scalar in y."""
+    out = {}
+    for (w, e), c in p.terms.items():
         if J in w:
             raise ValueError("substitute_j before taking the counit")
         if all(ch in (Z, ZINV) for ch in w):
-            out = out + c
-    return out
+            _add_term(out, ("", e), c)
+    return NcPoly(out, _canonical=True)
 
 
 @dataclass
@@ -1019,9 +974,9 @@ def hopf_symbolic_check(which: str) -> HopfReport:
         for g in (X, Y, Z, J):
             gx = substitute_j(NcPoly.word(g))
             applied = NcPoly.zero()
-            for (w1, w2), c in coproduct(gx).terms.items():
+            for (w1, w2, e), c in coproduct(gx).terms.items():
                 if all(ch in (Z, ZINV) for ch in w1):
-                    applied = applied + NcPoly({w2: c}, _canonical=True)
+                    applied = applied + NcPoly({(w2, e): c}, _canonical=True)
             r = applied - gx
             ok = ok and r.is_zero()
             residual = residual + r
@@ -1048,10 +1003,10 @@ def xy_recovery() -> tuple[NcPoly, NcPoly]:
     """X and Y written in J and Z: (q J Z - q^-1 Z J)/(q^2 - q^-2) and
     (q^-1 J Z - q Z J)/(q^2 - q^-2)."""
     scale = (QRat.q_pow(2) - QRat.q_pow(-2)).inverse()
-    xhat = (NcPoly.word("JZ", QCoeff.of(QRat.q_pow(1) * scale))
-            - NcPoly.word("ZJ", QCoeff.of(QRat.q_pow(-1) * scale)))
-    yhat = (NcPoly.word("JZ", QCoeff.of(QRat.q_pow(-1) * scale))
-            - NcPoly.word("ZJ", QCoeff.of(QRat.q_pow(1) * scale)))
+    xhat = (NcPoly.word("JZ", QRat.q_pow(1) * scale)
+            - NcPoly.word("ZJ", QRat.q_pow(-1) * scale))
+    yhat = (NcPoly.word("JZ", QRat.q_pow(-1) * scale)
+            - NcPoly.word("ZJ", QRat.q_pow(1) * scale))
     return xhat, yhat
 
 
@@ -1104,12 +1059,11 @@ def qrat_str(r: QRat) -> str:
     return f"({_poly_str(r.num)})/({_poly_str(r.den)})"
 
 
-def qcoeff_str(c: QCoeff) -> str:
-    if c.is_zero():
-        return "0"
+def _y_group_str(group: dict[int, QRat]) -> str:
+    # the coefficient of one word, {y-power: QRat}, highest power first
     parts = []
-    for ey in sorted(c.terms, reverse=True):
-        rs = qrat_str(c.terms[ey])
+    for ey in sorted(group, reverse=True):
+        rs = qrat_str(group[ey])
         if ey == 0:
             parts.append(rs)
             continue
@@ -1128,12 +1082,14 @@ def format_expr(p: NcPoly) -> str:
     """Deterministic text form in the CLI grammar; parse_expr inverts it."""
     if p.is_zero():
         return "0"
+    groups = {}
+    for (w, ey), c in p.terms.items():
+        groups.setdefault(w, {})[ey] = c
     chunks = []
-    for w in sorted(p.terms, key=lambda w: (len(w), w)):
-        c = p.terms[w]
+    for w in sorted(groups, key=lambda w: (len(w), w)):
         ws = "*".join(_PRINT_NAME[ch] for ch in w)
-        cs = qcoeff_str(c)
-        multi = len(c.terms) > 1 or (" " in cs and not cs.startswith("("))
+        cs = _y_group_str(groups[w])
+        multi = len(groups[w]) > 1 or (" " in cs and not cs.startswith("("))
         if not w:
             chunks.append(f"({cs})" if multi else cs)
         elif cs == "1":
@@ -1242,12 +1198,12 @@ class _Parser:
             self.expect_op(")")
             return inner
         if kind == "int":
-            return NcPoly.scalar(QCoeff.of(QRat.integer(val)))
+            return NcPoly.scalar(val)
         if kind == "name":
             if val == "q":
-                return NcPoly.scalar(QCoeff.q_pow(1))
+                return NcPoly.scalar(QRat.q_pow(1))
             if val == "y":
-                return NcPoly.scalar(QCoeff.y_pow(1))
+                return NcPoly({("", 1): _QR_ONE}, _canonical=True)
             letter = _PARSE_NAME.get(val)
             if letter is None:
                 raise ParseError(f"unknown identifier {val!r}")
@@ -1255,30 +1211,31 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}")
 
 
-def _scalar_coeff(p: NcPoly) -> QCoeff | None:
-    if not p.terms:
-        return QCoeff.zero()
-    if set(p.terms) == {""}:
-        return p.terms[""]
-    return None
+def _is_scalar(p: NcPoly) -> bool:
+    return not any(w for w, _ in p.terms)
 
 
 def _scalar_inverse(p: NcPoly) -> NcPoly:
-    c = _scalar_coeff(p)
-    if c is None:
+    """1/p for a scalar p = c y^e; no other scalar is invertible in
+    Q(q)[y, y^-1]."""
+    if not _is_scalar(p):
         raise ParseError("division is only defined by scalar coefficients")
-    return NcPoly.scalar(c.inverse())
+    if not p.terms:
+        raise ZeroDivisionError("division by zero in Q(q)[y,y^-1]")
+    if len(p.terms) != 1:
+        raise ZeroDivisionError("only monomial coefficients are invertible in Q(q)[y,y^-1]")
+    ((_, e), c), = p.terms.items()
+    return NcPoly({("", -e): c.inverse()}, _canonical=True)
 
 
 def _poly_power(base: NcPoly, k: int) -> NcPoly:
     if k >= 0:
         return base ** k
-    c = _scalar_coeff(base)
-    if c is not None:
-        return NcPoly.scalar(c.inverse()) ** (-k)
-    if set(base.terms) == {Z} and base.terms[Z] == QCoeff.one():
+    if _is_scalar(base):
+        return _scalar_inverse(base) ** (-k)
+    if base == NcPoly.word(Z):
         return NcPoly.word(ZINV * (-k))
-    if set(base.terms) == {ZINV} and base.terms[ZINV] == QCoeff.one():
+    if base == NcPoly.word(ZINV):
         return NcPoly.word(Z * (-k))
     raise ParseError("negative powers are only defined for scalars and Z, Zi")
 

@@ -309,21 +309,18 @@ def _require_defining(rep):
 # evaluating symbolic polynomials onto matrices
 # ---------------------------------------------------------------------------
 
-def _coefficient_key(c, exact: bool):
-    """The key a y-free coefficient's values are cached under on the
-    context: its canonical numerator and denominator."""
-    if set(c.terms) - {0}:
+def _require_y_free(polys):
+    if any(e for p in polys for _, e in p.terms):
         raise ValueError("only y-free polynomials can be evaluated onto matrices")
-    return exact, c.terms[0].key()
 
 
 def _coefficient(c, ctx: RootContext, exact: bool):
-    """The y-free coefficient's value at q, cached on the context."""
-    key = _coefficient_key(c, exact)
+    """The coefficient's value at q, cached on the context under its
+    canonical numerator and denominator."""
+    key = exact, c.key()
     got = ctx._subs_cache.get(key)
     if got is None:
-        got = ctx._subs_cache[key] = c.terms[0].subs_q(q_power(ctx, 1) if exact
-                                                       else ctx.q_complex)
+        got = ctx._subs_cache[key] = c.subs_q(q_power(ctx, 1) if exact else ctx.q_complex)
     return got
 
 
@@ -333,6 +330,7 @@ def evaluate(polys, rep: Representation, exact: bool | None = None) -> list:
     `polys` for this call only; J becomes j_matrix(rep); each coefficient is
     its rational function of q at the root of unity.  exact=False evaluates
     an exact representation on the floating path (complex embeddings)."""
+    _require_y_free(polys)
     if exact is None:
         exact = rep.backend == "exact"
     elif exact and rep.backend != "exact":
@@ -358,7 +356,7 @@ def evaluate(polys, rep: Representation, exact: bool | None = None) -> list:
 
     out = []
     for p in polys:
-        terms = [(_coefficient(c, ctx, exact), word(w)) for w, c in p.terms.items()]
+        terms = [(_coefficient(c, ctx, exact), word(w)) for (w, _), c in p.terms.items()]
         out.append(ex_lincomb(terms, ctx, d) if exact
                    else sum((s * M for s, M in terms), np.zeros((d, d), dtype=complex)))
     return out
@@ -423,7 +421,7 @@ def _letter_images(letters: dict, rep: Representation, m: int, gauss: bool) -> d
 def _split_coefficient(c, ctx: RootContext) -> dict:
     """A coefficient's value at q with its (D, N) content, and its images
     per prime count; cached on the context next to the value."""
-    key = _coefficient_key(c, True)
+    key = True, c.key()
     got = ctx._image_cache.get(key)
     if got is None:
         value = _coefficient(c, ctx, True)
@@ -538,7 +536,8 @@ def _poly_images(letters: dict, polys, coefs, moduli, d: int) -> list:
     for letter, (offs, vals) in letters.items():
         T[start[letter]:start[letter] + len(offs) * d] = vals.reshape(-1, len(moduli))
     T[start[""]:start[""] + d] = 1
-    T[first:first + len(coefs)] = coefs
+    if coefs:   # none when every polynomial is zero
+        T[first:first + len(coefs)] = coefs
     for lo, hi, left, right in levels:
         prod = T.take(left, axis=0)
         prod *= T.take(right, axis=0)
@@ -573,17 +572,18 @@ def certified_zeros(polys, rep: Representation) -> list:
     shared across polys for this call only (`_poly_images`): each entry of
     a word or a polynomial is reduced once, after summing at most
     INT64_SUM_TERMS products unreduced."""
+    _require_y_free(polys)
     out = [None] * len(polys)
     ctx, d = rep.ctx, rep.dim
     if (rep.backend != "exact" or d < SPLIT_MIN_DIM
             or max(ctx.degree, 2 * d) >= INT64_SUM_TERMS):
         return out
-    letters = _split_letters(rep, {ch for p in polys for w in p.terms for ch in w})
+    letters = _split_letters(rep, {ch for p in polys for w, _ in p.terms for ch in w})
     gauss = any(data["gauss"] for data in letters.values())
     plans, m = [], 0
     for p in polys:
         terms, D, bounds = [], 1, []
-        for w, c in p.terms.items():
+        for (w, _), c in p.terms.items():
             coef = _split_coefficient(c, ctx)
             Dw, Nw = coef["D"], coef["N"]
             for ch in w:
@@ -913,9 +913,11 @@ def representation_from_json(data: dict) -> Representation:
     and family are present, P and Q are integers (not bools), the family is
     1, 2 or "tensor", params (when present) is a dict, the backend is exact
     or approx, "generators" holds X, Y and Z as lists of rows, square of one
-    dimension, every entry is in its backend's encoding and Z is diagonal
-    with no zero on its diagonal; ArithmeticError, as from every
-    constructor, unless the matrices satisfy the defining relations."""
+    dimension d, the family fits d (family 2: d = Q; family 1: d <= Q and,
+    when params are given, r = d - 1 and sign +1 or -1), every entry is in
+    its backend's encoding and Z is diagonal with no zero on its diagonal;
+    ArithmeticError, as from every constructor, unless the matrices satisfy
+    the defining relations."""
     if missing := [k for k in ("P", "Q", "backend", "family") if k not in data]:
         raise ValueError(f"the payload has no {', '.join(missing)}")
     for key in ("P", "Q"):
@@ -938,6 +940,15 @@ def representation_from_json(data: dict) -> Representation:
                     or any(not isinstance(row, list) or len(row) != d for row in gens[g])
                     for g in "XYZ"):
         raise ValueError("X, Y and Z must be square matrices of one dimension, lists of rows")
+    family = data["family"]
+    if (family == 2 and d != ctx.Q) or (family == 1 and d > ctx.Q):
+        raise ValueError(f'"family" is {family!r}, but the matrices are {d} x {d} at Q = '
+                         f'{ctx.Q}: a second-family rep is Q-dimensional, a first-family '
+                         'one at most Q-dimensional')
+    if family == 1 and params and (params.get("r") != d - 1
+                                   or params.get("sign") not in (1, -1)):
+        raise ValueError(f'"params" is {params!r}, but a first-family rep of dimension '
+                         f'{d} has r = {d - 1} and sign +1 or -1')
 
     if backend == "exact":
         def mat(rows):
@@ -962,6 +973,6 @@ def representation_from_json(data: dict) -> Representation:
         if not np.array_equal(Z != 0, np.eye(d, dtype=bool)):
             raise ValueError("Z must be diagonal with no zero on its diagonal")
         Zinv = np.diag(1 / np.diag(Z))
-    rep = Representation(ctx, d, data["family"], dict(params), backend, X, Y, Z, Zinv)
+    rep = Representation(ctx, d, family, dict(params), backend, X, Y, Z, Zinv)
     _require_defining(rep)
     return rep

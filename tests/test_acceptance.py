@@ -10,7 +10,7 @@ from math import gcd
 
 import numpy as np
 
-from qsl2r.ncpoly import (NcPoly, QCoeff, QRat, hopf_symbolic_check,
+from qsl2r.ncpoly import (NcPoly, QRat, hopf_symbolic_check,
                           identity_contracts, identity_coefficients,
                           lemma_check, lemma_v, _two_bracket_sq)
 from qsl2r.reps import (build_family1, build_family2, intersection_check,
@@ -56,8 +56,8 @@ def test_criterion_1_symbolic_proof_replay():
 
     # single sign flips must be caught
     d = QRat.q_pow(1) - QRat.q_pow(-1)
-    delta2 = QCoeff.of(d * d)
-    wrong_mid = QCoeff.of(QRat.q_pow(2) - QRat.q_pow(-2))
+    delta2 = d * d
+    wrong_mid = QRat.q_pow(2) - QRat.q_pow(-2)
     bad_target = (-NcPoly.word("JZZ") + NcPoly.word("ZJZ", wrong_mid)
                   - NcPoly.word("ZZJ"))
     mutation_identity = not (coeffs[2] * delta2 - bad_target).is_zero()

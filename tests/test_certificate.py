@@ -316,7 +316,7 @@ def _identity_images(rep, coefs_seed):
     letters = reps._split_letters(rep, "JZ")
     images = reps._letter_images(letters, rep, 1, False)
     moduli = np.repeat([p for p, *_ in rep.ctx.split_primes(1)], rep.ctx.degree)
-    words = [list(p.terms) for p in identity_coefficients().values()]
+    words = [[w for w, _ in p.terms] for p in identity_coefficients().values()]
     rng = np.random.default_rng(coefs_seed)
     coefs = [rng.integers(0, moduli) for _ in range(sum(map(len, words)))]
     return reps._poly_images(images, words, coefs, moduli, rep.dim), moduli

@@ -8,7 +8,7 @@ import pytest
 
 from qsl2r.ncpoly import identity_coefficients, j_expansion, parse_expr
 from qsl2r.reps import (Representation, build_family1, build_family2,
-                        evaluate, ex_is_zero, ex_sub, j_matrix,
+                        certified_zeros, evaluate, ex_is_zero, ex_sub, j_matrix,
                         j_matrix_complex, verify_relations)
 from qsl2r.scalar import RootContext, q_number, to_complex
 from qsl2r.spectral import verify_identity
@@ -55,6 +55,19 @@ def test_evaluate_rejects_y_and_exact_on_floating_reps():
         evaluate([parse_expr("y*Z")], rep)
     with pytest.raises(ValueError, match="no exact evaluation"):
         evaluate([parse_expr("Z")], build_family2(RootContext(1, 3), 1.0, 0.0, 0.0), exact=True)
+
+
+@pytest.mark.parametrize("r", [0, 6])
+def test_certified_zeros_refuses_y_like_evaluate(r):
+    # below SPLIT_MIN_DIM, where nothing is certified, and on a rep the
+    # certificate decides; the y-laden poly is not the first one
+    rep = build_family1(RootContext(2, 9), r, 1)
+    polys = [parse_expr("Z*Zi - 1"), parse_expr("X + y*Z")]
+    for check in (evaluate, certified_zeros):
+        with pytest.raises(ValueError,
+                           match="^only y-free polynomials can be evaluated onto matrices$"):
+            check(polys, rep)
+    assert certified_zeros(polys[:1], rep) == [None if r == 0 else True]
 
 
 # -- the cubic identity for every x ----------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qsl2r import ncpoly
-from qsl2r.ncpoly import (HOPF_CHECKS, NcPoly, ParseError, QCoeff, QRat,
+from qsl2r.ncpoly import (HOPF_CHECKS, NcPoly, ParseError, QRat,
                           WordLengthError, antipode, bracket_shift,
                           cancel_word, coproduct, counit, defining_relations,
                           format_expr, hopf_symbolic_check,
@@ -62,16 +62,26 @@ def test_subs_q_does_not_depend_on_how_a_qrat_was_built():
             assert r.subs_q(q) == s.subs_q(q)
 
 
-def test_qcoeff_y_layers():
+def test_scalars_in_y():
+    # y is a key of the sum: a scalar in y lives on the empty word
     a = bracket_shift(2)
     b = bracket_shift(-2)
     prod = a * b
-    assert set(prod.terms) == {2, 0, -2}
-    with pytest.raises(ZeroDivisionError):
-        (a + QCoeff.one()).inverse()
+    assert set(prod.terms) == {("", 2), ("", 0), ("", -2)}
+    assert prod == b * a
+    with pytest.raises(ZeroDivisionError, match="only monomial"):
+        ncpoly._scalar_inverse(a + 1)
     with pytest.raises(ZeroDivisionError, match="division by zero"):
-        QCoeff.zero().inverse()
-    assert QCoeff.y_pow(3).inverse() == QCoeff.y_pow(-3)
+        ncpoly._scalar_inverse(NcPoly.zero())
+    with pytest.raises(ParseError, match="only defined by scalar"):
+        ncpoly._scalar_inverse(P("y*X"))
+    assert ncpoly._scalar_inverse(P("y^3")) == P("y^-3")
+    assert ncpoly._scalar_inverse(P("2*q*y^3")) * P("2*q*y^3") == NcPoly.one()
+    assert P("X/(q*y^2)") == P("q^-1*y^-2*X") == P("X*(q*y^2)^-1")
+    for bad, message in (("X/(y + 1)", "only monomial"), ("X/(y - y)", "division by zero"),
+                         ("(y + q)^-2", "only monomial")):
+        with pytest.raises(ZeroDivisionError, match=message):
+            parse_expr(bad)
 
 
 # -- words and ring operations -------------------------------------------------
@@ -101,28 +111,39 @@ def test_scale_and_scalar_embedding():
 
 # -- the sparse sums: ring laws ------------------------------------------------
 
-def _rand_qcoeff(rng):
-    def qrat():
-        num = {rng.randint(-2, 2): Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))}
-        den = {0: Fraction(1), rng.randint(1, 2): Fraction(rng.choice((-1, 2)))}
-        return QRat(num) if rng.random() < 0.5 else QRat(num, den)
-    return QCoeff({rng.randint(-2, 2): qrat() for _ in range(rng.randint(1, 3))})
+def _rand_qrat(rng):
+    num = {rng.randint(-2, 2): Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))}
+    den = {0: Fraction(1), rng.randint(1, 2): Fraction(rng.choice((-1, 2)))}
+    return QRat(num) if rng.random() < 0.5 else QRat(num, den)
 
 
 def _rand_word(rng):
     return "".join(rng.choice("XYZz") for _ in range(rng.randint(0, 3)))
 
 
+def _rand_sum(cls, rng, words):
+    # 1-3 random words, each with a random coefficient in Q(q)[y, y^-1]
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        w = words()
+        for _ in range(rng.randint(1, 3)):
+            terms[w + (rng.randint(-2, 2),)] = _rand_qrat(rng)
+    return cls(terms)
+
+
+def _rand_y_scalar(rng):
+    return _rand_sum(NcPoly, rng, lambda: ("",))
+
+
 def _rand_ncpoly(rng):
-    return NcPoly({_rand_word(rng): _rand_qcoeff(rng) for _ in range(rng.randint(1, 3))})
+    return _rand_sum(NcPoly, rng, lambda: (_rand_word(rng),))
 
 
 def _rand_tensor(rng):
-    return TensorPoly({(_rand_word(rng), _rand_word(rng)): _rand_qcoeff(rng)
-                       for _ in range(rng.randint(1, 3))})
+    return _rand_sum(TensorPoly, rng, lambda: (_rand_word(rng), _rand_word(rng)))
 
 
-@pytest.mark.parametrize("make", [_rand_qcoeff, _rand_ncpoly, _rand_tensor])
+@pytest.mark.parametrize("make", [_rand_y_scalar, _rand_ncpoly, _rand_tensor])
 def test_sparse_sum_ring_laws(make):
     rng = random.Random(make.__name__)
     one = type(make(rng)).one()
@@ -219,8 +240,8 @@ def test_identity_mutation_detected():
     # flip (q^2 + q^-2) to (q^2 - q^-2) in the degree-one target
     c = identity_coefficients()
     d = QRat.q_pow(1) - QRat.q_pow(-1)
-    delta2 = QCoeff.of(d * d)
-    wrong_mid = QCoeff.of(QRat.q_pow(2) - QRat.q_pow(-2))
+    delta2 = d * d
+    wrong_mid = QRat.q_pow(2) - QRat.q_pow(-2)
     bad_target = -NcPoly.word("JZZ") + NcPoly.word("ZJZ", wrong_mid) - NcPoly.word("ZZJ")
     assert not (c[2] * delta2 - bad_target).is_zero()
 
@@ -271,10 +292,27 @@ def test_counit_axiom_on_x():
     d = coproduct(NcPoly.word("X"))
     assert d == tensor(NcPoly.one(), NcPoly.word("X")) + tensor(NcPoly.word("X"), NcPoly.word("Z"))
     applied = NcPoly.zero()
-    for (w1, w2), c in d.terms.items():
+    for (w1, w2, e), c in d.terms.items():
         if all(ch in "Zz" for ch in w1):
-            applied = applied + NcPoly({w2: c})
+            applied = applied + NcPoly({(w2, e): c})
     assert applied == NcPoly.word("X")
+
+
+def test_hopf_maps_keep_y():
+    # y is central and grouplike: S(y p) = y S(p), eps(y p) = y eps(p),
+    # Delta(y p) = y Delta(p), on either leg
+    y = P("y")
+    ys = (tensor(y, NcPoly.one()), tensor(NcPoly.one(), y))
+    assert ys[0] == ys[1]
+    for p in (P("X"), P("Z"), P("X*Y*Zi - q*Y"), P("y^-2*Z*X + (y + q)*Y")):
+        assert antipode(y * p) == y * antipode(p)
+        assert counit(y * p) == y * counit(p)
+        assert coproduct(y * p) == ys[0] * coproduct(p) == coproduct(p) * ys[1]
+    assert counit(y * P("Z")) == y
+    assert antipode(y * P("X")) == -y * P("X*Zi")
+    assert coproduct(y * P("X")) == (tensor(NcPoly.one(), y * P("X"))
+                                     + tensor(y * P("X"), P("Z")))
+    assert counit(P("y*Z + q*y^-1*Zi*Zi + 2*X")) == P("y + q*y^-1")
 
 
 def test_antipode_is_an_antihomomorphism_on_relations():
@@ -288,6 +326,9 @@ def test_tensor_poly_multiplication_is_legwise():
     b = tensor(NcPoly.word("z"), NcPoly.word("Y"))
     assert a * b == tensor(NcPoly.one(), NcPoly.word("XY"))
     assert (a - a).is_zero()
+    # two pairs of terms land on X (x) Z with y^0
+    a, b = P("X + y*X"), P("Z + y^-1*Z")
+    assert tensor(a, b) == tensor(a, NcPoly.one()) * tensor(NcPoly.one(), b)
 
 
 # -- grammar ---------------------------------------------------------------------
@@ -303,6 +344,7 @@ ROUND_TRIP_CORPUS = [
     "(q^4 - 2*q^2 + 1)/(q^2 + 1)*X*Y*Zi",
     "J*Z*J + Z*J*Z - 2*J",
     "y*Z - y^-1*Zi + (q - q^-1)*J",
+    "(y^2 - q*y + 1/2*y^-1)*X*Y + (y + q) - y^-3*Z",
 ]
 
 
@@ -323,7 +365,7 @@ def test_parse_powers_of_z():
     assert parse_expr("Zi^-1") == NcPoly.word("Z")
     assert parse_expr("Z^3") == NcPoly.word("ZZZ")
     assert parse_expr("(q - q^-1)^2") == NcPoly.scalar(
-        QCoeff.of((QRat.q_pow(1) - QRat.q_pow(-1)) * (QRat.q_pow(1) - QRat.q_pow(-1))))
+        (QRat.q_pow(1) - QRat.q_pow(-1)) * (QRat.q_pow(1) - QRat.q_pow(-1)))
 
 
 @pytest.mark.parametrize("text", ["X + q*Y*Zi - 2", "Z*X + y*J", "q - q^-1", "Zi"])
@@ -339,8 +381,8 @@ def test_powers_match_repeated_products(text):
 
 
 def test_large_scalar_powers_parse_at_once():
-    assert parse_expr("q^1000000*X") == NcPoly.word("X", QCoeff.q_pow(1000000))
-    assert parse_expr("(-q)^-999999") == NcPoly.scalar(-QCoeff.q_pow(-999999))
+    assert parse_expr("q^1000000*X") == NcPoly.word("X", QRat.q_pow(1000000))
+    assert parse_expr("(-q)^-999999") == NcPoly.scalar(-QRat.q_pow(-999999))
 
 
 @pytest.mark.parametrize("bad", ["X +", "W", "q^", "(X", "X^-1", "1/X", "X ? Y"])
@@ -358,8 +400,8 @@ def test_random_round_trip_corpus():
             w = "".join(rng.choice(letters) for _ in range(rng.randint(0, 4)))
             num = {rng.randint(-3, 3): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                    for _ in range(2)}
-            terms[w] = QCoeff.y_pow(rng.randint(-1, 1), QRat(num))
-        p = NcPoly(terms)
+            terms[w] = rng.randint(-1, 1), QRat(num)
+        p = NcPoly({(w, e): c for w, (e, c) in terms.items()})
         assert parse_expr(format_expr(p)) == p
 
 
@@ -370,7 +412,7 @@ def _coefficients(x):
     if isinstance(x, QRat):
         yield from x.num.values()
         yield from x.den.values()
-    elif isinstance(x, (NcPoly, TensorPoly, QCoeff)):
+    elif isinstance(x, (NcPoly, TensorPoly)):
         for c in x.terms.values():
             yield from _coefficients(c)
     elif isinstance(x, dict):

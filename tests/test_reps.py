@@ -453,18 +453,46 @@ def test_representation_from_json_refuses_a_payload_without_generators(backend):
             representation_from_json(data)
 
 
+def _first_family_q5(backend):
+    # the 3-dimensional first-family rep at (1, 5), in either backend
+    rep = build_family1(RootContext(1, 5), 2, 1)
+    if backend == "approx":
+        m = rep.complex_mats()
+        rep = Representation(rep.ctx, rep.dim, 1, dict(rep.params), backend,
+                             m["X"], m["Y"], m["Z"], m["Zinv"])
+    data = representation_to_json(rep)
+    assert representation_from_json(data).params == {"r": 2, "sign": 1}
+    return data
+
+
 @pytest.mark.parametrize("backend", ["exact", "approx"])
 @pytest.mark.parametrize("key,value", [("P", 1.5), ("Q", 3.5), ("Q", "3"), ("P", None),
                                        ("P", True), ("Q", False), ("family", "bogus"),
                                        ("family", True), ("family", 1.0), ("params", 5),
-                                       ("params", "ab")])
+                                       ("params", "ab"), ("family", 2),
+                                       ("params", {"lambda": "nonsense"}),
+                                       ("params", {"r": 1, "sign": 1}),
+                                       ("params", {"r": 2, "sign": 0}),
+                                       ("params", {"r": "2", "sign": 1})])
 def test_representation_from_json_refuses_a_non_integral_p_or_q(backend, key, value):
-    # nor a family outside 1, 2, "tensor", nor params that are not a dict;
-    # the error names the field
-    data = _exported(backend)
+    # nor a family outside 1, 2, "tensor", nor params that are not a dict,
+    # nor a family label or first-family params that do not fit the
+    # 3 x 3 matrices at Q = 5; the error names the field
+    data = _first_family_q5(backend)
     data[key] = value
     with pytest.raises(ValueError, match=f'"{key}" is {value!r}, but'):
         representation_from_json(data)
+
+
+def test_representation_from_json_refuses_a_first_family_above_q():
+    # the 4-dimensional tensor square of the 2-dimensional rep at Q = 3
+    two = build_family1(C3, 1, 1)
+    data = representation_to_json(tensor_rep(two, two))
+    data["family"], data["params"] = 1, {}
+    with pytest.raises(ValueError, match='"family" is 1, but the matrices are 4 x 4 at Q = 3'):
+        representation_from_json(data)
+    data["family"] = "tensor"
+    assert representation_from_json(data).dim == 4
 
 
 @pytest.mark.parametrize("backend", ["exact", "approx"])
