@@ -3,7 +3,10 @@ emit JSON artifacts and human-readable summaries.
 
 Exit codes: 0 all requested checks passed, 1 any verification failure,
 2 usage error.  A ChainError from any command is reported as an
-{"error", "partial"} payload and a "<command>: FAIL (<message>)" line.
+{"error", "partial"} payload and a "<command>: FAIL (<message>)" line,
+except in `suite`, which records a first-family cell's ChainError as that
+cell's "error" next to its exact checks, counts the cell as failing and
+goes on.
 JSON output is byte-deterministic for exact-backend runs (sorted keys,
 canonical rational strings).  The environment variable QSL2R_TOL
 overrides the default floating tolerance; a value that is not a finite
@@ -438,7 +441,14 @@ def cmd_suite(args) -> int:
             star = verify_relations(rep, "star_original")
             cell["star_original_ok"] = star.ok
             fam1_ok &= star.ok == (rep.dim == 1)
-            chain = spectrum_chain(rep, tol=tol)
+            try:
+                chain = spectrum_chain(rep, tol=tol)
+            except ChainError as exc:
+                # kept next to the exact checks; the grid goes on
+                cell["error"] = str(exc)
+                fam1_ok = False
+                fam1[f"r={r},sign={sign:+d}"] = cell
+                continue
             cell["x_labels"] = [int(x) for x in chain.x_labels]
             cell["top_vanishes"] = chain.links[-1][0] == "vanished"
             fam1_ok &= cell["top_vanishes"]

@@ -529,7 +529,7 @@ class TensorPoly(_SparseSum):
                                        a[2] + b[2]))
 
     def __repr__(self):
-        body = " + ".join(f"({w1 or '1'})(x)({w2 or '1'})" for w1, w2, _ in sorted(self.terms))
+        body = _grouped_str(self.terms, lambda w1, w2: f"({w1 or '1'})(x)({w2 or '1'})")
         return f"TensorPoly({body or '0'})"
 
 
@@ -1078,19 +1078,19 @@ def _y_group_str(group: dict[int, QRat]) -> str:
     return " + ".join(parts)
 
 
-def format_expr(p: NcPoly) -> str:
-    """Deterministic text form in the CLI grammar; parse_expr inverts it."""
-    if p.is_zero():
-        return "0"
+def _grouped_str(terms: dict, word_str, sort_key=None) -> str:
+    """Terms {(*words, y-power): QRat} grouped by their words, one chunk per
+    group in sort_key order: the {y-power: QRat} group times
+    word_str(*words), or the group alone where that prints empty."""
     groups = {}
-    for (w, ey), c in p.terms.items():
-        groups.setdefault(w, {})[ey] = c
+    for key, c in terms.items():
+        groups.setdefault(key[:-1], {})[key[-1]] = c
     chunks = []
-    for w in sorted(groups, key=lambda w: (len(w), w)):
-        ws = "*".join(_PRINT_NAME[ch] for ch in w)
+    for w in sorted(groups, key=sort_key):
+        ws = word_str(*w)
         cs = _y_group_str(groups[w])
         multi = len(groups[w]) > 1 or (" " in cs and not cs.startswith("("))
-        if not w:
+        if not ws:
             chunks.append(f"({cs})" if multi else cs)
         elif cs == "1":
             chunks.append(ws)
@@ -1099,6 +1099,14 @@ def format_expr(p: NcPoly) -> str:
         else:
             chunks.append((f"({cs})" if multi else cs) + f"*{ws}")
     return " + ".join(chunks)
+
+
+def format_expr(p: NcPoly) -> str:
+    """Deterministic text form in the CLI grammar; parse_expr inverts it."""
+    if p.is_zero():
+        return "0"
+    return _grouped_str(p.terms, lambda w: "*".join(_PRINT_NAME[ch] for ch in w),
+                        lambda w: (len(w[0]), w[0]))
 
 
 class _Parser:

@@ -30,6 +30,7 @@ and once per entry of a polynomial.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from operator import mul
@@ -202,21 +203,45 @@ class Representation:
     def mats(self) -> dict:
         return {"X": self.X, "Y": self.Y, "Z": self.Z, "Zinv": self.Zinv}
 
-    def complex_mats(self) -> dict:
-        """The four generator matrices as numpy complex arrays (cached)."""
+    def complex_mats(self) -> Mapping:
+        """The four generator matrices as numpy complex arrays, keyed as
+        `mats()`.  Each is embedded the first time a caller reads it and
+        kept, so a caller that reads only Z and J (the chain and the band
+        check) embeds only those; an exact entry still goes through
+        `CycloNum.__complex__` one by one, so every float is the same."""
         got = self._cache.get("complex_mats")
         if got is None:
-            if self.backend == "exact":
-                got = {k: ex_to_complex(v) for k, v in self.mats().items()}
-            else:
-                got = {k: np.array(v, dtype=complex) for k, v in self.mats().items()}
-            self._cache["complex_mats"] = got
+            got = self._cache["complex_mats"] = _Embedding(self.mats(), self.backend == "exact")
         return got
 
     def __repr__(self):
         return (f"Representation(family={self.family!r}, dim={self.dim}, "
                 f"P={self.ctx.P}, Q={self.ctx.Q}, backend={self.backend!r}, "
                 f"params={self.params!r})")
+
+
+class _Embedding(Mapping):
+    """Generator matrices as complex arrays, each embedded on first read.
+    It holds the matrices, not the representation, so the representation's
+    cache makes no reference cycle."""
+
+    __slots__ = ("_mats", "_exact", "_got")
+
+    def __init__(self, mats: dict, exact: bool):
+        self._mats, self._exact, self._got = mats, exact, {}
+
+    def __getitem__(self, name):
+        got = self._got.get(name)
+        if got is None:
+            M = self._mats[name]
+            got = self._got[name] = ex_to_complex(M) if self._exact else np.array(M, dtype=complex)
+        return got
+
+    def __iter__(self):
+        return iter(self._mats)
+
+    def __len__(self):
+        return len(self._mats)
 
 
 def build_family1(ctx: RootContext, r: int, sign: int = 1) -> Representation:

@@ -22,7 +22,18 @@ clustered within EIGEN_TOL, and each cluster's eigenvectors are the null
 right singular vectors of M - lambda I.  Matrices here are at most 64 x 64.
 The chain is computed once per representation and tolerance and cached on
 the representation, so the tridiagonality check and the (T, G) search
-reuse its eigenvectors.  The (T, G) search walks the chain once: the links
+reuse its eigenvectors.  From its bottom the chain costs a fixed number of
+array operations plus index work over the labels y_k = y_0 q^(2k): one
+comparison of all eigenvalues with all [x + 2k] gives each label its
+candidates, and the walk takes a raising image only where a label has
+several unused candidates, to keep the one of largest overlap.  The
+raising images (J - [x+2k])(J - [x+2k-2]) Z v of the walked eigenvectors
+are then formed at once, factor by factor from the right with per-column
+labels; link norms and [x+2k+2]-residuals are column reductions, read in
+walk order for the verdicts.  The band residual is one reduction over the
+off-band mask.  The chain and the band check read only Z and J, which
+`Representation.complex_mats` embeds on demand.
+The (T, G) search walks the chain once: the links
 fix every product T_k T_{k+1}, so only steps that no matrix links leave a
 sign to branch on.
 """
@@ -94,7 +105,7 @@ def eigen_solve(M) -> list[EigenPair]:
     if n == 0:
         return []
     w, V = np.linalg.eig(M)
-    order = sorted(range(n), key=lambda i: (w[i].real, w[i].imag))
+    order = np.lexsort((w.imag, w.real))
     w, V = w[order], V[:, order]
     res = np.linalg.norm(M @ V - V * w, axis=0)
     if (np.all(np.abs(np.diff(w)) > EIGEN_TOL * max(1.0, np.max(np.abs(w))))
@@ -107,7 +118,8 @@ def eigen_solve(M) -> list[EigenPair]:
         # its squares cannot overflow
         if np.max(W) <= KAPPA_MAX and np.max(np.linalg.norm(W, axis=1)) <= KAPPA_MAX:
             return [EigenPair(complex(lam), v, float(r)) for lam, v, r in zip(w, V.T, res)]
-    roots = sorted(np.linalg.eigvals(M), key=lambda z: (z.real, z.imag))
+    roots = np.linalg.eigvals(M)
+    roots = roots[np.lexsort((roots.imag, roots.real))]
     scale = max(1.0, max(abs(r) for r in roots))
     clusters: list[list[complex]] = []
     for r in roots:
@@ -328,44 +340,72 @@ def _build_chain(rep: Representation, tol: float) -> LadderChain:
         if start is None:
             raise ChainError("no eigenpair admits a linking branch", partial=LadderChain())
 
-    idx, y = start
-    node = pairs[idx]
-    chain = LadderChain(pairs=[node], cyclic=False)
-    used = {idx}
-    v = node.vector
-    while True:
-        w = image(v, y, "raise")
-        nw = float(np.linalg.norm(w))
-        if nw < tol * max(1.0, np.linalg.norm(v)):
+    # labels y_k = y_0 q^(2k) along the chain, one past the top for the
+    # closing check of a cyclic chain: mus[k] = [x + 2k], others[k] = [x + 2k - 2]
+    ys = [start[1]]
+    for _ in range(d):
+        ys.append(ys[-1] * q ** 2)
+    mus = [_mu_of(y, q) for y in ys]
+    others = [_mu_of(y / q ** 2, q) for y in ys[:d]]
+    gap = np.array([p.value for p in pairs]) - np.array(mus[1:d])[:, None]
+    near = np.hypot(gap.real, gap.imag) <= tol * scale
+    candidates = [[] for _ in range(d)]     # candidates[k]: the pairs with label k
+    rows, cols = np.nonzero(near)
+    for k, j in zip(rows.tolist(), cols.tolist()):
+        candidates[k + 1].append(j)
+
+    # the walk over the labels is index work; only a label with several
+    # unused candidates needs the raising image, to keep the one of largest
+    # overlap.  It re-anchors on the solver's eigenvectors, so floating error
+    # does not accumulate along repeated raising.
+    order, used = [start[0]], {start[0]}
+    for k in range(1, d):
+        cand = [j for j in candidates[k] if j not in used]
+        if not cand:
+            break
+        j = cand[0]
+        if len(cand) > 1:
+            w = _apply_ladder(Jc, Zc, mus[k - 1], others[k - 1], pairs[order[-1]].vector)
+            nw = np.linalg.norm(w)
+            w = w / nw if nw else w
+            j = max(cand, key=lambda j: abs(np.vdot(pairs[j].vector, w)))
+        order.append(j)
+        used.add(j)
+
+    # the raising images of the walked eigenvectors at once, factor by factor
+    # from the right as in _apply_ladder, with per-column labels
+    n = len(order)
+    B = np.array([pairs[j].vector for j in order]).T
+    W = Zc @ B
+    W = Jc @ W - W * np.array(others[:n])
+    W = Jc @ W - W * np.array(mus[:n])
+    norms = np.linalg.norm(W, axis=0)
+    floors = tol * np.maximum(1.0, np.linalg.norm(B, axis=0))
+    U = W / np.where(norms > 0, norms, 1.0)
+    res = np.linalg.norm(Jc @ U - U * np.array(mus[1:n + 1]), axis=0)
+
+    # the verdicts in walk order
+    chain = LadderChain(pairs=[pairs[order[0]]], cyclic=False)
+    for k in range(n):
+        if norms[k] < floors[k]:
             chain.links.append(("vanished", 0.0))
             break
-        y_next = y * q ** 2
-        mu_next = _mu_of(y_next, q)
-        w = w / nw
-        res = float(np.linalg.norm(Jc @ w - mu_next * w))
-        if res > tol * scale:
+        if res[k] > tol * scale:
             raise ChainError(
-                f"raising image is not a [x+2]-eigenvector (residual {res:.3g})",
+                f"raising image is not a [x+2]-eigenvector (residual {res[k]:.3g})",
                 partial=chain)
-        if len(chain.pairs) == d:
-            if abs(mu_next - chain.pairs[0].value) <= tol * scale:
-                chain.links.append(("raised", nw))
+        if k + 1 == d:
+            if abs(mus[d] - chain.pairs[0].value) <= tol * scale:
+                chain.links.append(("raised", float(norms[k])))
                 chain.cyclic = True
                 break
             raise ChainError("chain exceeds the dimension without closing", partial=chain)
-        # re-anchor on the solver's eigenvector so floating error does not
-        # accumulate along repeated raising (overlap resolves degeneracies)
-        candidates = [j for j, p in enumerate(pairs)
-                      if j not in used and abs(p.value - mu_next) <= tol * scale]
-        if not candidates:
+        if k + 1 == n:
             raise ChainError(
-                f"no unused eigenvalue matches the raised value {mu_next:.6g}",
+                f"no unused eigenvalue matches the raised value {mus[k + 1]:.6g}",
                 partial=chain)
-        j = max(candidates, key=lambda j: abs(np.vdot(pairs[j].vector, w)))
-        used.add(j)
-        chain.pairs.append(pairs[j])
-        chain.links.append(("raised", nw))
-        v, y = pairs[j].vector, y_next
+        chain.links.append(("raised", float(norms[k])))
+        chain.pairs.append(pairs[order[k + 1]])
 
     if len(chain.pairs) != d:
         raise ChainError(
@@ -418,8 +458,9 @@ def tridiagonality_check(rep: Representation, tol: float = EIGEN_TOL,
     Zp = np.linalg.solve(B, Zc @ B)
     i, j = np.indices(Zp.shape)
     dist = abs(i - j) if mode == "plain" else np.minimum(abs(i - j), rep.dim - abs(i - j))
-    # a left fold from 0.0 in row-major order, entry by entry as float(abs(z))
-    band = max([0.0] + [float(abs(z)) for z in Zp[dist > 1]])
+    # hypot of the parts is abs(z) of each entry bit for bit; np.abs is not
+    off = Zp[dist > 1]
+    band = float(np.hypot(off.real, off.imag).max()) if off.size else 0.0
     scale = max(1.0, float(np.max(np.abs(Zp))))
     return TridiagReport(mode, band, band <= tol * scale, Zp)
 

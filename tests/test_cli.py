@@ -201,6 +201,28 @@ def test_a_chain_error_is_reported_as_json_and_a_fail_line(command, capsys):
     assert payload["partial"]["links"] == ["raised", "vanished"]
 
 
+def test_suite_records_a_chain_error_in_its_cell_and_goes_on(capsys):
+    assert run(["suite", "--P", "15", "--Q", "31"]) == 1
+    out = capsys.readouterr().out
+    payload, end = json.JSONDecoder().raw_decode(out)
+    assert set(payload) == {"P", "Q", "symbolic", "family1", "family2",
+                            "tensor_j_residual", "intersection"}
+    fam1 = payload["family1"]
+    assert len(fam1) == 62
+    failed = {name: cell for name, cell in fam1.items() if "error" in cell}
+    assert 0 < len(failed) < 62
+    for cell in failed.values():
+        assert set(cell) == {"defining", "zj", "central", "identity_residuals",
+                             "star_original_ok", "error"}
+        assert cell["defining"]["ok"] and cell["identity_residuals"]["0"] == 0.0
+    assert (failed["r=20,sign=+1"]["error"]
+            == "raising image is not a [x+2]-eigenvector (residual 1.46e-07)")
+    assert out[end:].split("\n")[1:] == [
+        "symbolic proof replay: PASS", "hopf + translations: PASS",
+        "first family grid: FAIL (62 representations)", "second family samples: PASS",
+        "tensor coproduct of J: PASS", "family intersection: PASS", ""]
+
+
 def test_symbolic_pbw_expression(tmp_path, capsys):
     out = tmp_path / "p.json"
     code = run(["symbolic", "--check", "pbw",

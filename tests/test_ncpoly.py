@@ -315,6 +315,14 @@ def test_hopf_maps_keep_y():
     assert counit(P("y*Z + q*y^-1*Zi*Zi + 2*X")) == P("y + q*y^-1")
 
 
+def test_tensor_poly_repr_groups_by_word_pair_as_format_expr():
+    # one chunk per pair of words, with its coefficients and powers of y
+    assert repr(tensor(P("X + 2*y*X"), P("Z"))) == "TensorPoly((2*y + 1)*(X)(x)(Z))"
+    assert (repr(tensor(P("1 - q/y*J"), P("Z + Y")))
+            == "TensorPoly((1)(x)(Y) + (1)(x)(Z) + -q*y^-1*(J)(x)(Y) + -q*y^-1*(J)(x)(Z))")
+    assert repr(tensor(P("X"), P("0"))) == "TensorPoly(0)"
+
+
 def test_antipode_is_an_antihomomorphism_on_relations():
     # S maps every defining relation into the ideal
     for name, rel in defining_relations().items():

@@ -690,3 +690,40 @@ def test_chain_start_checks_the_label_before_any_image(monkeypatch):
     assert [p.value for p in chain.pairs] == [p.value for p in ref]
     assert chain.x_labels == list(range(ctx.Q - d + 1, ctx.Q + d, 2))
     assert [kind for kind, _ in chain.links] == ["raised"] * (d - 1) + ["vanished"]
+
+
+# -- what the chain and the band check embed -----------------------------------------
+
+def test_chain_and_band_check_embed_only_z_and_j(monkeypatch):
+    rep = build_family1(RootContext(3, 31), 28, -1)
+    embedded = []
+    embed = reps.ex_to_complex
+
+    def recording(A):
+        embedded.append(A)
+        return embed(A)
+
+    monkeypatch.setattr(reps, "ex_to_complex", recording)
+    spectrum_chain(rep)
+    tridiagonality_check(rep)
+    J = reps.j_matrix(rep)
+    assert sorted(map(id, embedded)) == sorted((id(rep.Z), id(J)))
+    # entry by entry through CycloNum.__complex__, bit for bit
+    for A, M in ((rep.Z, rep.complex_mats()["Z"]), (J, j_matrix_complex(rep))):
+        assert np.array([[complex(a) for a in row] for row in A]).tobytes() == M.tobytes()
+    # another generator is embedded when first read, and kept
+    X = rep.complex_mats()["X"]
+    assert embedded[-1] is rep.X and rep.complex_mats()["X"] is X
+    assert list(rep.complex_mats()) == ["X", "Y", "Z", "Zinv"] and len(embedded) == 3
+
+
+@pytest.mark.parametrize("Q", (3, 9, 15, 21, 31))
+def test_band_residual_is_the_abs_fold_bit_for_bit(Q):
+    for P in (1, 2):
+        ctx = RootContext(P, Q)
+        for r in range(Q):
+            for sign in (1, -1):
+                tri = tridiagonality_check(build_family1(ctx, r, sign))
+                i, j = np.indices(tri.matrix.shape)
+                fold = max([0.0] + [float(abs(z)) for z in tri.matrix[abs(i - j) > 1]])
+                assert tri.band_residual == fold, (P, Q, r, sign)
