@@ -427,7 +427,7 @@ def cmd_suite(args) -> int:
     for r in range(ctx.Q):
         for sign in (1, -1):
             rep = build_family1(ctx, r, sign)
-            cell = {}
+            cell = fam1[f"r={r},sign={sign:+d}"] = {}
             for which in ("defining", "zj", "central"):
                 rp = verify_relations(rep, which)
                 cell[which] = {"ok": rp.ok, "max_residual": rp.max_residual}
@@ -447,7 +447,6 @@ def cmd_suite(args) -> int:
                 # kept next to the exact checks; the grid goes on
                 cell["error"] = str(exc)
                 fam1_ok = False
-                fam1[f"r={r},sign={sign:+d}"] = cell
                 continue
             cell["x_labels"] = [int(x) for x in chain.x_labels]
             cell["top_vanishes"] = chain.links[-1][0] == "vanished"
@@ -458,7 +457,6 @@ def cmd_suite(args) -> int:
             uni = unitarize_search(rep, tol=tol)
             cell["unitarize"] = uni.to_json()
             fam1_ok &= uni.ok
-            fam1[f"r={r},sign={sign:+d}"] = cell
     payload["family1"] = fam1
     record("first family grid", fam1_ok, f"{2 * ctx.Q} representations")
 
