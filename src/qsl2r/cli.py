@@ -4,9 +4,9 @@ emit JSON artifacts and human-readable summaries.
 Exit codes: 0 all requested checks passed, 1 any verification failure,
 2 usage error.  A ChainError from any command is reported as an
 {"error", "partial"} payload and a "<command>: FAIL (<message>)" line,
-except in `suite`, which records a first-family cell's ChainError as that
-cell's "error" next to its exact checks, counts the cell as failing and
-goes on.
+except in `suite`, which records it as the "error" of the first-family
+cell or second-family sample it came from, counts that cell as failing
+and goes on.
 JSON output is byte-deterministic for exact-backend runs (sorted keys,
 canonical rational strings).  The environment variable QSL2R_TOL
 overrides the default floating tolerance; a value that is not a finite
@@ -469,7 +469,8 @@ def cmd_suite(args) -> int:
         a = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         b = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         rep = build_family2(ctx, lam, a, b)
-        cell = {"lambda": [lam.real, lam.imag], "a": [a.real, a.imag], "b": [b.real, b.imag]}
+        cell = fam2[f"sample{i}"] = {"lambda": [lam.real, lam.imag], "a": [a.real, a.imag],
+                                     "b": [b.real, b.imag]}
         for which in ("defining", "zj"):
             rp = verify_relations(rep, which, tol=tol)
             cell[which] = {"ok": rp.ok, "max_residual": rp.max_residual}
@@ -483,11 +484,15 @@ def cmd_suite(args) -> int:
             idok &= rp.ok
         cell["identity_worst_residual"] = worst
         fam2_ok &= idok
-        tri = tridiagonality_check(rep, tol=tol)
+        try:
+            tri = tridiagonality_check(rep, tol=tol)
+        except ChainError as exc:
+            cell["error"] = str(exc)
+            fam2_ok = False
+            continue
         cell["band_residual"] = tri.band_residual
         cell["band_ok"] = tri.ok
         fam2_ok &= tri.ok
-        fam2[f"sample{i}"] = cell
     payload["family2"] = fam2
     record("second family samples", fam2_ok)
 

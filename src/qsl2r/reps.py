@@ -8,7 +8,8 @@ bidiagonal, Z and Z^-1 diagonal, J tridiagonal), so the exact kernels skip
 structural zeros: products run row by row over the nonzero entries only, and
 exact comparisons test entrywise equality before forming any difference.
 Every constructor, and `representation_from_json`, verifies the defining
-relations before returning (exactly on the exact backend).  Those relations
+relations before returning (exactly on the exact backend); the loader also
+rebuilds a payload labelled family 1 or 2 from its params.  Those relations
 imply every other form of a derived matrix, so each is computed once from
 one formula: J = (q X - q^-1 Y) Z^-1, and the tensor product's generators
 from the coproduct, written once for either backend.
@@ -904,11 +905,6 @@ def intersection_check(ctx: RootContext, sign: int = 1) -> RelationReport:
 
 
 def representation_to_json(rep: Representation) -> dict:
-    def mat_json(M):
-        if rep.backend == "exact":
-            return [[scalar_to_json(a) for a in row] for row in M]
-        return [[scalar_to_json(complex(a)) for a in row] for row in np.asarray(M)]
-
     def params_json(v):
         if is_exact(v) or isinstance(v, complex):
             return scalar_to_json(v)
@@ -918,38 +914,37 @@ def representation_to_json(rep: Representation) -> dict:
             return [params_json(u) for u in v]
         return v
 
-    params = {k: params_json(v) for k, v in rep.params.items()}
     return {
         "P": rep.ctx.P,
         "Q": rep.ctx.Q,
         "family": rep.family,
-        "params": params,
+        "params": {k: params_json(v) for k, v in rep.params.items()},
         "backend": rep.backend,
-        "generators": {
-            "X": mat_json(rep.X),
-            "Y": mat_json(rep.Y),
-            "Z": mat_json(rep.Z),
-        },
+        "generators": {g: [[scalar_to_json(a) for a in row] for row in getattr(rep, g)]
+                       for g in "XYZ"},
     }
 
 
 def representation_from_json(data: dict) -> Representation:
-    """Inverse of representation_to_json.  ValueError unless P, Q, backend
-    and family are present, P and Q are integers (not bools), the family is
-    1, 2 or "tensor", params (when present) is a dict, the backend is exact
-    or approx, "generators" holds X, Y and Z as lists of rows, square of one
-    dimension d, the family fits d (family 2: d = Q; family 1: d <= Q and,
-    when params are given, r = d - 1 and sign +1 or -1), every entry is in
-    its backend's encoding and Z is diagonal with no zero on its diagonal;
-    ArithmeticError, as from every constructor, unless the matrices satisfy
-    the defining relations."""
+    """Inverse of representation_to_json.  ValueError unless the payload has
+    integer P and Q (not bools), family 1, 2 or "tensor", params (if any) a
+    dict, backend exact or approx, and X, Y and Z as square lists of rows of
+    one dimension whose entries decode (`scalar_from_json`) as scalars of
+    the backend, Z diagonal with no zero on its diagonal; ArithmeticError,
+    as from every constructor, unless they satisfy the defining relations.
+    A family 1 or 2 payload then loads only if build_family1 or
+    build_family2, on its params and backend, gives X, Y and Z back exactly
+    (floating family 1: the builder's `complex_mats()`), else ValueError,
+    and is then the builder's rep, params and Z^-1 included; "tensor" is a
+    bare label."""
     if missing := [k for k in ("P", "Q", "backend", "family") if k not in data]:
         raise ValueError(f"the payload has no {', '.join(missing)}")
     for key in ("P", "Q"):
         if not isinstance(data[key], int) or isinstance(data[key], bool):
             raise ValueError(f'"{key}" is {data[key]!r}, but P and Q must be integers')
-    if data["family"] not in (1, 2, "tensor") or type(data["family"]) not in (int, str):
-        raise ValueError(f'"family" is {data["family"]!r}, but it must be 1, 2 or "tensor"')
+    family = data["family"]
+    if family not in (1, 2, "tensor") or type(family) not in (int, str):
+        raise ValueError(f'"family" is {family!r}, but it must be 1, 2 or "tensor"')
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ValueError(f'"params" is {params!r}, but it must be a dict')
@@ -965,39 +960,28 @@ def representation_from_json(data: dict) -> Representation:
                     or any(not isinstance(row, list) or len(row) != d for row in gens[g])
                     for g in "XYZ"):
         raise ValueError("X, Y and Z must be square matrices of one dimension, lists of rows")
-    family = data["family"]
-    if (family == 2 and d != ctx.Q) or (family == 1 and d > ctx.Q):
-        raise ValueError(f'"family" is {family!r}, but the matrices are {d} x {d} at Q = '
-                         f'{ctx.Q}: a second-family rep is Q-dimensional, a first-family '
-                         'one at most Q-dimensional')
-    if family == 1 and params and (params.get("r") != d - 1
-                                   or params.get("sign") not in (1, -1)):
-        raise ValueError(f'"params" is {params!r}, but a first-family rep of dimension '
-                         f'{d} has r = {d - 1} and sign +1 or -1')
 
-    if backend == "exact":
-        def mat(rows):
-            return [[scalar_from_json(a, ctx) for a in row] for row in rows]
-        X, Y, Z = mat(gens["X"]), mat(gens["Y"]), mat(gens["Z"])
-        Zinv = ex_zeros(ctx, d)
-        for i in range(d):
-            for j in range(d):
-                if (i != j) != Z[i][j].is_zero():
-                    raise ValueError("Z must be diagonal with no zero on its diagonal")
-            Zinv[i][i] = Z[i][i].inverse()
-    else:
-        def entry(a):
-            if not (isinstance(a, list) and len(a) == 2
-                    and all(isinstance(v, (int, float)) for v in a)):
-                raise ValueError(f"a floating entry must be [re, im], not {a!r}")
-            return complex(a[0], a[1])
-
-        def mat(rows):
-            return np.array([[entry(a) for a in row] for row in rows], dtype=complex)
-        X, Y, Z = mat(gens["X"]), mat(gens["Y"]), mat(gens["Z"])
-        if not np.array_equal(Z != 0, np.eye(d, dtype=bool)):
-            raise ValueError("Z must be diagonal with no zero on its diagonal")
-        Zinv = np.diag(1 / np.diag(Z))
+    X, Y, Z = ([[scalar_from_json(a, ctx, backend) for a in row] for row in gens[g]]
+               for g in "XYZ")
+    if any(bool(z) != (i == j) for i, row in enumerate(Z) for j, z in enumerate(row)):
+        raise ValueError("Z must be diagonal with no zero on its diagonal")
+    Zinv = [[1 / z if i == j else z for j, z in enumerate(row)] for i, row in enumerate(Z)]
+    if backend == "approx":
+        X, Y, Z, Zinv = (np.array(M, dtype=complex) for M in (X, Y, Z, Zinv))
     rep = Representation(ctx, d, family, dict(params), backend, X, Y, Z, Zinv)
     _require_defining(rep)
-    return rep
+    if family == "tensor":
+        return rep
+    try:
+        built = (build_family1(ctx, params["r"], params["sign"]) if family == 1 else
+                 build_family2(ctx, *(scalar_from_json(params[k], ctx, backend)
+                                      for k in ("lambda", "a", "b")), backend))
+        got = built.mats() if built.backend == backend else built.complex_mats()
+        if all(np.array_equal(M, got[g]) for g, M in zip("XYZ", (X, Y, Z))):
+            return Representation(ctx, d, family, built.params, backend,
+                                  got["X"], got["Y"], got["Z"], got["Zinv"])
+    except (KeyError, TypeError, ValueError, ArithmeticError):
+        pass    # params no builder takes
+    raise ValueError(f'"family" is {family!r}, but the matrices are {d} x {d} at Q = {ctx.Q} '
+                     f'and "params" is {params!r}, but build_family{family} on those params '
+                     'does not give these X, Y and Z back')

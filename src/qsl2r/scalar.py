@@ -762,23 +762,31 @@ def scalar_to_json(s):
     """CycloNum -> list of [num, den] decimal strings (one pair per basis
     coefficient); GaussCyclo -> {"re": ..., "im": ...}; complex -> [re, im]."""
     if isinstance(s, CycloNum):
-        return [[str(Fraction(c, s.den).numerator), str(Fraction(c, s.den).denominator)]
-                for c in s.coeffs]
+        gs = [gcd(c, s.den) for c in s.coeffs]   # den > 0, so each g > 0
+        return [[str(c // g), str(s.den // g)] for c, g in zip(s.coeffs, gs)]
     if isinstance(s, GaussCyclo):
         return {"re": scalar_to_json(s.re), "im": scalar_to_json(s.im)}
     c = to_complex(s)
     return [c.real, c.imag]
 
 
-def scalar_from_json(obj, ctx: RootContext):
-    if isinstance(obj, dict):
-        return GaussCyclo(scalar_from_json(obj["re"], ctx), scalar_from_json(obj["im"], ctx))
-    if isinstance(obj, list) and obj and isinstance(obj[0], list):
-        fracs = [Fraction(int(n), int(d)) for n, d in obj]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return CycloNum(ctx, [int(f * den) for f in fracs], den)
-    if isinstance(obj, list) and len(obj) == 2:
-        return complex(obj[0], obj[1])
-    raise ValueError("unrecognized scalar encoding")
+def scalar_from_json(obj, ctx: RootContext, backend: str | None = None):
+    """Inverse of scalar_to_json and the one place that refuses a malformed
+    scalar encoding, always with ValueError; so is a kind the backend does
+    not hold ("exact": CycloNum or GaussCyclo, "approx": complex)."""
+    try:
+        if isinstance(obj, dict) and backend != "approx":
+            re, im = (scalar_from_json(obj[k], ctx, "exact") for k in ("re", "im"))
+            if isinstance(re, CycloNum) and isinstance(im, CycloNum):
+                return GaussCyclo(re, im)
+        elif (isinstance(obj, list) and obj and backend != "approx"
+              and all(type(p) is list for p in obj)):
+            dens = [int(d, 10) for _, d in obj]   # int(s, 10) takes only strings
+            den = math.lcm(*dens)
+            return CycloNum(ctx, [int(n, 10) * (den // d) for (n, _), d in zip(obj, dens)], den)
+        elif (isinstance(obj, list) and len(obj) == 2 and backend != "exact"
+              and all(isinstance(v, (int, float)) for v in obj)):
+            return complex(obj[0], obj[1])
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed scalar encoding {obj!r}: {exc!r}") from exc
+    raise ValueError(f"{obj!r} is no scalar of the {backend or 'exact or approx'} backend")

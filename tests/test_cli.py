@@ -223,6 +223,37 @@ def test_suite_records_a_chain_error_in_its_cell_and_goes_on(capsys):
         "tensor coproduct of J: PASS", "family intersection: PASS", ""]
 
 
+def test_suite_records_a_second_family_chain_error_in_its_sample_and_goes_on(
+        capsys, monkeypatch):
+    from qsl2r import cli
+    from qsl2r.spectral import ChainError
+
+    real = cli.tridiagonality_check
+
+    def failing_on_family2(rep, **kw):
+        if rep.family == 2:
+            raise ChainError("no cyclic start", partial=None)
+        return real(rep, **kw)
+
+    monkeypatch.setattr(cli, "tridiagonality_check", failing_on_family2)
+    assert run(["suite", "--P", "1", "--Q", "5"]) == 1
+    out = capsys.readouterr().out
+    payload, end = json.JSONDecoder().raw_decode(out)
+    assert set(payload) == {"P", "Q", "symbolic", "family1", "family2",
+                            "tensor_j_residual", "intersection"}
+    assert not any("error" in cell for cell in payload["family1"].values())
+    fam2 = payload["family2"]
+    assert sorted(fam2) == ["sample0", "sample1", "sample2"]
+    for cell in fam2.values():
+        assert set(cell) == {"lambda", "a", "b", "defining", "zj",
+                             "identity_worst_residual", "error"}
+        assert cell["error"] == "no cyclic start" and cell["defining"]["ok"]
+    assert out[end:].split("\n")[1:] == [
+        "symbolic proof replay: PASS", "hopf + translations: PASS",
+        "first family grid: PASS (10 representations)", "second family samples: FAIL",
+        "tensor coproduct of J: PASS", "family intersection: PASS", ""]
+
+
 def test_symbolic_pbw_expression(tmp_path, capsys):
     out = tmp_path / "p.json"
     code = run(["symbolic", "--check", "pbw",

@@ -6,7 +6,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from qsl2r.scalar import GaussCyclo, RootContext, gauss_i, q_number, q_power
+from qsl2r.scalar import (GaussCyclo, RootContext, gauss_i, q_number, q_power,
+                          scalar_to_json)
 from qsl2r import reps
 from qsl2r.reps import (Representation, build_family1, build_family2, ex_is_zero,
                         ex_mul, ex_scale, ex_sub, intersection_check, j_matrix,
@@ -513,6 +514,121 @@ def test_representation_from_json_refuses_a_bumped_x_entry(backend):
     with pytest.raises(ArithmeticError, match="defining relations"):
         representation_from_json(representation_to_json(bad))
     assert representation_from_json(representation_to_json(rep)).backend == backend
+
+
+@pytest.mark.parametrize("backend,entry", [
+    ("exact", lambda e: [["1", "0"]] + e[1:]),       # a zero denominator
+    ("exact", lambda e: {"re": e}),                  # a Gaussian entry without "im"
+    ("exact", lambda e: [1.0, 0.0]),                 # a floating entry
+    ("approx", lambda e: [["1", "1"], ["0", "1"]]),  # an exact entry
+], ids=["zero-denominator", "no-im", "float-in-exact", "exact-in-float"])
+def test_representation_from_json_refuses_an_entry_of_the_wrong_kind(backend, entry):
+    data = _exported(backend)
+    exact = scalar_to_json(C3.one())
+    data["generators"]["X"][0][0] = entry(exact)
+    with pytest.raises(ValueError):
+        representation_from_json(data)
+
+
+def _round_trips(rep):
+    data = json.loads(json.dumps(representation_to_json(rep)))
+    back = representation_from_json(data)
+    assert representation_to_json(back) == data
+    assert back.params == rep.params and back.family == rep.family
+    return back
+
+
+def test_a_loaded_floating_rep_computes_as_the_built_one():
+    # the same Z^-1, so the same J bit for bit, not 1 / Z
+    rep = build_family2(RootContext(2, 7), 1.5 - 0.25j, 0.5 + 1j, -2.0)
+    back = _round_trips(rep)
+    assert np.array_equal(back.Zinv, rep.Zinv)
+    assert np.array_equal(j_matrix_complex(back), j_matrix_complex(rep))
+
+
+@pytest.mark.parametrize("P,Q", [(1, 3), (3, 7), (2, 31)])
+def test_every_first_family_rep_round_trips(P, Q):
+    ctx = RootContext(P, Q)
+    for r in range(Q):
+        for sign in (1, -1):
+            _round_trips(build_family1(ctx, r, sign))
+
+
+def _seeded_family2(P, Q, seed):
+    rng = random.Random(seed)
+    lam, a, b = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3))
+    return build_family2(RootContext(P, Q), lam, a, b)
+
+
+@pytest.mark.parametrize("P,Q", [(1, 3), (2, 5), (4, 9), (7, 15)])
+def test_seeded_floating_second_family_round_trips(P, Q):
+    for seed in range(3):
+        _round_trips(_seeded_family2(P, Q, seed))
+
+
+@pytest.mark.parametrize("P,Q,k", [(1, 3, 0), (2, 5, 1), (3, 7, 4), (4, 15, 2),
+                                   (2, 31, 2), (5, 31, 30)])
+def test_exact_second_family_at_plus_minus_q_power_round_trips(P, Q, k):
+    ctx = RootContext(P, Q)
+    for lam in (q_power(ctx, k), -q_power(ctx, k)):
+        _round_trips(build_family2(ctx, lam, 1, Fraction(-2, 3), backend="exact"))
+
+
+def test_a_tensor_rep_round_trips():
+    two = build_family1(RootContext(1, 5), 1, -1)
+    _round_trips(tensor_rep(two, build_family1(RootContext(1, 5), 2, 1)))
+
+
+def _relabelled_first_family():
+    data = representation_to_json(build_family1(RootContext(1, 5), 4, 1))
+    data["family"], data["params"] = 2, {"lambda": "nonsense"}
+    return data
+
+
+def _nonsense_second_family_params():
+    data = representation_to_json(build_family2(C3, 1.5, 1.0, 2.0))
+    data["params"] = {"lambda": "nonsense"}
+    return data
+
+
+def _flipped_sign():
+    data = representation_to_json(build_family1(RootContext(2, 7), 3, 1))
+    data["params"]["sign"] = -1
+    return data
+
+
+def _swapped_a_and_b(backend):
+    ctx = RootContext(2, 7)
+    rep = (build_family2(ctx, -q_power(ctx, 3), 1, 2, backend="exact") if backend == "exact"
+           else _seeded_family2(2, 7, 0))
+    data = representation_to_json(rep)
+    params = data["params"]
+    params["a"], params["b"] = params["b"], params["a"]
+    return data
+
+
+def _exact_params_on_floating_matrices():
+    # an exact second-family payload relabelled "approx", its matrices
+    # embedded and its params left as they are
+    ctx = RootContext(1, 5)
+    rep = build_family2(ctx, q_power(ctx, 2), 1, 2, backend="exact")
+    m = rep.complex_mats()
+    data = representation_to_json(Representation(ctx, rep.dim, 2, rep.params, "approx",
+                                                 m["X"], m["Y"], m["Z"], m["Zinv"]))
+    assert data["params"] == representation_to_json(rep)["params"]
+    return data
+
+
+@pytest.mark.parametrize("payload", [
+    _relabelled_first_family, _nonsense_second_family_params, _flipped_sign,
+    lambda: _swapped_a_and_b("exact"), lambda: _swapped_a_and_b("approx"),
+    _exact_params_on_floating_matrices],
+    ids=["first-family-relabelled", "nonsense-params", "flipped-sign", "swapped-a-b-exact",
+         "swapped-a-b-approx", "exact-params-relabelled-approx"])
+def test_representation_from_json_refuses_params_that_do_not_rebuild_it(payload):
+    data = payload()
+    with pytest.raises(ValueError, match='"family" is .*"params" is '):
+        representation_from_json(data)
 
 
 @pytest.mark.parametrize("backend,defining,zj", [

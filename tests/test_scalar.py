@@ -219,3 +219,38 @@ def test_scalar_json_round_trip():
     assert all(isinstance(p, list) and len(p) == 2 and all(isinstance(s, str) for s in p)
                for p in enc)
     assert scalar_to_json(z) == [1.25, -3.5]
+
+
+def _decoder_cases():
+    ctx = RootContext(2, 5)
+    a = scalar_to_json(CycloNum(ctx, [1, -2, 0, 5], 6))
+    return ctx, [
+        ([["1", "0"]] + a[1:], None),         # a zero denominator
+        ({"re": a}, None),                    # a Gaussian entry without "im"
+        ({"re": a, "im": [1.0, 0.0]}, None),  # an "im" that is not cyclotomic
+        ([1.0, 2.0], "exact"),                # a floating entry in an exact payload
+        (a, "approx"),                        # an exact entry in a floating payload
+        ({"re": a, "im": a}, "approx"),
+        ([[1, 2]] + a[1:], None),             # numbers where strings belong
+        (a[:3], None),                        # too few coefficients
+        (["1", "2"], None), ([], None), (None, "exact"), ([1.0, "2"], "approx"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(_decoder_cases()[1])))
+def test_scalar_from_json_refuses_a_malformed_entry_with_value_error(case):
+    ctx, cases = _decoder_cases()
+    obj, backend = cases[case]
+    with pytest.raises(ValueError):
+        scalar_from_json(obj, ctx, backend)
+
+
+def test_scalar_from_json_keeps_each_kind_to_its_backend():
+    ctx = RootContext(2, 5)
+    a = CycloNum(ctx, [1, -2, 0, 5], 6)
+    for value, backend in ((a, "exact"), (GaussCyclo(a, ctx.zeta(3)), "exact"),
+                           (1.25 - 3.5j, "approx")):
+        assert scalar_from_json(scalar_to_json(value), ctx, backend) == value
+    # a reducible encoding decodes to the reduced number
+    assert scalar_from_json([["2", "4"], ["0", "1"], ["3", "-6"], ["0", "7"]], ctx) \
+        == CycloNum(ctx, [1, 0, -1, 0], 2)
