@@ -25,7 +25,14 @@ for one call; whatever it does not certify is evaluated, so residuals
 and supports come from the CycloNum matrices as before.  The images sit
 in int64: residues below 2^25, products below 2^50, so a sum is reduced
 once, after at most INT64_SUM_TERMS products: once per entry of a word
-and once per entry of a polynomial.
+and once per entry of a polynomial.  The generators' nonzero entries are
+packed once per representation into an int64 coefficient array
+(`scalar.pack`), from which array reductions give every entry's bound, each
+generator's D and N and its images; GaussCyclo entries and coefficients
+too large for int64 go entry by entry.  Z Z^-1 = 1 and Z^-1 Z = 1 are no
+polynomial identities, as words cancel Z z on contact, so the defining
+check puts them on the same tape as the raw words Zz and zZ against the
+empty word, and multiplies them out only where the tape certifies nothing.
 """
 
 from __future__ import annotations
@@ -34,14 +41,16 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import islice
 from operator import mul
 
 import numpy as np
 
-from .ncpoly import relation_differences, relation_sides, xy_recovery
+from .ncpoly import NcPoly, QRat, relation_differences, relation_sides, xy_recovery
 from .scalar import (ABS_TOL, INT64_SUM_TERMS, REL_TOL, CycloNum, GaussCyclo,
-                     RootContext, gauss_i, is_exact, l1_content, q_number, q_power,
-                     scalar_from_json, scalar_to_json, split_images, to_complex)
+                     RootContext, gauss_i, is_exact, l1_bounds, l1_content, pack,
+                     q_number, q_power, reduce_images, scalar_from_json, scalar_to_json,
+                     split_images, to_complex)
 
 # Beyond this many split primes the bound is left undecided and the
 # CycloNum evaluation decides.
@@ -168,9 +177,28 @@ def ex_lincomb(terms, ctx: RootContext, d: int):
 
 
 def ex_to_complex(A) -> np.ndarray:
-    zero = A[0][0].ctx.zero()
-    return np.array([[0j if a is zero or a.is_zero() else to_complex(a) for a in row]
-                     for row in A], dtype=complex)
+    """A as a complex array, equal to complex(a) entry by entry, bit for bit.
+    CycloNum entries are packed (`scalar.pack`): each coefficient times the
+    real and the imaginary part of zeta^i, summed left to right as
+    `CycloNum.__complex__` sums, then divided by the denominator.  Entries
+    that do not pack (GaussCyclo, huge coefficients) go one by one."""
+    ctx = A[0][0].ctx
+    zero = ctx.zero()
+    nonzero = [(i, j, a) for i, row in enumerate(A) for j, a in enumerate(row)
+               if a is not zero and not a.is_zero()]
+    out = np.zeros((len(A), len(A[0])), dtype=complex)
+    if not nonzero:
+        return out
+    i, j, vals = zip(*nonzero)
+    packed = pack(vals, ctx)
+    if packed is None:
+        out[i, j] = [to_complex(a) for a in vals]
+        return out
+    C, dens = packed
+    C, dens, z = C.astype(float), np.array(dens, dtype=float), np.array(ctx._zeta_c)
+    out.real[i, j] = np.add.accumulate(C * z.real, axis=1)[:, -1] / dens
+    out.imag[i, j] = np.add.accumulate(C * z.imag, axis=1)[:, -1] / dens
+    return out
 
 
 def ex_residual(A) -> float:
@@ -208,8 +236,10 @@ class Representation:
         """The four generator matrices as numpy complex arrays, keyed as
         `mats()`.  Each is embedded the first time a caller reads it and
         kept, so a caller that reads only Z and J (the chain and the band
-        check) embeds only those; an exact entry still goes through
-        `CycloNum.__complex__` one by one, so every float is the same."""
+        check) embeds only those.  An exact matrix is embedded from its
+        packed coefficients (`ex_to_complex`) with the products and the
+        left-to-right sum of `CycloNum.__complex__`, so every float is the
+        one complex(entry) gives."""
         got = self._cache.get("complex_mats")
         if got is None:
             got = self._cache["complex_mats"] = _Embedding(self.mats(), self.backend == "exact")
@@ -222,9 +252,11 @@ class Representation:
 
 
 class _Embedding(Mapping):
-    """Generator matrices as complex arrays, each embedded on first read.
-    It holds the matrices, not the representation, so the representation's
-    cache makes no reference cycle."""
+    """Generator matrices as complex arrays, each embedded on first read,
+    an exact one by `ex_to_complex`: the same products and the same
+    left-to-right sum as complex(entry), so the same floats.  It holds the
+    matrices, not the representation, so the representation's cache makes
+    no reference cycle."""
 
     __slots__ = ("_mats", "_exact", "_got")
 
@@ -403,34 +435,51 @@ def evaluate(polys, rep: Representation, exact: bool | None = None) -> list:
 def _split_letters(rep: Representation, letters) -> dict:
     """For each letter: its matrix's nonzero entries, the integer D clearing
     their denominators, N >= every row sum of |sigma(D M)|, and its images
-    per (prime count, gauss); cached on the representation."""
+    per (prime count, gauss); cached on the representation.  The entries of
+    the letters not yet cached are packed together, once (`pack`), and
+    bounded by one array reduction (`l1_bounds`); entries that do not pack
+    are bounded one by one (`l1_content`)."""
     cache = rep._cache.setdefault("split_letters", {})
-    for letter in letters:
-        if letter in cache:
-            continue
+    new = {letter: [] for letter in letters if letter not in cache}
+    zero = rep.ctx.zero()
+    for letter, entries in new.items():
         M = j_matrix(rep) if letter == "J" else \
             {"X": rep.X, "Y": rep.Y, "Z": rep.Z, "z": rep.Zinv}[letter]
-        zero = rep.ctx.zero()
-        entries = [(i, j, a) for i, row in enumerate(M) for j, a in enumerate(row)
-                   if a is not zero and not a.is_zero()]
-        contents = [l1_content(a) for _, _, a in entries]
-        D = math.lcm(*(Da for Da, _ in contents))
+        entries += [(i, j, a) for i, row in enumerate(M) for j, a in enumerate(row)
+                    if a is not zero and not a.is_zero()]
+    values = [a for entries in new.values() for _, _, a in entries]
+    packed = pack(values, rep.ctx) if values else None
+    contents = iter(zip(packed[1], l1_bounds(packed[0], rep.ctx).tolist()) if packed
+                    else map(l1_content, values))
+    start = 0
+    for letter, entries in new.items():
+        bounds = list(islice(contents, len(entries)))
+        D = math.lcm(*(Da for Da, _ in bounds))
         rows = [0] * rep.dim
-        for (i, _, _), (Da, n) in zip(entries, contents):
+        for (i, _, _), (Da, n) in zip(entries, bounds):
             rows[i] += D // Da * n
+        stop = start + len(entries)
         cache[letter] = {"entries": entries, "D": D, "N": max(rows), "images": {},
+                         "packed": packed and (packed[0][start:stop], packed[1][start:stop]),
                          "gauss": any(isinstance(a, GaussCyclo) for _, _, a in entries)}
+        start = stop
     return {letter: cache[letter] for letter in letters}
 
 
 def _letter_images(letters: dict, rep: Representation, m: int, gauss: bool) -> dict:
-    """{letter: (offsets, vals)} from one split_images call over the entries
-    of every letter that lacks them."""
+    """{letter: (offsets, vals)} from one reduction over the entries of
+    every letter that lacks them: of their packed arrays when every such
+    letter is packed, else of the entries through split_images."""
     key = (m, gauss)
     todo = [data for data in letters.values() if key not in data["images"]]
     if todo:
-        img = split_images([a for data in todo for _, _, a in data["entries"]],
-                           rep.ctx, m, gauss)
+        if all(data["packed"] for data in todo):
+            img = reduce_images(np.concatenate([data["packed"][0] for data in todo]),
+                                [den for data in todo for den in data["packed"][1]], rep.ctx, m)
+            img = np.repeat(img, 2, axis=1) if gauss else img
+        else:
+            img = split_images([a for data in todo for _, _, a in data["entries"]],
+                               rep.ctx, m, gauss)
         start = 0
         for data in todo:
             entries = data["entries"]
@@ -743,15 +792,23 @@ def recover_xy(rep: Representation):
     return tuple(evaluate(xy_recovery(), rep))
 
 
+@lru_cache(maxsize=None)
+def _inverse_differences() -> tuple:
+    """Z Zi - 1 and Zi Z - 1 as raw words: NcPoly cancels Z z on contact."""
+    one = QRat.one()
+    return tuple(NcPoly({(w, 0): one, ("", 0): -one}, _canonical=True) for w in ("Zz", "zZ"))
+
+
 def verify_relations(rep: Representation, which: str,
                      tol: float = REL_TOL) -> RelationReport:
     """which = defining | zj | central | star_original.  The defining and
-    J-Z relations are the (LHS, RHS) pairs of ncpoly.relation_sides; on the
-    exact backend a pair whose LHS - RHS is certified zero modulo split
-    primes passes with residual 0, and the others are evaluated onto the
-    matrices and compared.  The "defining" report is cached on the
-    representation (per tolerance on the floating backend), so the check
-    each constructor runs is not repeated."""
+    J-Z relations are the (LHS, RHS) pairs of ncpoly.relation_sides, and
+    "defining" first checks Z Zi = 1 and Zi Z = 1; on the exact backend a
+    check whose LHS - RHS is certified zero modulo split primes, all in one
+    `certified_zeros` call, passes with residual 0, and the others are
+    evaluated onto the matrices and compared.  The "defining" report is
+    cached on the representation (per tolerance on the floating backend),
+    so the check each constructor runs is not repeated."""
     exact = rep.backend == "exact"
     key = ("relations", which, None if exact else tol)
     if which == "defining" and key in rep._cache:
@@ -764,19 +821,22 @@ def verify_relations(rep: Representation, which: str,
         report.checks.append(CheckResult(name, *_close(A, B, exact, tol)))
 
     if which in ("defining", "zj"):
-        if which == "defining":
-            # words cancel Z Zi on contact, so these two cannot be polynomials
-            eye = ex_eye(rep.ctx, rep.dim) if exact else np.eye(rep.dim, dtype=complex)
-            check("Z Zi = 1", mul(Z, Zinv), eye)
-            check("Zi Z = 1", mul(Zinv, Z), eye)
+        # Z Zi = 1 and Zi Z = 1 go on the tape with the relations, as raw
+        # words against the empty one; each is multiplied out only when the
+        # tape does not certify it
+        inverse = {"Z Zi = 1": (Z, Zinv), "Zi Z = 1": (Zinv, Z)} if which == "defining" else {}
         sides = relation_sides(which)
-        zero = certified_zeros(list(relation_differences(which).values()), rep)
-        rest = [name for name, z in zip(sides, zero) if not z]
+        zero = certified_zeros(list(_inverse_differences()[:len(inverse)])
+                               + list(relation_differences(which).values()), rep)
+        rest = [name for name, z in zip(sides, zero[len(inverse):]) if not z]
         mats = evaluate([p for name in rest for p in sides[name]], rep) if rest else []
         pairs = {name: mats[2 * k:2 * k + 2] for k, name in enumerate(rest)}
-        for name, z in zip(sides, zero):
+        for name, z in zip([*inverse, *sides], zero):
             if z:
                 report.checks.append(CheckResult(name, True, 0.0))
+            elif name in inverse:
+                check(name, mul(*inverse[name]),
+                      ex_eye(rep.ctx, rep.dim) if exact else np.eye(rep.dim, dtype=complex))
             else:
                 check(name, *pairs[name])
         if which == "defining":

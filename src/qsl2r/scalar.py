@@ -620,6 +620,46 @@ def _root_of_order(p: int, n: int) -> int:
     raise ArithmeticError(f"F_{p} has no element of order {n}")
 
 
+def pack(values, ctx: RootContext):
+    """(C, dens) for CycloNum values: their coefficient vectors as the rows
+    of an int64 array and their denominators as a list.  None when a value
+    is no CycloNum or a coefficient reaches 2^62 / Q in magnitude, so that
+    every sum `l1_bounds` forms fits in int64."""
+    if any(type(v) is not CycloNum for v in values):
+        return None
+    try:
+        C = np.array([v.coeffs for v in values], dtype=np.int64).reshape(len(values), ctx.degree)
+    except OverflowError:
+        return None
+    lim = (1 << 62) // ctx.Q
+    if C.size and (C.max() >= lim or C.min() <= -lim):
+        return None
+    return C, [v.den for v in values]
+
+
+def reduce_images(C, dens, ctx: RootContext, m: int) -> np.ndarray:
+    """The images of the CycloNums with coefficient rows C (an int64 array
+    from `pack`, or rows of Python ints) and denominators dens under the
+    first m split primes, laid out as by `split_images` without gauss.
+    Raises ZeroDivisionError when a prime divides a denominator."""
+    cols = []
+    for p, _, _, E in ctx.split_primes(m):
+        if isinstance(C, np.ndarray):
+            Cp = C % p
+        else:
+            Cp = np.array([[c % p for c in row] for row in C],
+                          dtype=np.int64).reshape(len(C), ctx.degree)
+        inv = {}
+        for den in dens:
+            if den not in inv:
+                if den % p == 0:
+                    raise ZeroDivisionError(f"the split prime {p} divides a denominator")
+                inv[den] = pow(den, -1, p)
+        # degree < 2^13 terms, each below 2^50, per entry of the product
+        cols.append(Cp @ E % p * np.array([inv[den] for den in dens], dtype=np.int64)[:, None] % p)
+    return np.concatenate(cols, axis=1)
+
+
 def split_images(values, ctx: RootContext, m: int, gauss: bool) -> np.ndarray:
     """The images of CycloNum (or, with gauss, GaussCyclo) values under the
     first m split primes of ctx: an int64 array of residues, one row per
@@ -633,32 +673,15 @@ def split_images(values, ctx: RootContext, m: int, gauss: bool) -> np.ndarray:
         flat = [v.re for v in gv] + [v.im for v in gv]
     else:
         flat = list(values)
-    coeffs = [v.coeffs for v in flat]
-    try:
-        C = np.array(coeffs, dtype=np.int64).reshape(len(flat), ctx.degree)
-    except OverflowError:
-        C = None
-    cols = []
-    for p, _, iota, E in ctx.split_primes(m):
-        if C is not None:
-            Cp = C % p
-        else:
-            Cp = np.array([[c % p for c in row] for row in coeffs],
-                          dtype=np.int64).reshape(len(flat), ctx.degree)
-        inv = {}
-        for v in flat:
-            if v.den not in inv:
-                if v.den % p == 0:
-                    raise ZeroDivisionError(f"the split prime {p} divides a denominator")
-                inv[v.den] = pow(v.den, -1, p)
-        # degree < 2^13 terms, each below 2^50, per entry of the product
-        img = Cp @ E % p * np.array([inv[v.den] for v in flat], dtype=np.int64)[:, None] % p
-        if gauss:
-            n = len(values)
-            re, im = img[:n], img[n:] * iota % p
-            img = np.stack([(re + im) % p, (re - im) % p], axis=-1).reshape(n, 2 * img.shape[1])
-        cols.append(img)
-    return np.concatenate(cols, axis=1)
+    img = reduce_images(*(pack(flat, ctx) or ([v.coeffs for v in flat], [v.den for v in flat])),
+                        ctx, m)
+    if gauss:
+        primes = ctx.split_primes(m)
+        p = np.repeat([p for p, *_ in primes], ctx.degree)
+        n = len(values)
+        re, im = img[:n], img[n:] * np.repeat([iota for _, _, iota, _ in primes], ctx.degree) % p
+        img = np.stack([(re + im) % p, (re - im) % p], axis=-1).reshape(n, 2 * img.shape[1])
+    return img
 
 
 def l1_content(v) -> tuple[int, int]:
@@ -679,6 +702,14 @@ def _l1(a: CycloNum) -> int:
     c = sorted(a.coeffs + (0,) * (a.ctx.Q - a.ctx.degree))
     t = c[len(c) // 2]
     return sum(abs(x - t) for x in c)
+
+
+def l1_bounds(C, ctx: RootContext) -> np.ndarray:
+    """`_l1` of each CycloNum packed in C (`pack`), as an int64 vector."""
+    S = np.zeros((len(C), ctx.Q), dtype=np.int64)
+    S[:, :ctx.degree] = C
+    S.sort(axis=1)
+    return np.abs(S - S[:, ctx.Q // 2, None]).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

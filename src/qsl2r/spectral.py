@@ -22,8 +22,12 @@ clustered within EIGEN_TOL, and each cluster's eigenvectors are the null
 right singular vectors of M - lambda I.  Matrices here are at most 64 x 64.
 The chain is computed once per representation and tolerance and cached on
 the representation, so the tridiagonality check and the (T, G) search
-reuse its eigenvectors.  From its bottom the chain costs a fixed number of
-array operations plus index work over the labels y_k = y_0 q^(2k): one
+reuse its eigenvectors.  Its start is one array test: both y-branches of
+every eigenvalue at once, then one product giving all their lowering and
+raising images; the first pair and branch, in pair order and y before
+-1/y, that passes takes its y_0 from `_y_branches`, so every label is the
+same float.  From its bottom the chain costs a fixed number of array
+operations plus index work over the labels y_k = y_0 q^(2k): one
 comparison of all eigenvalues with all [x + 2k] gives each label its
 candidates, and the walk takes a raising image only where a label has
 several unused candidates, to keep the one of largest overlap.  The
@@ -233,7 +237,8 @@ def ladder_apply(rep: Representation, v, x, direction: str,
 
 def _apply_ladder(Jc, Zc, mu, other, v):
     """(J - mu)(J - other) Z v, one factor at a time from the right: three
-    matrix-vector products instead of two matrix-matrix products."""
+    matrix-vector products instead of two matrix-matrix products.  v may
+    hold several columns, with mu and other then one label per column."""
     w = Zc @ v
     w = Jc @ w - other * w
     return Jc @ w - mu * w
@@ -300,45 +305,40 @@ def _build_chain(rep: Representation, tol: float) -> LadderChain:
     pairs = eigen_solve(Jc)
     scale = max(1.0, max(abs(p.value) for p in pairs))
 
-    def image(v, y, direction):
-        mu = _mu_of(y, q)
-        other = _mu_of(y / q ** 2 if direction == "raise" else y * q ** 2, q)
-        return _apply_ladder(Jc, Zc, mu, other, v)
-
-    def vanishes(w, ref):
-        return np.linalg.norm(w) < tol * max(1.0, np.linalg.norm(ref))
-
-    # locate a bottom: the first pair and branch whose lowering image
-    # vanishes while the raising image either links or also vanishes (d = 1).
-    # Every chain has a mirror (the branch swap y -> -1/y exchanges raising
-    # and lowering), so for the first family only branches at the expected
-    # start y = q^(Q-d+1) are tried; the mirror starts at a non-integer label.
-    y_expected = q ** (rep.ctx.Q - d + 1) if rep.family == 1 else None
-    start = next(((idx, y) for idx, p in enumerate(pairs) for y in _y_branches(p.value, q)
-                  if (y_expected is None or abs(y - y_expected) <= tol * max(1.0, abs(y)))
-                  and vanishes(image(p.vector, y, "lower"), p.vector)
-                  and (d == 1 or not vanishes(image(p.vector, y, "raise"), p.vector))),
-                 None)
-    if rep.family == 1 and start is None:
+    # locate a bottom: the first pair and branch (pairs in order, y before
+    # -1/y) whose lowering image vanishes while the raising image either
+    # links or also vanishes (d = 1); without one, the first whose raising
+    # image is nonzero and lands on an eigenvalue.  Every chain has a mirror
+    # (the branch swap y -> -1/y exchanges raising and lowering), so for the
+    # first family only branches at the expected start y = q^(Q-d+1) are
+    # tried; the mirror starts at a non-integer label.  One product gives the
+    # lowering images of the n branches tried, then their raising images.
+    values = np.array([p.value for p in pairs])
+    delta = q - 1 / q
+    disc = np.sqrt(values * values * delta * delta + 4)
+    y_try = ((values * delta)[:, None] + np.multiply.outer(disc, (1, -1))).ravel() / 2
+    cols = np.arange(2 * d)
+    if rep.family == 1:
+        y_expected = q ** (rep.ctx.Q - d + 1)
+        cols = cols[np.abs(y_try - y_expected) <= tol * np.maximum(1.0, np.abs(y_try))]
+    n, y_try = len(cols), y_try[cols]
+    B = np.array([pairs[k // 2].vector for k in cols] * 2).T.reshape(d, 2 * n)
+    W = _apply_ladder(Jc, Zc, _mu_of(np.concatenate([y_try, y_try]), q),
+                      _mu_of(np.concatenate([y_try * q ** 2, y_try / q ** 2]), q), B)
+    moved = np.linalg.norm(W, axis=0) >= tol * np.maximum(1.0, np.linalg.norm(B, axis=0))
+    lowered, raised = moved[:n], moved[n:]
+    found = np.flatnonzero(~lowered & (raised | (d == 1)))
+    if rep.family == 1 and not found.size:
         raise ChainError(
             f"no chain bottom found at the expected start x = {rep.ctx.Q - d + 1}",
             partial=LadderChain())
-    cyclic_start = start is None
-    if cyclic_start:
-        # no path bottom: try every pair/branch until one raises into the set
-        for idx, p in enumerate(pairs):
-            for y in _y_branches(p.value, q):
-                w = image(p.vector, y, "raise")
-                if vanishes(w, p.vector):
-                    continue
-                nxt = _mu_of(y * q ** 2, q)
-                if min(abs(nxt - o.value) for o in pairs) <= tol * scale:
-                    start = (idx, y)
-                    break
-            if start:
-                break
-        if start is None:
-            raise ChainError("no eigenpair admits a linking branch", partial=LadderChain())
+    if not found.size:
+        steps = np.abs(_mu_of(y_try * q ** 2, q)[:, None] - values).min(axis=1)
+        found = np.flatnonzero(raised & (steps <= tol * scale))
+    if not found.size:
+        raise ChainError("no eigenpair admits a linking branch", partial=LadderChain())
+    idx, branch = divmod(int(cols[found[0]]), 2)
+    start = (idx, _y_branches(pairs[idx].value, q)[branch])
 
     # labels y_k = y_0 q^(2k) along the chain, one past the top for the
     # closing check of a cyclic chain: mus[k] = [x + 2k], others[k] = [x + 2k - 2]
@@ -347,7 +347,7 @@ def _build_chain(rep: Representation, tol: float) -> LadderChain:
         ys.append(ys[-1] * q ** 2)
     mus = [_mu_of(y, q) for y in ys]
     others = [_mu_of(y / q ** 2, q) for y in ys[:d]]
-    gap = np.array([p.value for p in pairs]) - np.array(mus[1:d])[:, None]
+    gap = values - np.array(mus[1:d])[:, None]
     near = np.hypot(gap.real, gap.imag) <= tol * scale
     candidates = [[] for _ in range(d)]     # candidates[k]: the pairs with label k
     rows, cols = np.nonzero(near)

@@ -3,6 +3,7 @@ images as ring maps, soundness of the bound, agreement with the CycloNum
 evaluation, corrupted representations, and the int64 invariant at the
 largest dimension the spectral commands take."""
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -10,13 +11,13 @@ from math import gcd
 import numpy as np
 import pytest
 
-from qsl2r import reps, spectral
+from qsl2r import reps, scalar, spectral
 from qsl2r.ncpoly import NcPoly, identity_coefficients, relation_differences
 from qsl2r.reps import (Representation, build_family1, build_family2,
-                        certified_zeros, evaluate, ex_is_zero, tensor_rep,
+                        certified_zeros, evaluate, ex_is_zero, j_matrix, tensor_rep,
                         verify_relations)
 from qsl2r.scalar import (SPLIT_PRIME_BOUND, CycloNum, GaussCyclo, RootContext,
-                          _is_prime, gauss_i, l1_content, split_images)
+                          _is_prime, gauss_i, l1_bounds, l1_content, pack, split_images)
 from qsl2r.spectral import MAX_DIM, verify_identity
 
 GRID_PQ = [(P, Q) for Q in (3, 5, 7, 9) for P in range(1, Q) if gcd(P, Q) == 1]
@@ -446,6 +447,102 @@ def test_banded_products_of_full_residue_matrices_do_not_overflow():
         for k, o in enumerate(offs):
             for i in range(max(0, -o), min(d, d - o)):
                 assert vals[k, i, t] == want[i, i + o]
+
+
+# -- packed letters ----------------------------------------------------------------
+
+
+def _copy(rep):
+    """The same matrices on a representation with an empty cache."""
+    return Representation(rep.ctx, rep.dim, rep.family, dict(rep.params), rep.backend,
+                          rep.X, rep.Y, rep.Z, rep.Zinv)
+
+
+def _row_bound(M):
+    """(D, N) of a matrix entry by entry: D clears every denominator and N is
+    the largest row sum of the entries' l1_content bounds over D."""
+    contents = [[l1_content(a) for a in row if not a.is_zero()] for row in M]
+    D = math.lcm(*(Da for row in contents for Da, _ in row))
+    return D, max(sum(D // Da * n for Da, n in row) for row in contents)
+
+
+@pytest.mark.parametrize("Q", [9, 15, 21, 25, 31])
+def test_packed_bounds_are_the_entrywise_l1_contents(Q):
+    ctx = RootContext(2, Q)
+    rng = random.Random(Q)
+    rep = build_family1(ctx, Q - 1, -1)
+    gens = {"X": rep.X, "Y": rep.Y, "Z": rep.Z, "z": rep.Zinv, "J": j_matrix(rep)}
+    values = [a for M in gens.values() for row in M for a in row if not a.is_zero()]
+    values += [_random_cyclo(ctx, rng, rng.choice([1, 2, 15])) * ctx.zeta(rng.randrange(Q))
+               for _ in range(30)]
+    values += [s * ctx.zeta(e) for e in range(Q) for s in (1, -1)]
+    values += [CycloNum(ctx, [c] * ctx.degree) for c in (5, -7)]   # shifts past deg
+    C, dens = pack(values, ctx)
+    assert list(zip(dens, l1_bounds(C, ctx).tolist())) == [l1_content(v) for v in values]
+    letters = reps._split_letters(rep, gens)
+    for letter, M in gens.items():
+        assert letters[letter]["packed"] is not None
+        assert (letters[letter]["D"], letters[letter]["N"]) == _row_bound(M)
+    # an entry too large for int64, or one whose bound would overflow it,
+    # leaves the letters packed with it to l1_content, entry by entry
+    huge = ctx.from_int(2 ** 70) * ctx.zeta(Q - 1) + Fraction(1, 3)
+    wide = CycloNum(ctx, [(-1) ** i * (2 ** 62 - 1) for i in range(ctx.degree)])
+    for big in (huge, wide):
+        assert pack([big], ctx) is None
+        bad = _bumped(rep, "X", 1, 0, big)
+        letters = reps._split_letters(bad, "XY")
+        for letter, M in (("X", bad.X), ("Y", bad.Y)):
+            assert letters[letter]["packed"] is None
+            assert (letters[letter]["D"], letters[letter]["N"]) == _row_bound(M)
+        assert letters["X"]["N"] > 2 ** 63
+
+
+def _entrywise_verdicts(monkeypatch, reps_, polys):
+    """certified_zeros with every letter and image taken entry by entry."""
+    with monkeypatch.context() as m:
+        m.setattr(reps, "pack", lambda values, ctx: None)
+        m.setattr(scalar, "pack", lambda values, ctx: None)
+        return [certified_zeros(polys, _copy(rep)) for rep in reps_]
+
+
+@pytest.mark.parametrize("Q", range(3, 32, 2))
+def test_packed_letters_keep_the_verdicts_on_the_first_family(Q, monkeypatch):
+    ctx = RootContext(Q - 2, Q)
+    polys = _polys() + list(reps._inverse_differences())
+    reps_ = []
+    for r in sorted({1, Q // 2, Q - 1}):
+        for sign in (1, -1):
+            good = build_family1(ctx, r, sign)
+            k = r // 2
+            reps_ += [good, _bumped(good, "X", 1, 0, 1), _bumped(good, "Zinv", k, k, 1)]
+    # X / 3 and 3 Y keep every relation, with denominators in X and J
+    reps_.append(Representation(ctx, good.dim, 1, {}, "exact",
+                                [[a * Fraction(1, 3) for a in row] for row in good.X],
+                                [[a * 3 for a in row] for row in good.Y], good.Z, good.Zinv))
+    got = [certified_zeros(polys, rep) for rep in reps_]
+    assert got == _entrywise_verdicts(monkeypatch, reps_, polys)
+    for rep, verdicts in zip(reps_, got):
+        # the defining relations and Z Zi, Zi Z against their CycloNum matrices
+        part = polys[5:8] + polys[10:]
+        assert verdicts[5:8] + verdicts[10:] == [ex_is_zero(M) for M in evaluate(part, rep)]
+    assert got[0] == got[-1] == [True] * 12
+    assert False in got[1] and got[2][10:] == [False, False]
+
+
+def test_packed_letters_keep_the_verdicts_on_family2_and_tensor_reps(monkeypatch):
+    polys = _polys() + list(reps._inverse_differences())
+    reps_ = [build_family2(RootContext(P, Q), sign * RootContext(P, Q).zeta(e), a, b,
+                           backend="exact")
+             for P, Q, e, a, b in ((2, 5, 3, 1, 2), (1, 3, 2, 0, 1), (1, 7, 1, 2, 0),
+                                   (3, 7, 2, 1, 2), (4, 9, 1, 2, 1)) for sign in (1, -1)]
+    ctx = RootContext(2, 7)
+    reps_.append(tensor_rep(build_family1(ctx, 2, 1), build_family1(ctx, 1, -1)))
+    reps_ += [_bumped(rep, name, rep.dim - 1, rep.dim - 1 if name == "Zinv" else 0, 1)
+              for rep in reps_ for name in ("X", "Zinv")]
+    got = [certified_zeros(polys, rep) for rep in reps_]
+    assert got == _entrywise_verdicts(monkeypatch, reps_, polys)
+    assert all(v == [True] * 12 for v in got[:11])
+    assert all(v[10:] == [False, False] for v in got[12::2])
 
 
 # -- caching -----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The sparse exact kernels against their naive definitions: products and
 powers, products and inverses of units, q-numbers as sums of powers, direct
-subtraction, and exact comparisons that still report the residual of a
-mismatch."""
+subtraction, exact comparisons that still report the residual of a
+mismatch, and the embedding into complex arrays, bit for bit."""
 
 import math
 import random
@@ -9,8 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from qsl2r.reps import (Representation, _close, build_family1, ex_eye, ex_lincomb,
-                        ex_mul, ex_pow, ex_residual, ex_scale, ex_sub, ex_to_complex)
+import numpy as np
+
+from qsl2r import reps, scalar
+from qsl2r.reps import (Representation, _close, build_family1, build_family2, ex_eye,
+                        ex_lincomb, ex_mul, ex_pow, ex_residual, ex_scale, ex_sub,
+                        ex_to_complex, j_matrix, tensor_rep)
 from qsl2r.scalar import CycloNum, GaussCyclo, RootContext, q_number, q_power, to_complex
 from qsl2r.spectral import _identity_matrices, verify_identity
 
@@ -223,3 +227,51 @@ def test_kernels_treat_cancelled_zeros_as_zeros():
         assert ex_sub(C, C) == [[ctx.zero()] * 4 for _ in range(4)]
         dense = [[s * x + y for x, y in zip(rx, ry)] for rx, ry in zip(C, ex_mul(A, B))]
         assert ex_lincomb([(s, C), (ctx.one(), ex_mul(A, B))], ctx, 4) == dense
+
+
+# -- the embedding, bit for bit ---------------------------------------------------
+
+
+def _entrywise(A):
+    return np.array([[complex(a) for a in row] for row in A], dtype=complex)
+
+
+def _assert_embeds_bit_for_bit(*mats):
+    for A in mats:
+        got = ex_to_complex(A)
+        assert got.shape == (len(A), len(A[0]))
+        assert got.tobytes() == _entrywise(A).tobytes()
+
+
+@pytest.mark.parametrize("Q", range(3, 32, 2))
+def test_first_family_generators_and_j_embed_as_their_entries(Q):
+    ctx = RootContext((Q - 1) // 2, Q)   # coprime to Q, and a different P per Q
+    for r in range(Q):
+        for sign in (1, -1):
+            rep = build_family1(ctx, r, sign)
+            _assert_embeds_bit_for_bit(rep.X, rep.Y, rep.Z, rep.Zinv, j_matrix(rep))
+
+
+def test_exact_second_family_and_tensor_reps_embed_as_their_entries():
+    ctx = RootContext(2, 9)
+    f2 = build_family2(ctx, -ctx.zeta(4), 1, 2, backend="exact")
+    assert isinstance(f2.X[0][1], GaussCyclo)   # entry by entry
+    _assert_embeds_bit_for_bit(f2.X, f2.Y, f2.Z, f2.Zinv, j_matrix(f2))
+    t = tensor_rep(build_family1(ctx, 3, 1), build_family1(ctx, 2, -1))
+    _assert_embeds_bit_for_bit(t.X, t.Y, t.Z, t.Zinv, j_matrix(t))
+    # denominators, packed (random CycloNums) and entry by entry (J at rational a, b)
+    f2 = build_family2(ctx, ctx.zeta(2), Fraction(1, 3), Fraction(5, 7), backend="exact")
+    _assert_embeds_bit_for_bit(_random_matrix(ctx, random.Random(9), 5, 4, density=0.6),
+                               j_matrix(f2))
+
+
+def test_a_coefficient_beyond_int64_embeds_entry_by_entry(monkeypatch):
+    ctx = RootContext(3, 7)
+    zero = ctx.zero()
+    huge = CycloNum(ctx, [2 ** 70 + 1, -3 ** 50, 0, 5, 0, 1], 7)
+    A = [[huge, zero, ctx.zeta(3)], [zero, zero, zero], [-ctx.one(), huge * huge, zero]]
+    assert scalar.pack([huge], ctx) is None and scalar.pack([ctx.zeta(3)], ctx) is not None
+    seen = []
+    monkeypatch.setattr(reps, "to_complex", lambda a: seen.append(a) or complex(a))
+    _assert_embeds_bit_for_bit(A)
+    assert seen == [huge, ctx.zeta(3), -ctx.one(), huge * huge]
