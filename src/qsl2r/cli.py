@@ -8,9 +8,8 @@ except in `suite`, which records it as the "error" of the first-family
 cell or second-family sample it came from, counts that cell as failing
 and goes on.
 JSON output is byte-deterministic for exact-backend runs (sorted keys,
-canonical rational strings).  The environment variable QSL2R_TOL
-overrides the default floating tolerance; a value that is not a finite
-number > 0 is ignored there and refused as --tol.
+canonical rational strings).  The floating tolerance is --tol, a finite
+number > 0, else REL_TOL.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import random
 import sys
 
@@ -37,20 +35,15 @@ from .spectral import (EIGEN_TOL, MAX_DIM, ChainError, spectrum_chain,
                        tridiagonality_check, unitarize_search, verify_identity)
 
 
-def _tolerance(text: str) -> float | None:
-    """text as a tolerance: a finite float > 0, else None."""
+def _parse_tol(text: str) -> float:
+    """text as a tolerance: a finite float > 0."""
     try:
         tol = float(text)
+        if math.isfinite(tol) and tol > 0:
+            return tol
     except ValueError:
-        return None
-    return tol if math.isfinite(tol) and tol > 0 else None
-
-
-def _parse_tol(text: str) -> float:
-    tol = _tolerance(text)
-    if tol is None:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return tol
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
 
 
 def _parse_complex(text: str):
@@ -185,9 +178,9 @@ def parse_command(argv):
                 # ParseError, an over-long word, or division by zero
                 parser.error(f"--expr {args.expr!r} is refused: {exc}")
     if "tol" in args:   # intersect is exact and takes none
-        # --tol, else a valid QSL2R_TOL, else REL_TOL; the spectral layer
-        # clusters eigenvalues at EIGEN_TOL, so it takes no finer tolerance
-        tol = args.tol or _tolerance(os.environ.get("QSL2R_TOL", "")) or REL_TOL
+        # --tol, else REL_TOL; the spectral layer clusters eigenvalues at
+        # EIGEN_TOL, so it takes no finer tolerance
+        tol = args.tol or REL_TOL
         args.tol = max(tol, EIGEN_TOL) if spectral_cmd else tol
     return args
 
@@ -479,7 +472,7 @@ def cmd_suite(args) -> int:
         idok = True
         for _ in range(20):
             x = complex(rng.uniform(-5, 5), rng.uniform(-1, 1))
-            rp = verify_identity(rep, x, tol=1e-9)
+            rp = verify_identity(rep, x, tol=REL_TOL)
             worst = max(worst, rp.residual)
             idok &= rp.ok
         cell["identity_worst_residual"] = worst

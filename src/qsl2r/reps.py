@@ -177,35 +177,19 @@ def ex_lincomb(terms, ctx: RootContext, d: int):
 
 
 def ex_to_complex(A) -> np.ndarray:
-    """A as a complex array, equal to complex(a) entry by entry, bit for bit.
-    CycloNum entries are packed (`scalar.pack`): each coefficient times the
-    real and the imaginary part of zeta^i, summed left to right as
-    `CycloNum.__complex__` sums, then divided by the denominator.  Entries
-    that do not pack (GaussCyclo, huge coefficients) go one by one."""
-    ctx = A[0][0].ctx
-    zero = ctx.zero()
-    nonzero = [(i, j, a) for i, row in enumerate(A) for j, a in enumerate(row)
-               if a is not zero and not a.is_zero()]
+    """A as a complex array, to_complex(a) entry by entry; zeros stay 0."""
+    zero = A[0][0].ctx.zero()
     out = np.zeros((len(A), len(A[0])), dtype=complex)
-    if not nonzero:
-        return out
-    i, j, vals = zip(*nonzero)
-    packed = pack(vals, ctx)
-    if packed is None:
-        out[i, j] = [to_complex(a) for a in vals]
-        return out
-    C, dens = packed
-    C, dens, z = C.astype(float), np.array(dens, dtype=float), np.array(ctx._zeta_c)
-    out.real[i, j] = np.add.accumulate(C * z.real, axis=1)[:, -1] / dens
-    out.imag[i, j] = np.add.accumulate(C * z.imag, axis=1)[:, -1] / dens
+    for i, row in enumerate(A):
+        for j, a in enumerate(row):
+            if a is not zero and not a.is_zero():
+                out[i, j] = to_complex(a)
     return out
 
 
 def ex_residual(A) -> float:
-    """0.0 when the exact matrix is exactly zero, else its largest embedded
-    entry magnitude (diagnostic for a failed exact check)."""
-    if ex_is_zero(A):
-        return 0.0
+    """The largest embedded entry magnitude of an exact matrix, 0.0 when it
+    is exactly zero (diagnostic for a failed exact check)."""
     return float(np.max(np.abs(ex_to_complex(A))))
 
 
@@ -236,10 +220,8 @@ class Representation:
         """The four generator matrices as numpy complex arrays, keyed as
         `mats()`.  Each is embedded the first time a caller reads it and
         kept, so a caller that reads only Z and J (the chain and the band
-        check) embeds only those.  An exact matrix is embedded from its
-        packed coefficients (`ex_to_complex`) with the products and the
-        left-to-right sum of `CycloNum.__complex__`, so every float is the
-        one complex(entry) gives."""
+        check) embeds only those.  An exact matrix is embedded entry by
+        entry (`ex_to_complex`)."""
         got = self._cache.get("complex_mats")
         if got is None:
             got = self._cache["complex_mats"] = _Embedding(self.mats(), self.backend == "exact")
@@ -253,10 +235,9 @@ class Representation:
 
 class _Embedding(Mapping):
     """Generator matrices as complex arrays, each embedded on first read,
-    an exact one by `ex_to_complex`: the same products and the same
-    left-to-right sum as complex(entry), so the same floats.  It holds the
-    matrices, not the representation, so the representation's cache makes
-    no reference cycle."""
+    an exact one by `ex_to_complex`.  It holds the matrices, not the
+    representation, so the representation's cache makes no reference
+    cycle."""
 
     __slots__ = ("_mats", "_exact", "_got")
 

@@ -7,6 +7,7 @@ from qsl2r.cli import emit_report, main, parse_command
 from qsl2r.ncpoly import NcPoly, format_expr, lemma_check, lemma_v
 from qsl2r.ncpoly import _two_bracket_sq
 from qsl2r.reps import representation_from_json, verify_relations
+from qsl2r.scalar import REL_TOL
 from qsl2r.spectral import EIGEN_TOL
 
 
@@ -284,29 +285,18 @@ def test_symbolic_counit_note_logged(capsys):
     assert "eps(J) = 0" in out
 
 
-def test_env_tolerance_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("QSL2R_TOL", "1e-3")
-    args = parse_command(["verify", "--P", "1", "--Q", "3", "--check", "defining"])
-    assert args.tol == 1e-3
-    monkeypatch.setenv("QSL2R_TOL", "junk")
-    args = parse_command(["verify", "--P", "1", "--Q", "3", "--check", "defining"])
-    assert args.tol == pytest.approx(1e-9)
-
-
-def test_spectral_commands_floor_the_tolerance_and_intersect_takes_none(monkeypatch):
-    monkeypatch.setenv("QSL2R_TOL", "1e-12")
+def test_spectral_commands_floor_the_tolerance_and_intersect_takes_none():
     for command in ("spectrum", "ladder", "unitarize", "suite"):
-        assert parse_command([command, "--Q", "5"]).tol == EIGEN_TOL
+        assert parse_command([command, "--Q", "5", "--tol", "1e-12"]).tol == EIGEN_TOL
         assert parse_command([command, "--Q", "5", "--tol", "1e-3"]).tol == 1e-3
-    assert parse_command(["verify", "--check", "zj"]).tol == 1e-12
+    assert parse_command(["verify", "--check", "zj", "--tol", "1e-12"]).tol == 1e-12
     assert "tol" not in parse_command(["intersect", "--Q", "5"])
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-3"])
-def test_env_tolerance_must_be_finite_and_positive(monkeypatch, value):
-    monkeypatch.setenv("QSL2R_TOL", value)
+def test_the_environment_sets_no_tolerance(monkeypatch):
+    monkeypatch.setenv("QSL2R_TOL", "1e-3")
     args = parse_command(["verify", "--P", "1", "--Q", "3", "--check", "defining"])
-    assert args.tol == pytest.approx(1e-9)
+    assert args.tol == REL_TOL
 
 
 # exact fields of `qsl2r suite --P 2 --Q 5`, recorded before the relations

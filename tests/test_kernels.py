@@ -14,7 +14,7 @@ import numpy as np
 from qsl2r import reps, scalar
 from qsl2r.reps import (Representation, _close, build_family1, build_family2, ex_eye,
                         ex_lincomb, ex_mul, ex_pow, ex_residual, ex_scale, ex_sub,
-                        ex_to_complex, j_matrix, tensor_rep)
+                        ex_to_complex, ex_zeros, j_matrix, tensor_rep)
 from qsl2r.scalar import CycloNum, GaussCyclo, RootContext, q_number, q_power, to_complex
 from qsl2r.spectral import _identity_matrices, verify_identity
 
@@ -227,6 +227,21 @@ def test_kernels_treat_cancelled_zeros_as_zeros():
         assert ex_sub(C, C) == [[ctx.zero()] * 4 for _ in range(4)]
         dense = [[s * x + y for x, y in zip(rx, ry)] for rx, ry in zip(C, ex_mul(A, B))]
         assert ex_lincomb([(s, C), (ctx.one(), ex_mul(A, B))], ctx, 4) == dense
+
+
+def test_residual_is_zero_on_zeros_else_the_largest_entry_magnitude():
+    ctx = RootContext(2, 7)
+    rng = random.Random(11)
+    assert ex_residual(ex_zeros(ctx, 3, 4)) == 0.0
+    A = _random_matrix(ctx, rng, 3, 4, density=0.7)
+    cancelled = [[a - a for a in row] for row in A]
+    assert all(a is not ctx.zero() for row in cancelled for a in row)
+    assert ex_residual(cancelled) == 0.0
+    f2 = build_family2(RootContext(2, 9), -RootContext(2, 9).zeta(4), 1, 2, backend="exact")
+    for M in (A, j_matrix(f2)):
+        # np.abs and abs() of a complex may round apart by an ulp
+        want = max(abs(complex(a)) for row in M for a in row)
+        assert want > 0 and ex_residual(M) == pytest.approx(want, rel=1e-15, abs=0)
 
 
 # -- the embedding, bit for bit ---------------------------------------------------
