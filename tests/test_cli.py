@@ -299,6 +299,15 @@ def test_the_environment_sets_no_tolerance(monkeypatch):
     assert args.tol == REL_TOL
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-3", "junk"])
+def test_tol_must_be_finite_and_positive(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_command(["verify", "--P", "1", "--Q", "3", "--check", "defining",
+                       f"--tol={value}"])
+    assert exc.value.code == 2
+    assert f"must be a finite number > 0, got {value!r}" in capsys.readouterr().err
+
+
 # exact fields of `qsl2r suite --P 2 --Q 5`, recorded before the relations
 # moved into ncpoly and onto the matrices through reps.evaluate
 SUITE_GOLDEN = Path(__file__).parent / "data" / "suite_P2_Q5_exact.json"
