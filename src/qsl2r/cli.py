@@ -145,7 +145,8 @@ def parse_command(argv):
     """Parse and validate; exits with code 2 on usage errors, naming the
     violated (P, Q) or first-family r constraint, a spectral run beyond
     MAX_DIM x MAX_DIM matrices, the representation flags no builder
-    accepts, or the misused or unparsable --expr, in the diagnostic."""
+    accepts, or the misused or unparsable --expr (a word over the cap of
+    pbw_normal_form included), in the diagnostic."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -174,8 +175,10 @@ def parse_command(argv):
                 parser.error("--check pbw needs --expr")
             try:
                 args.poly = parse_expr(args.expr)
+                for w, _ in args.poly.terms:
+                    ncpoly.check_expanded_word(w)
             except (ValueError, ArithmeticError) as exc:
-                # ParseError, an over-long word, or division by zero
+                # ParseError, an over-long word (J read as X Zi), division by zero
                 parser.error(f"--expr {args.expr!r} is refused: {exc}")
     if "tol" in args:   # intersect is exact and takes none
         # --tol, else REL_TOL; the spectral layer clusters eigenvalues at

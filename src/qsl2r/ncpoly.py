@@ -598,11 +598,17 @@ def _times_letter(state, ch):
     return out
 
 
+def check_expanded_word(w):
+    """WordLengthError unless w fits the word cap with each J read as the
+    two letters X z (J = (q X - q^-1 Y) Z^-1) and Z z pairs cancelled."""
+    cancel_word(w.replace(J, X + ZINV))
+
+
 def _word_terms(w):
     """Normal form of one word: normal word -> (n, k), its coefficient being
     n / (q^2 - 1)^k with n an integer Laurent polynomial and k the X Y pairs
     the word lost."""
-    cancel_word(w.replace(J, "Xz"))  # the word cap, J counted as two letters
+    check_expanded_word(w)
     state = {(0, 0, 0): {0: 1}}
     for ch in w:
         if ch == J:

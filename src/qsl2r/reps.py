@@ -25,23 +25,28 @@ for one call; whatever it does not certify is evaluated, so residuals
 and supports come from the CycloNum matrices as before.  The images sit
 in int64: residues below 2^25, products below 2^50, so a sum is reduced
 once, after at most INT64_SUM_TERMS products: once per entry of a word
-and once per entry of a polynomial.  The generators' nonzero entries are
-packed once per representation into an int64 coefficient array
-(`scalar.pack`), from which array reductions give every entry's bound, each
-generator's D and N and its images; GaussCyclo entries and coefficients
-too large for int64 go entry by entry.  Z Z^-1 = 1 and Z^-1 Z = 1 are no
-polynomial identities, as words cancel Z z on contact, so the defining
-check puts them on the same tape as the raw words Zz and zZ against the
-empty word, and multiplies them out only where the tape certifies nothing.
+and once per entry of a polynomial.  Words and polynomials share one tape
+whose layout depends on d only through which diagonals exist, so it is
+laid out once per relation set and band pattern (`_template`) and
+expanded to each d by array operations (`_plan`).  The generators'
+nonzero entries are packed once per representation into an int64
+coefficient array (`scalar.pack`), from which array reductions give every
+entry's bound, each generator's D and N and its images; GaussCyclo
+entries and coefficients too large for int64 go entry by entry.
+Z Z^-1 = 1 and Z^-1 Z = 1 are no polynomial identities, as words cancel
+Z z on contact, so the defining check puts them on the same tape as the
+raw words Zz and zZ against the empty word, and multiplies them out only
+where the tape certifies nothing.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import accumulate, islice
 from operator import mul
 
 import numpy as np
@@ -405,21 +410,23 @@ def evaluate(polys, rep: Representation, exact: bool | None = None) -> list:
 # exact zeros decided modulo split primes
 # ---------------------------------------------------------------------------
 #
-# A matrix's images are kept by diagonal, as (offsets, vals): vals[k, i] holds
-# the images of entry (i, i + offsets[k]), zero where that column lies outside
-# the matrix, with one image per column of the last axis.  The generators
-# are banded (family 2 adds two corner entries), so a word stays banded.
-# Words and polynomials are evaluated together on one int64 tape along a
-# cached plan of gather indices (`_plan`, `_poly_images`).
+# Images are kept by diagonal: a matrix with diagonal offsets o_0 < o_1 < ...
+# is a block of rows, row k d + i holding the images of entry (i, i + o_k),
+# zero where that column lies outside the matrix, one image per column.  The
+# generators are banded (family 2 adds two corner entries), so a word stays
+# banded.  Words and polynomials are evaluated together on one int64 tape
+# along a plan of gather indices (`_plan`), expanded to the dimension from a
+# template that does not depend on it (`_template`).
 
 
 def _split_letters(rep: Representation, letters) -> dict:
     """For each letter: its matrix's nonzero entries, the integer D clearing
-    their denominators, N >= every row sum of |sigma(D M)|, and its images
-    per (prime count, gauss); cached on the representation.  The entries of
-    the letters not yet cached are packed together, once (`pack`), and
-    bounded by one array reduction (`l1_bounds`); entries that do not pack
-    are bounded one by one (`l1_content`)."""
+    their denominators, N >= every row sum of |sigma(D M)|, its diagonal
+    offsets and each entry's row in its block of diagonals; cached on the
+    representation.  The entries of the letters not yet cached are packed
+    together, once (`pack`), and bounded by one array reduction
+    (`l1_bounds`); entries that do not pack are bounded one by one
+    (`l1_content`)."""
     cache = rep._cache.setdefault("split_letters", {})
     new = {letter: [] for letter in letters if letter not in cache}
     zero = rep.ctx.zero()
@@ -439,167 +446,198 @@ def _split_letters(rep: Representation, letters) -> dict:
         rows = [0] * rep.dim
         for (i, _, _), (Da, n) in zip(entries, bounds):
             rows[i] += D // Da * n
+        offsets = tuple(sorted({j - i for i, j, _ in entries}))
+        at = {o: k * rep.dim for k, o in enumerate(offsets)}
         stop = start + len(entries)
-        cache[letter] = {"entries": entries, "D": D, "N": max(rows), "images": {},
+        cache[letter] = {"entries": entries, "D": D, "N": max(rows), "offsets": offsets,
+                         "rows": [at[j - i] + i for i, j, _ in entries],
                          "packed": packed and (packed[0][start:stop], packed[1][start:stop]),
                          "gauss": any(isinstance(a, GaussCyclo) for _, _, a in entries)}
         start = stop
     return {letter: cache[letter] for letter in letters}
 
 
-def _letter_images(letters: dict, rep: Representation, m: int, gauss: bool) -> dict:
-    """{letter: (offsets, vals)} from one reduction over the entries of
-    every letter that lacks them: of their packed arrays when every such
-    letter is packed, else of the entries through split_images."""
-    key = (m, gauss)
-    todo = [data for data in letters.values() if key not in data["images"]]
-    if todo:
-        if all(data["packed"] for data in todo):
-            img = reduce_images(np.concatenate([data["packed"][0] for data in todo]),
-                                [den for data in todo for den in data["packed"][1]], rep.ctx, m)
+def _letter_block(letters: dict, rep: Representation, m: int, gauss: bool) -> np.ndarray:
+    """The images of the letters, each as its block of diagonals in the
+    order of `letters`, then the d rows of the identity: tape rows 1 to
+    `coefs` - 1 of `_plan`.  One reduction over every entry (of the packed
+    arrays when every letter is packed, else through split_images) and one
+    scatter; cached on the representation per (letters, m, gauss)."""
+    cache = rep._cache.setdefault("split_blocks", {})
+    key = tuple(letters), m, gauss
+    got = cache.get(key)
+    if got is None:
+        data, d = list(letters.values()), rep.dim
+        if data and all(x["packed"] for x in data):
+            img = reduce_images(np.concatenate([x["packed"][0] for x in data]),
+                                [den for x in data for den in x["packed"][1]], rep.ctx, m)
             img = np.repeat(img, 2, axis=1) if gauss else img
         else:
-            img = split_images([a for data in todo for _, _, a in data["entries"]],
-                               rep.ctx, m, gauss)
-        start = 0
-        for data in todo:
-            entries = data["entries"]
-            offsets = tuple(sorted({j - i for i, j, _ in entries}))
-            pos = {o: k for k, o in enumerate(offsets)}
-            vals = np.zeros((len(offsets), rep.dim, img.shape[1]), dtype=np.int64)
-            vals[[pos[j - i] for i, j, _ in entries], [i for i, _, _ in entries]] = \
-                img[start:start + len(entries)]
-            start += len(entries)
-            data["images"][key] = (offsets, vals)
-    return {letter: data["images"][key] for letter, data in letters.items()}
-
-
-def _split_coefficient(c, ctx: RootContext) -> dict:
-    """A coefficient's value at q with its (D, N) content, and its images
-    per prime count; cached on the context next to the value."""
-    key = True, c.key()
-    got = ctx._image_cache.get(key)
-    if got is None:
-        value = _coefficient(c, ctx, True)
-        D, N = l1_content(value)
-        got = ctx._image_cache[key] = {"value": value, "D": D, "N": N, "images": {}}
+            img = split_images([a for x in data for _, _, a in x["entries"]], rep.ctx, m, gauss)
+        at = list(accumulate((len(x["offsets"]) * d for x in data), initial=0))
+        got = np.zeros((at[-1] + d, img.shape[1]), dtype=np.int64)
+        got[[s + r for x, s in zip(data, at) for r in x["rows"]]] = img
+        got[-d:] = 1
+        cache[key] = got
     return got
 
 
-def _coefficient_images(coef: dict, ctx: RootContext, m: int, gauss: bool) -> np.ndarray:
-    got = coef["images"].get(m)
+def _relation_set(polys, ctx: RootContext) -> dict:
+    """The words of y-free polys term by term, their letters, each term's
+    coefficient value at q with its (D, N) content, and the coefficients'
+    images per (polys decided, prime count, gauss) once asked for; cached on
+    the context under the polys' identities.  The entry holds the polys, so
+    no other object can take one of those identities while the context
+    lives; the relation sets of `ncpoly` are built once per process."""
+    key = ("relation set",) + tuple(map(id, polys))
+    got = ctx._image_cache.get(key)
     if got is None:
-        got = coef["images"][m] = split_images([coef["value"]], ctx, m, False)[0]
-    return np.repeat(got, 2) if gauss else got
+        values = [[_coefficient(c, ctx, True) for c in p.terms.values()] for p in polys]
+        got = ctx._image_cache[key] = {
+            "polys": tuple(polys), "values": values, "rows": {},
+            "words": tuple(tuple(w for w, _ in p.terms) for p in polys),
+            "letters": tuple(sorted({ch for p in polys for w, _ in p.terms for ch in w})),
+            "terms": [[(w, *l1_content(v)) for (w, _), v in zip(p.terms, vs)]
+                      for p, vs in zip(polys, values)]}
+    return got
+
+
+def _coefficient_rows(rel: dict, decided: tuple, ctx: RootContext, m: int,
+                      gauss: bool) -> np.ndarray:
+    """The images of the coefficients of the polys `decided` of a relation
+    set, one row per term in order; cached with the set."""
+    key = decided, m, gauss
+    got = rel["rows"].get(key)
+    if got is None:
+        got = split_images([v for k in decided for v in rel["values"][k]], ctx, m, False)
+        got = rel["rows"][key] = np.repeat(got, 2, axis=1) if gauss else got
+    return got
+
+
+@lru_cache(maxsize=64)
+def _template(letters: tuple, polys: tuple) -> tuple:
+    """What `_plan` lays out at every d, for polynomials given as their
+    words term by term over letters with the diagonals ((letter, offsets),
+    ...).  The slots are the tape's diagonals: the letters', the identity's
+    (word ""), the suffixes' of two or more letters of the words by length,
+    the polynomials'.  Diagonals a of L and b of u give one product into
+    diagonal a + b of the suffix L u, and each diagonal of a term's word one
+    into its polynomial's, with the term's coefficient.  A product exists
+    from the least d above |a + b| at which its factors exist; a slot, from
+    the least d at which a product into it does.  Returns (terms, fixed,
+    least, table, bounds, owner): the first `fixed` slots are the letters'
+    and the identity's, `least` is per slot, and `table` has a column
+    (least, left, right, a, stride, slot, first) per product, by its slot
+    past the fixed ones and that slot's first product; factors count the
+    coefficient rows, then the slots, and a left factor steps along the
+    rows by its stride (0 for a coefficient).  `bounds` start each level,
+    then end the last, and `owner` is the polynomial of each of the
+    polynomials' slots."""
+    n = sum(map(len, polys))
+    slots, index, diags, prods, owner = [], {}, {}, [], []
+
+    def place(key, got, stride=1):     # got: {offset: [(least, left, right, a), ...]}
+        diags[key] = {o: min((p[0] for p in got[o]), default=0) for o in sorted(got)}
+        for o, least in diags[key].items():
+            index[key, o] = n + len(slots)
+            prods.extend([p + (stride, len(slots), len(prods)) for p in got[o]])
+            slots.append(least)
+
+    for letter, offs in letters:
+        place(letter, dict.fromkeys(offs, ()))
+    place("", {0: ()})
+    fixed, bounds = len(slots), []
+    for w in sorted({w[k:] for ws in polys for w in ws for k in range(len(w) - 1)},
+                    key=lambda w: (len(w), w)):
+        if len(bounds) < len(w) - 1:    # the first suffix of its length
+            bounds.append(len(slots) - fixed)
+        got = defaultdict(list)
+        for a in diags[w[0]]:
+            for b, least in diags[w[1:]].items():
+                got[a + b].append((max(least, abs(a + b) + 1), index[w[0], a], index[w[1:], b], a))
+        place(w, got)
+    bounds.append(len(slots) - fixed)
+    terms = iter(range(n))
+    for k, words in enumerate(polys):
+        got = defaultdict(list)
+        for w, t in zip(words, terms):
+            for o, least in diags[w].items():
+                got[o].append((least, t, index[w, o], 0))
+        place(k, got, 0)
+        owner += [k] * len(got)
+    bounds.append(len(slots) - fixed)
+    table = np.array(prods, dtype=np.intp).reshape(-1, 7).T.copy()
+    table[5] -= fixed
+    return (n, fixed, np.array(slots, dtype=np.intp), table, np.array(bounds),
+            np.array(owner, dtype=np.intp))
 
 
 @lru_cache(maxsize=64)
 def _plan(d: int, letters: tuple, polys: tuple):
-    """Tape layout and gather indices for polynomials, each given as its
-    words term by term, over letters with the diagonal offsets ((letter,
-    offsets), ...) at dimension d.  From row 1 (row 0 stays zero) the tape
-    holds the letters, the identity (word ""), one row per term's
-    coefficient from row `coefs`, the suffixes of two or more letters of
-    the terms' words by length, and the polynomials 0, 1, ...; `start` and
-    `offsets` place each block, d rows per diagonal.  Each level (a suffix
-    length, the polynomials last) is (lo, hi, left, right): row lo + r is
-    the sum over w of T[left[r, w]] T[right[r, w]].  In a word L u, entry
-    (i, i + a) of L meets entry (i + a, i + a + b) of u, so a row sums one
-    product per diagonal of L; a polynomial's row, one per term."""
-    start, offsets, size = {}, {}, 1
-
-    def place(key, offs):
-        nonlocal size
-        start[key], offsets[key] = size, tuple(offs)
-        size += len(offs) * d
-
-    for letter, offs in letters:
-        place(letter, offs)
-    place("", (0,))
-    terms = [w for words in polys for w in words]
-    coefs, size = size, size + len(terms)
-    words = sorted({w[k:] for w in terms for k in range(len(w) - 1)}, key=len)
+    """The tape layout and gather indices of `_template(letters, polys)` at
+    dimension d, by array broadcasting over its slots, products and rows.
+    Row 0 stays zero; then come the letters and the identity, a row per
+    term's coefficient from row `coefs`, the suffixes and the polynomials,
+    d rows for each slot that exists at d.  Each level (a suffix length,
+    the polynomials last) is (lo, hi, left, right): row lo + r is the sum
+    over w of T[left[r, w]] T[right[r, w]].  In a word L u, entry (i, i + a)
+    of L meets entry (i + a, i + a + b) of u, so a row sums one product per
+    diagonal of L with entry (i, i + a) in the matrix; a polynomial's row,
+    one per term.  A row's products come first, then row 0 up to the most
+    any row of its level has.  Returns (size, coefs, levels, owner): owner
+    gives the polynomial of each of the polynomials' rows, which end the
+    tape."""
+    n, fixed, least, table, bounds, owner = _template(letters, polys)
+    present = least <= d
+    rank = np.cumsum(present) - 1
+    coefs, base = 1 + d * fixed, 1 + d * fixed + n
+    start = 1 + d * rank
+    start[fixed:] += n
+    starts = np.concatenate([np.arange(coefs, base), start])
+    exists, left, right, a, stride, slot, first = table
+    i = np.arange(d)
+    valid = (exists[:, None] <= d) & (i >= -a[:, None]) & (i < d - a[:, None])
+    seen = np.zeros((len(exists) + 1, d), dtype=np.intp)
+    np.cumsum(valid, axis=0, out=seen[1:])
+    p, i = np.nonzero(valid)
+    row, col = start[fixed + slot[p]] - base + i, seen[p + 1, i] - seen[first[p], i] - 1
+    cuts = ((rank[fixed - 1 + bounds] + 1 - fixed) * d).tolist()
+    L = np.zeros((2, cuts[-1], col.max(initial=0) + 1), dtype=np.intp)
+    L[:, row, col] = starts[left[p]] + stride[p] * i, starts[right[p]] + i + a[p]
+    edges = np.searchsorted(slot[p], bounds).tolist()
     levels = []
-    for n in sorted({len(w) for w in words}):
-        lo, rows, lefts, rights = size, [], [], []
-        for w in (w for w in words if len(w) == n):
-            L, u = w[0], w[1:]
-            sums = sorted({a + b for a in offsets[L] for b in offsets[u] if -d < a + b < d})
-            place(w, sums)
-            for ka, a in enumerate(offsets[L]):
-                i = np.arange(max(0, -a), min(d, d - a))
-                for kb, b in enumerate(offsets[u]):
-                    if -d < a + b < d:
-                        rows.append(start[w] + sums.index(a + b) * d + i)
-                        lefts.append(start[L] + ka * d + i)
-                        rights.append(start[u] + kb * d + i + a)
-        levels.append((lo, size) + _gather(rows, lefts, rights, lo, size))
-    lo, rows, lefts, rights = size, [], [], []
-    i, t = np.arange(d), coefs
-    for k, poly in enumerate(polys):
-        sums = sorted({o for w in poly for o in offsets[w]})
-        place(k, sums)
-        for w in poly:
-            for kw, o in enumerate(offsets[w]):
-                rows.append(start[k] + sums.index(o) * d + i)
-                lefts.append(np.full(d, t))
-                rights.append(start[w] + kw * d + i)
-            t += 1
-    levels.append((lo, size) + _gather(rows, lefts, rights, lo, size))
-    return size, start, offsets, coefs, levels
+    for k in range(len(bounds) - 1):
+        lo, hi, w = cuts[k], cuts[k + 1], col[edges[k]:edges[k + 1]].max(initial=0) + 1
+        levels.append((base + lo, base + hi, *L[:, lo:hi, :w].copy()))
+    out = np.flatnonzero(present[fixed + bounds[-2]:])
+    return base + cuts[-1], coefs, levels, np.repeat(owner[out], d)
 
 
-def _gather(rows, lefts, rights, lo: int, hi: int):
-    """(left, right) index matrices for tape rows lo..hi-1: row r - lo lists
-    the factors of every product summed into row r, padded with row 0."""
-    left = np.zeros((hi - lo, 1), dtype=np.intp)
-    right = left.copy()
-    if rows:
-        rows, lefts, rights = (np.concatenate(a) for a in (rows, lefts, rights))
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order] - lo
-        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
-        left = np.zeros((hi - lo, rank.max() + 1), dtype=np.intp)
-        right = left.copy()
-        left[rows, rank] = lefts[order]
-        right[rows, rank] = rights[order]
-    return left, right
-
-
-def _sum_reduced(prod, moduli) -> np.ndarray:
-    """prod summed over its second axis and reduced, with at most
-    INT64_SUM_TERMS summands in each unreduced sum (a carried residue
-    counts as one)."""
-    acc = prod[:, :INT64_SUM_TERMS].sum(axis=1) % moduli
+def _sum_reduced(prod, moduli, out=None) -> np.ndarray:
+    """prod summed over its second axis and reduced (into out, if given),
+    with at most INT64_SUM_TERMS summands in each unreduced sum (a carried
+    residue counts as one)."""
+    acc = np.remainder(prod[:, :INT64_SUM_TERMS].sum(axis=1), moduli, out=out)
     for k in range(INT64_SUM_TERMS, prod.shape[1], INT64_SUM_TERMS - 1):
         acc += prod[:, k:k + INT64_SUM_TERMS - 1].sum(axis=1)
         acc %= moduli
     return acc
 
 
-def _poly_images(letters: dict, polys, coefs, moduli, d: int) -> list:
-    """(offsets, vals) of each polynomial, given as its list of words, over
-    the letters' images {letter: (offsets, vals)}: the sum over its terms
-    of coefs[t] times the word, t counting the terms of all polynomials in
-    order.  Evaluated on a tape along the cached `_plan`: a take, a multiply
-    and a reduced sum per word length and for the polynomials, whatever the
-    number of words, terms and diagonals."""
-    size, start, offsets, first, levels = _plan(
-        d, tuple((letter, tuple(offs)) for letter, (offs, _) in sorted(letters.items())),
-        tuple(tuple(words) for words in polys))
+def _run_tape(plan, block, coefs, moduli) -> np.ndarray:
+    """The tape of a `_plan` from the letters' block (`_letter_block`) and
+    the coefficient rows: a take, a multiply and a reduced sum per level,
+    whatever the number of words, terms and diagonals."""
+    size, first, levels = plan[:3]
     T = np.empty((size, len(moduli)), dtype=np.int64)
     T[0] = 0
-    for letter, (offs, vals) in letters.items():
-        T[start[letter]:start[letter] + len(offs) * d] = vals.reshape(-1, len(moduli))
-    T[start[""]:start[""] + d] = 1
-    if coefs:   # none when every polynomial is zero
-        T[first:first + len(coefs)] = coefs
+    T[1:first] = block
+    T[first:first + len(coefs)] = coefs
     for lo, hi, left, right in levels:
         prod = T.take(left, axis=0)
         prod *= T.take(right, axis=0)
-        T[lo:hi] = _sum_reduced(prod, moduli)
-    return [(offsets[k], T[start[k]:start[k] + len(offsets[k]) * d].reshape(-1, d, len(moduli)))
-            for k in range(len(polys))]
+        _sum_reduced(prod, moduli, T[lo:hi])
+    return T
 
 
 def _primes_needed(ctx: RootContext, bound: int) -> int | None:
@@ -625,8 +663,8 @@ def certified_zeros(polys, rep: Representation) -> list:
     MAX_SPLIT_PRIMES primes, a prime divides a denominator, rep is not
     exact, or its dimension is below SPLIT_MIN_DIM).  A caller evaluates
     the CycloNum matrix of every poly not decided True.  Word images are
-    shared across polys for this call only (`_poly_images`): each entry of
-    a word or a polynomial is reduced once, after summing at most
+    shared across polys for this call only (`_run_tape`): each entry of a
+    word or a polynomial is reduced once, after summing at most
     INT64_SUM_TERMS products unreduced."""
     _require_y_free(polys)
     out = [None] * len(polys)
@@ -634,36 +672,33 @@ def certified_zeros(polys, rep: Representation) -> list:
     if (rep.backend != "exact" or d < SPLIT_MIN_DIM
             or max(ctx.degree, 2 * d) >= INT64_SUM_TERMS):
         return out
-    letters = _split_letters(rep, {ch for p in polys for w, _ in p.terms for ch in w})
+    rel = _relation_set(polys, ctx)
+    letters = _split_letters(rep, rel["letters"])
     gauss = any(data["gauss"] for data in letters.values())
-    plans, m = [], 0
-    for p in polys:
-        terms, D, bounds = [], 1, []
-        for (w, _), c in p.terms.items():
-            coef = _split_coefficient(c, ctx)
-            Dw, Nw = coef["D"], coef["N"]
-            for ch in w:
-                Dw, Nw = Dw * letters[ch]["D"], Nw * letters[ch]["N"]
-            terms.append((w, coef))
-            bounds.append((Dw, Nw))
-            D = math.lcm(D, Dw)
-        need = _primes_needed(ctx, sum(D // Dw * Nw for Dw, Nw in bounds))
-        plans.append((terms, need))
-        m = max(m, need or 0)
-    if not m:
+    Ds, Ns = ({ch: data[k] for ch, data in letters.items()} for k in ("D", "N"))
+    need = []
+    for terms in rel["terms"]:
+        Dw = [D * math.prod(map(Ds.__getitem__, w)) for w, D, _ in terms]
+        D = math.lcm(*Dw)
+        need.append(_primes_needed(ctx, sum(D // Dt * N * math.prod(map(Ns.__getitem__, w))
+                                            for Dt, (w, _, N) in zip(Dw, terms))))
+    decided = tuple(k for k, got in enumerate(need) if got is not None)
+    if not decided:
         return out
+    m = max(need[k] for k in decided)
     moduli = np.repeat([p for p, *_ in ctx.split_primes(m)], ctx.degree * (1 + gauss))
-    decided = [k for k, (_, need) in enumerate(plans) if need is not None]
     try:
-        images = _letter_images(letters, rep, m, gauss)
-        coefs = [_coefficient_images(coef, ctx, m, gauss)
-                 for k in decided for _, coef in plans[k][0]]
+        block = _letter_block(letters, rep, m, gauss)
+        coefs = _coefficient_rows(rel, decided, ctx, m, gauss)
     except ZeroDivisionError:   # a split prime divides a denominator
-        return [None] * len(polys)
-    sums = _poly_images(images, [[w for w, _ in plans[k][0]] for k in decided],
-                        coefs, moduli, d)
-    for k, (_, vals) in zip(decided, sums):
-        out[k] = not vals.any()
+        return out
+    plan = _plan(d, tuple((ch, data["offsets"]) for ch, data in letters.items()),
+                 tuple(rel["words"][k] for k in decided))
+    T = _run_tape(plan, block, coefs, moduli)
+    owner = plan[3]
+    nonzero = np.bincount(owner, T[len(T) - len(owner):].any(axis=1), len(decided))
+    for k, nz in zip(decided, nonzero.tolist()):
+        out[k] = not nz
     return out
 
 

@@ -1,10 +1,13 @@
 """Exact zeros decided modulo split primes: the primes and their roots, the
 images as ring maps, soundness of the bound, agreement with the CycloNum
-evaluation, corrupted representations, and the int64 invariant at the
-largest dimension the spectral commands take."""
+evaluation, corrupted representations, the int64 invariant at the
+largest dimension the spectral commands take, tape plans expanded from
+their templates against plans built row by row, and no relation left
+undecided on the first family."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -313,14 +316,52 @@ def test_verdicts_agree_where_word_offsets_are_no_progression(every_dim):
         assert any(False in got for got, _ in verdicts)
 
 
+def _letter_images(letters, rep, m, gauss):
+    """{letter: (offsets, vals)}, vals[k, i] the images of entry (i, i +
+    offsets[k]): the letters' rows of `reps._letter_block`, whose last d
+    rows are the identity's."""
+    block, d, out, row = reps._letter_block(letters, rep, m, gauss), rep.dim, {}, 0
+    for letter, data in letters.items():
+        n = len(data["offsets"]) * d
+        out[letter] = data["offsets"], block[row:row + n].reshape(-1, d, block.shape[1])
+        row += n
+    assert len(block) == row + d and (block[row:] == 1).all()
+    return out
+
+
+def _poly_images(images, words, coefs, moduli, d):
+    """(offsets, vals) of each polynomial, given as its list of words, over
+    the letters' images {letter: (offsets, vals)}: the sum over its terms of
+    coefs[t] times the word, t counting the terms of all polynomials in
+    order, read off the tape that `reps._run_tape` runs along `reps._plan`."""
+    n = len(moduli)
+    block = np.concatenate([vals.reshape(-1, n) for _, vals in images.values()]
+                           + [np.ones((d, n), dtype=np.int64)])
+    letters = {ch: tuple(offs) for ch, (offs, _) in images.items()}
+    plan = reps._plan(d, tuple(letters.items()), tuple(map(tuple, words)))
+    T = reps._run_tape(plan, block, np.array(coefs, dtype=np.int64).reshape(-1, n), moduli)
+    owner, vals = plan[3][::d], T[len(T) - len(plan[3]):].reshape(-1, d, n)
+    return [(_diagonals(d, letters, ws), vals[owner == k]) for k, ws in enumerate(words)]
+
+
+def _diagonals(d, letters, words):
+    """The sorted diagonals of a sum of words at dimension d: those of a
+    word L u are the sums of L's and u's that lie in the matrix."""
+    def word(w):
+        if len(w) < 2:
+            return set(letters.get(w, (0,)))
+        return {a + b for a in letters[w[0]] for b in word(w[1:]) if -d < a + b < d}
+    return tuple(sorted(set().union(*map(word, words))))
+
+
 def _identity_images(rep, coefs_seed):
     letters = reps._split_letters(rep, "JZ")
-    images = reps._letter_images(letters, rep, 1, False)
+    images = _letter_images(letters, rep, 1, False)
     moduli = np.repeat([p for p, *_ in rep.ctx.split_primes(1)], rep.ctx.degree)
     words = [[w for w, _ in p.terms] for p in identity_coefficients().values()]
     rng = np.random.default_rng(coefs_seed)
     coefs = [rng.integers(0, moduli) for _ in range(sum(map(len, words)))]
-    return reps._poly_images(images, words, coefs, moduli, rep.dim), moduli
+    return _poly_images(images, words, coefs, moduli, rep.dim), moduli
 
 
 def test_the_chunked_reduction_matches_one_unreduced_sum(monkeypatch):
@@ -348,7 +389,7 @@ def test_int64_sum_terms_full_residue_products_match_python_integers(extra):
     n = reps.INT64_SUM_TERMS + extra
     diag = moduli - 1 - np.arange(d)[:, None] % 5
     coefs = [moduli - 1 - t % 3 for t in range(n)]
-    (offs, vals), = reps._poly_images({"A": ((0,), diag[None])}, [["A"] * n], coefs, moduli, d)
+    (offs, vals), = _poly_images({"A": ((0,), diag[None])}, [["A"] * n], coefs, moduli, d)
     assert offs == (0,)
     for t, p in enumerate(moduli.tolist()):
         total = sum(p - 1 - s % 3 for s in range(n))
@@ -403,9 +444,9 @@ def test_int64_images_match_python_integers_at_the_largest_dimension():
     rep = build_family1(ctx, d - 1, 1)
     m = 2
     letters = reps._split_letters(rep, "ZJ")
-    imgs = reps._letter_images(letters, rep, m, False)
+    imgs = _letter_images(letters, rep, m, False)
     moduli = np.repeat([p for p, *_ in ctx.split_primes(m)], ctx.degree)
-    (offs, vals), = reps._poly_images(imgs, [["ZJJZ"]], [np.ones(len(moduli), dtype=np.int64)],
+    (offs, vals), = _poly_images(imgs, [["ZJJZ"]], [np.ones(len(moduli), dtype=np.int64)],
                                       moduli, d)
     exact, = evaluate([NcPoly.word("ZJJZ")], rep)
     units = [k for k in range(1, ctx.Q) if gcd(k, ctx.Q) == 1]
@@ -438,7 +479,7 @@ def test_banded_products_of_full_residue_matrices_do_not_overflow():
                 vals[k, i] = D[i, i + o]
         return offs, vals
 
-    (offs, vals), = reps._poly_images({"A": banded(dense[0]), "B": banded(dense[1])}, [["AB"]],
+    (offs, vals), = _poly_images({"A": banded(dense[0]), "B": banded(dense[1])}, [["AB"]],
                                       [np.ones(len(moduli), dtype=np.int64)], moduli, d)
     for t, p in enumerate(moduli.tolist()):
         A = dense[0][:, :, t].astype(object)
@@ -543,6 +584,116 @@ def test_packed_letters_keep_the_verdicts_on_family2_and_tensor_reps(monkeypatch
     assert got == _entrywise_verdicts(monkeypatch, reps_, polys)
     assert all(v == [True] * 12 for v in got[:11])
     assert all(v[10:] == [False, False] for v in got[12::2])
+
+
+# -- tape plans ----------------------------------------------------------------------
+
+
+def _rows_by_loops(d, letters, polys):
+    """({row: Counter of (left, right) factors}, offsets) for the suffixes
+    and polynomials of a tape at dimension d, built row by row: a row or
+    factor is named (word or poly, diagonal, i), or ("coef", t)."""
+    offsets = dict(letters, **{"": (0,)})
+    words = sorted({w[k:] for ws in polys for w in ws for k in range(len(w) - 1)},
+                   key=lambda w: (len(w), w))
+    rows = {}
+    for w in words:
+        L, u = w[0], w[1:]
+        offsets[w] = tuple(sorted({a + b for a in offsets[L] for b in offsets[u]
+                                   if -d < a + b < d}))
+        rows.update({(w, o, i): Counter() for o in offsets[w] for i in range(d)})
+        for a in offsets[L]:
+            for b in offsets[u]:
+                for i in range(max(0, -a), min(d, d - a)):
+                    if -d < a + b < d:
+                        rows[w, a + b, i][(L, a, i), (u, b, i + a)] += 1
+    t = 0
+    for k, ws in enumerate(polys):
+        offsets[k] = tuple(sorted({o for w in ws for o in offsets[w]}))
+        rows.update({(k, o, i): Counter() for o in offsets[k] for i in range(d)})
+        for w in ws:
+            for o in offsets[w]:
+                for i in range(d):
+                    rows[k, o, i][("coef", t), (w, o, i)] += 1
+            t += 1
+    return rows, offsets
+
+
+def _check_plan(d, letters, polys):
+    """reps._plan lays the tape out as its docstring says, and each row sums
+    the products the row-by-row build gives it, no row wider than its
+    level needs; the polys' rows end the tape."""
+    want, offsets = _rows_by_loops(d, letters, polys)
+    n = sum(map(len, polys))
+    keys = [letter for letter, _ in letters] + [""]
+    names = [None] + [(key, o, i) for key in keys for o in offsets[key] for i in range(d)]
+    names += [("coef", t) for t in range(n)]
+    names += [row for row in want]     # suffixes by length, then polys, each in order
+    size, coefs, levels, owner = reps._plan(d, letters, polys)
+    assert size == len(names) and coefs == len(names) - len(want) - n
+    got, lo = {}, coefs + n
+    for start, hi, left, right in levels:
+        assert start == lo
+        level = {names[r]: Counter((names[a], names[b]) for a, b in zip(lf, rt) if a or b)
+                 for r, lf, rt in zip(range(lo, hi), left, right)}
+        assert left.shape == right.shape == (hi - lo, max([1] + [sum(c.values())
+                                                                 for c in level.values()]))
+        got.update(level)
+        lo = hi
+    assert lo == size and got == want
+    assert [k for k, _, _ in names[size - len(owner):]] == owner.tolist()
+
+
+def _word_lists(polys):
+    return tuple(tuple(w for w, _ in p.terms) for p in polys)
+
+
+def test_plans_expanded_from_templates_match_row_by_row_plans():
+    sets = [_word_lists(list(reps._inverse_differences())
+                        + list(relation_differences("defining").values())),
+            _word_lists(relation_differences("zj").values()),
+            _word_lists(identity_coefficients().values())]
+    patterns = [(build_family1(RootContext(2, 7), 4, 1), (2, 3, 4, 5, 8, 16, 31, 63))]
+    for P, Q, e, a, b in ((2, 5, 3, 1, 2), (4, 9, 1, 2, 1)):
+        ctx = RootContext(P, Q)
+        rep = build_family2(ctx, ctx.zeta(e), a, b, backend="exact")
+        patterns.append((rep, (Q, Q + 1, 2 * Q)))
+    ctx = RootContext(2, 7)
+    rep = tensor_rep(build_family1(ctx, 2, 1), build_family1(ctx, 1, -1))
+    patterns.append((rep, (6, 7, 12)))
+    for rep, dims in patterns:
+        for polys in sets:
+            chars = sorted({ch for ws in polys for w in ws for ch in w})
+            data = reps._split_letters(rep, chars)
+            letters = tuple((ch, data[ch]["offsets"]) for ch in chars)
+            for d in dims:
+                _check_plan(d, letters, polys)
+    # a word with no diagonal at d = 2, a zero polynomial, and a scalar one
+    for d in (2, 3, 4):
+        _check_plan(d, (("X", (-1,)), ("Y", (1,))), (("XX", "YX"), (), ("",), ("XXY", "X")))
+
+
+# -- nothing left undecided --------------------------------------------------------
+
+
+@pytest.mark.parametrize("Q", [15, 31])
+def test_every_relation_is_certified_on_every_first_family_rep(Q):
+    """A tape that stopped certifying would leave its verdicts to the
+    CycloNum evaluation: the outputs the same and the speed lost.  So the
+    lists that verify_relations and verify_identity pass, the defining
+    relations with Z Zi = Zi Z = 1, the J-Z relations and the C_k, are each
+    certified, never left undecided, on every first-family rep from
+    SPLIT_MIN_DIM on."""
+    sets = [list(reps._inverse_differences()) + list(relation_differences("defining").values()),
+            list(relation_differences("zj").values()), list(identity_coefficients().values())]
+    for P in range(1, Q):
+        if gcd(P, Q) == 1:
+            ctx = RootContext(P, Q)
+            for r in range(reps.SPLIT_MIN_DIM - 1, Q):
+                for sign in (1, -1):
+                    rep = build_family1(ctx, r, sign)
+                    for polys in sets:
+                        assert certified_zeros(polys, rep) == [True] * len(polys), (P, r, sign)
 
 
 # -- caching -----------------------------------------------------------------------

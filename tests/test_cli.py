@@ -40,6 +40,8 @@ def test_parse_command_valid():
     (["symbolic", "--check", "pbw", "--expr", "Q"], 2),    # unknown identifier
     (["symbolic", "--check", "pbw", "--expr", "1/0"], 2),  # division by zero
     (["symbolic", "--check", "pbw", "--expr", "(q-q)^-1"], 2),
+    (["symbolic", "--check", "pbw", "--expr", "J^33"], 2),  # 66 letters with J as X Zi
+    (["symbolic", "--check", "pbw", "--expr", "J^5*Zi^55"], 2),
     (["suite", "--Q", "5", "--tol", "nan"], 2),    # tolerance not finite
     (["spectrum", "--Q", "5", "--tol=-1"], 2),     # tolerance not positive
     (["rep", "--family", "1", "--approx"], 2),     # the first family is exact
@@ -66,6 +68,18 @@ def test_usage_errors_exit_2(argv, needle, capsys):
     with pytest.raises(SystemExit) as exc:
         parse_command(argv)
     assert exc.value.code == needle
+
+
+def test_words_over_the_cap_with_j_read_as_x_zi_are_refused_at_parse_time(capsys):
+    # the cap pbw_normal_form applies, with the message it gives X^65
+    for expr, n in (("X^65", 65), ("J^33", 66), ("J^5*Zi^55", 65)):
+        with pytest.raises(SystemExit) as exc:
+            parse_command(["symbolic", "--check", "pbw", "--expr", expr])
+        assert exc.value.code == 2
+        assert (f"--expr {expr!r} is refused: word length {n} exceeds the cap 64"
+                in capsys.readouterr().err)
+    for expr in ("J^32", "J^4*Zi^56", "J^31*Z*J"):   # 64 letters, Zi Z cancelled
+        assert parse_command(["symbolic", "--check", "pbw", "--expr", expr]).poly
 
 
 def test_spectral_commands_take_64_x_64_and_rep_any_q():
