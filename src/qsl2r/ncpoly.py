@@ -27,7 +27,8 @@ scalars on either side), and differ only in their keys: `NcPoly` maps
 (word, y-power) and `TensorPoly` (word, word, y-power), multiplied leg by
 leg.  Since y is central, a product joins the words and adds the powers.
 
-The relations (`relation_sides`), the cubic identity (`identity_sides`,
+The relations (`relation_sides`, and Z Z^-1 = Z^-1 Z = 1 as raw words in
+`inverse_differences`), the cubic identity (`identity_sides`,
 `identity_coefficients`) and the recovery of X and Y from J and Z
 (`xy_recovery`) are written only here; `reps.evaluate` maps the same
 polynomials onto matrices for the representation-level checks.
@@ -756,11 +757,22 @@ def relation_differences(which: str) -> dict[str, NcPoly]:
 
 
 @lru_cache(maxsize=None)
+def inverse_differences() -> dict[str, NcPoly]:
+    """Z Zi - 1 and Zi Z - 1, keyed by their check names, as the raw words
+    Zz and zZ against the empty one: `NcPoly.word` cancels Z z on contact,
+    so Z Z^-1 = 1 is no polynomial identity of `relation_sides`.  Built once."""
+    one = QRat.one()
+    return {name: NcPoly({(w, 0): one, ("", 0): -one}, _canonical=True)
+            for name, w in (("Z Zi = 1", "Zz"), ("Zi Z = 1", "zZ"))}
+
+
+@lru_cache(maxsize=None)
 def relation_sides(which: str) -> dict[str, tuple[NcPoly, NcPoly]]:
     """(LHS, RHS) of each relation in a set, keyed by its check name.
     "defining": the relations among X, Y, Z (Z Z^-1 = 1 is no polynomial
-    identity here, since words cancel Z z on contact; see defining_relations).
-    "zj": the two J-Z relations.  Built once per set."""
+    identity here, since words cancel Z z on contact; see
+    `inverse_differences`).  "zj": the two J-Z relations.  Built once per
+    set."""
     if which == "defining":
         inv_delta = _DELTA.inverse()
         return {
@@ -1017,12 +1029,9 @@ def xy_recovery() -> tuple[NcPoly, NcPoly]:
 
 
 def defining_relations() -> dict[str, NcPoly]:
-    """LHS - RHS of each defining relation; each must PBW-reduce to zero.
-    The two Z Z^-1 relations hold by word cancellation, so they are zero."""
-    out = {"Z Zi = 1": NcPoly.word("Zz") - NcPoly.one(),
-           "Zi Z = 1": NcPoly.word("zZ") - NcPoly.one()}
-    out.update(relation_differences("defining"))
-    return out
+    """LHS - RHS of each defining relation, Z Z^-1 = Z^-1 Z = 1 first
+    (`inverse_differences`); each must PBW-reduce to zero."""
+    return {**inverse_differences(), **relation_differences("defining")}
 
 
 # ---------------------------------------------------------------------------

@@ -18,48 +18,42 @@ The relations themselves are not typed in here: they live once, as
 noncommutative polynomials in `ncpoly`, and `evaluate` maps them onto the
 matrices of a representation on either backend.  `evaluate` is the only
 producer of exact matrices.  Whether a polynomial vanishes on an exact
-representation is asked first of `certified_zeros`, which decides it from
-images modulo split primes (the certificate is in `scalar`), keeping the
-images of the generators on the representation and those of words only
-for one call; whatever it does not certify is evaluated, so residuals
-and supports come from the CycloNum matrices as before.  The images sit
-in int64: residues below 2^25, products below 2^50, so a sum is reduced
-once, after at most INT64_SUM_TERMS products: once per entry of a word
-and once per entry of a polynomial.  Words and polynomials share one tape
-whose layout depends on d only through which diagonals exist, so it is
-laid out once per relation set and band pattern (`_template`) and
-expanded to each d by array operations (`_plan`).  The generators'
-nonzero entries are packed once per representation into an int64
-coefficient array (`scalar.pack`), from which array reductions give every
-entry's bound, each generator's D and N and its images; GaussCyclo
-entries and coefficients too large for int64 go entry by entry.
-Z Z^-1 = 1 and Z^-1 Z = 1 are no polynomial identities, as words cancel
-Z z on contact, so the defining check puts them on the same tape as the
-raw words Zz and zZ against the empty word, and multiplies them out only
-where the tape certifies nothing.
+representation is asked first of `certified_zeros`.  The certificate is
+`scalar`'s: it packs values, maps them to images modulo split primes,
+bounds entries, matrices and sums of products, holds the prime budget
+and decides.  This module adds only the images of words, on a tape:
+words and polynomials share one int64 tape whose layout depends on d only
+through which diagonals exist, so it is laid out once per relation set
+and band pattern (`_template`) and expanded to each d by array operations
+(`_plan`).  Residues lie below 2^25 and products below 2^50, so an entry
+of a word or a polynomial is reduced once, after at most INT64_SUM_TERMS
+products.  The generators' nonzero entries are packed once per
+representation, their images kept on it and those of words only for one
+call.  Whatever the tape does not certify is evaluated, so residuals and
+supports come from the CycloNum matrices as before.  Z Z^-1 = 1 and
+Z^-1 Z = 1 are no polynomial identities, as words cancel Z z on contact,
+so the defining check puts them on the same tape as the raw words of
+`ncpoly.inverse_differences`, and multiplies them out only where the
+tape certifies nothing.
 """
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import mul
 
 import numpy as np
 
-from .ncpoly import NcPoly, QRat, relation_differences, relation_sides, xy_recovery
+from .ncpoly import inverse_differences, relation_differences, relation_sides, xy_recovery
 from .scalar import (ABS_TOL, INT64_SUM_TERMS, REL_TOL, CycloNum, GaussCyclo,
-                     RootContext, gauss_i, is_exact, l1_bounds, l1_content, pack,
-                     q_number, q_power, reduce_images, scalar_from_json, scalar_to_json,
-                     split_images, to_complex)
+                     RootContext, entry_bounds, gauss_i, is_exact, matrix_bound, pack,
+                     q_number, q_power, scalar_from_json, scalar_to_json, split_images,
+                     split_moduli, split_verdicts, sum_bound, to_complex)
 
-# Beyond this many split primes the bound is left undecided and the
-# CycloNum evaluation decides.
-MAX_SPLIT_PRIMES = 6
 # Below this dimension the CycloNum evaluation costs less than the images'
 # fixed cost of about 0.3 ms, so zeros are decided by it.  Measured on the
 # first family, Q = 3..31, images against evaluation: the identity's C_k
@@ -192,6 +186,12 @@ def ex_to_complex(A) -> np.ndarray:
     return out
 
 
+def _as_complex(M, exact: bool) -> np.ndarray:
+    """A matrix of either backend as a complex array, an exact one entry by
+    entry (`ex_to_complex`)."""
+    return ex_to_complex(M) if exact else np.array(M, dtype=complex)
+
+
 def ex_residual(A) -> float:
     """The largest embedded entry magnitude of an exact matrix, 0.0 when it
     is exactly zero (diagnostic for a failed exact check)."""
@@ -252,8 +252,7 @@ class _Embedding(Mapping):
     def __getitem__(self, name):
         got = self._got.get(name)
         if got is None:
-            M = self._mats[name]
-            got = self._got[name] = ex_to_complex(M) if self._exact else np.array(M, dtype=complex)
+            got = self._got[name] = _as_complex(self._mats[name], self._exact)
         return got
 
     def __iter__(self):
@@ -414,45 +413,34 @@ def evaluate(polys, rep: Representation, exact: bool | None = None) -> list:
 # is a block of rows, row k d + i holding the images of entry (i, i + o_k),
 # zero where that column lies outside the matrix, one image per column.  The
 # generators are banded (family 2 adds two corner entries), so a word stays
-# banded.  Words and polynomials are evaluated together on one int64 tape
-# along a plan of gather indices (`_plan`), expanded to the dimension from a
-# template that does not depend on it (`_template`).
+# banded.
 
 
 def _split_letters(rep: Representation, letters) -> dict:
-    """For each letter: its matrix's nonzero entries, the integer D clearing
-    their denominators, N >= every row sum of |sigma(D M)|, its diagonal
+    """For each letter: its matrix's nonzero entries packed (`pack`), its
+    (D, N) (`matrix_bound`), whether it packs as GaussCyclo, its diagonal
     offsets and each entry's row in its block of diagonals; cached on the
-    representation.  The entries of the letters not yet cached are packed
-    together, once (`pack`), and bounded by one array reduction
-    (`l1_bounds`); entries that do not pack are bounded one by one
-    (`l1_content`)."""
+    representation.  The letters not yet cached are packed together, once."""
     cache = rep._cache.setdefault("split_letters", {})
     new = {letter: [] for letter in letters if letter not in cache}
+    if not new:
+        return {letter: cache[letter] for letter in letters}
     zero = rep.ctx.zero()
     for letter, entries in new.items():
         M = j_matrix(rep) if letter == "J" else \
             {"X": rep.X, "Y": rep.Y, "Z": rep.Z, "z": rep.Zinv}[letter]
         entries += [(i, j, a) for i, row in enumerate(M) for j, a in enumerate(row)
                     if a is not zero and not a.is_zero()]
-    values = [a for entries in new.values() for _, _, a in entries]
-    packed = pack(values, rep.ctx) if values else None
-    contents = iter(zip(packed[1], l1_bounds(packed[0], rep.ctx).tolist()) if packed
-                    else map(l1_content, values))
+    C, dens = pack([a for entries in new.values() for _, _, a in entries], rep.ctx)
+    bounds = entry_bounds((C, dens), rep.ctx)
     start = 0
     for letter, entries in new.items():
-        bounds = list(islice(contents, len(entries)))
-        D = math.lcm(*(Da for Da, _ in bounds))
-        rows = [0] * rep.dim
-        for (i, _, _), (Da, n) in zip(entries, bounds):
-            rows[i] += D // Da * n
+        stop = start + len(entries)
         offsets = tuple(sorted({j - i for i, j, _ in entries}))
         at = {o: k * rep.dim for k, o in enumerate(offsets)}
-        stop = start + len(entries)
-        cache[letter] = {"entries": entries, "D": D, "N": max(rows), "offsets": offsets,
-                         "rows": [at[j - i] + i for i, j, _ in entries],
-                         "packed": packed and (packed[0][start:stop], packed[1][start:stop]),
-                         "gauss": any(isinstance(a, GaussCyclo) for _, _, a in entries)}
+        cache[letter] = {"bound": matrix_bound([i for i, _, _ in entries], bounds[start:stop]),
+                         "offsets": offsets, "rows": [at[j - i] + i for i, j, _ in entries],
+                         "packed": (C[start:stop], dens[start:stop]), "gauss": C.shape[1] == 2}
         start = stop
     return {letter: cache[letter] for letter in letters}
 
@@ -460,57 +448,42 @@ def _split_letters(rep: Representation, letters) -> dict:
 def _letter_block(letters: dict, rep: Representation, m: int, gauss: bool) -> np.ndarray:
     """The images of the letters, each as its block of diagonals in the
     order of `letters`, then the d rows of the identity: tape rows 1 to
-    `coefs` - 1 of `_plan`.  One reduction over every entry (of the packed
-    arrays when every letter is packed, else through split_images) and one
-    scatter; cached on the representation per (letters, m, gauss)."""
+    `coefs` - 1 of `_plan`.  One reduction per pack width (only a corrupted
+    representation mixes GaussCyclo and CycloNum letters); cached on the
+    representation per (letters, m, gauss)."""
     cache = rep._cache.setdefault("split_blocks", {})
     key = tuple(letters), m, gauss
     got = cache.get(key)
     if got is None:
         data, d = list(letters.values()), rep.dim
-        if data and all(x["packed"] for x in data):
-            img = reduce_images(np.concatenate([x["packed"][0] for x in data]),
-                                [den for x in data for den in x["packed"][1]], rep.ctx, m)
-            img = np.repeat(img, 2, axis=1) if gauss else img
-        else:
-            img = split_images([a for x in data for _, _, a in x["entries"]], rep.ctx, m, gauss)
         at = list(accumulate((len(x["offsets"]) * d for x in data), initial=0))
-        got = np.zeros((at[-1] + d, img.shape[1]), dtype=np.int64)
-        got[[s + r for x, s in zip(data, at) for r in x["rows"]]] = img
+        got = np.zeros((at[-1] + d, len(split_moduli(rep.ctx, m, gauss))), dtype=np.int64)
+        for wide in {x["gauss"] for x in data}:
+            part = [(x, s) for x, s in zip(data, at) if x["gauss"] == wide]
+            packed = [np.concatenate(a) for a in zip(*(x["packed"] for x, _ in part))]
+            got[[s + r for x, s in part for r in x["rows"]]] = \
+                split_images(packed, rep.ctx, m, gauss)
         got[-d:] = 1
         cache[key] = got
     return got
 
 
 def _relation_set(polys, ctx: RootContext) -> dict:
-    """The words of y-free polys term by term, their letters, each term's
-    coefficient value at q with its (D, N) content, and the coefficients'
-    images per (polys decided, prime count, gauss) once asked for; cached on
-    the context under the polys' identities.  The entry holds the polys, so
-    no other object can take one of those identities while the context
-    lives; the relation sets of `ncpoly` are built once per process."""
+    """The words of y-free polys term by term, their letters, each poly's
+    coefficients' values at q packed, each term's word with its
+    coefficient's (D, N), and the coefficients' images per (polys decided,
+    prime count, gauss) once asked for; cached on the context under the
+    polys' identities, which the entry keeps alive by holding the polys
+    (the relation sets of `ncpoly` are built once per process)."""
     key = ("relation set",) + tuple(map(id, polys))
     got = ctx._image_cache.get(key)
     if got is None:
-        values = [[_coefficient(c, ctx, True) for c in p.terms.values()] for p in polys]
+        packed = [pack([_coefficient(c, ctx, True) for c in p.terms.values()], ctx) for p in polys]
         got = ctx._image_cache[key] = {
-            "polys": tuple(polys), "values": values, "rows": {},
+            "polys": tuple(polys), "packed": packed, "rows": {},
             "words": tuple(tuple(w for w, _ in p.terms) for p in polys),
             "letters": tuple(sorted({ch for p in polys for w, _ in p.terms for ch in w})),
-            "terms": [[(w, *l1_content(v)) for (w, _), v in zip(p.terms, vs)]
-                      for p, vs in zip(polys, values)]}
-    return got
-
-
-def _coefficient_rows(rel: dict, decided: tuple, ctx: RootContext, m: int,
-                      gauss: bool) -> np.ndarray:
-    """The images of the coefficients of the polys `decided` of a relation
-    set, one row per term in order; cached with the set."""
-    key = decided, m, gauss
-    got = rel["rows"].get(key)
-    if got is None:
-        got = split_images([v for k in decided for v in rel["values"][k]], ctx, m, False)
-        got = rel["rows"][key] = np.repeat(got, 2, axis=1) if gauss else got
+            "terms": [list(zip(p.terms, entry_bounds(pk, ctx))) for p, pk in zip(polys, packed)]}
     return got
 
 
@@ -640,66 +613,36 @@ def _run_tape(plan, block, coefs, moduli) -> np.ndarray:
     return T
 
 
-def _primes_needed(ctx: RootContext, bound: int) -> int | None:
-    """The fewest leading split primes whose product exceeds bound, or None
-    when MAX_SPLIT_PRIMES do not."""
-    prod = 1
-    for k in range(1, MAX_SPLIT_PRIMES + 1):
-        primes = ctx.split_primes(k)
-        if len(primes) < k:
-            return None
-        prod *= primes[-1][0]
-        if prod > bound:
-            return k
-    return None
-
-
 def certified_zeros(polys, rep: Representation) -> list:
-    """For each y-free NcPoly, whether its matrix on rep is exactly zero,
-    decided from the images modulo split primes (the certificate is stated
-    in `scalar`): True when every image vanishes and the bound B on the
-    embeddings of D alpha lies below the product of the primes, False when
-    an image is nonzero, None when undecided (the bound needs more than
-    MAX_SPLIT_PRIMES primes, a prime divides a denominator, rep is not
-    exact, or its dimension is below SPLIT_MIN_DIM).  A caller evaluates
-    the CycloNum matrix of every poly not decided True.  Word images are
-    shared across polys for this call only (`_run_tape`): each entry of a
-    word or a polynomial is reduced once, after summing at most
-    INT64_SUM_TERMS products unreduced."""
+    """For each y-free NcPoly, whether its matrix on rep is exactly zero:
+    `split_verdicts` on each poly's bound and its images on the tape (True
+    certifies a zero, False finds a nonzero image, None leaves it
+    undecided, as when rep is not exact or its dimension is below
+    SPLIT_MIN_DIM).  A caller evaluates every poly not decided True."""
     _require_y_free(polys)
-    out = [None] * len(polys)
     ctx, d = rep.ctx, rep.dim
     if (rep.backend != "exact" or d < SPLIT_MIN_DIM
             or max(ctx.degree, 2 * d) >= INT64_SUM_TERMS):
-        return out
+        return [None] * len(polys)
     rel = _relation_set(polys, ctx)
     letters = _split_letters(rep, rel["letters"])
     gauss = any(data["gauss"] for data in letters.values())
-    Ds, Ns = ({ch: data[k] for ch, data in letters.items()} for k in ("D", "N"))
-    need = []
-    for terms in rel["terms"]:
-        Dw = [D * math.prod(map(Ds.__getitem__, w)) for w, D, _ in terms]
-        D = math.lcm(*Dw)
-        need.append(_primes_needed(ctx, sum(D // Dt * N * math.prod(map(Ns.__getitem__, w))
-                                            for Dt, (w, _, N) in zip(Dw, terms))))
-    decided = tuple(k for k, got in enumerate(need) if got is not None)
-    if not decided:
-        return out
-    m = max(need[k] for k in decided)
-    moduli = np.repeat([p for p, *_ in ctx.split_primes(m)], ctx.degree * (1 + gauss))
-    try:
+    bound = {ch: data["bound"] for ch, data in letters.items()}
+
+    def nonzero(m, decided):
         block = _letter_block(letters, rep, m, gauss)
-        coefs = _coefficient_rows(rel, decided, ctx, m, gauss)
-    except ZeroDivisionError:   # a split prime divides a denominator
-        return out
-    plan = _plan(d, tuple((ch, data["offsets"]) for ch, data in letters.items()),
-                 tuple(rel["words"][k] for k in decided))
-    T = _run_tape(plan, block, coefs, moduli)
-    owner = plan[3]
-    nonzero = np.bincount(owner, T[len(T) - len(owner):].any(axis=1), len(decided))
-    for k, nz in zip(decided, nonzero.tolist()):
-        out[k] = not nz
-    return out
+        key = decided, m, gauss     # the coefficients' images, kept with the relation set
+        if key not in rel["rows"]:
+            packed = [np.concatenate(a) for a in zip(*(rel["packed"][k] for k in decided))]
+            rel["rows"][key] = split_images(packed, ctx, m, gauss)
+        plan = _plan(d, tuple((ch, data["offsets"]) for ch, data in letters.items()),
+                     tuple(rel["words"][k] for k in decided))
+        T = _run_tape(plan, block, rel["rows"][key], split_moduli(ctx, m, gauss))
+        owner = plan[3]
+        return np.bincount(owner, T[len(T) - len(owner):].any(axis=1), len(decided)).tolist()
+
+    return split_verdicts(ctx, [sum_bound([c, *map(bound.__getitem__, w)] for (w, _), c in terms)
+                                for terms in rel["terms"]], nonzero)
 
 
 def _max_abs(A) -> float:
@@ -796,9 +739,7 @@ def j_matrix(rep: Representation):
 def j_matrix_complex(rep: Representation) -> np.ndarray:
     got = rep._cache.get("J_complex")
     if got is None:
-        Jm = j_matrix(rep)
-        got = ex_to_complex(Jm) if rep.backend == "exact" else np.array(Jm, dtype=complex)
-        rep._cache["J_complex"] = got
+        got = rep._cache["J_complex"] = _as_complex(j_matrix(rep), rep.backend == "exact")
     return got
 
 
@@ -806,13 +747,6 @@ def recover_xy(rep: Representation):
     """X' = (q J Z - q^-1 Z J)/(q^2 - q^-2) and the Y' counterpart
     (ncpoly.xy_recovery); the round trip contract is X' = X, Y' = Y."""
     return tuple(evaluate(xy_recovery(), rep))
-
-
-@lru_cache(maxsize=None)
-def _inverse_differences() -> tuple:
-    """Z Zi - 1 and Zi Z - 1 as raw words: NcPoly cancels Z z on contact."""
-    one = QRat.one()
-    return tuple(NcPoly({(w, 0): one, ("", 0): -one}, _canonical=True) for w in ("Zz", "zZ"))
 
 
 def verify_relations(rep: Representation, which: str,
@@ -842,7 +776,7 @@ def verify_relations(rep: Representation, which: str,
         # tape does not certify it
         inverse = {"Z Zi = 1": (Z, Zinv), "Zi Z = 1": (Zinv, Z)} if which == "defining" else {}
         sides = relation_sides(which)
-        zero = certified_zeros(list(_inverse_differences()[:len(inverse)])
+        zero = certified_zeros([inverse_differences()[name] for name in inverse]
                                + list(relation_differences(which).values()), rep)
         rest = [name for name, z in zip(sides, zero[len(inverse):]) if not z]
         mats = evaluate([p for name in rest for p in sides[name]], rep) if rest else []

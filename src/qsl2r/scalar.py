@@ -62,6 +62,13 @@ Certificate.  Clear the denominators of an expression alpha with an integer
 D that no p_i divides, so that D alpha is an algebraic integer, and bound
 |sigma(D alpha)| <= B.  If every image of alpha vanishes and B < p_1 ...
 p_m, then alpha = 0 exactly.  A nonzero image proves alpha != 0.
+
+All of the certificate's rules live here, so a caller supplies only the
+images of its expressions: `pack` lays exact values out as coefficient
+arrays (int64, or Python ints past int64), `split_images` maps them to
+their images, `entry_bounds`, `matrix_bound` and `sum_bound` give D and a
+bound N on |sigma(D alpha)| for entries, matrices and sums of products,
+and `split_verdicts` holds the prime budget, MAX_SPLIT_PRIMES, and decides.
 """
 
 from __future__ import annotations
@@ -83,6 +90,8 @@ ABS_TOL = 1e-12
 # 2^50 and an int64 holds a sum of 2^13 of them before it must be reduced.
 SPLIT_PRIME_BOUND = 1 << 25
 INT64_SUM_TERMS = 1 << 13
+# Beyond this many split primes a bound is left undecided.
+MAX_SPLIT_PRIMES = 6
 
 
 def is_close(a, b, rtol: float = REL_TOL, atol: float = ABS_TOL) -> bool:
@@ -621,95 +630,143 @@ def _root_of_order(p: int, n: int) -> int:
 
 
 def pack(values, ctx: RootContext):
-    """(C, dens) for CycloNum values: their coefficient vectors as the rows
-    of an int64 array and their denominators as a list.  None when a value
-    is no CycloNum or a coefficient reaches 2^62 / Q in magnitude, so that
-    every sum `l1_bounds` forms fits in int64."""
-    if any(type(v) is not CycloNum for v in values):
-        return None
-    try:
-        C = np.array([v.coeffs for v in values], dtype=np.int64).reshape(len(values), ctx.degree)
-    except OverflowError:
-        return None
+    """(C, dens) for exact values: C[v, j] the power-basis coefficients and
+    dens[v, j] the denominator of part j of value v.  A CycloNum has one
+    part; if any value is a GaussCyclo, every value has two, re and im.
+    int64 arrays when every coefficient lies below 2^62 / Q in magnitude,
+    so that every sum `entry_bounds` forms fits, else Python ints."""
+    width = 2 if any(type(v) is GaussCyclo for v in values) else 1
+    if width == 2:
+        values = [part for v in values for g in (GaussCyclo.from_scalar(v, ctx),)
+                  for part in (g.re, g.im)]
+    coeffs, dens = [v.coeffs for v in values], [v.den for v in values]
     lim = (1 << 62) // ctx.Q
-    if C.size and (C.max() >= lim or C.min() <= -lim):
-        return None
-    return C, [v.den for v in values]
+    try:
+        C, D = np.array(coeffs, dtype=np.int64), np.array(dens, dtype=np.int64)
+        fits = not C.size or (C.max() < lim and C.min() > -lim)
+    except OverflowError:
+        fits = False
+    if not fits:
+        C, D = np.array(coeffs, dtype=object), np.array(dens, dtype=object)
+    n = len(values) // width
+    return C.reshape(n, width, ctx.degree), D.reshape(n, width)
 
 
-def reduce_images(C, dens, ctx: RootContext, m: int) -> np.ndarray:
-    """The images of the CycloNums with coefficient rows C (an int64 array
-    from `pack`, or rows of Python ints) and denominators dens under the
-    first m split primes, laid out as by `split_images` without gauss.
-    Raises ZeroDivisionError when a prime divides a denominator."""
+def split_moduli(ctx: RootContext, m: int, gauss: bool) -> np.ndarray:
+    """The prime of each column of `split_images`, kept on ctx."""
+    key = "moduli", m, gauss
+    if key not in ctx._image_cache:
+        primes = [p for p, *_ in ctx.split_primes(m)]
+        ctx._image_cache[key] = np.repeat(primes, ctx.degree * (1 + gauss))
+    return ctx._image_cache[key]
+
+
+def split_images(packed, ctx: RootContext, m: int, gauss: bool) -> np.ndarray:
+    """The images of `pack`ed values under the first m split primes: int64
+    residues, a row per value and a column per image, over the primes,
+    then the k coprime to Q and, with gauss (implied by values of two
+    parts), iota then -iota; without gauss the pair is one column, as the
+    images of an element of Q(zeta_Q) agree there.  Raises
+    ZeroDivisionError when a prime divides a denominator."""
+    n, width, deg = packed[0].shape
+    C, dens = packed[0].reshape(-1, deg), packed[1].ravel().tolist()
+    gauss = gauss or width == 2
     cols = []
-    for p, _, _, E in ctx.split_primes(m):
-        if isinstance(C, np.ndarray):
-            Cp = C % p
-        else:
-            Cp = np.array([[c % p for c in row] for row in C],
-                          dtype=np.int64).reshape(len(C), ctx.degree)
-        inv = {}
-        for den in dens:
-            if den not in inv:
-                if den % p == 0:
-                    raise ZeroDivisionError(f"the split prime {p} divides a denominator")
-                inv[den] = pow(den, -1, p)
+    for p, _, iota, E in ctx.split_primes(m):
+        residues = {den % p for den in dens}
+        if 0 in residues:
+            raise ZeroDivisionError(f"the split prime {p} divides a denominator")
+        inv = {r: pow(r, -1, p) for r in residues}
         # degree < 2^13 terms, each below 2^50, per entry of the product
-        cols.append(Cp @ E % p * np.array([inv[den] for den in dens], dtype=np.int64)[:, None] % p)
+        img = np.asarray(C % p, dtype=np.int64) @ E % p \
+            * np.array([inv[den % p] for den in dens], dtype=np.int64)[:, None] % p
+        re = img[::width]       # a value's parts are consecutive rows
+        if gauss:
+            im = img[1::2] * iota % p if width == 2 else 0
+            re = np.stack([(re + im) % p, (re - im) % p], axis=-1).reshape(n, 2 * E.shape[1])
+        cols.append(re)
     return np.concatenate(cols, axis=1)
 
 
-def split_images(values, ctx: RootContext, m: int, gauss: bool) -> np.ndarray:
-    """The images of CycloNum (or, with gauss, GaussCyclo) values under the
-    first m split primes of ctx: an int64 array of residues, one row per
-    value and one column per image.  The columns run over the primes, then
-    over the k coprime to Q and, with gauss, over iota then -iota; without
-    gauss the pair collapses to one column, as the images of an element of
-    Q(zeta_Q) agree there.  Raises ZeroDivisionError when a prime divides a
-    denominator."""
-    if gauss:
-        gv = [GaussCyclo.from_scalar(v, ctx) for v in values]
-        flat = [v.re for v in gv] + [v.im for v in gv]
-    else:
-        flat = list(values)
-    img = reduce_images(*(pack(flat, ctx) or ([v.coeffs for v in flat], [v.den for v in flat])),
-                        ctx, m)
-    if gauss:
-        primes = ctx.split_primes(m)
-        p = np.repeat([p for p, *_ in primes], ctx.degree)
-        n = len(values)
-        re, im = img[:n], img[n:] * np.repeat([iota for _, _, iota, _ in primes], ctx.degree) % p
-        img = np.stack([(re + im) % p, (re - im) % p], axis=-1).reshape(n, 2 * img.shape[1])
-    return img
-
-
-def l1_content(v) -> tuple[int, int]:
-    """(D, n) with D v an algebraic integer and n >= |sigma(D v)| for every
-    embedding sigma, for a CycloNum or GaussCyclo v."""
-    if isinstance(v, GaussCyclo):
-        D = math.lcm(v.re.den, v.im.den)
-        return D, sum(D // part.den * _l1(part) for part in (v.re, v.im))
-    return v.den, _l1(v)
-
-
-def _l1(a: CycloNum) -> int:
-    """A bound on |sigma(den * a)|.  The Q powers zeta^0..zeta^(Q-1) sum to
+def entry_bounds(packed, ctx: RootContext) -> list:
+    """(D, N) for each value `pack`ed: D v is an algebraic integer and N >=
+    |sigma(D v)| for every embedding sigma.  The Q powers zeta^i sum to
     zero, so den * a = sum_{i<Q} (c_i - t) zeta^i for every integer t, with
     c_i = 0 for i >= deg; the median t gives the least sum of |c_i - t|, at
     most the plain one (t = 0), and 1 for every unit at prime Q, where
-    zeta^(Q-1) folds to Q - 1 coefficients -1."""
-    c = sorted(a.coeffs + (0,) * (a.ctx.Q - a.ctx.degree))
-    t = c[len(c) // 2]
-    return sum(abs(x - t) for x in c)
-
-
-def l1_bounds(C, ctx: RootContext) -> np.ndarray:
-    """`_l1` of each CycloNum packed in C (`pack`), as an int64 vector."""
-    S = np.zeros((len(C), ctx.Q), dtype=np.int64)
-    S[:, :ctx.degree] = C
+    zeta^(Q-1) folds to Q - 1 coefficients -1.  A GaussCyclo is bounded as
+    the sum re + i im."""
+    C, dens = packed
+    n, width, deg = C.shape
+    S = np.zeros((n * width, ctx.Q), dtype=C.dtype)
+    S[:, :deg] = C.reshape(-1, deg)
     S.sort(axis=1)
-    return np.abs(S - S[:, ctx.Q // 2, None]).sum(axis=1)
+    parts = iter(zip(dens.ravel().tolist(),
+                     np.abs(S - S[:, ctx.Q // 2, None]).sum(axis=1).tolist()))
+    if width == 1:
+        return list(parts)
+    return [sum_bound([[re], [im]]) for re, im in zip(parts, parts)]   # consecutive pairs
+
+
+def sum_bound(terms) -> tuple[int, int]:
+    """(D, N) for a sum of products, each term an iterable of its factors'
+    (D, N), scalars or matrices (N bounding every row sum of |sigma|): a
+    product's D and N are its factors' products, and a sum's D is the lcm
+    of its terms', each term's N scaled to it."""
+    prods = []
+    for factors in terms:
+        Dt = Nt = 1
+        for D, N in factors:
+            Dt *= D
+            Nt *= N
+        prods.append((Dt, Nt))
+    D = math.lcm(*[Dt for Dt, _ in prods])
+    return D, sum([D // Dt * Nt for Dt, Nt in prods])
+
+
+def matrix_bound(rows, bounds) -> tuple[int, int]:
+    """(D, N) for a matrix from the row and the (D, N) of each of its
+    nonzero entries: D clears every denominator and N is the largest row
+    sum of the entries' N scaled to D."""
+    D = math.lcm(*[Da for Da, _ in bounds])
+    sums = [0] * (max(rows, default=-1) + 1)
+    for i, (Da, N) in zip(rows, bounds):
+        sums[i] += D // Da * N
+    return D, max(sums, default=0)
+
+
+def _primes_needed(ctx: RootContext, bound: int) -> int | None:
+    """The fewest leading split primes whose product exceeds bound, or None
+    when MAX_SPLIT_PRIMES do not."""
+    prod = 1
+    for k in range(1, MAX_SPLIT_PRIMES + 1):
+        primes = ctx.split_primes(k)
+        if len(primes) < k:
+            return None
+        prod *= primes[-1][0]
+        if prod > bound:
+            return k
+    return None
+
+
+def split_verdicts(ctx: RootContext, bounds, nonzero) -> list:
+    """The verdict on expressions alpha_k of Q(zeta_Q)(i) with bounds (D, N):
+    True when all images of alpha_k under the first m split primes vanish
+    and N < p_1 ... p_m, so alpha_k = 0; False when one does not; None
+    when MAX_SPLIT_PRIMES primes do not exceed N or a prime divides a
+    denominator.  m is the fewest primes that exceed every N of the
+    expressions `decided`, and nonzero(m, decided) tells, for each in
+    order, whether an image is nonzero, or raises ZeroDivisionError."""
+    need = [_primes_needed(ctx, N) for _, N in bounds]
+    decided = tuple(k for k, got in enumerate(need) if got is not None)
+    out = [None] * len(bounds)
+    try:
+        found = nonzero(max(need[k] for k in decided), decided) if decided else ()
+    except ZeroDivisionError:
+        found = ()
+    for k, nz in zip(decided, found):
+        out[k] = not nz
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -372,13 +372,10 @@ def _build_chain(rep: Representation, tol: float) -> LadderChain:
         order.append(j)
         used.add(j)
 
-    # the raising images of the walked eigenvectors at once, factor by factor
-    # from the right as in _apply_ladder, with per-column labels
+    # the raising images of the walked eigenvectors at once, with per-column labels
     n = len(order)
     B = np.array([pairs[j].vector for j in order]).T
-    W = Zc @ B
-    W = Jc @ W - W * np.array(others[:n])
-    W = Jc @ W - W * np.array(mus[:n])
+    W = _apply_ladder(Jc, Zc, np.array(mus[:n]), np.array(others[:n]), B)
     norms = np.linalg.norm(W, axis=0)
     floors = tol * np.maximum(1.0, np.linalg.norm(B, axis=0))
     U = W / np.where(norms > 0, norms, 1.0)

@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 
 from qsl2r import reps, scalar, spectral
-from qsl2r.ncpoly import NcPoly, identity_coefficients, relation_differences
+from qsl2r.ncpoly import NcPoly, identity_coefficients, inverse_differences, relation_differences
 from qsl2r.reps import (Representation, build_family1, build_family2,
                         certified_zeros, evaluate, ex_is_zero, j_matrix, tensor_rep,
                         verify_relations)
 from qsl2r.scalar import (SPLIT_PRIME_BOUND, CycloNum, GaussCyclo, RootContext,
-                          _is_prime, gauss_i, l1_bounds, l1_content, pack, split_images)
+                          _is_prime, entry_bounds, gauss_i, pack, q_power, split_images)
 from qsl2r.spectral import MAX_DIM, verify_identity
+from test_split_reference import _l1
 
 GRID_PQ = [(P, Q) for Q in (3, 5, 7, 9) for P in range(1, Q) if gcd(P, Q) == 1]
 
@@ -53,6 +54,10 @@ def cyclonum_only(monkeypatch):
 
 def _random_cyclo(ctx, rng, den=1):
     return CycloNum(ctx, [rng.randint(-9, 9) for _ in range(ctx.degree)], den)
+
+
+def _images(values, ctx, m, gauss):
+    return split_images(pack(values, ctx), ctx, m, gauss)
 
 
 def _python_image(a, p, omega, k):
@@ -95,54 +100,59 @@ def test_images_are_ring_maps(Q):
     for _ in range(10):
         a = _random_cyclo(ctx, rng, rng.choice([1, 2, 15]))
         b = _random_cyclo(ctx, rng, rng.choice([1, 3]))
-        ia, ib, iab, isum = split_images([a, b, a * b, a + b], ctx, m, False)
+        ia, ib, iab, isum = _images([a, b, a * b, a + b], ctx, m, False)
         moduli = np.repeat([p for p, *_ in ctx.split_primes(m)], ctx.degree)
         assert np.array_equal(ia * ib % moduli, iab)
         assert np.array_equal((ia + ib) % moduli, isum)
         g, h = GaussCyclo(a, b), GaussCyclo(b, ctx.from_int(3))
-        jg, jh, jgh = split_images([g, h, g * h], ctx, m, True)
+        jg, jh, jgh = _images([g, h, g * h], ctx, m, True)
         gm = np.repeat(moduli, 2)
         assert np.array_equal(jg * jh % gm, jgh)
         # a CycloNum's two images per k coincide
-        assert np.array_equal(split_images([a], ctx, m, True)[0], np.repeat(ia, 2))
+        assert np.array_equal(_images([a], ctx, m, True)[0], np.repeat(ia, 2))
     units = [k for k in range(1, Q) if gcd(k, Q) == 1]
     huge = CycloNum(ctx, [2 ** 70 + 1] + [-3 ** 50] * (ctx.degree - 1), 7)  # beyond int64
     p, omega, _, _ = ctx.split_primes(1)[0]
     for v in (a, huge):
-        row = split_images([v], ctx, 1, False)[0]
+        row = _images([v], ctx, 1, False)[0]
         assert row.tolist() == [_python_image(v, p, omega, k) for k in units]
 
 
 def test_gauss_images_take_both_square_roots_of_minus_one():
     ctx = RootContext(2, 5)
     m = 2
-    row = split_images([gauss_i(ctx)], ctx, m, True)[0].reshape(m, ctx.degree, 2)
+    row = _images([gauss_i(ctx)], ctx, m, True)[0].reshape(m, ctx.degree, 2)
     for (p, _, iota, _), block in zip(ctx.split_primes(m), row):
         assert block.tolist() == [[iota, p - iota]] * ctx.degree
 
 
-def test_l1_content_clears_denominators_and_bounds_every_embedding():
+def _content(v):
+    """The (D, N) that `entry_bounds` gives one value."""
+    return entry_bounds(pack([v], v.ctx), v.ctx)[0]
+
+
+def test_entry_bounds_clear_denominators_and_bound_every_embedding():
     ctx = RootContext(1, 9)
     a = CycloNum(ctx, [1, -2, 0, 3, 0, 1], 2)      # already reduced: den 2
     b = CycloNum(ctx, [3, 0, 0, 0, -1, 0], 3)
-    assert l1_content(a) == (2, 7)
-    assert l1_content(GaussCyclo(a, b)) == (6, 3 * 7 + 2 * 4)
+    assert _content(a) == (2, 7)
+    assert _content(GaussCyclo(a, b)) == (6, 3 * 7 + 2 * 4)
     # five times zeta^0 + ... + zeta^5 is -5 (zeta^6 + zeta^7 + zeta^8), of size
     # up to 12.66: the shift covers all Q = 9 slots, three of them empty
     five = CycloNum(ctx, [5] * 6)
-    assert l1_content(five) == (1, 15)
+    assert _content(five) == (1, 15)
     assert max(abs(complex(five._galois(k))) for k in (1, 2, 4)) > 12.6
     # at prime Q every unit counts 1, though zeta^(Q-1) folds to Q - 1 terms
     c7 = RootContext(2, 7)
-    assert [l1_content(-c7.zeta(e)) for e in range(7)] == [(1, 1)] * 7
-    assert l1_content(c7.zeta(6) * 3 + 1) == (1, 4)
+    assert [_content(-c7.zeta(e)) for e in range(7)] == [(1, 1)] * 7
+    assert _content(c7.zeta(6) * 3 + 1) == (1, 4)
     for ctx in (RootContext(1, 9), c7, RootContext(3, 11)):
         rng = random.Random(ctx.Q)
         units = [k for k in range(1, ctx.Q) if gcd(k, ctx.Q) == 1]
         for _ in range(20):
             v = GaussCyclo(_random_cyclo(ctx, rng, rng.choice([1, 2, 5])),
                            _random_cyclo(ctx, rng, rng.choice([1, 3])) * ctx.zeta(ctx.Q - 1))
-            D, n = l1_content(v)
+            D, n = _content(v)
             for part in (v.re, v.im):
                 assert all(D * c % part.den == 0 for c in part.coeffs)
             for k in units:
@@ -155,7 +165,7 @@ def test_a_prime_dividing_a_denominator_is_refused():
     ctx = RootContext(1, 7)
     p = ctx.split_primes(1)[0][0]
     with pytest.raises(ZeroDivisionError):
-        split_images([CycloNum(ctx, [1] + [0] * 5, p)], ctx, 1, False)
+        _images([CycloNum(ctx, [1] + [0] * 5, p)], ctx, 1, False)
 
 
 # -- soundness: vanishing images alone certify nothing -------------------------
@@ -167,12 +177,12 @@ def test_a_multiple_of_the_primes_is_not_certified(monkeypatch):
     (p1, *_), (p2, *_) = ctx.split_primes(2)
     big = NcPoly.scalar(p1 * p2)
     # its images vanish modulo the first two primes ...
-    assert not split_images([ctx.from_int(p1 * p2)], ctx, 2, False).any()
+    assert not _images([ctx.from_int(p1 * p2)], ctx, 2, False).any()
     # ... so the bound asks for a third, whose images do not
     assert certified_zeros([big, NcPoly.scalar(p1)], rep) == [False, False]
-    monkeypatch.setattr(reps, "MAX_SPLIT_PRIMES", 2)
+    monkeypatch.setattr(scalar, "MAX_SPLIT_PRIMES", 2)
     assert certified_zeros([big, NcPoly.scalar(p1)], rep) == [None, False]
-    monkeypatch.setattr(reps, "MAX_SPLIT_PRIMES", 1)
+    monkeypatch.setattr(scalar, "MAX_SPLIT_PRIMES", 1)
     assert certified_zeros([NcPoly.scalar(p1)], rep) == [None]
 
 
@@ -232,7 +242,7 @@ def test_an_entry_divisible_by_the_primes_falls_back_with_todays_residual(cyclon
     # images modulo the first two primes vanish, yet it is not certified
     M = evaluate([_polys()[7]], bad)[0]
     entries = [a for row in M for a in row if not a.is_zero()]
-    assert entries and not split_images(entries, ctx, 2, False).any()
+    assert entries and not _images(entries, ctx, 2, False).any()
     verdicts = _verdicts(bad)
     _consistent(verdicts)
     assert verdicts[0][0][2] is False
@@ -307,8 +317,7 @@ def test_verdicts_agree_where_word_offsets_are_no_progression(every_dim):
     ctx = RootContext(2, 7)
     reps_.append(tensor_rep(build_family1(ctx, 2, 1), build_family1(ctx, 1, -1)))
     for rep in reps_:
-        entries = reps._split_letters(rep, "J")["J"]["entries"]
-        assert not _progression(sorted({j - i for i, j, _ in entries}))
+        assert not _progression(reps._split_letters(rep, "J")["J"]["offsets"])
         _agree(rep)
         bad = _bumped(rep, "X", rep.dim - 1, 0, 1)
         verdicts = _verdicts(bad)
@@ -493,16 +502,18 @@ def test_banded_products_of_full_residue_matrices_do_not_overflow():
 # -- packed letters ----------------------------------------------------------------
 
 
-def _copy(rep):
-    """The same matrices on a representation with an empty cache."""
-    return Representation(rep.ctx, rep.dim, rep.family, dict(rep.params), rep.backend,
-                          rep.X, rep.Y, rep.Z, rep.Zinv)
+def _bound(a, Q):
+    """(D, N) of an exact value with the plain-integer reference `_l1`: a
+    GaussCyclo is bounded as the sum re + i im."""
+    parts = (a.re, a.im) if isinstance(a, GaussCyclo) else (a,)
+    D = math.lcm(*(x.den for x in parts))
+    return D, sum(D // x.den * _l1(x, Q) for x in parts)
 
 
-def _row_bound(M):
+def _row_bound(M, Q):
     """(D, N) of a matrix entry by entry: D clears every denominator and N is
-    the largest row sum of the entries' l1_content bounds over D."""
-    contents = [[l1_content(a) for a in row if not a.is_zero()] for row in M]
+    the largest row sum of the entries' `_bound` scaled to D."""
+    contents = [[_bound(a, Q) for a in row if not a.is_zero()] for row in M]
     D = math.lcm(*(Da for row in contents for Da, _ in row))
     return D, max(sum(D // Da * n for Da, n in row) for row in contents)
 
@@ -518,38 +529,71 @@ def test_packed_bounds_are_the_entrywise_l1_contents(Q):
                for _ in range(30)]
     values += [s * ctx.zeta(e) for e in range(Q) for s in (1, -1)]
     values += [CycloNum(ctx, [c] * ctx.degree) for c in (5, -7)]   # shifts past deg
-    C, dens = pack(values, ctx)
-    assert list(zip(dens, l1_bounds(C, ctx).tolist())) == [l1_content(v) for v in values]
+    assert entry_bounds(pack(values, ctx), ctx) == [_bound(v, Q) for v in values]
     letters = reps._split_letters(rep, gens)
     for letter, M in gens.items():
-        assert letters[letter]["packed"] is not None
-        assert (letters[letter]["D"], letters[letter]["N"]) == _row_bound(M)
+        assert letters[letter]["packed"][0].dtype == np.int64
+        assert letters[letter]["bound"] == _row_bound(M, Q)
     # an entry too large for int64, or one whose bound would overflow it,
-    # leaves the letters packed with it to l1_content, entry by entry
+    # packs the letters with it as Python ints, with the same bounds
     huge = ctx.from_int(2 ** 70) * ctx.zeta(Q - 1) + Fraction(1, 3)
     wide = CycloNum(ctx, [(-1) ** i * (2 ** 62 - 1) for i in range(ctx.degree)])
     for big in (huge, wide):
-        assert pack([big], ctx) is None
+        assert pack([big], ctx)[0].dtype == object
         bad = _bumped(rep, "X", 1, 0, big)
         letters = reps._split_letters(bad, "XY")
         for letter, M in (("X", bad.X), ("Y", bad.Y)):
-            assert letters[letter]["packed"] is None
-            assert (letters[letter]["D"], letters[letter]["N"]) == _row_bound(M)
-        assert letters["X"]["N"] > 2 ** 63
+            assert letters[letter]["packed"][0].dtype == object
+            assert letters[letter]["bound"] == _row_bound(M, Q)
+        assert letters["X"]["bound"][1] > 2 ** 63
+    # GaussCyclo values pack as re and im rows, bounded as their sum
+    gauss = [GaussCyclo(v, w) for v, w in zip(values[:20], values[20:40])] + values[40:50]
+    C, dens = pack(gauss, ctx)
+    assert C.shape == (30, 2, ctx.degree) and dens.shape == (30, 2)
+    assert entry_bounds((C, dens), ctx) == [_bound(v, Q) for v in gauss]
+
+
+def _poly_bounds(polys, rep, coefs):
+    """The (D, N) of each poly on rep, written entry by entry: the sum over
+    its terms of its coefficient's `_bound` times its letters'
+    `_row_bound`.  coefs caches the coefficients' bounds per root context."""
+    Q = rep.ctx.Q
+    mats = {"X": rep.X, "Y": rep.Y, "Z": rep.Z, "z": rep.Zinv, "J": j_matrix(rep)}
+    letter = {ch: _row_bound(M, Q) for ch, M in mats.items()}
+    if rep.ctx not in coefs:
+        q = q_power(rep.ctx, 1)
+        coefs[rep.ctx] = [[_bound(c.subs_q(q), Q) for c in p.terms.values()] for p in polys]
+    out = []
+    for poly, cs in zip(polys, coefs[rep.ctx]):
+        terms = [[c] + [letter[ch] for ch in w] for (w, _), c in zip(poly.terms, cs)]
+        Dt = [math.prod(D for D, _ in t) for t in terms]
+        D = math.lcm(*Dt)
+        out.append((D, sum(D // d * math.prod(n for _, n in t) for d, t in zip(Dt, terms))))
+    return out
 
 
 def _entrywise_verdicts(monkeypatch, reps_, polys):
-    """certified_zeros with every letter and image taken entry by entry."""
-    with monkeypatch.context() as m:
-        m.setattr(reps, "pack", lambda values, ctx: None)
-        m.setattr(scalar, "pack", lambda values, ctx: None)
-        return [certified_zeros(polys, _copy(rep)) for rep in reps_]
+    """certified_zeros on each rep with the bounds it decides on replaced by
+    `_poly_bounds`, once it is checked that they are those."""
+    coefs, decide = {}, reps.split_verdicts
+    out = []
+    for rep in reps_:
+        want = _poly_bounds(polys, rep, coefs)
+
+        def entrywise(ctx, bounds, nonzero):
+            assert bounds == want
+            return decide(ctx, want, nonzero)
+
+        with monkeypatch.context() as m:
+            m.setattr(reps, "split_verdicts", entrywise)
+            out.append(certified_zeros(polys, rep))
+    return out
 
 
 @pytest.mark.parametrize("Q", range(3, 32, 2))
 def test_packed_letters_keep_the_verdicts_on_the_first_family(Q, monkeypatch):
     ctx = RootContext(Q - 2, Q)
-    polys = _polys() + list(reps._inverse_differences())
+    polys = _polys() + list(inverse_differences().values())
     reps_ = []
     for r in sorted({1, Q // 2, Q - 1}):
         for sign in (1, -1):
@@ -571,7 +615,7 @@ def test_packed_letters_keep_the_verdicts_on_the_first_family(Q, monkeypatch):
 
 
 def test_packed_letters_keep_the_verdicts_on_family2_and_tensor_reps(monkeypatch):
-    polys = _polys() + list(reps._inverse_differences())
+    polys = _polys() + list(inverse_differences().values())
     reps_ = [build_family2(RootContext(P, Q), sign * RootContext(P, Q).zeta(e), a, b,
                            backend="exact")
              for P, Q, e, a, b in ((2, 5, 3, 1, 2), (1, 3, 2, 0, 1), (1, 7, 1, 2, 0),
@@ -584,6 +628,24 @@ def test_packed_letters_keep_the_verdicts_on_family2_and_tensor_reps(monkeypatch
     assert got == _entrywise_verdicts(monkeypatch, reps_, polys)
     assert all(v == [True] * 12 for v in got[:11])
     assert all(v[10:] == [False, False] for v in got[12::2])
+
+
+def test_letters_packed_with_two_widths_share_one_block(every_dim):
+    """A representation whose Z is typed GaussCyclo (im 0) packs X, Y, Z and
+    Z^-1 as re and im rows, but J, computed from X, Y and Z^-1, as CycloNum
+    rows: the block reduces each width once, and every verdict stays."""
+    ctx = RootContext(2, 7)
+    good = build_family1(ctx, 4, 1)
+    Z = [[a if a.is_zero() else GaussCyclo.from_scalar(a, ctx) for a in row] for row in good.Z]
+    rep = Representation(ctx, good.dim, 1, {}, "exact", good.X, good.Y, Z, good.Zinv)
+    polys = _polys() + list(inverse_differences().values())
+    assert certified_zeros(polys[5:8] + polys[10:], rep) == [True] * 5
+    letters = reps._split_letters(rep, "JZ")
+    assert letters["Z"]["gauss"] and not letters["J"]["gauss"]
+    assert certified_zeros(polys, rep) == certified_zeros(polys, good) == [True] * 12
+    bad = _bumped(rep, "X", 1, 0, 1)
+    assert certified_zeros(polys[5:8] + polys[10:], bad) == [True, True, False, True, True]
+    _consistent(_verdicts(bad))
 
 
 # -- tape plans ----------------------------------------------------------------------
@@ -649,7 +711,7 @@ def _word_lists(polys):
 
 
 def test_plans_expanded_from_templates_match_row_by_row_plans():
-    sets = [_word_lists(list(reps._inverse_differences())
+    sets = [_word_lists(list(inverse_differences().values())
                         + list(relation_differences("defining").values())),
             _word_lists(relation_differences("zj").values()),
             _word_lists(identity_coefficients().values())]
@@ -684,7 +746,7 @@ def test_every_relation_is_certified_on_every_first_family_rep(Q):
     relations with Z Zi = Zi Z = 1, the J-Z relations and the C_k, are each
     certified, never left undecided, on every first-family rep from
     SPLIT_MIN_DIM on."""
-    sets = [list(reps._inverse_differences()) + list(relation_differences("defining").values()),
+    sets = [list(inverse_differences().values()) + list(relation_differences("defining").values()),
             list(relation_differences("zj").values()), list(identity_coefficients().values())]
     for P in range(1, Q):
         if gcd(P, Q) == 1:

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from qsl2r import reps
 from qsl2r.cli import emit_report, main, parse_command
-from qsl2r.ncpoly import NcPoly, format_expr, lemma_check, lemma_v
+from qsl2r.ncpoly import NcPoly, format_expr, lemma_check, lemma_v, relation_sides
 from qsl2r.ncpoly import _two_bracket_sq
-from qsl2r.reps import representation_from_json, verify_relations
+from qsl2r.reps import certified_zeros, evaluate, representation_from_json, verify_relations
 from qsl2r.scalar import REL_TOL
 from qsl2r.spectral import EIGEN_TOL
 
@@ -138,6 +139,40 @@ def test_verify_family2_flags(tmp_path):
                 "--lambda", "1.5,-0.5", "--a", "1,0", "--b", "2,0",
                 "--check", "zj", "--out", str(tmp_path / "r.json")])
     assert code == 0
+
+
+EXACT_FAMILY2_HUGE_A = ["--family", "2", "--exact", "--lambda", "q^2", "--a", "1e30",
+                        "--b", "2", "--P", "2", "--Q", "31"]
+
+
+@pytest.mark.parametrize("check,line", [
+    (["defining"], "defining: PASS (max residual 0)"),
+    (["zj"], "zj: PASS (max residual 0)"),
+    (["identity", "--x", "3"], "identity: PASS (residual 0 exact)"),
+])
+def test_exact_family2_with_coefficients_beyond_int64(check, line, monkeypatch, capsys):
+    """At a = 10^30 the generators are GaussCyclo matrices with coefficients
+    beyond int64, so the certificate packs them as Python ints.  The second
+    J-Z relation needs more than MAX_SPLIT_PRIMES primes: it is left
+    undecided and evaluated on the CycloNum matrices."""
+    verdicts, evaluated = [], []
+
+    def certified(polys, rep):
+        verdicts.append(certified_zeros(polys, rep))
+        return verdicts[-1]
+
+    def spy(polys, rep, exact=None):
+        evaluated.append(polys)
+        return evaluate(polys, rep, exact)
+
+    monkeypatch.setattr(reps, "certified_zeros", certified)
+    monkeypatch.setattr(reps, "evaluate", spy)
+    assert run(["verify", "--check", *check, *EXACT_FAMILY2_HUGE_A]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+    assert verdicts[0] == [True] * 5     # the constructor's defining check
+    if check == ["zj"]:
+        assert verdicts[1:] == [[True, None]] and len(evaluated) == 1
+        assert evaluated[0] == list(list(relation_sides("zj").values())[1])
 
 
 def test_exact_family2_lambda_token(tmp_path):

@@ -6,8 +6,8 @@ from math import gcd
 import numpy as np
 import pytest
 
-from qsl2r.ncpoly import identity_coefficients, j_expansion, parse_expr
-from qsl2r.reps import (Representation, _inverse_differences, build_family1, build_family2,
+from qsl2r.ncpoly import identity_coefficients, inverse_differences, j_expansion, parse_expr
+from qsl2r.reps import (Representation, build_family1, build_family2,
                         certified_zeros, evaluate, ex_is_zero, ex_sub, j_matrix,
                         j_matrix_complex, verify_relations)
 from qsl2r.scalar import RootContext, q_number, to_complex
@@ -103,11 +103,11 @@ def test_wrong_inverse_fails_the_z_zi_checks():
     # one bumped diagonal entry of Z^-1 at d >= 2: the certificate tape finds
     # both products nonzero, and the CycloNum product names the entry
     rep = build_family1(RootContext(2, 9), 6, -1)
-    assert certified_zeros(list(_inverse_differences()), rep) == [True, True]
+    assert certified_zeros(list(inverse_differences().values()), rep) == [True, True]
     Zinv = [list(row) for row in rep.Zinv]
     Zinv[4][4] = Zinv[4][4] + 1
     bad = _with(rep, Zinv=Zinv)
-    assert certified_zeros(list(_inverse_differences()), bad) == [False, False]
+    assert certified_zeros(list(inverse_differences().values()), bad) == [False, False]
     report = verify_relations(bad, "defining")
     for name in ("Z Zi = 1", "Zi Z = 1"):
         check = _check(report, name)
@@ -116,7 +116,7 @@ def test_wrong_inverse_fails_the_z_zi_checks():
     assert [c.ok for c in report.checks] == [False, False, True, True, True]
     # below SPLIT_MIN_DIM the products decide
     one = build_family1(RootContext(2, 9), 0, 1)
-    assert certified_zeros(list(_inverse_differences()), one) == [None, None]
+    assert certified_zeros(list(inverse_differences().values()), one) == [None, None]
     assert verify_relations(one, "defining").ok
 
 

@@ -285,7 +285,8 @@ def test_a_coefficient_beyond_int64_embeds_entry_by_entry(monkeypatch):
     zero = ctx.zero()
     huge = CycloNum(ctx, [2 ** 70 + 1, -3 ** 50, 0, 5, 0, 1], 7)
     A = [[huge, zero, ctx.zeta(3)], [zero, zero, zero], [-ctx.one(), huge * huge, zero]]
-    assert scalar.pack([huge], ctx) is None and scalar.pack([ctx.zeta(3)], ctx) is not None
+    assert scalar.pack([huge], ctx)[0].dtype == object
+    assert scalar.pack([ctx.zeta(3)], ctx)[0].dtype == np.int64
     seen = []
     monkeypatch.setattr(reps, "to_complex", lambda a: seen.append(a) or complex(a))
     _assert_embeds_bit_for_bit(A)

@@ -175,7 +175,10 @@ def test_pbw_spec_examples():
 
 
 def test_pbw_all_defining_relations_vanish():
+    # each relation is a nonzero polynomial, Z Zi - 1 and Zi Z - 1 as raw
+    # words, so its reduction to zero checks something
     for name, rel in defining_relations().items():
+        assert not rel.is_zero(), name
         assert pbw_normal_form(rel).is_zero(), name
 
 

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from qsl2r.ncpoly import identity_coefficients, relation_differences
-from qsl2r.reps import MAX_SPLIT_PRIMES, Representation, build_family1, certified_zeros
-from qsl2r.scalar import SPLIT_PRIME_BOUND, RootContext, q_power
+from qsl2r.reps import Representation, build_family1, certified_zeros
+from qsl2r.scalar import MAX_SPLIT_PRIMES, SPLIT_PRIME_BOUND, RootContext, q_power
 
 
 def _is_prime(n):
