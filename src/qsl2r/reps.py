@@ -5,8 +5,9 @@ matrices act on the left, so the family formulas become column operations.
 Exact matrices are nested lists of CycloNum/GaussCyclo entries; the floating
 backend uses numpy complex128 arrays.  The generators are sparse (X and Y
 bidiagonal, Z and Z^-1 diagonal, J tridiagonal), so the exact kernels skip
-structural zeros: products run row by row over the nonzero entries only, and
-exact comparisons test entrywise equality before forming any difference.
+structural zeros: products run row by row over the nonzero entries only,
+exact comparisons test entrywise equality before forming any difference,
+and the central check reads Z^Q off Z's diagonal with no product at all.
 Every constructor, and `representation_from_json`, verifies the defining
 relations before returning (exactly on the exact backend); the loader also
 rebuilds a payload labelled family 1 or 2 from its params.  Those relations
@@ -141,20 +142,6 @@ def ex_kron(A, B):
                     row.extend([a * b if not b.is_zero() else zero for b in B[ib]])
             out.append(row)
     return out
-
-
-def ex_pow(A, n: int, ctx: RootContext):
-    """A^n by repeated squaring: at most 2 log2(n) products."""
-    out, base = None, A
-    while n:
-        if n & 1:
-            out = base if out is None else ex_mul(out, base)
-        n >>= 1
-        if n:
-            base = ex_mul(base, base)
-    if out is None:
-        return ex_eye(ctx, len(A))
-    return [list(row) for row in out] if out is A else out
 
 
 def ex_lincomb(terms, ctx: RootContext, d: int):
@@ -649,6 +636,20 @@ def _max_abs(A) -> float:
     return float(np.max(np.abs(A))) if A.size else 0.0
 
 
+def _exact_mismatch(entries):
+    """(ok, residual, detail) of an exact LHS - RHS from its nonzero
+    entries (i, j, value) in row-major order: the residual is `ex_residual`
+    over them, the detail names the first."""
+    if not entries:
+        return True, 0.0, ""
+    r = ex_residual([[a for _, _, a in entries]])
+    if r == 0.0:
+        return True, r, ""
+    i, j, a = entries[0]
+    return False, r, (f"first nonzero entry ({i}, {j}) of LHS - RHS, "
+                      f"magnitude {abs(to_complex(a)):.6g}")
+
+
 def _close(A, B, exact: bool, tol: float):
     """(ok, residual, detail) for A = B: entrywise equality on the exact
     backend (CycloNum is canonical, so equal values compare equal), with the
@@ -659,14 +660,8 @@ def _close(A, B, exact: bool, tol: float):
     if exact:
         if A == B:
             return True, 0.0, ""
-        D = ex_sub(A, B)
-        r = ex_residual(D)
-        if r == 0.0:
-            return True, r, ""
-        i, j = next((i, j) for i, row in enumerate(D) for j, a in enumerate(row)
-                    if not a.is_zero())
-        return False, r, (f"first nonzero entry ({i}, {j}) of LHS - RHS, "
-                          f"magnitude {abs(to_complex(D[i][j])):.6g}")
+        return _exact_mismatch([(i, j, a) for i, row in enumerate(ex_sub(A, B))
+                                for j, a in enumerate(row) if not a.is_zero()])
     D = A - B
     r = _max_abs(D)
     if r <= tol * max(1.0, _max_abs(A), _max_abs(B)) + ABS_TOL:
@@ -758,7 +753,14 @@ def verify_relations(rep: Representation, which: str,
     `certified_zeros` call, passes with residual 0, and the others are
     evaluated onto the matrices and compared.  The "defining" report is
     cached on the representation (per tolerance on the floating backend),
-    so the check each constructor runs is not repeated."""
+    so the check each constructor runs is not repeated.  "central" checks
+    that Z^Q commutes with X, Y and J and is scalar.  On the exact backend
+    it reads Z's diagonal, which it requires (ValueError otherwise), and
+    forms no matrix product: with zq_j = Z[j][j]^Q, (Z^Q M - M Z^Q)[i][j]
+    is (zq_i - zq_j) M[i][j], so only the entries where zq_i != zq_j
+    under a nonzero M[i][j] are formed, and Z^Q is scalar when every zq_j
+    equals zq_0.  The residual and detail of a failing check are those of
+    the full difference."""
     exact = rep.backend == "exact"
     key = ("relations", which, None if exact else tol)
     if which == "defining" and key in rep._cache:
@@ -794,17 +796,29 @@ def verify_relations(rep: Representation, which: str,
         return report
 
     if which == "central":
-        Jm = j_matrix(rep)
+        mats = {"X": X, "Y": Y, "J": j_matrix(rep)}
         if exact:
-            ZQ = ex_pow(Z, rep.ctx.Q, rep.ctx)
+            # Z is diagonal, so (Z^Q M - M Z^Q)[i][j] = (zq_i - zq_j) M[i][j]
+            # with zq_j = Z[j][j]^Q: only the failing entries are formed
+            zero = rep.ctx.zero()
+            if any(a is not zero and i != j and not a.is_zero()
+                   for i, row in enumerate(Z) for j, a in enumerate(row)):
+                raise ValueError("the exact central check needs a diagonal Z")
+            zq = [row[j] ** rep.ctx.Q for j, row in enumerate(Z)]
+            scalar = zq[0]
+            for name, M in mats.items():
+                report.checks.append(CheckResult(f"Z^Q {name} = {name} Z^Q", *_exact_mismatch(
+                    [(i, j, (zq[i] - zq[j]) * a) for i, row in enumerate(M)
+                     for j, a in enumerate(row)
+                     if a is not zero and zq[i] != zq[j] and not a.is_zero()])))
+            report.checks.append(CheckResult("Z^Q is scalar", *_exact_mismatch(
+                [(j, j, z - scalar) for j, z in enumerate(zq) if z != scalar])))
         else:
             ZQ = np.linalg.matrix_power(Z, rep.ctx.Q)
-        for name, M in (("X", X), ("Y", Y), ("J", Jm)):
-            check(f"Z^Q {name} = {name} Z^Q", mul(ZQ, M), mul(M, ZQ))
-        scalar = ZQ[0][0]
-        check("Z^Q is scalar", ZQ,
-              ex_scale(ex_eye(rep.ctx, rep.dim), scalar) if exact
-              else scalar * np.eye(rep.dim, dtype=complex))
+            for name, M in mats.items():
+                check(f"Z^Q {name} = {name} Z^Q", ZQ @ M, M @ ZQ)
+            scalar = ZQ[0][0]
+            check("Z^Q is scalar", ZQ, scalar * np.eye(rep.dim, dtype=complex))
         report.extra["scalar"] = [to_complex(scalar).real, to_complex(scalar).imag]
         return report
 

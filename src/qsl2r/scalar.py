@@ -20,10 +20,11 @@ Most exact products have a unit factor +-zeta^e (the entries of Z and
 Z^-1, the powers of q that scale X and Y).  Such a product rotates the
 other factor's coefficients and folds the overflow back with the rows of
 zeta^deg..zeta^(Q-1); it keeps the coefficient content, so it needs no
-gcd.  Units are inverted by table lookup, and the q-number [n] is a sum
-of n powers of q.  Any other element a is inverted through the Galois maps
-sigma_k: zeta -> zeta^k (`_galois`, gcd(k, Q) = 1; `conjugate` is k = -1):
-the product of the sigma_k(a) for k != 1 over the field norm, a rational.
+gcd.  Units are inverted and raised to powers by table lookup, and the
+q-number [n] is a sum of n powers of q.  Any other element a is inverted
+through the Galois maps sigma_k: zeta -> zeta^k (`_galois`, gcd(k, Q) = 1;
+`conjugate` is k = -1): the product of the sigma_k(a) for k != 1 over the
+field norm, a rational.
 
 Exact zeros modulo split primes.  Whether an exact expression is zero can
 be decided from its images in a few prime fields instead of its value.
@@ -247,6 +248,20 @@ class RootContext:
 # ---------------------------------------------------------------------------
 
 
+def _power(x, n: int, one):
+    """x^n by repeated squaring through `*`, of x's inverse when n < 0."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
 class CycloNum:
     """Element of Q(zeta_Q): integer coefficients in the power basis over a
     single positive denominator, gcd-reduced.  Immutable."""
@@ -413,18 +428,16 @@ class CycloNum:
         return o * self.inverse()
 
     def __pow__(self, n: int):
+        """self^n: (sign zeta^e)^n = sign^n zeta^(e n) by table lookup for
+        the units, repeated squaring otherwise."""
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        unit = self.ctx._units.get(self.coeffs) if self.den == 1 else None
+        if unit is not None:
+            e, sign = unit
+            out = self.ctx.zeta(e * n)
+            return -out if sign < 0 and n & 1 else out
+        return _power(self, n, self.ctx.one())
 
     def _galois(self, k: int) -> "CycloNum":
         """The field automorphism sigma_k: zeta -> zeta^k, gcd(k, Q) = 1.
@@ -565,6 +578,15 @@ class GaussCyclo:
         if o is None:
             return NotImplemented
         return o * self.inverse()
+
+    def __pow__(self, n: int):
+        """self^n by repeated squaring; a real value (im = 0) is its real
+        part's power, so a unit stays one lookup."""
+        if not isinstance(n, int):
+            return NotImplemented
+        if self.im.is_zero():
+            return GaussCyclo(self.re ** n, self.im)
+        return _power(self, n, GaussCyclo.from_scalar(1, self.ctx))
 
     def conjugate(self) -> "GaussCyclo":
         return GaussCyclo(self.re.conjugate(), -(self.im.conjugate()))

@@ -1,7 +1,8 @@
-"""The sparse exact kernels against their naive definitions: products and
-powers, products and inverses of units, q-numbers as sums of powers, direct
-subtraction, exact comparisons that still report the residual of a
-mismatch, and the embedding into complex arrays, bit for bit."""
+"""The sparse exact kernels against their naive definitions: matrix
+products, products, inverses and powers of units, powers of other
+scalars, q-numbers as sums of powers, direct subtraction, exact
+comparisons that still report the residual of a mismatch, and the
+embedding into complex arrays, bit for bit."""
 
 import math
 import random
@@ -12,8 +13,8 @@ import pytest
 import numpy as np
 
 from qsl2r import reps, scalar
-from qsl2r.reps import (Representation, _close, build_family1, build_family2, ex_eye,
-                        ex_lincomb, ex_mul, ex_pow, ex_residual, ex_scale, ex_sub,
+from qsl2r.reps import (Representation, _close, build_family1, build_family2,
+                        ex_lincomb, ex_mul, ex_residual, ex_scale, ex_sub,
                         ex_to_complex, ex_zeros, j_matrix, tensor_rep)
 from qsl2r.scalar import CycloNum, GaussCyclo, RootContext, q_number, q_power, to_complex
 from qsl2r.spectral import _identity_matrices, verify_identity
@@ -68,20 +69,6 @@ def test_ex_mul_with_cancellation_and_gauss_entries():
     assert got[0][0].is_zero() and got[1][1].is_zero()
 
 
-@pytest.mark.parametrize("Q", [5, 7])
-def test_ex_pow_matches_repeated_products(Q):
-    ctx = RootContext(1, Q)
-    rng = random.Random(Q)
-    for A in (_random_matrix(ctx, rng, 3, 3, density=0.6), build_family1(ctx, Q - 2, -1).X,
-              build_family1(ctx, Q - 1, 1).Z):
-        power = ex_eye(ctx, len(A))
-        for n in range(Q + 1):
-            got = ex_pow(A, n, ctx)
-            assert got == power, n
-            assert got is not A
-            power = ex_mul(power, A)
-
-
 @pytest.mark.parametrize("Q", [3, 5, 7, 9, 15, 21, 25, 31])
 def test_unit_inverses_by_lookup(Q):
     ctx = RootContext(1, Q)
@@ -92,6 +79,35 @@ def test_unit_inverses_by_lookup(Q):
             inv = u.inverse()
             assert u * inv == ctx.one()
             assert inv == (ctx.zeta(-e) if u == ctx.zeta(e) else -ctx.zeta(-e))
+
+
+def _powers_match_repeated_products(u, one, n_max):
+    inv = u.inverse()
+    up = down = one
+    for n in range(n_max + 1):
+        assert u ** n == up and u ** -n == down, (u, n)
+        up, down = up * u, down * inv
+
+
+@pytest.mark.parametrize("Q", [3, 9, 15, 31])
+def test_unit_powers_by_lookup(Q):
+    ctx = RootContext(2 if Q != 3 else 1, Q)
+    for e in range(Q):
+        for u in (ctx.zeta(e), -ctx.zeta(e)):
+            _powers_match_repeated_products(u, ctx.one(), 2 * Q)
+    # a non-unit, an integral one and one over a denominator, by squaring
+    for u in (ctx.from_int(2) + ctx.zeta(1), CycloNum(ctx, ctx.zeta(2).coeffs, 3)):
+        assert u.den != 1 or u.coeffs not in ctx._units
+        _powers_match_repeated_products(u, ctx.one(), 2 * Q)
+
+
+@pytest.mark.parametrize("Q", [3, 7, 15])
+def test_gauss_powers_match_repeated_products(Q):
+    ctx = RootContext(1, Q)
+    one = GaussCyclo.from_scalar(1, ctx)
+    for u in (GaussCyclo(ctx.zeta(2), ctx.zero()), GaussCyclo(-ctx.zeta(1), ctx.zeta(3)),
+              GaussCyclo(ctx.zero(), ctx.from_int(2)), GaussCyclo(ctx.from_int(2), ctx.zero())):
+        _powers_match_repeated_products(u, one, Q + 2)
 
 
 @pytest.mark.parametrize("Q", [3, 9, 15, 21, 25, 31, 45, 63])

@@ -6,11 +6,11 @@ from math import gcd
 import numpy as np
 import pytest
 
-from qsl2r.scalar import (GaussCyclo, RootContext, gauss_i, q_number, q_power,
-                          scalar_to_json)
+from qsl2r.scalar import (CycloNum, GaussCyclo, RootContext, gauss_i, q_number, q_power,
+                          scalar_to_json, to_complex)
 from qsl2r import reps
-from qsl2r.reps import (Representation, build_family1, build_family2, ex_is_zero,
-                        ex_mul, ex_scale, ex_sub, intersection_check, j_matrix,
+from qsl2r.reps import (Representation, build_family1, build_family2, ex_eye, ex_is_zero,
+                        ex_mul, ex_residual, ex_scale, ex_sub, intersection_check, j_matrix,
                         j_matrix_complex, recover_xy, representation_from_json,
                         representation_to_json, tensor_j_formula_residual,
                         tensor_rep, verify_relations)
@@ -163,6 +163,99 @@ def test_central_scalar_matches_prediction(P, Q):
     f2 = build_family2(ctx, lam, 0.5, 0.25)
     scalar = complex(*verify_relations(f2, "central").extra["scalar"])
     assert abs(scalar - lam ** Q) < 1e-9 * max(1, abs(lam) ** Q)
+    # exact second family at lambda = +-q^k: Z^Q = lambda^Q = +-1
+    for sign in (1, -1):
+        lam = sign * q_power(ctx, rng.randrange(1, Q))
+        f2 = build_family2(ctx, lam, 1, Fraction(1, 2), backend="exact")
+        report = verify_relations(f2, "central")
+        assert report.ok and report.max_residual == 0.0
+        assert abs(complex(*report.extra["scalar"]) - sign) < 1e-9
+
+
+def _central_reference(rep):
+    """The central report's (name, ok, residual, detail) per check and its
+    scalar, from Z^Q by repeated products and full differences."""
+    ZQ = rep.Z
+    for _ in range(rep.ctx.Q - 1):
+        ZQ = ex_mul(ZQ, rep.Z)
+    scalar = ZQ[0][0]
+    sides = [(f"Z^Q {name} = {name} Z^Q", ex_mul(ZQ, M), ex_mul(M, ZQ))
+             for name, M in (("X", rep.X), ("Y", rep.Y), ("J", j_matrix(rep)))]
+    sides.append(("Z^Q is scalar", ZQ, ex_scale(ex_eye(rep.ctx, rep.dim), scalar)))
+    checks = []
+    for name, A, B in sides:
+        D = ex_sub(A, B)
+        first = next(((i, j) for i, row in enumerate(D) for j, a in enumerate(row)
+                      if not a.is_zero()), None)
+        detail = "" if first is None else (
+            f"first nonzero entry {first} of LHS - RHS, "
+            f"magnitude {abs(to_complex(D[first[0]][first[1]])):.6g}")
+        checks.append((name, first is None, ex_residual(D), detail))
+    return checks, [to_complex(scalar).real, to_complex(scalar).imag]
+
+
+def _with_z(rep, Z):
+    return Representation(rep.ctx, rep.dim, rep.family, rep.params, rep.backend,
+                          rep.X, rep.Y, Z, rep.Zinv)
+
+
+def _assert_central_matches_reference(rep):
+    report = verify_relations(rep, "central")
+    checks, scalar = _central_reference(rep)
+    assert [(c.name, c.ok, c.residual, c.detail) for c in report.checks] == checks
+    assert report.extra["scalar"] == scalar
+    return report
+
+
+@pytest.mark.parametrize("P,Q,r", [(1, 5, 4), (3, 7, 5), (2, 15, 13)])
+@pytest.mark.parametrize("bump", ["plus one", "times q"])
+def test_central_reports_a_bumped_z_as_the_products_do(P, Q, r, bump):
+    ctx = RootContext(P, Q)
+    for sign in (1, -1):
+        rep = build_family1(ctx, r, sign)
+        for k in (0, r // 2, r):
+            Z = [list(row) for row in rep.Z]
+            Z[k][k] = Z[k][k] + 1 if bump == "plus one" else Z[k][k] * q_power(ctx, 1)
+            report = _assert_central_matches_reference(_with_z(rep, Z))
+            # (q z)^Q = z^Q, so Z^Q does not see a factor q
+            assert report.ok == (bump == "times q")
+
+
+def test_central_reports_a_bumped_exact_family2_z_as_the_products_do():
+    ctx = RootContext(2, 7)
+    rep = build_family2(ctx, q_power(ctx, 2), 1, 2, backend="exact")
+    assert _assert_central_matches_reference(rep).ok
+    for k in (0, 3, 6):
+        Z = [list(row) for row in rep.Z]
+        Z[k][k] = Z[k][k] * 2
+        assert not _assert_central_matches_reference(_with_z(rep, Z)).ok
+
+
+def test_exact_central_refuses_an_off_diagonal_z():
+    ctx = RootContext(2, 5)
+    rep = build_family1(ctx, 3, 1)
+    Z = [list(row) for row in rep.Z]
+    Z[0][1] = CycloNum(ctx, (0,) * ctx.degree)   # a zero that is not the shared one
+    assert verify_relations(_with_z(rep, Z), "central").ok
+    Z[0][1] = ctx.one()
+    with pytest.raises(ValueError, match="diagonal Z"):
+        verify_relations(_with_z(rep, Z), "central")
+
+
+def test_exact_central_forms_no_matrix_product(monkeypatch):
+    ctx = RootContext(2, 7)
+    good = [build_family1(ctx, 5, -1), build_family2(ctx, -q_power(ctx, 3), 1, 2, backend="exact")]
+    Z = [list(row) for row in good[0].Z]
+    Z[2][2] = Z[2][2] + 1
+    cases = good + [_with_z(good[0], Z)]
+    for rep in cases:
+        j_matrix(rep)
+
+    def refuse(A, B):
+        raise AssertionError("ex_mul called")
+
+    monkeypatch.setattr(reps, "ex_mul", refuse)
+    assert [verify_relations(rep, "central").ok for rep in cases] == [True, True, False]
 
 
 def test_star_original_fails_beyond_dimension_one():
