@@ -28,10 +28,10 @@ from .ncpoly import (HOPF_CHECKS, format_expr, hopf_symbolic_check,
                      identity_contracts, lemma_check, parse_expr,
                      pbw_normal_form)
 from .reps import (build_family1, build_family2, intersection_check,
-                   j_matrix_complex, representation_to_json,
-                   tensor_j_formula_residual, verify_relations)
+                   representation_to_json, tensor_j_formula_residual,
+                   verify_relations)
 from .scalar import REL_TOL, RootContext, q_number, q_power, to_complex
-from .spectral import (EIGEN_TOL, MAX_DIM, ChainError, spectrum_chain,
+from .spectral import (EIGEN_TOL, MAX_DIM, ChainError, ladder_apply, spectrum_chain,
                        tridiagonality_check, unitarize_search, verify_identity)
 
 
@@ -347,10 +347,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_ladder(args) -> int:
-    from .spectral import ladder_apply
     rep = _build_rep(args)
     chain = spectrum_chain(rep, tol=args.tol)
-    J = j_matrix_complex(rep)
+    J = rep.embedded("J")
     results = []
     ok = True
     for pair, x in zip(chain.pairs, chain.x_labels):

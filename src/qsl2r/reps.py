@@ -13,7 +13,10 @@ relations before returning (exactly on the exact backend); the loader also
 rebuilds a payload labelled family 1 or 2 from its params.  Those relations
 imply every other form of a derived matrix, so each is computed once from
 one formula: J = (q X - q^-1 Y) Z^-1, and the tensor product's generators
-from the coproduct, written once for either backend.
+from the coproduct, written once for either backend.  Every matrix is read
+by its ncpoly letter (X, Y, Z, z = Z^-1, J), on the representation's own
+backend (`Representation.matrix`) or as a complex array embedded once
+(`Representation.embedded`).
 
 The relations themselves are not typed in here: they live once, as
 noncommutative polynomials in `ncpoly`, and `evaluate` maps them onto the
@@ -41,7 +44,6 @@ tape certifies nothing.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate
@@ -173,12 +175,6 @@ def ex_to_complex(A) -> np.ndarray:
     return out
 
 
-def _as_complex(M, exact: bool) -> np.ndarray:
-    """A matrix of either backend as a complex array, an exact one entry by
-    entry (`ex_to_complex`)."""
-    return ex_to_complex(M) if exact else np.array(M, dtype=complex)
-
-
 def ex_residual(A) -> float:
     """The largest embedded entry magnitude of an exact matrix, 0.0 when it
     is exactly zero (diagnostic for a failed exact check)."""
@@ -191,7 +187,8 @@ def ex_residual(A) -> float:
 
 
 class Representation:
-    """Matrices of X, Y, Z, Z^-1 for one member of a family, plus provenance."""
+    """Matrices of X, Y, Z, Z^-1 for one member of a family, plus provenance.
+    `matrix` and `embedded` read them, and J, by their ncpoly letters."""
 
     __slots__ = ("ctx", "dim", "family", "params", "backend",
                  "X", "Y", "Z", "Zinv", "_cache")
@@ -205,48 +202,32 @@ class Representation:
         self.X, self.Y, self.Z, self.Zinv = X, Y, Z, Zinv
         self._cache = {}
 
-    def mats(self) -> dict:
-        return {"X": self.X, "Y": self.Y, "Z": self.Z, "Zinv": self.Zinv}
+    def matrix(self, letter: str):
+        """The matrix of the ncpoly letter X, Y, Z, z (Z^-1) or J on the
+        representation's own backend, J by `j_matrix`."""
+        if letter == "J":
+            return j_matrix(self)
+        if letter not in ("X", "Y", "Z", "z"):
+            raise ValueError(f"unknown letter {letter!r}")
+        return self.Zinv if letter == "z" else getattr(self, letter)
 
-    def complex_mats(self) -> Mapping:
-        """The four generator matrices as numpy complex arrays, keyed as
-        `mats()`.  Each is embedded the first time a caller reads it and
-        kept, so a caller that reads only Z and J (the chain and the band
-        check) embeds only those.  An exact matrix is embedded entry by
-        entry (`ex_to_complex`)."""
-        got = self._cache.get("complex_mats")
+    def embedded(self, letter: str) -> np.ndarray:
+        """`matrix(letter)` as a complex array, embedded the first time a
+        caller reads it and kept, so a caller that reads only Z and J (the
+        chain and the band check) embeds only those.  An exact matrix is
+        embedded entry by entry (`ex_to_complex`)."""
+        cache = self._cache.setdefault("embedded", {})
+        got = cache.get(letter)
         if got is None:
-            got = self._cache["complex_mats"] = _Embedding(self.mats(), self.backend == "exact")
+            M = self.matrix(letter)
+            got = cache[letter] = (ex_to_complex(M) if self.backend == "exact"
+                                   else np.array(M, dtype=complex))
         return got
 
     def __repr__(self):
         return (f"Representation(family={self.family!r}, dim={self.dim}, "
                 f"P={self.ctx.P}, Q={self.ctx.Q}, backend={self.backend!r}, "
                 f"params={self.params!r})")
-
-
-class _Embedding(Mapping):
-    """Generator matrices as complex arrays, each embedded on first read,
-    an exact one by `ex_to_complex`.  It holds the matrices, not the
-    representation, so the representation's cache makes no reference
-    cycle."""
-
-    __slots__ = ("_mats", "_exact", "_got")
-
-    def __init__(self, mats: dict, exact: bool):
-        self._mats, self._exact, self._got = mats, exact, {}
-
-    def __getitem__(self, name):
-        got = self._got.get(name)
-        if got is None:
-            got = self._got[name] = _as_complex(self._mats[name], self._exact)
-        return got
-
-    def __iter__(self):
-        return iter(self._mats)
-
-    def __len__(self):
-        return len(self._mats)
 
 
 def build_family1(ctx: RootContext, r: int, sign: int = 1) -> Representation:
@@ -356,10 +337,11 @@ def _coefficient(c, ctx: RootContext, exact: bool):
 
 def evaluate(polys, rep: Representation, exact: bool | None = None) -> list:
     """Matrices of y-free NcPolys over X, Y, Z, Zi, J on the representation.
-    Each word becomes a matrix product, memoized by prefix and shared across
-    `polys` for this call only; J becomes j_matrix(rep); each coefficient is
-    its rational function of q at the root of unity.  exact=False evaluates
-    an exact representation on the floating path (complex embeddings)."""
+    Each word becomes a product of its letters' `rep.matrix` (`rep.embedded`
+    on the floating path), memoized by prefix and shared across `polys` for
+    this call only; each coefficient is its rational function of q at the
+    root of unity.  exact=False evaluates an exact representation on the
+    floating path (complex embeddings)."""
     _require_y_free(polys)
     if exact is None:
         exact = rep.backend == "exact"
@@ -367,21 +349,15 @@ def evaluate(polys, rep: Representation, exact: bool | None = None) -> list:
         raise ValueError("a floating representation has no exact evaluation")
     ctx, d = rep.ctx, rep.dim
     if exact:
-        g, mul, eye = rep.mats(), ex_mul, ex_eye(ctx, d)
+        letter, mul, eye = rep.matrix, ex_mul, ex_eye(ctx, d)
     else:
-        g, mul, eye = rep.complex_mats(), np.matmul, np.eye(d, dtype=complex)
-    memo = {"": eye, "X": g["X"], "Y": g["Y"], "Z": g["Z"], "z": g["Zinv"]}
+        letter, mul, eye = rep.embedded, np.matmul, np.eye(d, dtype=complex)
+    memo = {"": eye}
 
     def word(w):
         got = memo.get(w)
         if got is None:
-            if w == "J":
-                got = j_matrix(rep) if exact else j_matrix_complex(rep)
-            elif len(w) > 1:
-                got = mul(word(w[:-1]), word(w[-1]))
-            else:
-                raise ValueError(f"unknown letter {w!r}")
-            memo[w] = got
+            got = memo[w] = mul(word(w[:-1]), word(w[-1])) if len(w) > 1 else letter(w)
         return got
 
     out = []
@@ -414,9 +390,8 @@ def _split_letters(rep: Representation, letters) -> dict:
         return {letter: cache[letter] for letter in letters}
     zero = rep.ctx.zero()
     for letter, entries in new.items():
-        M = j_matrix(rep) if letter == "J" else \
-            {"X": rep.X, "Y": rep.Y, "Z": rep.Z, "z": rep.Zinv}[letter]
-        entries += [(i, j, a) for i, row in enumerate(M) for j, a in enumerate(row)
+        entries += [(i, j, a) for i, row in enumerate(rep.matrix(letter))
+                    for j, a in enumerate(row)
                     if a is not zero and not a.is_zero()]
     C, dens = pack([a for entries in new.values() for _, _, a in entries], rep.ctx)
     bounds = entry_bounds((C, dens), rep.ctx)
@@ -731,13 +706,6 @@ def j_matrix(rep: Representation):
     return got
 
 
-def j_matrix_complex(rep: Representation) -> np.ndarray:
-    got = rep._cache.get("J_complex")
-    if got is None:
-        got = rep._cache["J_complex"] = _as_complex(j_matrix(rep), rep.backend == "exact")
-    return got
-
-
 def recover_xy(rep: Representation):
     """X' = (q J Z - q^-1 Z J)/(q^2 - q^-2) and the Y' counterpart
     (ncpoly.xy_recovery); the round trip contract is X' = X, Y' = Y."""
@@ -766,7 +734,6 @@ def verify_relations(rep: Representation, which: str,
     if which == "defining" and key in rep._cache:
         return rep._cache[key]
     mul = ex_mul if exact else np.matmul
-    X, Y, Z, Zinv = rep.X, rep.Y, rep.Z, rep.Zinv
     report = RelationReport(which=which)
 
     def check(name, A, B):
@@ -776,7 +743,7 @@ def verify_relations(rep: Representation, which: str,
         # Z Zi = 1 and Zi Z = 1 go on the tape with the relations, as raw
         # words against the empty one; each is multiplied out only when the
         # tape does not certify it
-        inverse = {"Z Zi = 1": (Z, Zinv), "Zi Z = 1": (Zinv, Z)} if which == "defining" else {}
+        inverse = {"Z Zi = 1": "Zz", "Zi Z = 1": "zZ"} if which == "defining" else {}
         sides = relation_sides(which)
         zero = certified_zeros([inverse_differences()[name] for name in inverse]
                                + list(relation_differences(which).values()), rep)
@@ -787,7 +754,7 @@ def verify_relations(rep: Representation, which: str,
             if z:
                 report.checks.append(CheckResult(name, True, 0.0))
             elif name in inverse:
-                check(name, mul(*inverse[name]),
+                check(name, mul(*map(rep.matrix, inverse[name])),
                       ex_eye(rep.ctx, rep.dim) if exact else np.eye(rep.dim, dtype=complex))
             else:
                 check(name, *pairs[name])
@@ -796,7 +763,7 @@ def verify_relations(rep: Representation, which: str,
         return report
 
     if which == "central":
-        mats = {"X": X, "Y": Y, "J": j_matrix(rep)}
+        Z, mats = rep.matrix("Z"), {name: rep.matrix(name) for name in "XYJ"}
         if exact:
             # Z is diagonal, so (Z^Q M - M Z^Q)[i][j] = (zq_i - zq_j) M[i][j]
             # with zq_j = Z[j][j]^Q: only the failing entries are formed
@@ -823,9 +790,8 @@ def verify_relations(rep: Representation, which: str,
         return report
 
     if which == "star_original":
-        mats = rep.complex_mats()
-        for name in ("X", "Y", "Z"):
-            M = mats[name]
+        for name in "XYZ":
+            M = rep.embedded(name)
             r = _max_abs(M.conj().T - M)
             report.checks.append(CheckResult(f"{name} self-adjoint",
                                              r <= tol * max(1.0, _max_abs(M)), r))
@@ -846,15 +812,13 @@ def tensor_rep(a: Representation, b: Representation) -> Representation:
         raise ValueError("tensor factors live in different root contexts")
     ctx = a.ctx
     if a.backend == "exact" and b.backend == "exact":
-        am, bm, backend = a.mats(), b.mats(), "exact"
+        am, bm, backend = a.matrix, b.matrix, "exact"
         kron, add, eye = ex_kron, ex_add, ex_eye(ctx, a.dim)
     else:
-        am, bm, backend = a.complex_mats(), b.complex_mats(), "approx"
+        am, bm, backend = a.embedded, b.embedded, "approx"
         kron, add, eye = np.kron, np.add, np.eye(a.dim, dtype=complex)
-    X = add(kron(eye, bm["X"]), kron(am["X"], bm["Z"]))
-    Y = add(kron(eye, bm["Y"]), kron(am["Y"], bm["Z"]))
-    Z = kron(am["Z"], bm["Z"])
-    Zinv = kron(am["Zinv"], bm["Zinv"])
+    X, Y = (add(kron(eye, bm(g)), kron(am(g), bm("Z"))) for g in "XY")
+    Z, Zinv = (kron(am(g), bm(g)) for g in "Zz")
     rep = Representation(ctx, a.dim * b.dim, "tensor",
                          {"left": a.params, "right": b.params,
                           "families": [a.family, b.family]},
@@ -867,11 +831,9 @@ def tensor_j_formula_residual(a: Representation, b: Representation,
                               t: Representation | None = None) -> float:
     """|J(a (x) b) - (Z^-1 (x) J + J (x) 1)| in the embedded norm."""
     t = t or tensor_rep(a, b)
-    Jt = j_matrix_complex(t)
-    za = a.complex_mats()["Zinv"]
-    target = (np.kron(za, j_matrix_complex(b))
-              + np.kron(j_matrix_complex(a), np.eye(b.dim, dtype=complex)))
-    return float(np.max(np.abs(Jt - target)))
+    target = (np.kron(a.embedded("z"), b.embedded("J"))
+              + np.kron(a.embedded("J"), np.eye(b.dim, dtype=complex)))
+    return float(np.max(np.abs(t.embedded("J") - target)))
 
 
 # ---------------------------------------------------------------------------
@@ -958,7 +920,7 @@ def representation_from_json(data: dict) -> Representation:
     as from every constructor, unless they satisfy the defining relations.
     A family 1 or 2 payload then loads only if build_family1 or
     build_family2, on its params and backend, gives X, Y and Z back exactly
-    (floating family 1: the builder's `complex_mats()`), else ValueError,
+    (floating family 1: the builder's `embedded` ones), else ValueError,
     and is then the builder's rep, params and Z^-1 included; "tensor" is a
     bare label."""
     if missing := [k for k in ("P", "Q", "backend", "family") if k not in data]:
@@ -1000,10 +962,9 @@ def representation_from_json(data: dict) -> Representation:
         built = (build_family1(ctx, params["r"], params["sign"]) if family == 1 else
                  build_family2(ctx, *(scalar_from_json(params[k], ctx, backend)
                                       for k in ("lambda", "a", "b")), backend))
-        got = built.mats() if built.backend == backend else built.complex_mats()
-        if all(np.array_equal(M, got[g]) for g, M in zip("XYZ", (X, Y, Z))):
-            return Representation(ctx, d, family, built.params, backend,
-                                  got["X"], got["Y"], got["Z"], got["Zinv"])
+        got = built.matrix if built.backend == backend else built.embedded
+        if all(np.array_equal(M, got(g)) for g, M in zip("XYZ", (X, Y, Z))):
+            return Representation(ctx, d, family, built.params, backend, *map(got, "XYZz"))
     except (KeyError, TypeError, ValueError, ArithmeticError):
         pass    # params no builder takes
     raise ValueError(f'"family" is {family!r}, but the matrices are {d} x {d} at Q = {ctx.Q} '

@@ -36,7 +36,7 @@ are then formed at once, factor by factor from the right with per-column
 labels; link norms and [x+2k+2]-residuals are column reductions, read in
 walk order for the verdicts.  The band residual is one reduction over the
 off-band mask.  The chain and the band check read only Z and J, which
-`Representation.complex_mats` embeds on demand.
+`Representation.embedded` embeds on demand.
 The (T, G) search walks the chain once: the links
 fix every product T_k T_{k+1}, so only steps that no matrix links leave a
 sign to branch on.
@@ -55,7 +55,7 @@ from .scalar import ABS_TOL, REL_TOL, _as_int, q_number, q_power, to_complex
 # j_matrix is unused here; the bench tracer requires this import site
 # (REQUIRED_SITES in perfbench/tracing.py)
 from .reps import (Representation, certified_zeros, evaluate, ex_is_zero, ex_lincomb,
-                   ex_residual, j_matrix, j_matrix_complex)
+                   ex_residual, j_matrix)
 
 EIGEN_TOL = 1e-8
 RANK_TOL = 1e-10
@@ -224,8 +224,7 @@ def ladder_apply(rep: Representation, v, x, direction: str,
     The image is zero or an eigenvector with eigenvalue [x+2] / [x-2]."""
     if direction not in ("raise", "lower"):
         raise ValueError("direction must be 'raise' or 'lower'")
-    Jc = j_matrix_complex(rep)
-    Zc = rep.complex_mats()["Z"]
+    Jc, Zc = rep.embedded("J"), rep.embedded("Z")
     v = np.asarray(v, dtype=complex)
     mu = complex(to_complex(q_number(rep.ctx, x)))
     nv = np.linalg.norm(v)
@@ -298,8 +297,7 @@ def spectrum_chain(rep: Representation, tol: float = EIGEN_TOL) -> LadderChain:
 
 
 def _build_chain(rep: Representation, tol: float) -> LadderChain:
-    Jc = j_matrix_complex(rep)
-    Zc = rep.complex_mats()["Z"]
+    Jc, Zc = rep.embedded("J"), rep.embedded("Z")
     q = rep.ctx.q_complex
     d = rep.dim
     pairs = eigen_solve(Jc)
@@ -451,8 +449,7 @@ def tridiagonality_check(rep: Representation, tol: float = EIGEN_TOL,
             raise ValueError("specify mode for representations outside the two families")
     chain = spectrum_chain(rep, tol)
     B = np.column_stack([p.vector for p in chain.pairs])
-    Zc = rep.complex_mats()["Z"]
-    Zp = np.linalg.solve(B, Zc @ B)
+    Zp = np.linalg.solve(B, rep.embedded("Z") @ B)
     i, j = np.indices(Zp.shape)
     dist = abs(i - j) if mode == "plain" else np.minimum(abs(i - j), rep.dim - abs(i - j))
     # hypot of the parts is abs(z) of each entry bit for bit; np.abs is not
@@ -496,9 +493,7 @@ def unitarize_search(rep: Representation, tol: float = EIGEN_TOL) -> Unitarizing
     residual; no admissible G gives T = 1, G = 1 with ok False."""
     chain = spectrum_chain(rep, tol)
     B = np.column_stack([p.vector for p in chain.pairs])
-    cm = rep.complex_mats()
-    mats = {name: np.linalg.solve(B, cm[name] @ B) for name in ("X", "Y", "Z")}
-    mats["J"] = np.linalg.solve(B, j_matrix_complex(rep) @ B)
+    mats = {name: np.linalg.solve(B, rep.embedded(name) @ B) for name in "XYZJ"}
     d = rep.dim
     eps = 1e-12
 

@@ -13,8 +13,7 @@ import numpy as np
 from qsl2r.ncpoly import (NcPoly, QRat, hopf_symbolic_check,
                           identity_contracts, identity_coefficients,
                           lemma_check, lemma_v, _two_bracket_sq)
-from qsl2r.reps import (build_family1, build_family2, intersection_check,
-                        j_matrix_complex, verify_relations)
+from qsl2r.reps import build_family1, build_family2, intersection_check, verify_relations
 from qsl2r.scalar import RootContext, q_number, to_complex
 from qsl2r.spectral import (ladder_apply, spectrum_chain,
                             tridiagonality_check, unitarize_search,
@@ -117,7 +116,7 @@ def test_criterion_4_spectrum_claim():
     # concrete instance
     ctx = RootContext(1, 3)
     rep = build_family1(ctx, 1, 1)
-    J = j_matrix_complex(rep)
+    J = rep.embedded("J")
     ok &= np.allclose(J, [[0, -1], [-1, 0]], atol=1e-12)
     spec = sorted(p.value.real for p in spectrum_chain(rep).pairs)
     ok &= np.allclose(spec, [-1, 1], atol=1e-10)
@@ -130,7 +129,7 @@ def test_criterion_5_ladder_behavior():
     ok = True
     for ctx, rep in _family1_reps(FAMILY1_GRID):
         chain = spectrum_chain(rep)
-        J = j_matrix_complex(rep)
+        J = rep.embedded("J")
         d = rep.dim
         for k, (pair, x) in enumerate(zip(chain.pairs, chain.x_labels)):
             for direction, shift in (("raise", 2), ("lower", -2)):

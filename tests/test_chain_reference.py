@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qsl2r import spectral
-from qsl2r.reps import build_family1, build_family2, j_matrix_complex, tensor_rep
+from qsl2r.reps import build_family1, build_family2, tensor_rep
 from qsl2r.scalar import RootContext, q_number, to_complex
 from qsl2r.spectral import (EIGEN_TOL, ChainError, LadderChain, _apply_ladder, _mu_of,
                             _y_branches, eigen_solve)
@@ -22,8 +22,7 @@ FRONTIER_QP = ((19, 1), (21, 2), (25, 1), (31, 3))
 
 
 def _reference_chain(rep, tol):
-    Jc = j_matrix_complex(rep)
-    Zc = rep.complex_mats()["Z"]
+    Jc, Zc = rep.embedded("J"), rep.embedded("Z")
     q = rep.ctx.q_complex
     d = rep.dim
     pairs = eigen_solve(Jc)
@@ -197,7 +196,7 @@ def test_repeated_eigenvalues_keep_the_largest_overlap(Q):
     for r1 in range(1, min(Q, 4)):
         for r2 in range(1, min(Q, 4)):
             rep = tensor_rep(build_family1(ctx, r1, 1), build_family1(ctx, r2, -1))
-            values = np.array([p.value for p in eigen_solve(j_matrix_complex(rep))])
+            values = np.array([p.value for p in eigen_solve(rep.embedded("J"))])
             repeated += bool(np.any(np.abs(np.diff(values)) <= EIGEN_TOL))
             _assert_same_chain(rep)
     assert repeated

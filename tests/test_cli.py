@@ -231,6 +231,21 @@ def test_ladder_and_unitarize_and_intersect(tmp_path):
                 "--out", str(tmp_path / "i.json")]) == 0
 
 
+@pytest.mark.parametrize("argv,pairs", [
+    (["--P", "2", "--Q", "7", "--lambda", "1.2,0.3", "--a", "0.5", "--b", "1"], 7),
+    (["--exact", "--lambda", "q^2", "--a", "1", "--b", "2", "--P", "2", "--Q", "5"], 5)],
+    ids=["floating", "exact"])
+def test_ladder_shifts_every_eigenpair_of_the_second_family(tmp_path, argv, pairs):
+    # the cyclic ladder: no image vanishes, and ok holds each image's
+    # residual against the shifted eigenvalue below the tolerance
+    out = tmp_path / "l.json"
+    assert run(["ladder", "--family", "2", *argv, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["ok"] and len(data["ladder"]) == pairs
+    for entry in data["ladder"]:
+        assert entry["raise"] == entry["lower"] == "shifted"
+
+
 def test_unitarize_family2_fails_with_exit_1(tmp_path):
     code = run(["unitarize", "--P", "1", "--Q", "3", "--family", "2",
                 "--lambda", "2,0", "--a", "1,0", "--b", "1,0",

@@ -6,10 +6,11 @@ from math import gcd
 import numpy as np
 import pytest
 
-from qsl2r.ncpoly import identity_coefficients, inverse_differences, j_expansion, parse_expr
+from qsl2r.ncpoly import (NcPoly, QRat, identity_coefficients, inverse_differences,
+                          j_expansion, parse_expr)
 from qsl2r.reps import (Representation, build_family1, build_family2,
                         certified_zeros, evaluate, ex_is_zero, ex_sub, j_matrix,
-                        j_matrix_complex, verify_relations)
+                        verify_relations)
 from qsl2r.scalar import RootContext, q_number, to_complex
 from qsl2r.spectral import verify_identity
 
@@ -34,7 +35,7 @@ def test_evaluate_j_expansion_is_j_matrix():
     M, = evaluate([j_expansion()], rep)
     assert ex_is_zero(ex_sub(M, j_matrix(rep)))
     F, = evaluate([j_expansion()], rep, exact=False)
-    assert float(np.max(np.abs(F - j_matrix_complex(rep)))) < 1e-12
+    assert float(np.max(np.abs(F - rep.embedded("J")))) < 1e-12
 
 
 def test_evaluate_scalars_words_and_floating_backend():
@@ -45,7 +46,7 @@ def test_evaluate_scalars_words_and_floating_backend():
     eye = np.eye(ctx.Q)
     assert np.array_equal(two, 2 * eye)
     assert float(np.max(np.abs(qnum - to_complex(q_number(ctx, 2)) * eye))) < 1e-12
-    J, Z = j_matrix_complex(rep), rep.Z
+    J, Z = rep.embedded("J"), rep.Z
     assert float(np.max(np.abs(word - (J @ Z - Z @ J)))) < 1e-12
 
 
@@ -68,6 +69,15 @@ def test_certified_zeros_refuses_y_like_evaluate(r):
                            match="^only y-free polynomials can be evaluated onto matrices$"):
             check(polys, rep)
     assert certified_zeros(polys[:1], rep) == [None if r == 0 else True]
+
+
+def test_certified_zeros_refuses_an_unknown_letter_like_evaluate():
+    # d = 5, so the certificate reads the letters rather than deferring
+    rep = build_family1(RootContext(1, 7), 4, 1)
+    p = NcPoly({("XW", 0): QRat.one()})
+    for check in (evaluate, certified_zeros):
+        with pytest.raises(ValueError, match="^unknown letter 'W'$"):
+            check([p], rep)
 
 
 # -- the cubic identity for every x ----------------------------------------------

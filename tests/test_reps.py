@@ -11,7 +11,7 @@ from qsl2r.scalar import (CycloNum, GaussCyclo, RootContext, gauss_i, q_number, 
 from qsl2r import reps
 from qsl2r.reps import (Representation, build_family1, build_family2, ex_eye, ex_is_zero,
                         ex_mul, ex_residual, ex_scale, ex_sub, intersection_check, j_matrix,
-                        j_matrix_complex, recover_xy, representation_from_json,
+                        recover_xy, representation_from_json,
                         representation_to_json, tensor_j_formula_residual,
                         tensor_rep, verify_relations)
 
@@ -97,7 +97,7 @@ def test_j_matrix_examples():
     rep0 = build_family1(C3, 0, 1)
     assert j_matrix(rep0)[0][0].is_zero()
     rep1 = build_family1(C3, 1, 1)
-    J = j_matrix_complex(rep1)
+    J = rep1.embedded("J")
     assert np.allclose(J, np.array([[0, -1], [-1, 0]]), atol=1e-12)
 
 
@@ -280,7 +280,7 @@ def test_tensor_counit_like_factor():
     a = build_family1(C3, 0, 1)
     b = build_family1(C3, 1, 1)
     t = tensor_rep(a, b)
-    assert np.allclose(t.complex_mats()["X"], b.complex_mats()["X"], atol=1e-12)
+    assert np.allclose(t.embedded("X"), b.embedded("X"), atol=1e-12)
 
 
 def test_tensor_j_coproduct_formula():
@@ -305,21 +305,21 @@ def test_tensor_rep_floating_path(left):
         assert verify_relations(t, which).ok, which
     assert tensor_j_formula_residual(a, b, t) < 1e-12
     # the coproduct in numpy, on the factors' embedded matrices
-    A, B = a.complex_mats(), b.complex_mats()
+    A, B = a.embedded, b.embedded
     eye = np.eye(a.dim)
-    want = {"X": np.kron(eye, B["X"]) + np.kron(A["X"], B["Z"]),
-            "Y": np.kron(eye, B["Y"]) + np.kron(A["Y"], B["Z"]),
-            "Z": np.kron(A["Z"], B["Z"])}
+    want = {"X": np.kron(eye, B("X")) + np.kron(A("X"), B("Z")),
+            "Y": np.kron(eye, B("Y")) + np.kron(A("Y"), B("Z")),
+            "Z": np.kron(A("Z"), B("Z"))}
     for name, M in want.items():
-        assert float(np.max(np.abs(t.mats()[name] - M))) < 1e-12, name
+        assert float(np.max(np.abs(t.matrix(name) - M))) < 1e-12, name
 
 
 def test_tensor_triple_associativity_on_z():
     a = build_family1(C3, 1, 1)
     ab_c = tensor_rep(tensor_rep(a, a), a)
     a_bc = tensor_rep(a, tensor_rep(a, a))
-    for name in ("X", "Y", "Z", "Zinv"):
-        assert ex_is_zero(ex_sub(ab_c.mats()[name], a_bc.mats()[name]))
+    for name in "XYZz":
+        assert ex_is_zero(ex_sub(ab_c.matrix(name), a_bc.matrix(name)))
 
 
 def test_tensor_context_mismatch():
@@ -551,9 +551,8 @@ def _first_family_q5(backend):
     # the 3-dimensional first-family rep at (1, 5), in either backend
     rep = build_family1(RootContext(1, 5), 2, 1)
     if backend == "approx":
-        m = rep.complex_mats()
         rep = Representation(rep.ctx, rep.dim, 1, dict(rep.params), backend,
-                             m["X"], m["Y"], m["Z"], m["Zinv"])
+                             *map(rep.embedded, "XYZz"))
     data = representation_to_json(rep)
     assert representation_from_json(data).params == {"r": 2, "sign": 1}
     return data
@@ -636,7 +635,7 @@ def test_a_loaded_floating_rep_computes_as_the_built_one():
     rep = build_family2(RootContext(2, 7), 1.5 - 0.25j, 0.5 + 1j, -2.0)
     back = _round_trips(rep)
     assert np.array_equal(back.Zinv, rep.Zinv)
-    assert np.array_equal(j_matrix_complex(back), j_matrix_complex(rep))
+    assert np.array_equal(back.embedded("J"), rep.embedded("J"))
 
 
 @pytest.mark.parametrize("P,Q", [(1, 3), (3, 7), (2, 31)])
@@ -705,9 +704,8 @@ def _exact_params_on_floating_matrices():
     # embedded and its params left as they are
     ctx = RootContext(1, 5)
     rep = build_family2(ctx, q_power(ctx, 2), 1, 2, backend="exact")
-    m = rep.complex_mats()
     data = representation_to_json(Representation(ctx, rep.dim, 2, rep.params, "approx",
-                                                 m["X"], m["Y"], m["Z"], m["Zinv"]))
+                                                 *map(rep.embedded, "XYZz")))
     assert data["params"] == representation_to_json(rep)["params"]
     return data
 
@@ -736,10 +734,9 @@ def test_a_failing_check_names_its_entry(backend, defining, zj):
     if backend == "exact":
         X, q = [list(row) for row in rep.X], q_power(ctx, 1)
     else:
-        m = rep.complex_mats()
         rep = Representation(ctx, rep.dim, rep.family, dict(rep.params), backend,
-                             m["X"], m["Y"], m["Z"], m["Zinv"])
-        X, q = m["X"].copy(), ctx.q_complex
+                             *map(rep.embedded, "XYZz"))
+        X, q = rep.X.copy(), ctx.q_complex
     X[2][1] = X[2][1] + q
     bad = Representation(ctx, rep.dim, rep.family, dict(rep.params), backend,
                          X, rep.Y, rep.Z, rep.Zinv)

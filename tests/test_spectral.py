@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qsl2r.scalar import RootContext, q_number, q_power, to_complex
-from qsl2r.reps import Representation, build_family1, build_family2, j_matrix_complex
+from qsl2r.reps import Representation, build_family1, build_family2
 from qsl2r import reps, spectral
 from qsl2r.spectral import (ChainError, EigenPair, EigenSolveError, LadderChain,
                             eigen_solve, ladder_apply,
@@ -92,7 +92,7 @@ def _off_diagonal_max(M):
 
 def test_eigen_solve_well_conditioned_takes_eig_vectors(monkeypatch):
     # kappa about 1.3e3: one eig call, no SVD
-    J = j_matrix_complex(build_family1(RootContext(1, 25), 24, 1))
+    J = build_family1(RootContext(1, 25), 24, 1).embedded("J")
     ref = _eigen_solve_svd(J)
 
     def no_svd(*args, **kwargs):
@@ -113,7 +113,7 @@ def test_eigen_solve_well_conditioned_takes_eig_vectors(monkeypatch):
 
 @pytest.mark.parametrize("M", [
     # kappa about 1.9e6 at (P, Q, r) = (8, 31, 20)
-    j_matrix_complex(build_family1(RootContext(8, 31), 20, 1)),
+    build_family1(RootContext(8, 31), 20, 1).embedded("J"),
     # a cluster
     np.diag([1.0, 1.0, 2.0]).astype(complex),
     # kappa about 1e200: inv(V) holds entries whose squares overflow
@@ -310,7 +310,7 @@ def test_ladder_worked_example():
     w = ladder_apply(rep, v, 2, "raise")
     delta = C3.q_complex - 1 / C3.q_complex
     assert np.allclose(w, delta * np.array([1, -1]), atol=1e-12)
-    J = j_matrix_complex(rep)
+    J = rep.embedded("J")
     # image is an eigenvector with eigenvalue [4] = 1
     assert np.linalg.norm(J @ w - w) < 1e-12
     assert np.linalg.norm(ladder_apply(rep, v, 2, "lower")) < 1e-12
@@ -337,7 +337,7 @@ def test_ladder_images_on_every_eigenpair(P, Q):
     ctx = RootContext(P, Q)
     for r in (0, Q - 2, Q - 1):
         rep = build_family1(ctx, r, 1)
-        J = j_matrix_complex(rep)
+        J = rep.embedded("J")
         chain = spectrum_chain(rep)
         for pair, x in zip(chain.pairs, chain.x_labels):
             for direction, shift in (("raise", 2), ("lower", -2)):
@@ -480,9 +480,7 @@ def _unitarize_scan(rep, tol=1e-8):
     else the least residual."""
     chain = spectral.spectrum_chain(rep, tol)
     B = np.column_stack([p.vector for p in chain.pairs])
-    cm = rep.complex_mats()
-    mats = {name: np.linalg.solve(B, cm[name] @ B) for name in ("X", "Y", "Z")}
-    mats["J"] = np.linalg.solve(B, spectral.j_matrix_complex(rep) @ B)
+    mats = {name: np.linalg.solve(B, rep.embedded(name) @ B) for name in "XYZJ"}
     d = rep.dim
 
     def residuals(T, g):
@@ -540,12 +538,11 @@ def _synthetic(monkeypatch, Z, X):
     d = len(Z)
     J = np.diag(np.arange(d, dtype=complex))
     mats = {"X": np.asarray(X, dtype=complex), "Y": np.zeros((d, d), dtype=complex),
-            "Z": np.asarray(Z, dtype=complex)}
-    rep = SimpleNamespace(dim=d, complex_mats=lambda: mats)
+            "Z": np.asarray(Z, dtype=complex), "J": J}
+    rep = SimpleNamespace(dim=d, embedded=mats.__getitem__)
     chain = LadderChain(pairs=[EigenPair(complex(k), np.eye(d)[:, k], 0.0)
                                for k in range(d)])
     monkeypatch.setattr(spectral, "spectrum_chain", lambda rep, tol: chain)
-    monkeypatch.setattr(spectral, "j_matrix_complex", lambda rep: J)
     return rep
 
 
@@ -589,7 +586,7 @@ def test_tridiagonality_and_unitarize_reuse_the_chain(monkeypatch):
     B = np.column_stack([p.vector for p in chain.pairs])
     tri = tridiagonality_check(rep)
     assert tri.ok
-    assert np.array_equal(tri.matrix, np.linalg.solve(B, rep.complex_mats()["Z"] @ B))
+    assert np.array_equal(tri.matrix, np.linalg.solve(B, rep.embedded("Z") @ B))
     uni = unitarize_search(rep)
     assert uni.ok and np.array_equal(uni.basis, B)
     with pytest.raises(AssertionError):
@@ -600,9 +597,8 @@ def test_chain_errors_are_not_cached(monkeypatch):
     # Z = 1 makes every ladder image vanish, so no first-family bottom links
     d = 2
     rep = SimpleNamespace(dim=d, family=1, ctx=C5, _cache={},
-                          complex_mats=lambda: {"Z": np.eye(d, dtype=complex)})
-    monkeypatch.setattr(spectral, "j_matrix_complex",
-                        lambda rep: np.diag([0.0, 1.0]).astype(complex))
+                          embedded={"Z": np.eye(d, dtype=complex),
+                                    "J": np.diag([0.0, 1.0]).astype(complex)}.__getitem__)
     solves = []
 
     def counting_solve(M):
@@ -632,7 +628,7 @@ def test_unitarize_ill_conditioned_j_keeps_svd_verdict(sign):
 def test_band_residual_matches_double_loop(monkeypatch, mode, d):
     rng = np.random.default_rng(100 * d + len(mode))
     Z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rep = SimpleNamespace(dim=d, complex_mats=lambda: {"Z": Z})
+    rep = SimpleNamespace(dim=d, embedded={"Z": Z}.__getitem__)
     chain = LadderChain(pairs=[EigenPair(complex(k), np.eye(d)[:, k], 0.0)
                                for k in range(d)])
     monkeypatch.setattr(spectral, "spectrum_chain", lambda rep, tol: chain)
@@ -652,7 +648,7 @@ def test_chain_start_checks_the_label_before_any_image(monkeypatch):
     ctx = RootContext(2, 21)
     rep = build_family1(ctx, 20, 1)
     d, q = rep.dim, ctx.q_complex
-    Jc, Zc = j_matrix_complex(rep), rep.complex_mats()["Z"]
+    Jc, Zc = rep.embedded("J"), rep.embedded("Z")
     calls = []
 
     def counting(*args):
@@ -709,12 +705,12 @@ def test_chain_and_band_check_embed_only_z_and_j(monkeypatch):
     J = reps.j_matrix(rep)
     assert sorted(map(id, embedded)) == sorted((id(rep.Z), id(J)))
     # entry by entry through CycloNum.__complex__, bit for bit
-    for A, M in ((rep.Z, rep.complex_mats()["Z"]), (J, j_matrix_complex(rep))):
+    for A, M in ((rep.Z, rep.embedded("Z")), (J, rep.embedded("J"))):
         assert np.array([[complex(a) for a in row] for row in A]).tobytes() == M.tobytes()
     # another generator is embedded when first read, and kept
-    X = rep.complex_mats()["X"]
-    assert embedded[-1] is rep.X and rep.complex_mats()["X"] is X
-    assert list(rep.complex_mats()) == ["X", "Y", "Z", "Zinv"] and len(embedded) == 3
+    X = rep.embedded("X")
+    assert embedded[-1] is rep.X and rep.embedded("X") is X
+    assert len(embedded) == 3
 
 
 @pytest.mark.parametrize("Q", (3, 9, 15, 21, 31))
