@@ -4,10 +4,12 @@ Basis convention: v_j is the j-th standard basis column (indices 0..d-1) and
 matrices act on the left, so the family formulas become column operations.
 Exact matrices are nested lists of CycloNum/GaussCyclo entries; the floating
 backend uses numpy complex128 arrays.  The generators are sparse (X and Y
-bidiagonal, Z and Z^-1 diagonal, J tridiagonal), so the exact kernels skip
-structural zeros: products run row by row over the nonzero entries only,
-exact comparisons test entrywise equality before forming any difference,
-and the central check reads Z^Q off Z's diagonal with no product at all.
+bidiagonal, Z and Z^-1 diagonal, J tridiagonal), so the exact kernels and
+checks skip structural zeros, all by one rule: `ex_entries` lists the
+entries that are neither the shared ctx.zero() nor equal to zero.
+Products run row by row over those entries only, exact comparisons test
+entrywise equality before forming any difference, and the central check
+reads Z^Q off Z's diagonal with no product at all.
 Every constructor, and `representation_from_json`, verifies the defining
 relations before returning (exactly on the exact backend); the loader also
 rebuilds a payload labelled family 1 or 2 from its params.  Those relations
@@ -57,12 +59,13 @@ from .scalar import (ABS_TOL, INT64_SUM_TERMS, REL_TOL, CycloNum, GaussCyclo,
                      q_number, q_power, scalar_from_json, scalar_to_json, split_images,
                      split_moduli, split_verdicts, sum_bound, to_complex)
 
-# Below this dimension the CycloNum evaluation costs less than the images'
-# fixed cost of about 0.3 ms, so zeros are decided by it.  Measured on the
-# first family, Q = 3..31, images against evaluation: the identity's C_k
-# 0.32 against 0.20 ms at d = 1 and 0.39 against 0.81 ms at d = 2; the
-# defining relations 0.23 against 0.09 ms at d = 1, 0.26 against 0.22 ms at
-# d = 2 and 0.19 against 0.23 ms at d = 3.
+# Below this dimension zeros are decided by the CycloNum evaluation alone.
+# The tape is no slower at d = 1 (first family, Q = 3..31, warm calls on 2
+# shared cores: 0.05-0.08 against 0.09-0.16 ms on the defining relations,
+# 0.07-0.13 against 0.14-0.15 ms on the identity's C_k), but this
+# evaluation is the only CycloNum addition of the benchmark's
+# identity-sweep and spectral-frontier workloads, whose traced runs refuse
+# a counter that records no calls (perfbench/tracing.py, ROADMAP item 1).
 SPLIT_MIN_DIM = 2
 
 # ---------------------------------------------------------------------------
@@ -84,27 +87,29 @@ def ex_eye(ctx: RootContext, n: int):
     return out
 
 
+def ex_entries(A) -> list:
+    """(i, j, a) for each nonzero entry a = A[i][j], row by row: the one
+    structural-zero rule of the exact kernels, skipping the shared
+    ctx.zero() and any entry equal to zero, as a cancelled a - a."""
+    zero = A[0][0].ctx.zero()
+    return [(i, j, a) for i, row in enumerate(A) for j, a in enumerate(row)
+            if a is not zero and not a.is_zero()]
+
+
 def ex_mul(A, B):
     """A B by rows (Gustavson): each nonzero a = A[i][t] meets only the
     nonzero entries of row t of B, so structural zeros cost nothing."""
     zero = A[0][0].ctx.zero()
-    m = len(B[0])
-    rows_b = [[(j, b) for j, b in enumerate(row) if b is not zero and not b.is_zero()]
-              for row in B]
-    out = []
-    for row_a in A:
-        acc = {}
-        for t, a in enumerate(row_a):
-            if a is zero or a.is_zero():
-                continue
-            for j, b in rows_b[t]:
-                p = a * b
-                o = acc.get(j)
-                acc[j] = p if o is None else o + p
-        row = [zero] * m
-        for j, v in acc.items():
-            row[j] = v
-        out.append(row)
+    rows_b = [[] for _ in B]
+    for t, j, b in ex_entries(B):
+        rows_b[t].append((j, b))
+    out = ex_zeros(zero.ctx, len(A), len(B[0]))
+    for i, t, a in ex_entries(A):
+        row = out[i]
+        for j, b in rows_b[t]:
+            p = a * b
+            o = row[j]
+            row[j] = p if o is zero else o + p
     return out
 
 
@@ -130,19 +135,13 @@ def ex_is_zero(A) -> bool:
 
 
 def ex_kron(A, B):
+    """A (x) B, one product per pair of nonzero entries."""
     nb, mb = len(B), len(B[0])
-    zero = A[0][0].ctx.zero()
-    out = []
-    for i in range(len(A)):
-        for ib in range(nb):
-            row = []
-            for j in range(len(A[0])):
-                a = A[i][j]
-                if a.is_zero():
-                    row.extend([zero] * mb)
-                else:
-                    row.extend([a * b if not b.is_zero() else zero for b in B[ib]])
-            out.append(row)
+    out = ex_zeros(A[0][0].ctx, len(A) * nb, len(A[0]) * mb)
+    entries_b = ex_entries(B)
+    for i, j, a in ex_entries(A):
+        for ib, jb, b in entries_b:
+            out[i * nb + ib][j * mb + jb] = a * b
     return out
 
 
@@ -155,23 +154,19 @@ def ex_lincomb(terms, ctx: RootContext, d: int):
         if s.is_zero():
             continue
         unit = s == one
-        for row_o, row_m in zip(out, M):
-            for j, a in enumerate(row_m):
-                if a is not zero and not a.is_zero():
-                    p = a if unit else s * a
-                    o = row_o[j]
-                    row_o[j] = p if o is zero or o.is_zero() else o + p
+        for i, j, a in ex_entries(M):
+            p = a if unit else s * a
+            o = out[i][j]
+            # a partial sum can cancel to a zero that is not the shared one
+            out[i][j] = p if o is zero or o.is_zero() else o + p
     return out
 
 
 def ex_to_complex(A) -> np.ndarray:
     """A as a complex array, to_complex(a) entry by entry; zeros stay 0."""
-    zero = A[0][0].ctx.zero()
     out = np.zeros((len(A), len(A[0])), dtype=complex)
-    for i, row in enumerate(A):
-        for j, a in enumerate(row):
-            if a is not zero and not a.is_zero():
-                out[i, j] = to_complex(a)
+    for i, j, a in ex_entries(A):
+        out[i, j] = to_complex(a)
     return out
 
 
@@ -385,14 +380,9 @@ def _split_letters(rep: Representation, letters) -> dict:
     offsets and each entry's row in its block of diagonals; cached on the
     representation.  The letters not yet cached are packed together, once."""
     cache = rep._cache.setdefault("split_letters", {})
-    new = {letter: [] for letter in letters if letter not in cache}
+    new = {letter: ex_entries(rep.matrix(letter)) for letter in letters if letter not in cache}
     if not new:
         return {letter: cache[letter] for letter in letters}
-    zero = rep.ctx.zero()
-    for letter, entries in new.items():
-        entries += [(i, j, a) for i, row in enumerate(rep.matrix(letter))
-                    for j, a in enumerate(row)
-                    if a is not zero and not a.is_zero()]
     C, dens = pack([a for entries in new.values() for _, _, a in entries], rep.ctx)
     bounds = entry_bounds((C, dens), rep.ctx)
     start = 0
@@ -635,8 +625,7 @@ def _close(A, B, exact: bool, tol: float):
     if exact:
         if A == B:
             return True, 0.0, ""
-        return _exact_mismatch([(i, j, a) for i, row in enumerate(ex_sub(A, B))
-                                for j, a in enumerate(row) if not a.is_zero()])
+        return _exact_mismatch(ex_entries(ex_sub(A, B)))
     D = A - B
     r = _max_abs(D)
     if r <= tol * max(1.0, _max_abs(A), _max_abs(B)) + ABS_TOL:
@@ -767,17 +756,14 @@ def verify_relations(rep: Representation, which: str,
         if exact:
             # Z is diagonal, so (Z^Q M - M Z^Q)[i][j] = (zq_i - zq_j) M[i][j]
             # with zq_j = Z[j][j]^Q: only the failing entries are formed
-            zero = rep.ctx.zero()
-            if any(a is not zero and i != j and not a.is_zero()
-                   for i, row in enumerate(Z) for j, a in enumerate(row)):
+            if any(i != j for i, j, _ in ex_entries(Z)):
                 raise ValueError("the exact central check needs a diagonal Z")
             zq = [row[j] ** rep.ctx.Q for j, row in enumerate(Z)]
             scalar = zq[0]
             for name, M in mats.items():
                 report.checks.append(CheckResult(f"Z^Q {name} = {name} Z^Q", *_exact_mismatch(
-                    [(i, j, (zq[i] - zq[j]) * a) for i, row in enumerate(M)
-                     for j, a in enumerate(row)
-                     if a is not zero and zq[i] != zq[j] and not a.is_zero()])))
+                    [(i, j, (zq[i] - zq[j]) * a) for i, j, a in ex_entries(M)
+                     if zq[i] != zq[j]])))
             report.checks.append(CheckResult("Z^Q is scalar", *_exact_mismatch(
                 [(j, j, z - scalar) for j, z in enumerate(zq) if z != scalar])))
         else:
@@ -856,7 +842,7 @@ def intersection_check(ctx: RootContext, sign: int = 1) -> RelationReport:
     Z1 has distinct eigenvalues, so any intertwiner has this monomial form.
     S is never formed: only entries of Q(zeta_Q)(i) are multiplied and
     compared.  A failing check names its first failure in `detail`."""
-    Q, zero = ctx.Q, ctx.zero()
+    Q = ctx.Q
     r1 = build_family1(ctx, Q - 1, sign)
     r2 = build_family2(ctx, sign * q_power(ctx, 1 - Q), 0, 0, backend="exact")
     bands = (("X1", r1.X, 1), ("Y1", r1.Y, -1), ("Z1", r1.Z, 0),   # row - column
@@ -864,8 +850,7 @@ def intersection_check(ctx: RootContext, sign: int = 1) -> RelationReport:
 
     def off_band(name, M, offset):
         band = {(j + offset, j) for j in range(Q) if 0 <= j + offset < Q}
-        support = {(i, j) for i, row in enumerate(M) for j, a in enumerate(row)
-                   if a is not zero and not a.is_zero()}
+        support = {(i, j) for i, j, _ in ex_entries(M)}
         return [(f"{name}[{i}][{j}] is {'off' if (i, j) in support else 'zero on'} the band",
                  abs(to_complex(M[i][j]))) for i, j in sorted(support ^ band)]
 

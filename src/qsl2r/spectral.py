@@ -17,8 +17,8 @@ which give the residual, max|LHS| and max|RHS| together.
 Eigenpairs come from one LAPACK `np.linalg.eig` call when the spectrum is
 simple under EIGEN_TOL clustering, every eigenvalue condition number is at
 most KAPPA_MAX and every residual is at most RANK_TOL times the largest
-off-diagonal entry; otherwise the values come from `np.linalg.eigvals`,
-clustered within EIGEN_TOL, and each cluster's eigenvectors are the null
+off-diagonal entry; otherwise that call's eigenvalues are clustered
+within EIGEN_TOL, and each cluster's eigenvectors are the null
 right singular vectors of M - lambda I.  Matrices here are at most 64 x 64.
 The chain is computed once per representation and tolerance and cached on
 the representation, so the tridiagonality check and the (T, G) search
@@ -96,8 +96,8 @@ def eigen_solve(M) -> list[EigenPair]:
     row i of V^-1) is at most KAPPA_MAX and every residual
     ||M v - lambda v|| is at most RANK_TOL max_{i != j} |M_ij|; as that entry
     bounds sigma_max(M - lambda I) and the residual bounds sigma_min, such a
-    pair also passes the null-space test below.  Any other matrix takes
-    `np.linalg.eigvals`, clusters the values within EIGEN_TOL and gives a
+    pair also passes the null-space test below.  Any other matrix keeps
+    eig's eigenvalues, clusters them within EIGEN_TOL and gives a
     cluster of size m the m right singular vectors of M - lambda I with the
     smallest singular values, which must lie within RANK_TOL of the largest.
     Raises EigenSolveError when the matrix is defective (or too
@@ -122,11 +122,9 @@ def eigen_solve(M) -> list[EigenPair]:
         # its squares cannot overflow
         if np.max(W) <= KAPPA_MAX and np.max(np.linalg.norm(W, axis=1)) <= KAPPA_MAX:
             return [EigenPair(complex(lam), v, float(r)) for lam, v, r in zip(w, V.T, res)]
-    roots = np.linalg.eigvals(M)
-    roots = roots[np.lexsort((roots.imag, roots.real))]
-    scale = max(1.0, max(abs(r) for r in roots))
+    scale = max(1.0, max(abs(r) for r in w))
     clusters: list[list[complex]] = []
-    for r in roots:
+    for r in w:
         if clusters and abs(r - clusters[-1][-1]) <= EIGEN_TOL * scale:
             clusters[-1].append(r)
         else:
@@ -435,18 +433,14 @@ class TridiagReport:
     matrix: np.ndarray = None
 
 
-def tridiagonality_check(rep: Representation, tol: float = EIGEN_TOL,
-                         mode: str | None = None) -> TridiagReport:
+def tridiagonality_check(rep: Representation, tol: float = EIGEN_TOL) -> TridiagReport:
     """Transform Z into the chain-ordered J-eigenbasis and measure the
     largest out-of-band entry: plain band |i-j| <= 1 for the first family,
-    cyclic band min(|i-j|, Q-|i-j|) <= 1 for the second."""
-    if mode is None:
-        if rep.family == 1:
-            mode = "plain"
-        elif rep.family == 2:
-            mode = "cyclic"
-        else:
-            raise ValueError("specify mode for representations outside the two families")
+    cyclic band min(|i-j|, Q-|i-j|) <= 1 for the second; ValueError for
+    any other representation."""
+    if rep.family not in (1, 2):
+        raise ValueError("the band is defined for the two families only")
+    mode = "plain" if rep.family == 1 else "cyclic"
     chain = spectrum_chain(rep, tol)
     B = np.column_stack([p.vector for p in chain.pairs])
     Zp = np.linalg.solve(B, rep.embedded("Z") @ B)

@@ -14,8 +14,8 @@ import numpy as np
 
 from qsl2r import reps, scalar
 from qsl2r.reps import (Representation, _close, build_family1, build_family2,
-                        ex_lincomb, ex_mul, ex_residual, ex_scale, ex_sub,
-                        ex_to_complex, ex_zeros, j_matrix, tensor_rep)
+                        ex_entries, ex_kron, ex_lincomb, ex_mul, ex_residual, ex_scale,
+                        ex_sub, ex_to_complex, ex_zeros, j_matrix, tensor_rep)
 from qsl2r.scalar import CycloNum, GaussCyclo, RootContext, q_number, q_power, to_complex
 from qsl2r.spectral import _identity_matrices, verify_identity
 
@@ -221,6 +221,10 @@ def test_q_numbers_match_the_division_formula(P, Q):
         assert (got.coeffs, got.den) == (want.coeffs, want.den), x
 
 
+def _naive_kron(A, B):
+    return [[a * b for a in row_a for b in row_b] for row_a in A for row_b in B]
+
+
 def test_kernels_treat_cancelled_zeros_as_zeros():
     # a - a is zero but not the shared ctx.zero() object, so the kernels'
     # identity test misses it and is_zero() must catch it
@@ -235,6 +239,9 @@ def test_kernels_treat_cancelled_zeros_as_zeros():
                 a = _random_entry(ctx, rng, 1.0)
                 row[j] = a - a
                 assert row[j] is not ctx.zero() and row[j].is_zero()
+        assert ex_entries(A) == [(i, j, a) for i, row in enumerate(A)
+                                 for j, a in enumerate(row) if not a.is_zero()]
+        assert ex_kron(A, B) == _naive_kron(A, B)
         assert ex_mul(A, B) == _naive_mul(A, B)
         assert ex_to_complex(A).tolist() == [[complex(a) for a in row] for row in A]
         s = _random_entry(ctx, rng, 1.0)
