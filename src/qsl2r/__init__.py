@@ -8,8 +8,9 @@ The package is organized bottom-up:
                PBW rewriting, the symbolic proof replays, and the one copy
                of every relation and of the cubic identity
     reps       the two irreducible matrix families, `evaluate` (ncpoly
-               polynomials onto matrices) and the relation checks built on
-               it, tensor products, the family intersection
+               polynomials onto matrices, tensor polynomials onto pairs of
+               representations) and the relation checks built on it,
+               tensor products, the family intersection
     spectral   J eigenstructure, ladder chains, tridiagonality, the
                unitarizing (T, G) search
     cli        the qsl2r command-line entry point

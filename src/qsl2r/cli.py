@@ -9,7 +9,7 @@ cell or second-family sample it came from, counts that cell as failing
 and goes on.
 JSON output is byte-deterministic for exact-backend runs (sorted keys,
 canonical rational strings).  The floating tolerance is --tol, a finite
-number > 0, else REL_TOL.
+number > 0, else REL_TOL; spectral checks take it no finer than EIGEN_TOL.
 """
 
 from __future__ import annotations
@@ -182,9 +182,11 @@ def parse_command(argv):
                 parser.error(f"--expr {args.expr!r} is refused: {exc}")
     if "tol" in args:   # intersect is exact and takes none
         # --tol, else REL_TOL; the spectral layer clusters eigenvalues at
-        # EIGEN_TOL, so it takes no finer tolerance
+        # EIGEN_TOL, so it takes no finer tolerance (`suite` floors only its
+        # spectral calls, not its relations and identities)
         tol = args.tol or REL_TOL
-        args.tol = max(tol, EIGEN_TOL) if spectral_cmd else tol
+        floored = args.command in ("spectrum", "ladder", "unitarize")
+        args.tol = max(tol, EIGEN_TOL) if floored else tol
     return args
 
 
@@ -390,6 +392,7 @@ def cmd_intersect(args) -> int:
 
 def cmd_suite(args) -> int:
     ctx, tol = args.ctx, args.tol
+    spectral_tol = max(tol, EIGEN_TOL)
     payload = {"P": ctx.P, "Q": ctx.Q}
     summaries = []
     all_ok = True
@@ -424,20 +427,20 @@ def cmd_suite(args) -> int:
             rep = build_family1(ctx, r, sign)
             cell = fam1[f"r={r},sign={sign:+d}"] = {}
             for which in ("defining", "zj", "central"):
-                rp = verify_relations(rep, which)
+                rp = verify_relations(rep, which, tol=tol)
                 cell[which] = {"ok": rp.ok, "max_residual": rp.max_residual}
                 fam1_ok &= rp.ok and rp.max_residual == 0.0
             idres = {}
             for x in range(-2, 3):
-                rp = verify_identity(rep, x)
+                rp = verify_identity(rep, x, tol=tol)
                 idres[str(x)] = rp.residual
                 fam1_ok &= rp.ok and rp.residual == 0.0
             cell["identity_residuals"] = idres
-            star = verify_relations(rep, "star_original")
+            star = verify_relations(rep, "star_original", tol=tol)
             cell["star_original_ok"] = star.ok
             fam1_ok &= star.ok == (rep.dim == 1)
             try:
-                chain = spectrum_chain(rep, tol=tol)
+                chain = spectrum_chain(rep, tol=spectral_tol)
             except ChainError as exc:
                 # kept next to the exact checks; the grid goes on
                 cell["error"] = str(exc)
@@ -446,10 +449,10 @@ def cmd_suite(args) -> int:
             cell["x_labels"] = [int(x) for x in chain.x_labels]
             cell["top_vanishes"] = chain.links[-1][0] == "vanished"
             fam1_ok &= cell["top_vanishes"]
-            tri = tridiagonality_check(rep, tol=tol)
+            tri = tridiagonality_check(rep, tol=spectral_tol)
             cell["band_residual"] = tri.band_residual
             fam1_ok &= tri.ok
-            uni = unitarize_search(rep, tol=tol)
+            uni = unitarize_search(rep, tol=spectral_tol)
             cell["unitarize"] = uni.to_json()
             fam1_ok &= uni.ok
     payload["family1"] = fam1
@@ -474,13 +477,13 @@ def cmd_suite(args) -> int:
         idok = True
         for _ in range(20):
             x = complex(rng.uniform(-5, 5), rng.uniform(-1, 1))
-            rp = verify_identity(rep, x, tol=REL_TOL)
+            rp = verify_identity(rep, x, tol=tol)
             worst = max(worst, rp.residual)
             idok &= rp.ok
         cell["identity_worst_residual"] = worst
         fam2_ok &= idok
         try:
-            tri = tridiagonality_check(rep, tol=tol)
+            tri = tridiagonality_check(rep, tol=spectral_tol)
         except ChainError as exc:
             cell["error"] = str(exc)
             fam2_ok = False

@@ -27,11 +27,13 @@ scalars on either side), and differ only in their keys: `NcPoly` maps
 (word, y-power) and `TensorPoly` (word, word, y-power), multiplied leg by
 leg.  Since y is central, a product joins the words and adds the powers.
 
-The relations (`relation_sides`, and Z Z^-1 = Z^-1 Z = 1 as raw words in
-`inverse_differences`), the cubic identity (`identity_sides`,
-`identity_coefficients`) and the recovery of X and Y from J and Z
-(`xy_recovery`) are written only here; `reps.evaluate` maps the same
-polynomials onto matrices for the representation-level checks.
+The relations (`relation_sides`, Z Z^-1 = Z^-1 Z = 1 among them as raw
+words), the cubic identity (`identity_sides`, `identity_coefficients`),
+the recovery of X and Y from J and Z (`xy_recovery`) and the Hopf
+structure (`coproduct`, `antipode` and `counit`, one extension rule over
+per-letter tables, and `delta_j`) are written only here; `reps.evaluate`
+maps the same polynomials, and tensor polynomials on a pair of
+representations, onto matrices for the representation-level checks.
 """
 
 from __future__ import annotations
@@ -757,25 +759,17 @@ def relation_differences(which: str) -> dict[str, NcPoly]:
 
 
 @lru_cache(maxsize=None)
-def inverse_differences() -> dict[str, NcPoly]:
-    """Z Zi - 1 and Zi Z - 1, keyed by their check names, as the raw words
-    Zz and zZ against the empty one: `NcPoly.word` cancels Z z on contact,
-    so Z Z^-1 = 1 is no polynomial identity of `relation_sides`.  Built once."""
-    one = QRat.one()
-    return {name: NcPoly({(w, 0): one, ("", 0): -one}, _canonical=True)
-            for name, w in (("Z Zi = 1", "Zz"), ("Zi Z = 1", "zZ"))}
-
-
-@lru_cache(maxsize=None)
 def relation_sides(which: str) -> dict[str, tuple[NcPoly, NcPoly]]:
     """(LHS, RHS) of each relation in a set, keyed by its check name.
-    "defining": the relations among X, Y, Z (Z Z^-1 = 1 is no polynomial
-    identity here, since words cancel Z z on contact; see
-    `inverse_differences`).  "zj": the two J-Z relations.  Built once per
+    "defining": Z Z^-1 = 1 and Z^-1 Z = 1, as the raw words Zz and zZ
+    against 1 (`NcPoly.word` would cancel them on contact), then the
+    relations among X, Y, Z.  "zj": the two J-Z relations.  Built once per
     set."""
     if which == "defining":
         inv_delta = _DELTA.inverse()
         return {
+            **{name: (NcPoly({(w, 0): QRat.one()}, _canonical=True), NcPoly.one())
+               for name, w in (("Z Zi = 1", "Zz"), ("Zi Z = 1", "zZ"))},
             "Z X = q^-2 X Z": (NcPoly.word("ZX"), NcPoly.word("XZ", QRat.q_pow(-2))),
             "Z Y = q^2 Y Z": (NcPoly.word("ZY"), NcPoly.word("YZ", QRat.q_pow(2))),
             "q^-1 X Y - q Y X = (Z^2 - 1)/(q - q^-1)":
@@ -890,63 +884,66 @@ def lemma_check(v: NcPoly | None = None, consequence_depth: int = 5) -> LemmaRep
 
 @lru_cache(maxsize=None)
 def _hopf_tables():
+    """Delta, S and eps on the letters X, Y, Z, Z^-1."""
     one = QRat.one()
-    coproduct = {
-        X: TensorPoly({("", X, 0): one, (X, Z, 0): one}),
-        Y: TensorPoly({("", Y, 0): one, (Y, Z, 0): one}),
-        Z: TensorPoly({(Z, Z, 0): one}),
-        ZINV: TensorPoly({(ZINV, ZINV, 0): one}),
+    return {
+        "coproduct": {
+            X: TensorPoly({("", X, 0): one, (X, Z, 0): one}),
+            Y: TensorPoly({("", Y, 0): one, (Y, Z, 0): one}),
+            Z: TensorPoly({(Z, Z, 0): one}),
+            ZINV: TensorPoly({(ZINV, ZINV, 0): one}),
+        },
+        "antipode": {
+            X: NcPoly({("Xz", 0): -one}),
+            Y: NcPoly({("Yz", 0): -one}),
+            Z: NcPoly.word(ZINV),
+            ZINV: NcPoly.word(Z),
+        },
+        "counit": {X: NcPoly.zero(), Y: NcPoly.zero(), Z: NcPoly.one(), ZINV: NcPoly.one()},
     }
-    antipode = {
-        X: NcPoly({("Xz", 0): -one}),
-        Y: NcPoly({("Yz", 0): -one}),
-        Z: NcPoly.word(ZINV),
-        ZINV: NcPoly.word(Z),
-    }
-    return coproduct, antipode
+
+
+def _extend(p: NcPoly, which: str, reverse: bool = False):
+    """The extension of the letter table `which` of `_hopf_tables` to p:
+    multiplicative, or antimultiplicative with reverse=True, and y to y.
+    J-free input."""
+    table = _hopf_tables()[which]
+    kind = type(table[Z])
+    out = kind.zero()
+    for (w, e), c in p.terms.items():
+        if J in w:
+            raise ValueError(f"substitute_j before taking the {which}")
+        acc = kind({kind._UNIT[:-1] + (e,): c}, _canonical=True)
+        for ch in reversed(w) if reverse else w:
+            acc = acc * table[ch]
+        out = out + acc
+    return out
 
 
 def coproduct(p: NcPoly) -> TensorPoly:
     """Multiplicative extension of Delta X = 1 (x) X + X (x) Z,
     Delta Y = 1 (x) Y + Y (x) Z, Delta Z = Z (x) Z, Delta y = y.  J-free
     input."""
-    table, _ = _hopf_tables()
-    out = TensorPoly.zero()
-    for (w, e), c in p.terms.items():
-        if J in w:
-            raise ValueError("substitute_j before taking the coproduct")
-        acc = TensorPoly({("", "", e): c}, _canonical=True)
-        for ch in w:
-            acc = acc * table[ch]
-        out = out + acc
-    return out
+    return _extend(p, "coproduct")
 
 
 def antipode(p: NcPoly) -> NcPoly:
     """Antihomomorphic extension of S(X) = -X Z^-1, S(Y) = -Y Z^-1,
     S(Z) = Z^-1, S(y) = y.  J-free input."""
-    _, table = _hopf_tables()
-    out = NcPoly.zero()
-    for (w, e), c in p.terms.items():
-        if J in w:
-            raise ValueError("substitute_j before taking the antipode")
-        acc = NcPoly({("", e): c}, _canonical=True)
-        for ch in reversed(w):
-            acc = acc * table[ch]
-        out = out + acc
-    return out
+    return _extend(p, "antipode", reverse=True)
 
 
 def counit(p: NcPoly) -> NcPoly:
     """eps(X) = eps(Y) = 0, eps(Z) = eps(Z^-1) = 1, eps(y) = y,
-    multiplicative; the value is a scalar in y."""
-    out = {}
-    for (w, e), c in p.terms.items():
-        if J in w:
-            raise ValueError("substitute_j before taking the counit")
-        if all(ch in (Z, ZINV) for ch in w):
-            _add_term(out, ("", e), c)
-    return NcPoly(out, _canonical=True)
+    multiplicative; the value is a scalar in y.  J-free input."""
+    return _extend(p, "counit")
+
+
+def delta_j(j: NcPoly | None = None) -> TensorPoly:
+    """Delta J = Z^-1 (x) J + J (x) 1, with j for J (the letter J by
+    default; `hopf_symbolic_check` puts in its expansion)."""
+    j = NcPoly.word(J) if j is None else j
+    return tensor(NcPoly.word(ZINV), j) + tensor(j, NcPoly.one())
 
 
 @dataclass
@@ -967,9 +964,7 @@ def hopf_symbolic_check(which: str) -> HopfReport:
     jx = substitute_j(NcPoly.word(J))
 
     if which == "deltaJ":
-        lhs = coproduct(jx)
-        rhs = tensor(NcPoly.word(ZINV), jx) + tensor(jx, NcPoly.one())
-        residual = lhs - rhs
+        residual = coproduct(jx) - delta_j(jx)
         return HopfReport(which, residual.is_zero(), residual,
                           "Delta J = Z^-1 (x) J + J (x) 1")
 
@@ -993,8 +988,7 @@ def hopf_symbolic_check(which: str) -> HopfReport:
             gx = substitute_j(NcPoly.word(g))
             applied = NcPoly.zero()
             for (w1, w2, e), c in coproduct(gx).terms.items():
-                if all(ch in (Z, ZINV) for ch in w1):
-                    applied = applied + NcPoly({(w2, e): c}, _canonical=True)
+                applied = applied + counit(NcPoly({(w1, e): c}, _canonical=True)) * NcPoly.word(w2)
             r = applied - gx
             ok = ok and r.is_zero()
             residual = residual + r
@@ -1029,9 +1023,9 @@ def xy_recovery() -> tuple[NcPoly, NcPoly]:
 
 
 def defining_relations() -> dict[str, NcPoly]:
-    """LHS - RHS of each defining relation, Z Z^-1 = Z^-1 Z = 1 first
-    (`inverse_differences`); each must PBW-reduce to zero."""
-    return {**inverse_differences(), **relation_differences("defining")}
+    """LHS - RHS of each defining relation, Z Z^-1 = Z^-1 Z = 1 first; each
+    must PBW-reduce to zero."""
+    return dict(relation_differences("defining"))
 
 
 # ---------------------------------------------------------------------------

@@ -15,45 +15,46 @@ relations before returning (exactly on the exact backend); the loader also
 rebuilds a payload labelled family 1 or 2 from its params.  Those relations
 imply every other form of a derived matrix, so each is computed once from
 one formula: J = (q X - q^-1 Y) Z^-1, and the tensor product's generators
-from the coproduct, written once for either backend.  Every matrix is read
-by its ncpoly letter (X, Y, Z, z = Z^-1, J), on the representation's own
-backend (`Representation.matrix`) or as a complex array embedded once
-(`Representation.embedded`).
+from `ncpoly.coproduct`, evaluated on the pair of factors.  Every matrix
+is read by its ncpoly letter (X, Y, Z, z = Z^-1, J), on the
+representation's own backend (`Representation.matrix`) or as a complex
+array embedded once (`Representation.embedded`).
 
 The relations themselves are not typed in here: they live once, as
 noncommutative polynomials in `ncpoly`, and `evaluate` maps them onto the
-matrices of a representation on either backend.  `evaluate` is the only
-producer of exact matrices.  Whether a polynomial vanishes on an exact
-representation is asked first of `certified_zeros`.  The certificate is
-`scalar`'s: it packs values, maps them to images modulo split primes,
-bounds entries, matrices and sums of products, holds the prime budget
-and decides.  This module adds only the images of words, on a tape:
-words and polynomials share one int64 tape whose layout depends on d only
-through which diagonals exist, so it is laid out once per relation set
-and band pattern (`_template`) and expanded to each d by array operations
-(`_plan`).  Residues lie below 2^25 and products below 2^50, so an entry
-of a word or a polynomial is reduced once, after at most INT64_SUM_TERMS
-products.  The generators' nonzero entries are packed once per
-representation, their images kept on it and those of words only for one
-call.  Whatever the tape does not certify is evaluated, so residuals and
-supports come from the CycloNum matrices as before.  Z Z^-1 = 1 and
-Z^-1 Z = 1 are no polynomial identities, as words cancel Z z on contact,
-so the defining check puts them on the same tape as the raw words of
-`ncpoly.inverse_differences`, and multiplies them out only where the
-tape certifies nothing.
+matrices of a representation on either backend, and tensor polynomials
+onto a pair of representations by Kronecker products of each leg's word.
+`evaluate` is the only producer of exact matrices.  Whether a polynomial
+vanishes on an exact representation is asked first of `certified_zeros`.
+The certificate is `scalar`'s: it packs values, maps them to images
+modulo split primes, bounds entries, matrices and sums of products,
+holds the prime budget and decides.  This module adds only the images of
+words, on a tape: words and polynomials share one int64 tape whose layout
+depends on d only through which diagonals exist, so it is laid out once
+per relation set and band pattern (`_template`) and expanded to each d
+by array operations (`_plan`).  Residues lie below 2^25 and products
+below 2^50, so an entry of a word or a polynomial is reduced once, after
+at most INT64_SUM_TERMS products.  The generators' nonzero entries are
+packed once per representation, their images kept on it and those of
+words only for one call.  Whatever the tape does not certify is
+evaluated, so residuals and supports come from the CycloNum matrices as
+before.  Z Z^-1 = 1 and Z^-1 Z = 1 are defining relations like the
+others, written in `ncpoly` as the raw words Zz and zZ against 1.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import accumulate
+from math import prod
 from operator import mul
 
 import numpy as np
 
-from .ncpoly import inverse_differences, relation_differences, relation_sides, xy_recovery
+from .ncpoly import (NcPoly, coproduct, delta_j, relation_differences, relation_sides,
+                     xy_recovery)
 from .scalar import (ABS_TOL, INT64_SUM_TERMS, REL_TOL, CycloNum, GaussCyclo,
                      RootContext, entry_bounds, gauss_i, is_exact, matrix_bound, pack,
                      q_number, q_power, scalar_from_json, scalar_to_json, split_images,
@@ -111,10 +112,6 @@ def ex_mul(A, B):
             o = row[j]
             row[j] = p if o is zero else o + p
     return out
-
-
-def ex_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def ex_sub(A, B):
@@ -230,7 +227,9 @@ def build_family1(ctx: RootContext, r: int, sign: int = 1) -> Representation:
         Z v_j = sign q^(r-2j) v_j,
         X v_j = -q^(r-2j-1) [r-j] v_(j+1),
         Y v_j = [j] v_(j-1).
-    Exact backend."""
+    Exact backend.  r and sign must be ints, not bools (ValueError)."""
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in (r, sign)):
+        raise ValueError(f"r and sign must be integers, got {r!r} and {sign!r}")
     if not 0 <= r <= ctx.Q - 1:
         raise ValueError(f"r must lie in 0..Q-1, got {r}")
     if sign not in (1, -1):
@@ -316,7 +315,7 @@ def _require_defining(rep):
 # ---------------------------------------------------------------------------
 
 def _require_y_free(polys):
-    if any(e for p in polys for _, e in p.terms):
+    if any(k[-1] for p in polys for k in p.terms):
         raise ValueError("only y-free polynomials can be evaluated onto matrices")
 
 
@@ -330,34 +329,47 @@ def _coefficient(c, ctx: RootContext, exact: bool):
     return got
 
 
-def evaluate(polys, rep: Representation, exact: bool | None = None) -> list:
-    """Matrices of y-free NcPolys over X, Y, Z, Zi, J on the representation.
-    Each word becomes a product of its letters' `rep.matrix` (`rep.embedded`
-    on the floating path), memoized by prefix and shared across `polys` for
-    this call only; each coefficient is its rational function of q at the
-    root of unity.  exact=False evaluates an exact representation on the
-    floating path (complex embeddings)."""
-    _require_y_free(polys)
-    if exact is None:
-        exact = rep.backend == "exact"
-    elif exact and rep.backend != "exact":
-        raise ValueError("a floating representation has no exact evaluation")
-    ctx, d = rep.ctx, rep.dim
+def _words(rep: Representation, exact: bool):
+    """The matrix of a word on rep: a product of its letters' `rep.matrix`
+    (`rep.embedded` on the floating path), memoized by prefix."""
     if exact:
-        letter, mul, eye = rep.matrix, ex_mul, ex_eye(ctx, d)
+        letter, mul, memo = rep.matrix, ex_mul, {"": ex_eye(rep.ctx, rep.dim)}
     else:
-        letter, mul, eye = rep.embedded, np.matmul, np.eye(d, dtype=complex)
-    memo = {"": eye}
+        letter, mul, memo = rep.embedded, np.matmul, {"": np.eye(rep.dim, dtype=complex)}
 
     def word(w):
         got = memo.get(w)
         if got is None:
             got = memo[w] = mul(word(w[:-1]), word(w[-1])) if len(w) > 1 else letter(w)
         return got
+    return word
 
+
+def evaluate(polys, rep, exact: bool | None = None) -> list:
+    """Matrices of y-free NcPolys over X, Y, Z, Zi, J on the representation,
+    or of y-free TensorPolys on a pair (a, b) of representations, a term
+    (u, v) as the Kronecker product of u on a and v on b.  Each word
+    becomes a product of its letters' matrices (`_words`), memoized by
+    prefix and shared across `polys` for this call only; each coefficient
+    is its rational function of q at the root of unity.  exact=False
+    evaluates exact representations on the floating path (complex
+    embeddings); exact=None, the default, evaluates exactly when every
+    representation is exact."""
+    _require_y_free(polys)
+    legs = rep if isinstance(rep, tuple) else (rep,)
+    if any(len(k) != len(legs) + 1 for p in polys for k in p.terms):
+        raise ValueError("NcPolys take one representation and TensorPolys a pair")
+    if exact is None:
+        exact = all(leg.backend == "exact" for leg in legs)
+    elif exact and any(leg.backend != "exact" for leg in legs):
+        raise ValueError("a floating representation has no exact evaluation")
+    ctx, d = legs[0].ctx, prod(leg.dim for leg in legs)
+    words = [_words(leg, exact) for leg in legs]
+    kron = ex_kron if exact else np.kron
     out = []
     for p in polys:
-        terms = [(_coefficient(c, ctx, exact), word(w)) for (w, _), c in p.terms.items()]
+        terms = [(_coefficient(c, ctx, exact), reduce(kron, [w(u) for w, u in zip(words, k)]))
+                 for k, c in p.terms.items()]
         out.append(ex_lincomb(terms, ctx, d) if exact
                    else sum((s * M for s, M in terms), np.zeros((d, d), dtype=complex)))
     return out
@@ -704,8 +716,8 @@ def recover_xy(rep: Representation):
 def verify_relations(rep: Representation, which: str,
                      tol: float = REL_TOL) -> RelationReport:
     """which = defining | zj | central | star_original.  The defining and
-    J-Z relations are the (LHS, RHS) pairs of ncpoly.relation_sides, and
-    "defining" first checks Z Zi = 1 and Zi Z = 1; on the exact backend a
+    J-Z relations are the (LHS, RHS) pairs of ncpoly.relation_sides,
+    "defining" with Z Zi = 1 and Zi Z = 1 first; on the exact backend a
     check whose LHS - RHS is certified zero modulo split primes, all in one
     `certified_zeros` call, passes with residual 0, and the others are
     evaluated onto the matrices and compared.  The "defining" report is
@@ -722,31 +734,21 @@ def verify_relations(rep: Representation, which: str,
     key = ("relations", which, None if exact else tol)
     if which == "defining" and key in rep._cache:
         return rep._cache[key]
-    mul = ex_mul if exact else np.matmul
     report = RelationReport(which=which)
 
     def check(name, A, B):
         report.checks.append(CheckResult(name, *_close(A, B, exact, tol)))
 
     if which in ("defining", "zj"):
-        # Z Zi = 1 and Zi Z = 1 go on the tape with the relations, as raw
-        # words against the empty one; each is multiplied out only when the
-        # tape does not certify it
-        inverse = {"Z Zi = 1": "Zz", "Zi Z = 1": "zZ"} if which == "defining" else {}
         sides = relation_sides(which)
-        zero = certified_zeros([inverse_differences()[name] for name in inverse]
-                               + list(relation_differences(which).values()), rep)
-        rest = [name for name, z in zip(sides, zero[len(inverse):]) if not z]
-        mats = evaluate([p for name in rest for p in sides[name]], rep) if rest else []
-        pairs = {name: mats[2 * k:2 * k + 2] for k, name in enumerate(rest)}
-        for name, z in zip([*inverse, *sides], zero):
+        zero = certified_zeros(list(relation_differences(which).values()), rep)
+        rest = [name for name, z in zip(sides, zero) if not z]
+        mats = iter(evaluate([p for name in rest for p in sides[name]], rep) if rest else ())
+        for name, z in zip(sides, zero):
             if z:
                 report.checks.append(CheckResult(name, True, 0.0))
-            elif name in inverse:
-                check(name, mul(*map(rep.matrix, inverse[name])),
-                      ex_eye(rep.ctx, rep.dim) if exact else np.eye(rep.dim, dtype=complex))
             else:
-                check(name, *pairs[name])
+                check(name, next(mats), next(mats))
         if which == "defining":
             rep._cache[key] = report
         return report
@@ -792,33 +794,27 @@ def verify_relations(rep: Representation, which: str,
 
 
 def tensor_rep(a: Representation, b: Representation) -> Representation:
-    """Action on the tensor product through the coproduct:
-    X -> 1 (x) X + X (x) Z, Y -> 1 (x) Y + Y (x) Z, Z -> Z (x) Z."""
+    """Action on the tensor product through the coproduct of X, Y, Z and
+    Z^-1 (`ncpoly.coproduct`), evaluated on (a, b): exact when both
+    factors are, else on their complex embeddings."""
     if a.ctx != b.ctx:
         raise ValueError("tensor factors live in different root contexts")
-    ctx = a.ctx
-    if a.backend == "exact" and b.backend == "exact":
-        am, bm, backend = a.matrix, b.matrix, "exact"
-        kron, add, eye = ex_kron, ex_add, ex_eye(ctx, a.dim)
-    else:
-        am, bm, backend = a.embedded, b.embedded, "approx"
-        kron, add, eye = np.kron, np.add, np.eye(a.dim, dtype=complex)
-    X, Y = (add(kron(eye, bm(g)), kron(am(g), bm("Z"))) for g in "XY")
-    Z, Zinv = (kron(am(g), bm(g)) for g in "Zz")
-    rep = Representation(ctx, a.dim * b.dim, "tensor",
+    X, Y, Z, Zinv = evaluate([coproduct(NcPoly.word(g)) for g in "XYZz"], (a, b))
+    rep = Representation(a.ctx, a.dim * b.dim, "tensor",
                          {"left": a.params, "right": b.params,
                           "families": [a.family, b.family]},
-                         backend, X, Y, Z, Zinv)
+                         "exact" if a.backend == b.backend == "exact" else "approx",
+                         X, Y, Z, Zinv)
     _require_defining(rep)
     return rep
 
 
 def tensor_j_formula_residual(a: Representation, b: Representation,
                               t: Representation | None = None) -> float:
-    """|J(a (x) b) - (Z^-1 (x) J + J (x) 1)| in the embedded norm."""
+    """|J(a (x) b) - Delta J| in the embedded norm, Delta J =
+    Z^-1 (x) J + J (x) 1 (`ncpoly.delta_j`) evaluated on (a, b)."""
     t = t or tensor_rep(a, b)
-    target = (np.kron(a.embedded("z"), b.embedded("J"))
-              + np.kron(a.embedded("J"), np.eye(b.dim, dtype=complex)))
+    target, = evaluate([delta_j()], (a, b), exact=False)
     return float(np.max(np.abs(t.embedded("J") - target)))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qsl2r import reps, scalar, spectral
-from qsl2r.ncpoly import NcPoly, identity_coefficients, inverse_differences, relation_differences
+from qsl2r.ncpoly import NcPoly, identity_coefficients, relation_differences
 from qsl2r.reps import (Representation, build_family1, build_family2,
                         certified_zeros, evaluate, ex_is_zero, j_matrix, tensor_rep,
                         verify_relations)
@@ -27,12 +27,17 @@ from test_split_reference import _l1
 GRID_PQ = [(P, Q) for Q in (3, 5, 7, 9) for P in range(1, Q) if gcd(P, Q) == 1]
 
 
+def _inverse():
+    """Z Zi - 1 and Zi Z - 1, the first two defining relations."""
+    return list(relation_differences("defining").values())[:2]
+
+
 def _polys():
-    """The five C_k, the three defining and the two J-Z relations as LHS - RHS."""
-    out = list(identity_coefficients().values())
-    for which in ("defining", "zj"):
-        out += list(relation_differences(which).values())
-    return out
+    """The five C_k, the three defining relations among X, Y, Z and the two
+    J-Z relations as LHS - RHS."""
+    return (list(identity_coefficients().values())
+            + list(relation_differences("defining").values())[2:]
+            + list(relation_differences("zj").values()))
 
 
 @pytest.fixture
@@ -593,7 +598,7 @@ def _entrywise_verdicts(monkeypatch, reps_, polys):
 @pytest.mark.parametrize("Q", range(3, 32, 2))
 def test_packed_letters_keep_the_verdicts_on_the_first_family(Q, monkeypatch):
     ctx = RootContext(Q - 2, Q)
-    polys = _polys() + list(inverse_differences().values())
+    polys = _polys() + _inverse()
     reps_ = []
     for r in sorted({1, Q // 2, Q - 1}):
         for sign in (1, -1):
@@ -615,7 +620,7 @@ def test_packed_letters_keep_the_verdicts_on_the_first_family(Q, monkeypatch):
 
 
 def test_packed_letters_keep_the_verdicts_on_family2_and_tensor_reps(monkeypatch):
-    polys = _polys() + list(inverse_differences().values())
+    polys = _polys() + _inverse()
     reps_ = [build_family2(RootContext(P, Q), sign * RootContext(P, Q).zeta(e), a, b,
                            backend="exact")
              for P, Q, e, a, b in ((2, 5, 3, 1, 2), (1, 3, 2, 0, 1), (1, 7, 1, 2, 0),
@@ -638,7 +643,7 @@ def test_letters_packed_with_two_widths_share_one_block(every_dim):
     good = build_family1(ctx, 4, 1)
     Z = [[a if a.is_zero() else GaussCyclo.from_scalar(a, ctx) for a in row] for row in good.Z]
     rep = Representation(ctx, good.dim, 1, {}, "exact", good.X, good.Y, Z, good.Zinv)
-    polys = _polys() + list(inverse_differences().values())
+    polys = _polys() + _inverse()
     assert certified_zeros(polys[5:8] + polys[10:], rep) == [True] * 5
     letters = reps._split_letters(rep, "JZ")
     assert letters["Z"]["gauss"] and not letters["J"]["gauss"]
@@ -711,8 +716,7 @@ def _word_lists(polys):
 
 
 def test_plans_expanded_from_templates_match_row_by_row_plans():
-    sets = [_word_lists(list(inverse_differences().values())
-                        + list(relation_differences("defining").values())),
+    sets = [_word_lists(relation_differences("defining").values()),
             _word_lists(relation_differences("zj").values()),
             _word_lists(identity_coefficients().values())]
     patterns = [(build_family1(RootContext(2, 7), 4, 1), (2, 3, 4, 5, 8, 16, 31, 63))]
@@ -746,7 +750,7 @@ def test_every_relation_is_certified_on_every_first_family_rep(Q):
     relations with Z Zi = Zi Z = 1, the J-Z relations and the C_k, are each
     certified, never left undecided, on every first-family rep from
     SPLIT_MIN_DIM on."""
-    sets = [list(inverse_differences().values()) + list(relation_differences("defining").values()),
+    sets = [list(relation_differences("defining").values()),
             list(relation_differences("zj").values()), list(identity_coefficients().values())]
     for P in range(1, Q):
         if gcd(P, Q) == 1:

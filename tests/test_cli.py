@@ -319,6 +319,32 @@ def test_suite_records_a_second_family_chain_error_in_its_sample_and_goes_on(
         "tensor coproduct of J: PASS", "family intersection: PASS", ""]
 
 
+@pytest.mark.parametrize("flags,tol,spectral_tol", [
+    ([], REL_TOL, EIGEN_TOL), (["--tol", "1e-6"], 1e-6, 1e-6),
+    (["--tol", "1e-12"], 1e-12, EIGEN_TOL)])
+def test_suite_passes_tol_to_relations_and_identities_and_floors_only_spectral_calls(
+        flags, tol, spectral_tol, capsys, monkeypatch):
+    from qsl2r import cli
+    seen = {}
+
+    def record(name):
+        real = getattr(cli, name)
+
+        def call(*args, **kw):
+            seen.setdefault(name, set()).add(kw.get("tol"))
+            return real(*args, **kw)
+        monkeypatch.setattr(cli, name, call)
+
+    for name in ("verify_relations", "verify_identity", "spectrum_chain",
+                 "tridiagonality_check", "unitarize_search"):
+        record(name)
+    assert run(["suite", "--P", "1", "--Q", "5", *flags]) in (0, 1)
+    capsys.readouterr()
+    assert seen == {"verify_relations": {tol}, "verify_identity": {tol},
+                    "spectrum_chain": {spectral_tol}, "tridiagonality_check": {spectral_tol},
+                    "unitarize_search": {spectral_tol}}
+
+
 def test_symbolic_pbw_expression(tmp_path, capsys):
     out = tmp_path / "p.json"
     code = run(["symbolic", "--check", "pbw",
@@ -350,10 +376,12 @@ def test_symbolic_counit_note_logged(capsys):
 
 
 def test_spectral_commands_floor_the_tolerance_and_intersect_takes_none():
-    for command in ("spectrum", "ladder", "unitarize", "suite"):
+    for command in ("spectrum", "ladder", "unitarize"):
         assert parse_command([command, "--Q", "5", "--tol", "1e-12"]).tol == EIGEN_TOL
         assert parse_command([command, "--Q", "5", "--tol", "1e-3"]).tol == 1e-3
-    assert parse_command(["verify", "--check", "zj", "--tol", "1e-12"]).tol == 1e-12
+    # suite floors only its spectral calls (test_suite_passes_tol_...)
+    for command in (["verify", "--check", "zj"], ["suite", "--Q", "5"]):
+        assert parse_command(command + ["--tol", "1e-12"]).tol == 1e-12
     assert "tol" not in parse_command(["intersect", "--Q", "5"])
 
 

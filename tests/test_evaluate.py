@@ -6,11 +6,11 @@ from math import gcd
 import numpy as np
 import pytest
 
-from qsl2r.ncpoly import (NcPoly, QRat, identity_coefficients, inverse_differences,
-                          j_expansion, parse_expr)
+from qsl2r.ncpoly import (NcPoly, QRat, delta_j, identity_coefficients, j_expansion,
+                          parse_expr, relation_differences, tensor)
 from qsl2r.reps import (Representation, build_family1, build_family2,
-                        certified_zeros, evaluate, ex_is_zero, ex_sub, j_matrix,
-                        verify_relations)
+                        certified_zeros, evaluate, ex_eye, ex_is_zero, ex_mul, ex_sub,
+                        ex_to_complex, j_matrix, verify_relations)
 from qsl2r.scalar import RootContext, q_number, to_complex
 from qsl2r.spectral import verify_identity
 
@@ -26,6 +26,36 @@ def _with(rep, **mats):
 
 def _check(report, name):
     return next(c for c in report.checks if c.name == name)
+
+
+def _inverse():
+    """Z Zi - 1 and Zi Z - 1, the first two defining relations."""
+    return list(relation_differences("defining").values())[:2]
+
+
+def _inverse_reference(rep, left, right):
+    """(residual, detail) of the failing check left right = 1, from the
+    product: the first nonzero entry of the exact difference, or the
+    largest of the floating one."""
+    if rep.backend == "exact":
+        D = ex_to_complex(ex_sub(ex_mul(rep.matrix(left), rep.matrix(right)),
+                                 ex_eye(rep.ctx, rep.dim)))
+        i, j = np.argwhere(D != 0)[0]
+        return (float(np.max(np.abs(D))),
+                f"first nonzero entry ({i}, {j}) of LHS - RHS, magnitude {abs(D[i, j]):.6g}")
+    D = rep.matrix(left) @ rep.matrix(right) - np.eye(rep.dim)
+    r = float(np.max(np.abs(D)))
+    i, j = np.unravel_index(np.argmax(np.abs(D)), D.shape)
+    return r, f"largest entry ({i}, {j}) of LHS - RHS, magnitude {r:.6g}"
+
+
+def _fails_like_the_products(rep):
+    report = verify_relations(rep, "defining")
+    for name, letters in (("Z Zi = 1", "Zz"), ("Zi Z = 1", "zZ")):
+        check = _check(report, name)
+        assert not check.ok and check.residual > 0.0
+        assert (check.residual, check.detail) == _inverse_reference(rep, *letters), name
+    return report
 
 
 # -- the evaluator ----------------------------------------------------------------
@@ -56,6 +86,25 @@ def test_evaluate_rejects_y_and_exact_on_floating_reps():
         evaluate([parse_expr("y*Z")], rep)
     with pytest.raises(ValueError, match="no exact evaluation"):
         evaluate([parse_expr("Z")], build_family2(RootContext(1, 3), 1.0, 0.0, 0.0), exact=True)
+
+
+def test_evaluate_takes_tensor_polys_on_pairs_of_reps():
+    ctx = RootContext(1, 5)
+    a, b = build_family1(ctx, 2, 1), build_family2(ctx, 1.5 - 0.5j, 1.0, 2.0)
+    M, = evaluate([delta_j()], (a, b))
+    want = np.kron(a.embedded("z"), b.embedded("J")) + np.kron(a.embedded("J"), np.eye(b.dim))
+    assert M.shape == (15, 15) and float(np.max(np.abs(M - want))) < 1e-12
+    E, = evaluate([delta_j()], (a, a))       # both factors exact: exact
+    F, = evaluate([delta_j()], (a, a), exact=False)
+    assert len(E) == 9 and float(np.max(np.abs(ex_to_complex(E) - F))) < 1e-12
+    for polys, reps_ in (([delta_j()], a), ([parse_expr("X")], (a, b))):
+        with pytest.raises(ValueError, match="^NcPolys take one representation and "
+                                             "TensorPolys a pair$"):
+            evaluate(polys, reps_)
+    with pytest.raises(ValueError, match="y-free"):
+        evaluate([tensor(parse_expr("y*Z"), parse_expr("X"))], (a, b))
+    with pytest.raises(ValueError, match="no exact evaluation"):
+        evaluate([delta_j()], (a, b), exact=True)
 
 
 @pytest.mark.parametrize("r", [0, 6])
@@ -105,29 +154,33 @@ def test_identity_coefficients_vanish_on_exact_family2():
 
 def test_wrong_inverse_fails_the_z_zi_checks():
     rep = build_family1(RootContext(1, 5), 2, 1)
-    report = verify_relations(_with(rep, Zinv=rep.Z), "defining")
-    assert not report.ok
-    for name in ("Z Zi = 1", "Zi Z = 1"):
-        check = _check(report, name)
-        assert not check.ok and check.residual > 0.0
+    assert not _fails_like_the_products(_with(rep, Zinv=rep.Z)).ok
     # one bumped diagonal entry of Z^-1 at d >= 2: the certificate tape finds
     # both products nonzero, and the CycloNum product names the entry
     rep = build_family1(RootContext(2, 9), 6, -1)
-    assert certified_zeros(list(inverse_differences().values()), rep) == [True, True]
+    assert certified_zeros(_inverse(), rep) == [True, True]
     Zinv = [list(row) for row in rep.Zinv]
     Zinv[4][4] = Zinv[4][4] + 1
     bad = _with(rep, Zinv=Zinv)
-    assert certified_zeros(list(inverse_differences().values()), bad) == [False, False]
-    report = verify_relations(bad, "defining")
+    assert certified_zeros(_inverse(), bad) == [False, False]
+    report = _fails_like_the_products(bad)
     for name in ("Z Zi = 1", "Zi Z = 1"):
         check = _check(report, name)
-        assert not check.ok and check.residual > 0.0
         assert check.detail.startswith("first nonzero entry (4, 4) of LHS - RHS"), check.detail
     assert [c.ok for c in report.checks] == [False, False, True, True, True]
     # below SPLIT_MIN_DIM the products decide
     one = build_family1(RootContext(2, 9), 0, 1)
-    assert certified_zeros(list(inverse_differences().values()), one) == [None, None]
+    assert certified_zeros(_inverse(), one) == [None, None]
     assert verify_relations(one, "defining").ok
+    _fails_like_the_products(_with(one, Zinv=[[one.Zinv[0][0] + 1]]))
+    # a floating rep is never certified: the floating products decide
+    rep = build_family2(RootContext(1, 5), 1.5 - 0.5j, 1.0, 2.0)
+    Zinv = rep.Zinv.copy()
+    Zinv[2, 2] += 0.5
+    report = _fails_like_the_products(_with(rep, Zinv=Zinv))
+    for name in ("Z Zi = 1", "Zi Z = 1"):
+        assert _check(report, name).detail.startswith("largest entry (2, 2) of LHS - RHS")
+    assert [c.ok for c in report.checks] == [False, False, True, True, True]
 
 
 def _perturbed_x(ctx):

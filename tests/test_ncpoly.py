@@ -318,6 +318,28 @@ def test_hopf_maps_keep_y():
     assert counit(P("y*Z + q*y^-1*Zi*Zi + 2*X")) == P("y + q*y^-1")
 
 
+def test_hopf_maps_refuse_j_and_extend_their_tables():
+    # one extension rule: multiplicative for Delta and eps, reversed for S
+    for f, name in ((coproduct, "coproduct"), (antipode, "antipode"), (counit, "counit")):
+        with pytest.raises(ValueError, match=f"^substitute_j before taking the {name}$"):
+            f(P("X + Z*J"))
+    w = P("X*Zi*Y*Z")
+    assert coproduct(w) == coproduct(P("X")) * coproduct(P("Zi")) * coproduct(P("Y")) \
+        * coproduct(P("Z"))
+    assert antipode(w) == antipode(P("Z")) * antipode(P("Y")) * antipode(P("Zi")) \
+        * antipode(P("X"))
+    assert counit(P("2*Z*Zi*Z - q*Y*Z")) == P("2")
+
+
+def test_defining_relations_are_the_defining_differences_inverse_first():
+    rels = defining_relations()
+    assert list(rels) == ["Z Zi = 1", "Zi Z = 1", "Z X = q^-2 X Z", "Z Y = q^2 Y Z",
+                          "q^-1 X Y - q Y X = (Z^2 - 1)/(q - q^-1)"]
+    assert rels == relation_differences("defining")
+    rels.clear()    # a fresh dict: the cached set is untouched
+    assert len(defining_relations()) == 5
+
+
 def test_tensor_poly_repr_groups_by_word_pair_as_format_expr():
     # one chunk per pair of words, with its coefficients and powers of y
     assert repr(tensor(P("X + 2*y*X"), P("Z"))) == "TensorPoly((2*y + 1)*(X)(x)(Z))"

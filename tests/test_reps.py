@@ -48,6 +48,21 @@ def test_family1_param_validation():
         build_family1(C3, 1, 2)
 
 
+@pytest.mark.parametrize("r,sign", [(True, 1), (1, True), (True, True), (1.0, 1), (1, -1.0),
+                                    ("1", 1)])
+def test_family1_refuses_a_bool_or_non_integer_r_or_sign(r, sign):
+    with pytest.raises(ValueError, match="r and sign must be integers"):
+        build_family1(RootContext(1, 5), r, sign)
+
+
+def test_representation_from_json_refuses_bool_family1_params():
+    data = representation_to_json(build_family1(RootContext(1, 5), 1, 1))
+    assert representation_from_json(data).params == {"r": 1, "sign": 1}
+    data["params"] = {"r": True, "sign": True}
+    with pytest.raises(ValueError, match='"family" is 1, .*"params" is '):
+        representation_from_json(data)
+
+
 @pytest.mark.parametrize("P,Q", GRID_PQ)
 def test_family1_relations_exact_zero(P, Q):
     ctx = RootContext(P, Q)
@@ -293,6 +308,46 @@ def test_tensor_j_coproduct_formula():
             assert tensor_j_formula_residual(a, b, t) < 1e-12
 
 
+def _kron_entry(A, B, i, j):
+    # (A (x) B)[i][j], or None where it is a structural zero
+    nb = len(B)
+    a, b = A[i // nb][j // nb], B[i % nb][j % nb]
+    return None if a.is_zero() or b.is_zero() else a * b
+
+
+def _coproduct_by_index(a, b):
+    """X, Y, Z and Z^-1 of a (x) b by the coproduct, entry by entry:
+    1 (x) X + X (x) Z, 1 (x) Y + Y (x) Z, Z (x) Z, Z^-1 (x) Z^-1."""
+    ctx, d = a.ctx, a.dim * b.dim
+    eye = ex_eye(ctx, a.dim)
+    out = {}
+    for g, parts in (("X", [(eye, b.X), (a.X, b.Z)]), ("Y", [(eye, b.Y), (a.Y, b.Z)]),
+                     ("Z", [(a.Z, b.Z)]), ("z", [(a.Zinv, b.Zinv)])):
+        M = [[ctx.zero()] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(d):
+                for A, B in parts:
+                    e = _kron_entry(A, B, i, j)
+                    if e is not None:
+                        M[i][j] = M[i][j] + e
+        out[g] = M
+    return out
+
+
+@pytest.mark.parametrize("P,Q,left,right", [
+    (1, 3, (1, 1), (2, -1)), (2, 5, (3, -1), (1, 1)), (1, 3, "exact family 2", (1, -1))],
+    ids=["V1xV2-at-1-3", "V3xV1-at-2-5", "family2xV1-at-1-3"])
+def test_exact_tensor_rep_is_the_coproduct_entry_by_entry(P, Q, left, right):
+    ctx = RootContext(P, Q)
+    a = (build_family2(ctx, q_power(ctx, 1), 1, 2, backend="exact")
+         if left == "exact family 2" else build_family1(ctx, *left))
+    b = build_family1(ctx, *right)
+    t = tensor_rep(a, b)
+    assert t.backend == "exact" and t.dim == a.dim * b.dim
+    for g, M in _coproduct_by_index(a, b).items():
+        assert t.matrix(g) == M, g
+
+
 @pytest.mark.parametrize("left", ["exact family 1", "floating family 2"])
 def test_tensor_rep_floating_path(left):
     ctx = RootContext(1, 3)
@@ -309,7 +364,8 @@ def test_tensor_rep_floating_path(left):
     eye = np.eye(a.dim)
     want = {"X": np.kron(eye, B("X")) + np.kron(A("X"), B("Z")),
             "Y": np.kron(eye, B("Y")) + np.kron(A("Y"), B("Z")),
-            "Z": np.kron(A("Z"), B("Z"))}
+            "Z": np.kron(A("Z"), B("Z")),
+            "z": np.kron(A("z"), B("z"))}
     for name, M in want.items():
         assert float(np.max(np.abs(t.matrix(name) - M))) < 1e-12, name
 
