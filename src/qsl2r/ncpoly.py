@@ -752,6 +752,13 @@ def _identity_coefficients() -> dict[int, NcPoly]:
 
 
 @lru_cache(maxsize=None)
+def identity_lhs_coefficients() -> dict[int, NcPoly]:
+    """The LHS of the cubic ladder identity by powers of y, built once per
+    process and shared by every caller, which only reads it."""
+    return y_coefficients(identity_sides()[0])
+
+
+@lru_cache(maxsize=None)
 def relation_differences(which: str) -> dict[str, NcPoly]:
     """LHS - RHS of each relation in a set, keyed by its check name; built
     once per set."""

@@ -6,7 +6,12 @@ Exact matrices are nested lists of CycloNum/GaussCyclo entries; the floating
 backend uses numpy complex128 arrays.  The generators are sparse (X and Y
 bidiagonal, Z and Z^-1 diagonal, J tridiagonal), so the exact kernels and
 checks skip structural zeros, all by one rule: `ex_entries` lists the
-entries that are neither the shared ctx.zero() nor equal to zero.
+entries that are neither the shared ctx.zero() nor equal to zero.  A
+representation lists each exact generator's entries once
+(`Representation.entries`) for J, the certificate's packing and the
+embedding; `build_family1` records its generators' entries, and J is
+formed per nonzero entry of X and Y, its entries recorded as they are
+formed.
 Products run row by row over those entries only, exact comparisons test
 entrywise equality before forming any difference, and the central check
 reads Z^Q off Z's diagonal with no product at all.
@@ -14,7 +19,9 @@ Every constructor, and `representation_from_json`, verifies the defining
 relations before returning (exactly on the exact backend); the loader also
 rebuilds a payload labelled family 1 or 2 from its params.  Those relations
 imply every other form of a derived matrix, so each is computed once from
-one formula: J = (q X - q^-1 Y) Z^-1, and the tensor product's generators
+one formula: J = (q X - q^-1 Y) Z^-1, entry by entry J[i][j] = X[i][j]
+(q z_j) - Y[i][j] (q^-1 z_j) with z_j = Z^-1[j][j] on the exact backend,
+and the tensor product's generators
 from `ncpoly.coproduct`, evaluated on the pair of factors.  Every matrix
 is read by its ncpoly letter (X, Y, Z, z = Z^-1, J), on the
 representation's own backend (`Representation.matrix`) or as a complex
@@ -85,6 +92,15 @@ def ex_eye(ctx: RootContext, n: int):
     one = ctx.one()
     for i in range(n):
         out[i][i] = one
+    return out
+
+
+def ex_from_entries(ctx: RootContext, n: int, entries):
+    """The n x n matrix with a at each (i, j, a) of entries and the shared
+    ctx.zero() elsewhere."""
+    out = ex_zeros(ctx, n)
+    for i, j, a in entries:
+        out[i][j] = a
     return out
 
 
@@ -159,12 +175,18 @@ def ex_lincomb(terms, ctx: RootContext, d: int):
     return out
 
 
-def ex_to_complex(A) -> np.ndarray:
-    """A as a complex array, to_complex(a) entry by entry; zeros stay 0."""
-    out = np.zeros((len(A), len(A[0])), dtype=complex)
-    for i, j, a in ex_entries(A):
+def _embed(entries, n: int, m: int) -> np.ndarray:
+    """The n x m complex array with to_complex(a) at each (i, j, a) of
+    entries and 0 elsewhere."""
+    out = np.zeros((n, m), dtype=complex)
+    for i, j, a in entries:
         out[i, j] = to_complex(a)
     return out
+
+
+def ex_to_complex(A) -> np.ndarray:
+    """A as a complex array, to_complex(a) entry by entry; zeros stay 0."""
+    return _embed(ex_entries(A), len(A), len(A[0]))
 
 
 def ex_residual(A) -> float:
@@ -203,17 +225,30 @@ class Representation:
             raise ValueError(f"unknown letter {letter!r}")
         return self.Zinv if letter == "z" else getattr(self, letter)
 
+    def entries(self, letter: str) -> list:
+        """The nonzero entries (i, j, a) of the exact `matrix(letter)`, row
+        by row (`ex_entries`), listed the first time a caller reads them and
+        kept; `build_family1` records those of its generators and
+        `j_matrix` J's as they are formed.  J, the certificate's packing and
+        the embedding all read the generators this way."""
+        cache = self._cache.setdefault("entries", {})
+        if letter not in cache:
+            M = self.matrix(letter)     # forming J records its entries
+            if letter not in cache:
+                cache[letter] = ex_entries(M)
+        return cache[letter]
+
     def embedded(self, letter: str) -> np.ndarray:
         """`matrix(letter)` as a complex array, embedded the first time a
         caller reads it and kept, so a caller that reads only Z and J (the
         chain and the band check) embeds only those.  An exact matrix is
-        embedded entry by entry (`ex_to_complex`)."""
+        embedded entry by entry from `entries`, as `ex_to_complex` does."""
         cache = self._cache.setdefault("embedded", {})
         got = cache.get(letter)
         if got is None:
-            M = self.matrix(letter)
-            got = cache[letter] = (ex_to_complex(M) if self.backend == "exact"
-                                   else np.array(M, dtype=complex))
+            got = cache[letter] = (_embed(self.entries(letter), self.dim, self.dim)
+                                   if self.backend == "exact"
+                                   else np.array(self.matrix(letter), dtype=complex))
         return got
 
     def __repr__(self):
@@ -235,21 +270,19 @@ def build_family1(ctx: RootContext, r: int, sign: int = 1) -> Representation:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     d = r + 1
-    Z = ex_zeros(ctx, d)
-    Zinv = ex_zeros(ctx, d)
-    Xm = ex_zeros(ctx, d)
-    Ym = ex_zeros(ctx, d)
-    for j in range(d):
-        zj = q_power(ctx, r - 2 * j)
-        if sign < 0:
-            zj = -zj
-        Z[j][j] = zj
-        Zinv[j][j] = zj.inverse()
-        if j + 1 < d:
-            Xm[j + 1][j] = -(q_power(ctx, r - 2 * j - 1) * q_number(ctx, r - j))
-        if j - 1 >= 0:
-            Ym[j - 1][j] = q_number(ctx, j)
-    rep = Representation(ctx, d, 1, {"r": r, "sign": sign}, "exact", Xm, Ym, Z, Zinv)
+    zs = [q_power(ctx, r - 2 * j) for j in range(d)]
+    if sign < 0:
+        zs = [-z for z in zs]
+    # the generators' entries, row by row; none is zero, as [n] vanishes
+    # only where Q divides n
+    entries = {"X": [(j + 1, j, -(q_power(ctx, r - 2 * j - 1) * q_number(ctx, r - j)))
+                     for j in range(r)],
+               "Y": [(j - 1, j, q_number(ctx, j)) for j in range(1, d)],
+               "Z": [(j, j, z) for j, z in enumerate(zs)],
+               "z": [(j, j, z.inverse()) for j, z in enumerate(zs)]}
+    rep = Representation(ctx, d, 1, {"r": r, "sign": sign}, "exact",
+                         *(ex_from_entries(ctx, d, entries[g]) for g in "XYZz"))
+    rep._cache["entries"] = entries
     _require_defining(rep)
     return rep
 
@@ -392,7 +425,7 @@ def _split_letters(rep: Representation, letters) -> dict:
     offsets and each entry's row in its block of diagonals; cached on the
     representation.  The letters not yet cached are packed together, once."""
     cache = rep._cache.setdefault("split_letters", {})
-    new = {letter: ex_entries(rep.matrix(letter)) for letter in letters if letter not in cache}
+    new = {letter: rep.entries(letter) for letter in letters if letter not in cache}
     if not new:
         return {letter: cache[letter] for letter in letters}
     C, dens = pack([a for entries in new.values() for _, _, a in entries], rep.ctx)
@@ -693,18 +726,38 @@ def j_matrix(rep: Representation):
     """J = (q X - q^-1 Y) Z^-1, the matrix that `evaluate` substitutes for
     the letter J (`ncpoly.j_expansion`), cached on the representation.  The
     paper's second form Z^-1 (q^-1 X - q Y) follows from the defining
-    relations, which every way into a Representation checks."""
+    relations, which every way into a Representation checks.  On the exact
+    backend Z^-1 must be diagonal (ValueError otherwise), and J is formed
+    per nonzero entry of X and Y, J[i][j] = X[i][j] (q z_j) - Y[i][j]
+    (q^-1 z_j) with z_j = Z^-1[j][j], a zero z_j giving a zero column; its
+    entries are recorded for `Representation.entries` as they are formed."""
     got = rep._cache.get("J")
     if got is None:
-        X, Y, Zinv = rep.X, rep.Y, rep.Zinv
         if rep.backend == "exact":
-            q, qi = q_power(rep.ctx, 1), q_power(rep.ctx, -1)
-            got = ex_mul(ex_sub(ex_scale(X, q), ex_scale(Y, qi)), Zinv)
+            entries = _j_entries(rep)
+            got = ex_from_entries(rep.ctx, rep.dim, entries)
+            rep._cache.setdefault("entries", {})["J"] = entries
         else:
             q, qi = rep.ctx.q_complex, 1 / rep.ctx.q_complex
-            got = (q * X - qi * Y) @ Zinv
+            got = (q * rep.X - qi * rep.Y) @ rep.Zinv
         rep._cache["J"] = got
     return got
+
+
+def _j_entries(rep: Representation) -> list:
+    """The nonzero entries of the exact J, row by row, from those of X, Y
+    and the diagonal Z^-1."""
+    zinv = rep.entries("z")
+    if any(i != j for i, j, _ in zinv):
+        raise ValueError("the exact J needs a diagonal Z^-1")
+    q, qi, zero = q_power(rep.ctx, 1), q_power(rep.ctx, -1), rep.ctx.zero()
+    qz = {j: q * z for _, j, z in zinv}
+    qiz = {j: qi * z for _, j, z in zinv}
+    J = {(i, j): a * qz[j] for i, j, a in rep.entries("X") if j in qz}
+    for i, j, b in rep.entries("Y"):
+        if j in qiz:
+            J[i, j] = J.get((i, j), zero) - b * qiz[j]
+    return [(i, j, a) for (i, j), a in sorted(J.items()) if not a.is_zero()]
 
 
 def recover_xy(rep: Representation):
@@ -754,23 +807,24 @@ def verify_relations(rep: Representation, which: str,
         return report
 
     if which == "central":
-        Z, mats = rep.matrix("Z"), {name: rep.matrix(name) for name in "XYJ"}
+        Z = rep.matrix("Z")
         if exact:
             # Z is diagonal, so (Z^Q M - M Z^Q)[i][j] = (zq_i - zq_j) M[i][j]
             # with zq_j = Z[j][j]^Q: only the failing entries are formed
-            if any(i != j for i, j, _ in ex_entries(Z)):
+            if any(i != j for i, j, _ in rep.entries("Z")):
                 raise ValueError("the exact central check needs a diagonal Z")
             zq = [row[j] ** rep.ctx.Q for j, row in enumerate(Z)]
             scalar = zq[0]
-            for name, M in mats.items():
+            for name in "XYJ":
                 report.checks.append(CheckResult(f"Z^Q {name} = {name} Z^Q", *_exact_mismatch(
-                    [(i, j, (zq[i] - zq[j]) * a) for i, j, a in ex_entries(M)
+                    [(i, j, (zq[i] - zq[j]) * a) for i, j, a in rep.entries(name)
                      if zq[i] != zq[j]])))
             report.checks.append(CheckResult("Z^Q is scalar", *_exact_mismatch(
                 [(j, j, z - scalar) for j, z in enumerate(zq) if z != scalar])))
         else:
             ZQ = np.linalg.matrix_power(Z, rep.ctx.Q)
-            for name, M in mats.items():
+            for name in "XYJ":
+                M = rep.matrix(name)
                 check(f"Z^Q {name} = {name} Z^Q", ZQ @ M, M @ ZQ)
             scalar = ZQ[0][0]
             check("Z^Q is scalar", ZQ, scalar * np.eye(rep.dim, dtype=complex))

@@ -19,9 +19,12 @@ is the explicit `to_complex`.
 Most exact products have a unit factor +-zeta^e (the entries of Z and
 Z^-1, the powers of q that scale X and Y).  Such a product rotates the
 other factor's coefficients and folds the overflow back with the rows of
-zeta^deg..zeta^(Q-1); it keeps the coefficient content, so it needs no
-gcd.  Units are inverted and raised to powers by table lookup, and the
-q-number [n] is a sum of n powers of q.  Any other element a is inverted
+zeta^deg..zeta^(Q-1), the sign in the same list pass; at prime Q the one
+such row is zeta^(Q-1) = -(1 + zeta + ... + zeta^(Q-2)), so the fold is
+one subtraction from every coefficient.  It keeps the coefficient
+content, so it needs no gcd.  The context keeps one value per unit, and
+units are inverted, raised to powers and multiplied by units by table
+lookup; the q-number [n] is a sum of n powers of q.  Any other element a is inverted
 through the Galois maps sigma_k: zeta -> zeta^k (`_galois`, gcd(k, Q) = 1;
 `conjugate` is k = -1): the product of the sigma_k(a) for k != 1 over the
 field norm, a rational.
@@ -67,7 +70,9 @@ p_m, then alpha = 0 exactly.  A nonzero image proves alpha != 0.
 All of the certificate's rules live here, so a caller supplies only the
 images of its expressions: `pack` lays exact values out as coefficient
 arrays (int64, or Python ints past int64), `split_images` maps them to
-their images, `entry_bounds`, `matrix_bound` and `sum_bound` give D and a
+their images (one float64 BLAS product per prime of the residues with
+two halves of its power matrix E, exact by the bound beside
+INT64_SUM_TERMS), `entry_bounds`, `matrix_bound` and `sum_bound` give D and a
 bound N on |sigma(D alpha)| for entries, matrices and sums of products,
 and `split_verdicts` holds the prime budget, MAX_SPLIT_PRIMES, and decides.
 """
@@ -79,7 +84,9 @@ import math
 import numbers
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd
+from operator import neg
 
 import numpy as np
 
@@ -89,6 +96,10 @@ ABS_TOL = 1e-12
 
 # Every split prime lies below 2^25, so a product of two residues is below
 # 2^50 and an int64 holds a sum of 2^13 of them before it must be reduced.
+# `split_images` multiplies residues by a 12-bit and a 13-bit half of E in
+# float64: each product is below 2^38, so a sum of deg < 2^15 of them is an
+# integer below 2^53, exact in any order; while deg < 2^13, as the callers
+# keep it, 2^12 times the high sum plus the low one is below 2^63.
 SPLIT_PRIME_BOUND = 1 << 25
 INT64_SUM_TERMS = 1 << 13
 # Beyond this many split primes a bound is left undecided.
@@ -147,7 +158,7 @@ class RootContext:
 
     __slots__ = ("P", "Q", "phi_q", "degree", "_powers", "_sparse_powers", "_units",
                  "_zeta_c", "q_complex", "_qnum_cache", "_subs_cache", "_image_cache",
-                 "_split_primes", "_zero", "_one")
+                 "_split_primes", "_pad", "_unit_values", "_zero", "_one")
 
     def __init__(self, P: int, Q: int):
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in (P, Q)):
@@ -174,15 +185,18 @@ class RootContext:
             if top:
                 cur = [cur[i] - top * self.phi_q[i] for i in range(self.degree)]
         self._powers = tuple(powers)
+        self._pad = (0,) * (Q - self.degree)    # power-basis coefficients to length Q
         # the same rows as (index, coefficient) pairs of their nonzero entries
         self._sparse_powers = tuple(tuple((i, c) for i, c in enumerate(row) if c)
                                     for row in powers)
-        # the 2Q units +-zeta^e by coefficient vector; no two coincide, as -1
-        # is not a Q-th root of unity for odd Q
-        self._units = {}
-        for e, row in enumerate(powers):
-            self._units[row] = (e, 1)
-            self._units[tuple(-c for c in row)] = (e, -1)
+        # the 2Q units +-zeta^e, as values by sign and exponent and as (e,
+        # sign) by coefficient vector; no two coincide, as -1 is not a Q-th
+        # root of unity for odd Q
+        self._unit_values = {sign: tuple(CycloNum(self, tuple(sign * c for c in row), 1,
+                                                  _canonical=True) for row in powers)
+                             for sign in (1, -1)}
+        self._units = {u.coeffs: (e, sign) for sign, values in self._unit_values.items()
+                       for e, u in enumerate(values)}
         self._zeta_c = tuple(cmath.exp(2j * math.pi * k / Q) for k in range(self.degree))
         self.q_complex = cmath.exp(2j * math.pi * P / Q)
         self._qnum_cache: dict[int, CycloNum] = {}
@@ -200,9 +214,10 @@ class RootContext:
     def one(self) -> "CycloNum":
         return self._one
 
-    def zeta(self, e: int) -> "CycloNum":
-        """zeta_Q^e, reduced mod Phi_Q."""
-        return CycloNum(self, self._powers[e % self.Q], 1, _canonical=True)
+    def zeta(self, e: int, sign: int = 1) -> "CycloNum":
+        """sign zeta_Q^e, reduced mod Phi_Q: one value per unit, kept, as a
+        CycloNum is immutable."""
+        return self._unit_values[sign][e % self.Q]
 
     def from_int(self, n: int) -> "CycloNum":
         return CycloNum(self, (n,) + (0,) * (self.degree - 1), 1)
@@ -324,7 +339,7 @@ class CycloNum:
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.ctx, tuple(-c for c in self.coeffs), self.den, _canonical=True)
+        return CycloNum(self.ctx, tuple(map(neg, self.coeffs)), self.den, _canonical=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -348,12 +363,14 @@ class CycloNum:
             return NotImplemented
         ctx = self.ctx
         units = ctx._units
-        unit = units.get(o.coeffs) if o.den == 1 else None
-        if unit is not None:
-            return self._times_unit(*unit)
-        unit = units.get(self.coeffs) if self.den == 1 else None
-        if unit is not None:
-            return o._times_unit(*unit)
+        mine = units.get(self.coeffs) if self.den == 1 else None
+        theirs = units.get(o.coeffs) if o.den == 1 else None
+        if theirs is not None:
+            if mine is not None:        # a unit times a unit, by table lookup
+                return ctx.zeta(mine[0] + theirs[0], mine[1] * theirs[1])
+            return self._times_unit(*theirs)
+        if mine is not None:
+            return o._times_unit(*mine)
         deg = ctx.degree
         nonzero_o = [(j, b) for j, b in enumerate(o.coeffs) if b]
         conv = [0] * (2 * deg - 1)
@@ -374,22 +391,30 @@ class CycloNum:
     def _times_unit(self, e: int, sign: int) -> "CycloNum":
         """self * (sign zeta^e): rotate the coefficients, padded to length
         Q, by e and fold the slots deg..Q-1 back with the rows of
-        zeta^deg..zeta^(Q-1).  Multiplying by zeta^e is a Z-linear
-        automorphism of Z[zeta], so the coefficient content, and with it the
-        reduced denominator, does not change: no gcd is needed."""
+        zeta^deg..zeta^(Q-1), the sign taken in the same list pass.  At
+        prime Q the one such slot is zeta^(Q-1) = -(1 + zeta + ... +
+        zeta^(Q-2)), so the fold is one subtraction from every coefficient.
+        Multiplying by zeta^e is a Z-linear automorphism of Z[zeta], so the
+        coefficient content, and with it the reduced denominator, does not
+        change: no gcd is needed."""
         ctx = self.ctx
         Q, deg = ctx.Q, ctx.degree
-        v = list(self.coeffs) + [0] * (Q - deg)
+        v = self.coeffs + ctx._pad
         v = v[Q - e:] + v[:Q - e]
-        out = v[:deg]
-        rows = ctx._sparse_powers
-        for s in range(deg, Q):
-            c = v[s]
-            if c:
-                for i, r in rows[s]:
-                    out[i] += c * r
-        if sign < 0:
-            out = [-c for c in out]
+        if deg == Q - 1:
+            t = v[deg]
+            out = ([c - t for c in v[:deg]] if sign > 0 else
+                   [t - c for c in v[:deg]])
+        else:
+            out = list(v[:deg])
+            rows = ctx._sparse_powers
+            for s in range(deg, Q):
+                c = v[s]
+                if c:
+                    for i, r in rows[s]:
+                        out[i] += c * r
+            if sign < 0:
+                out = map(neg, out)
         return CycloNum(ctx, out, self.den, _canonical=True)
 
     __rmul__ = __mul__
@@ -404,8 +429,7 @@ class CycloNum:
         unit = ctx._units.get(self.coeffs) if self.den == 1 else None
         if unit is not None:
             e, sign = unit
-            inv = ctx.zeta(-e)
-            return inv if sign > 0 else -inv
+            return ctx.zeta(-e, sign)
         rest = ctx.one()
         for k in range(2, ctx.Q):
             if gcd(k, ctx.Q) == 1:
@@ -435,8 +459,7 @@ class CycloNum:
         unit = self.ctx._units.get(self.coeffs) if self.den == 1 else None
         if unit is not None:
             e, sign = unit
-            out = self.ctx.zeta(e * n)
-            return -out if sign < 0 and n & 1 else out
+            return self.ctx.zeta(e * n, sign ** (n & 1))
         return _power(self, n, self.ctx.one())
 
     def _galois(self, k: int) -> "CycloNum":
@@ -664,7 +687,8 @@ def pack(values, ctx: RootContext):
     coeffs, dens = [v.coeffs for v in values], [v.den for v in values]
     lim = (1 << 62) // ctx.Q
     try:
-        C, D = np.array(coeffs, dtype=np.int64), np.array(dens, dtype=np.int64)
+        C = np.fromiter(chain.from_iterable(coeffs), np.int64, len(coeffs) * ctx.degree)
+        D = np.array(dens, dtype=np.int64)
         fits = not C.size or (C.max() < lim and C.min() > -lim)
     except OverflowError:
         fits = False
@@ -683,12 +707,23 @@ def split_moduli(ctx: RootContext, m: int, gauss: bool) -> np.ndarray:
     return ctx._image_cache[key]
 
 
+def _halves(ctx: RootContext, p: int, E: np.ndarray) -> tuple:
+    """E = lo + 2^12 hi as float64 arrays, lo below 2^12 and hi below 2^13,
+    kept on ctx (the bound that makes their products exact is beside
+    INT64_SUM_TERMS)."""
+    key = "halves", p
+    if key not in ctx._image_cache:
+        ctx._image_cache[key] = ((E & 0xFFF).astype(np.float64), (E >> 12).astype(np.float64))
+    return ctx._image_cache[key]
+
+
 def split_images(packed, ctx: RootContext, m: int, gauss: bool) -> np.ndarray:
     """The images of `pack`ed values under the first m split primes: int64
     residues, a row per value and a column per image, over the primes,
     then the k coprime to Q and, with gauss (implied by values of two
     parts), iota then -iota; without gauss the pair is one column, as the
-    images of an element of Q(zeta_Q) agree there.  Raises
+    images of an element of Q(zeta_Q) agree there.  The residues meet E
+    in float64 BLAS, one exact product per half of E (`_halves`).  Raises
     ZeroDivisionError when a prime divides a denominator."""
     n, width, deg = packed[0].shape
     C, dens = packed[0].reshape(-1, deg), packed[1].ravel().tolist()
@@ -698,10 +733,13 @@ def split_images(packed, ctx: RootContext, m: int, gauss: bool) -> np.ndarray:
         residues = {den % p for den in dens}
         if 0 in residues:
             raise ZeroDivisionError(f"the split prime {p} divides a denominator")
-        inv = {r: pow(r, -1, p) for r in residues}
-        # degree < 2^13 terms, each below 2^50, per entry of the product
-        img = np.asarray(C % p, dtype=np.int64) @ E % p \
-            * np.array([inv[den % p] for den in dens], dtype=np.int64)[:, None] % p
+        R, (lo, hi) = np.asarray(C % p, dtype=np.float64), _halves(ctx, p, E)
+        img = ((R @ hi).astype(np.int64) << 12) + (R @ lo).astype(np.int64)
+        img %= p
+        if residues != {1}:     # else every inverse is 1
+            inv = {r: pow(r, -1, p) for r in residues}
+            img *= np.array([inv[den % p] for den in dens], dtype=np.int64)[:, None]
+            img %= p
         re = img[::width]       # a value's parts are consecutive rows
         if gauss:
             im = img[1::2] * iota % p if width == 2 else 0
@@ -799,37 +837,46 @@ def split_verdicts(ctx: RootContext, bounds, nonzero) -> list:
 def _as_int(x):
     """Return x as a Python int when it is (exactly) a mathematical integer:
     any integral number but a bool (numpy integers too), or an integral
-    float, complex or Fraction."""
+    float, complex or Fraction; None otherwise, for every non-finite value
+    too.  The concrete types come first, as an ABC check costs more."""
+    if type(x) is int:
+        return x
+    if isinstance(x, complex):
+        return _as_int(x.real) if x.imag == 0.0 else None
+    if isinstance(x, float):
+        return int(x) if x.is_integer() else None     # False for nan and +-inf
     if isinstance(x, bool):
         return None
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else None
-    if isinstance(x, float):
-        return int(x) if x == int(x) else None
-    if isinstance(x, complex):
-        if x.imag == 0.0 and x.real == int(x.real):
-            return int(x.real)
-        return None
-    # last, as an ABC check costs more than the concrete ones above
     if isinstance(x, numbers.Integral):
         return int(x)
     return None
 
 
-def q_power(ctx: RootContext, x):
-    """q^x = exp(2*pi*i*(P/Q)*x).  Exact (CycloNum) for integer x, complex
-    otherwise.  Satisfies q_power(x)*q_power(-x) = 1."""
-    xi = _as_int(x)
-    if xi is not None:
-        return ctx.zeta((ctx.P * xi) % ctx.Q)
+def _phase(ctx: RootContext, x) -> complex:
+    """q^x for a non-integer x; ValueError naming x unless it is finite."""
+    if not cmath.isfinite(x):
+        raise ValueError(f"q^x needs a finite x, got {x!r}")
     return cmath.exp(2j * math.pi * ctx.P * x / ctx.Q)
 
 
+def q_power(ctx: RootContext, x):
+    """q^x = exp(2*pi*i*(P/Q)*x).  Exact (CycloNum) for integer x, complex
+    for any other finite x (ValueError otherwise).  Satisfies
+    q_power(x)*q_power(-x) = 1."""
+    xi = _as_int(x)
+    if xi is not None:
+        return ctx.zeta((ctx.P * xi) % ctx.Q)
+    return _phase(ctx, x)
+
+
 def q_number(ctx: RootContext, x):
-    """[x]_q = (q^x - q^-x)/(q - q^-1); exact for integer x.  Q-periodic in x
-    and odd: [-x] = -[x]."""
+    """[x]_q = (q^x - q^-x)/(q - q^-1); exact for integer x, complex for any
+    other finite x (ValueError otherwise).  Q-periodic in x and odd:
+    [-x] = -[x]."""
     xi = _as_int(x)
     if xi is not None:
         m = xi % ctx.Q
@@ -842,7 +889,7 @@ def q_number(ctx: RootContext, x):
                     out[i] += c
             cached = ctx._qnum_cache[m] = CycloNum(ctx, out, 1, _canonical=True)
         return cached
-    qx = cmath.exp(2j * math.pi * ctx.P * x / ctx.Q)
+    qx = _phase(ctx, x)
     return (qx - 1 / qx) / (ctx.q_complex - 1 / ctx.q_complex)
 
 

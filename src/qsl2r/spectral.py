@@ -50,7 +50,7 @@ from itertools import product
 
 import numpy as np
 
-from .ncpoly import identity_coefficients, identity_sides, y_coefficients
+from .ncpoly import identity_coefficients, identity_lhs_coefficients
 from .scalar import ABS_TOL, REL_TOL, _as_int, q_number, q_power, to_complex
 # j_matrix is unused here; the bench tracer requires this import site
 # (REQUIRED_SITES in perfbench/tracing.py)
@@ -180,7 +180,7 @@ def _identity_stack(rep: Representation):
     got = rep._cache.get("identity_float")
     if got is None:
         coeffs = identity_coefficients()
-        lhs = y_coefficients(identity_sides()[0])
+        lhs = identity_lhs_coefficients()
         ks = sorted(set(coeffs) | set(lhs))
         mats = evaluate(list(coeffs.values()) + list(lhs.values()), rep, False)
         C, L = dict(zip(coeffs, mats)), dict(zip(lhs, mats[len(coeffs):]))

@@ -181,7 +181,7 @@ def _convolution_product(a, b):
     return CycloNum(ctx, conv[:deg], a.den * b.den)
 
 
-@pytest.mark.parametrize("Q", [3, 5, 7, 9, 15, 21, 25, 31])
+@pytest.mark.parametrize("Q", [3, 5, 7, 9, 15, 21, 25, 31, 63])
 def test_unit_products_match_the_convolution(Q):
     ctx = RootContext(2 if Q != 3 else 1, Q)
     rng = random.Random(100 + Q)
@@ -196,6 +196,10 @@ def test_unit_products_match_the_convolution(Q):
             want = _convolution_product(u, a)
             for got in (u * a, a * u):
                 assert (got.coeffs, got.den) == (want.coeffs, want.den), (u, a)
+    minus_one = ctx.from_int(-1)
+    for a in others:
+        want, got = _convolution_product(minus_one, a), -a
+        assert (got.coeffs, got.den) == (want.coeffs, want.den), a
 
 
 @pytest.mark.parametrize("Q", [3, 5, 7, 9, 15, 21, 25, 31])
@@ -281,22 +285,29 @@ def _assert_embeds_bit_for_bit(*mats):
         assert got.tobytes() == _entrywise(A).tobytes()
 
 
+def _assert_rep_embeds_bit_for_bit(rep):
+    """Each letter's matrix, by `ex_to_complex` and by `rep.embedded`."""
+    mats = [rep.matrix(letter) for letter in "XYZzJ"]
+    _assert_embeds_bit_for_bit(*mats)
+    for letter, A in zip("XYZzJ", mats):
+        assert rep.embedded(letter).tobytes() == _entrywise(A).tobytes(), letter
+
+
 @pytest.mark.parametrize("Q", range(3, 32, 2))
 def test_first_family_generators_and_j_embed_as_their_entries(Q):
     ctx = RootContext((Q - 1) // 2, Q)   # coprime to Q, and a different P per Q
     for r in range(Q):
         for sign in (1, -1):
-            rep = build_family1(ctx, r, sign)
-            _assert_embeds_bit_for_bit(rep.X, rep.Y, rep.Z, rep.Zinv, j_matrix(rep))
+            _assert_rep_embeds_bit_for_bit(build_family1(ctx, r, sign))
 
 
 def test_exact_second_family_and_tensor_reps_embed_as_their_entries():
     ctx = RootContext(2, 9)
     f2 = build_family2(ctx, -ctx.zeta(4), 1, 2, backend="exact")
     assert isinstance(f2.X[0][1], GaussCyclo)   # entry by entry
-    _assert_embeds_bit_for_bit(f2.X, f2.Y, f2.Z, f2.Zinv, j_matrix(f2))
-    t = tensor_rep(build_family1(ctx, 3, 1), build_family1(ctx, 2, -1))
-    _assert_embeds_bit_for_bit(t.X, t.Y, t.Z, t.Zinv, j_matrix(t))
+    _assert_rep_embeds_bit_for_bit(f2)
+    _assert_rep_embeds_bit_for_bit(tensor_rep(build_family1(ctx, 3, 1),
+                                              build_family1(ctx, 2, -1)))
     # denominators, packed (random CycloNums) and entry by entry (J at rational a, b)
     f2 = build_family2(ctx, ctx.zeta(2), Fraction(1, 3), Fraction(5, 7), backend="exact")
     _assert_embeds_bit_for_bit(_random_matrix(ctx, random.Random(9), 5, 4, density=0.6),

@@ -9,9 +9,9 @@ import pytest
 from qsl2r.scalar import (CycloNum, GaussCyclo, RootContext, gauss_i, q_number, q_power,
                           scalar_to_json, to_complex)
 from qsl2r import reps
-from qsl2r.reps import (Representation, build_family1, build_family2, ex_eye, ex_is_zero,
-                        ex_mul, ex_residual, ex_scale, ex_sub, intersection_check, j_matrix,
-                        recover_xy, representation_from_json,
+from qsl2r.reps import (Representation, build_family1, build_family2, ex_entries, ex_eye,
+                        ex_is_zero, ex_mul, ex_residual, ex_scale, ex_sub, intersection_check,
+                        j_matrix, recover_xy, representation_from_json,
                         representation_to_json, tensor_j_formula_residual,
                         tensor_rep, verify_relations)
 
@@ -132,6 +132,61 @@ def test_j_matrix_both_forms_agree_exactly():
     for rep in exact_reps:
         assert rep.backend == "exact"
         assert ex_is_zero(ex_sub(j_matrix(rep), _second_j_form(rep))), rep
+
+
+def _product_j(rep):
+    """(q X - q^-1 Y) Z^-1 by two scalings, a subtraction and a product."""
+    q, qi = q_power(rep.ctx, 1), q_power(rep.ctx, -1)
+    return ex_mul(ex_sub(ex_scale(rep.X, q), ex_scale(rep.Y, qi)), rep.Zinv)
+
+
+def _assert_j_is_the_product(rep):
+    J, want = j_matrix(rep), _product_j(rep)
+    assert J == want, rep
+    assert [[type(a) for a in row] for row in J] == [[type(a) for a in row] for row in want]
+    assert all(a is rep.ctx.zero() for row in J for a in row if a.is_zero())
+    assert rep.entries("J") == ex_entries(J)
+    for letter in "XYZz":
+        assert rep.entries(letter) == ex_entries(rep.matrix(letter))
+        assert rep.entries(letter) is rep.entries(letter)
+
+
+@pytest.mark.parametrize("P,Q", [(3, 31), (2, 21)])
+def test_j_per_entry_is_the_product_on_the_first_family(P, Q):
+    ctx = RootContext(P, Q)
+    for r in range(Q):
+        for sign in (1, -1):
+            _assert_j_is_the_product(build_family1(ctx, r, sign))
+
+
+def test_j_per_entry_is_the_product_on_family2_and_tensor_reps():
+    for P, Q in ((2, 9), (2, 31)):
+        ctx = RootContext(P, Q)
+        _assert_j_is_the_product(build_family2(ctx, q_power(ctx, 2), 1, 2, backend="exact"))
+    ctx = RootContext(2, 9)
+    _assert_j_is_the_product(tensor_rep(build_family1(ctx, 3, 1),
+                                        build_family2(ctx, ctx.zeta(1), 1, 0, backend="exact")))
+
+
+def test_j_per_entry_takes_a_zero_column_and_refuses_an_off_diagonal_zinv():
+    good = build_family1(RootContext(2, 7), 5, -1)
+    zinv = [list(row) for row in good.Zinv]
+    a = zinv[3][3]
+    zinv[1][1], zinv[3][3] = good.ctx.zero(), a - a    # shared and cancelled zeros
+    rep = Representation(good.ctx, good.dim, 1, {}, "exact", good.X, good.Y, good.Z, zinv)
+    _assert_j_is_the_product(rep)
+    assert all(row[j].is_zero() for row in j_matrix(rep) for j in (1, 3))
+    # q X[0][1] = q^-1 Y[0][1]: J's entry there cancels to the shared zero
+    X = [list(row) for row in good.X]
+    X[0][1] = q_power(good.ctx, -2) * good.Y[0][1]
+    rep = Representation(good.ctx, good.dim, 1, {}, "exact", X, good.Y, good.Z, good.Zinv)
+    _assert_j_is_the_product(rep)
+    assert j_matrix(rep)[0][1] is good.ctx.zero()
+    zinv = [list(row) for row in good.Zinv]
+    zinv[0][2] = good.ctx.one()
+    rep = Representation(good.ctx, good.dim, 1, {}, "exact", good.X, good.Y, good.Z, zinv)
+    with pytest.raises(ValueError, match="diagonal Z\\^-1"):
+        j_matrix(rep)
 
 
 def test_recover_xy_round_trip_exact():

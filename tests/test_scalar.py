@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from qsl2r.scalar import (CycloNum, GaussCyclo, RootContext,
+import numpy as np
+
+from qsl2r.scalar import (CycloNum, GaussCyclo, RootContext, _as_int,
                           cyclotomic_polynomial, gauss_i, is_close, q_number,
                           q_power, scalar_from_json, scalar_to_json,
                           to_complex)
@@ -73,6 +75,31 @@ def test_q_power_group_law_exact(P, Q):
         y = rng.randint(-30, 30)
         assert q_power(ctx, x) * q_power(ctx, y) == q_power(ctx, x + y)
         assert q_power(ctx, x) * q_power(ctx, -x) == ctx.one()
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("x,want", [
+    (True, None), (False, None), (7, 7), (-3, -3), (np.int64(-4), -4), (np.float64(5.0), 5),
+    (np.float64(5.5), None), (Fraction(12, 4), 3), (Fraction(1, 2), None), (6.0, 6),
+    (6.5, None), (2 + 0j, 2), (2 + 1j, None), (2.5 + 0j, None), (-0.0, 0),
+    (_NAN, None), (_INF, None), (-_INF, None), (complex(_INF, 0), None),
+    (complex(0, _INF), None), (complex(_NAN, 0), None), (complex(1, _NAN), None),
+    (complex(-_INF, _NAN), None)])
+def test_as_int_takes_integral_values_and_never_raises(x, want):
+    got = _as_int(x)
+    assert got == want and type(got) is type(want), (x, got)
+
+
+@pytest.mark.parametrize("x", [_NAN, _INF, -_INF, complex(1, _INF), complex(_NAN, 0),
+                               np.float64(_NAN)])
+def test_q_power_and_q_number_refuse_a_value_that_is_not_finite(x):
+    ctx = RootContext(2, 7)
+    for f in (q_power, q_number):
+        with pytest.raises(ValueError, match="finite") as err:
+            f(ctx, x)
+        assert repr(x) in str(err.value)
 
 
 def test_q_number_examples():

@@ -697,24 +697,20 @@ def test_chain_start_checks_the_label_before_any_image(monkeypatch):
 def test_chain_and_band_check_embed_only_z_and_j(monkeypatch):
     rep = build_family1(RootContext(3, 31), 28, -1)
     embedded = []
-    embed = reps.ex_to_complex
-
-    def recording(A):
-        embedded.append(A)
-        return embed(A)
-
-    monkeypatch.setattr(reps, "ex_to_complex", recording)
+    monkeypatch.setattr(reps, "to_complex", lambda a: embedded.append(a) or complex(a))
     spectrum_chain(rep)
     tridiagonality_check(rep)
     J = reps.j_matrix(rep)
-    assert sorted(map(id, embedded)) == sorted((id(rep.Z), id(J)))
+    entries = [a for M in (rep.Z, J) for _, _, a in reps.ex_entries(M)]
+    assert sorted(map(id, embedded)) == sorted(map(id, entries))
     # entry by entry through CycloNum.__complex__, bit for bit
     for A, M in ((rep.Z, rep.embedded("Z")), (J, rep.embedded("J"))):
         assert np.array([[complex(a) for a in row] for row in A]).tobytes() == M.tobytes()
     # another generator is embedded when first read, and kept
     X = rep.embedded("X")
-    assert embedded[-1] is rep.X and rep.embedded("X") is X
-    assert len(embedded) == 3
+    assert embedded[len(entries):] == [a for _, _, a in reps.ex_entries(rep.X)]
+    assert rep.embedded("X") is X
+    assert len(embedded) == len(entries) + len(reps.ex_entries(rep.X))
 
 
 @pytest.mark.parametrize("Q", (3, 9, 15, 21, 31))

@@ -17,7 +17,8 @@ import pytest
 
 from qsl2r.ncpoly import identity_coefficients, relation_differences
 from qsl2r.reps import Representation, build_family1, certified_zeros
-from qsl2r.scalar import MAX_SPLIT_PRIMES, SPLIT_PRIME_BOUND, RootContext, q_power
+from qsl2r.scalar import (MAX_SPLIT_PRIMES, SPLIT_PRIME_BOUND, CycloNum, GaussCyclo,
+                          RootContext, pack, q_power, split_images)
 
 
 def _is_prime(n):
@@ -164,3 +165,37 @@ def test_certified_zeros_agree_with_the_plain_integer_reference(Q):
             assert certified_zeros(polys, case) == verdicts
             assert (False in verdicts) == (case is bumped)
         assert max(m for m, _ in got) >= 2   # the scaled copy needs several primes
+
+
+@pytest.mark.parametrize("Q", [31, 63, 101])
+def test_split_images_agree_with_the_plain_integer_evaluation(Q):
+    ctx = RootContext(1, Q)
+    rng = random.Random(7 * Q)
+    m, lim = 3, (1 << 62) // Q
+
+    def values(bound, count):
+        return [CycloNum(ctx, [rng.randint(-bound, bound) for _ in range(ctx.degree)],
+                         rng.randint(1, 10 ** 6)) for _ in range(count)]
+
+    small = values(lim - 1, 5)                  # int64 packs, coefficients near the limit
+    big = small[:2] + values(1 << 80, 2)        # object packs
+    gauss = [GaussCyclo(a, b) for a, b in zip(small, big)] + [GaussCyclo(big[3], ctx.zero())]
+    integral = [CycloNum(ctx, a.coeffs, 1) for a in small]    # no inverse to apply
+    primes = _split_primes(Q, m)
+    for vals, dtype, wide in ((small, np.int64, False), (big, object, False),
+                              (small, np.int64, True), (gauss, object, True),
+                              (integral, np.int64, False)):
+        packed = pack(vals, ctx)
+        assert packed[0].dtype == dtype
+        want = []
+        for v in vals:
+            row = []
+            for p in primes:
+                E = _powers(p, Q, ctx.degree)
+                iota = _root_of_order(p, 4)
+                re, im = (v.re, v.im) if isinstance(v, GaussCyclo) else (v, ctx.zero())
+                (a,), (b,) = _images([re], p, E), _images([im], p, E)
+                row += ([x for pair in zip((a + iota * b) % p, (a - iota * b) % p)
+                         for x in pair] if wide else list(a))
+            want.append(row)
+        assert split_images(packed, ctx, m, wide).tolist() == want, (dtype, wide)
