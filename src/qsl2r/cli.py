@@ -164,9 +164,6 @@ def parse_command(argv):
                          f"layer takes at most {MAX_DIM} x {MAX_DIM}")
     if getattr(args, "family", None) is not None:
         _resolve_rep_flags(parser, args)
-    if getattr(args, "x", None) is not None:
-        x = args.x
-        args.x = int(x.real) if not x.imag and x.real.is_integer() else x
     if args.command == "symbolic":
         if args.check != "pbw" and args.expr is not None:
             parser.error("--expr is only read by --check pbw")

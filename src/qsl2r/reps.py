@@ -2,25 +2,26 @@
 
 Basis convention: v_j is the j-th standard basis column (indices 0..d-1) and
 matrices act on the left, so the family formulas become column operations.
-Exact matrices are nested lists of CycloNum/GaussCyclo entries; the floating
-backend uses numpy complex128 arrays.  The generators are sparse (X and Y
-bidiagonal, Z and Z^-1 diagonal, J tridiagonal), so the exact kernels and
-checks skip structural zeros, all by one rule: `ex_entries` lists the
-entries that are neither the shared ctx.zero() nor equal to zero.  A
-representation lists each exact generator's entries once
-(`Representation.entries`) for J, the certificate's packing and the
-embedding; `build_family1` records its generators' entries, and J is
-formed per nonzero entry of X and Y, its entries recorded as they are
-formed.
-Products run row by row over those entries only, exact comparisons test
-entrywise equality before forming any difference, and the central check
-reads Z^Q off Z's diagonal with no product at all.
+An exact matrix is its nonzero entries, a dict {(i, j): a} of CycloNum /
+GaussCyclo values whose dimension is the representation's; the floating
+backend uses numpy complex128 arrays.  One rule keeps an exact matrix free
+of zeros: `ex_matrix` drops every zero value, and every producer (the
+kernels, J, both builders, `evaluate`, the tensor product, the loader and
+the exact `Representation` constructor) builds through it.  So J, the
+certificate's packing, the central check, the embedding and the
+comparisons read the entries directly, with no scan for zeros, and order
+them only where a report names the first failing one.  The generators
+are sparse (X and Y bidiagonal, Z and Z^-1 diagonal, J tridiagonal): J
+is formed per entry of X and Y, products run row by row over the entries
+of both factors, exact comparisons test equality before forming any
+difference, and the central check reads Z^Q off Z's diagonal with no
+product at all.
 Every constructor, and `representation_from_json`, verifies the defining
 relations before returning (exactly on the exact backend); the loader also
 rebuilds a payload labelled family 1 or 2 from its params.  Those relations
 imply every other form of a derived matrix, so each is computed once from
-one formula: J = (q X - q^-1 Y) Z^-1, entry by entry J[i][j] = X[i][j]
-(q z_j) - Y[i][j] (q^-1 z_j) with z_j = Z^-1[j][j] on the exact backend,
+one formula: J = (q X - q^-1 Y) Z^-1, entry by entry J[i, j] = X[i, j]
+(q z_j) - Y[i, j] (q^-1 z_j) with z_j = Z^-1[j, j] on the exact backend,
 and the tensor product's generators
 from `ncpoly.coproduct`, evaluated on the pair of factors.  Every matrix
 is read by its ncpoly letter (X, Y, Z, z = Z^-1, J), on the
@@ -31,7 +32,7 @@ The relations themselves are not typed in here: they live once, as
 noncommutative polynomials in `ncpoly`, and `evaluate` maps them onto the
 matrices of a representation on either backend, and tensor polynomials
 onto a pair of representations by Kronecker products of each leg's word.
-`evaluate` is the only producer of exact matrices.  Whether a polynomial
+`evaluate` is the only producer of the relations' matrices.  Whether a polynomial
 vanishes on an exact representation is asked first of `certified_zeros`.
 The certificate is `scalar`'s: it packs values, maps them to images
 modulo split primes, bounds entries, matrices and sums of products,
@@ -56,13 +57,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import accumulate
 from math import prod
-from operator import mul
+from operator import eq, mul
 
 import numpy as np
 
 from .ncpoly import (NcPoly, coproduct, delta_j, relation_differences, relation_sides,
                      xy_recovery)
-from .scalar import (ABS_TOL, INT64_SUM_TERMS, REL_TOL, CycloNum, GaussCyclo,
+from .scalar import (ABS_TOL, INT64_SUM_TERMS, REL_TOL, GaussCyclo,
                      RootContext, entry_bounds, gauss_i, is_exact, matrix_bound, pack,
                      q_number, q_power, scalar_from_json, scalar_to_json, split_images,
                      split_moduli, split_verdicts, sum_bound, to_complex)
@@ -77,122 +78,80 @@ from .scalar import (ABS_TOL, INT64_SUM_TERMS, REL_TOL, CycloNum, GaussCyclo,
 SPLIT_MIN_DIM = 2
 
 # ---------------------------------------------------------------------------
-# exact matrix helpers (nested lists over CycloNum / GaussCyclo)
+# exact matrix helpers (dicts {(i, j): a} of CycloNum / GaussCyclo entries)
 # ---------------------------------------------------------------------------
 
 
-def ex_zeros(ctx: RootContext, n: int, m: int | None = None):
-    z = ctx.zero()
-    m = n if m is None else m
-    return [[z] * m for _ in range(n)]
+def ex_matrix(items) -> dict:
+    """The exact matrix {(i, j): a} of the ((i, j), a) items whose a is not
+    zero: the one zero rule of exact matrices, which hold only their nonzero
+    entries (a cancelled a - a included)."""
+    return {k: a for k, a in items if not a.is_zero()}
 
 
-def ex_eye(ctx: RootContext, n: int):
-    out = ex_zeros(ctx, n)
+def ex_eye(ctx: RootContext, n: int) -> dict:
     one = ctx.one()
-    for i in range(n):
-        out[i][i] = one
-    return out
+    return {(i, i): one for i in range(n)}
 
 
-def ex_from_entries(ctx: RootContext, n: int, entries):
-    """The n x n matrix with a at each (i, j, a) of entries and the shared
-    ctx.zero() elsewhere."""
-    out = ex_zeros(ctx, n)
-    for i, j, a in entries:
-        out[i][j] = a
-    return out
-
-
-def ex_entries(A) -> list:
-    """(i, j, a) for each nonzero entry a = A[i][j], row by row: the one
-    structural-zero rule of the exact kernels, skipping the shared
-    ctx.zero() and any entry equal to zero, as a cancelled a - a."""
-    zero = A[0][0].ctx.zero()
-    return [(i, j, a) for i, row in enumerate(A) for j, a in enumerate(row)
-            if a is not zero and not a.is_zero()]
-
-
-def ex_mul(A, B):
-    """A B by rows (Gustavson): each nonzero a = A[i][t] meets only the
-    nonzero entries of row t of B, so structural zeros cost nothing."""
-    zero = A[0][0].ctx.zero()
-    rows_b = [[] for _ in B]
-    for t, j, b in ex_entries(B):
+def ex_mul(A, B) -> dict:
+    """A B by rows (Gustavson): each entry a = A[i, t] meets only the
+    entries of row t of B."""
+    rows_b = defaultdict(list)
+    for (t, j), b in B.items():
         rows_b[t].append((j, b))
-    out = ex_zeros(zero.ctx, len(A), len(B[0]))
-    for i, t, a in ex_entries(A):
-        row = out[i]
-        for j, b in rows_b[t]:
+    out = {}
+    for (i, t), a in A.items():
+        for j, b in rows_b.get(t, ()):
             p = a * b
-            o = row[j]
-            row[j] = p if o is zero else o + p
-    return out
+            o = out.get((i, j))
+            out[i, j] = p if o is None else o + p
+    return ex_matrix(out.items())
 
 
-def ex_sub(A, B):
-    zero = A[0][0].ctx.zero()
-    return [[a if b is zero or b.is_zero() else a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(A, B)]
+def ex_sub(A, B) -> dict:
+    out = dict(A)
+    for k, b in B.items():
+        a = out.get(k)
+        out[k] = -b if a is None else a - b
+    return ex_matrix(out.items())
 
 
-def ex_scale(A, s):
-    zero = A[0][0].ctx.zero()
-    if (isinstance(s, CycloNum) and s.is_zero()) or (isinstance(s, GaussCyclo) and s.is_zero()):
-        return ex_zeros(zero.ctx, len(A), len(A[0]))
-    return [[a if a is zero or a.is_zero() else s * a for a in row] for row in A]
+def ex_kron(A, B, n: int) -> dict:
+    """A (x) B for an n x n B, one product per pair of entries."""
+    return ex_matrix(((i * n + ib, j * n + jb), a * b)
+                     for (i, j), a in A.items() for (ib, jb), b in B.items())
 
 
-def ex_is_zero(A) -> bool:
-    return all(a.is_zero() for row in A for a in row)
-
-
-def ex_kron(A, B):
-    """A (x) B, one product per pair of nonzero entries."""
-    nb, mb = len(B), len(B[0])
-    out = ex_zeros(A[0][0].ctx, len(A) * nb, len(A[0]) * mb)
-    entries_b = ex_entries(B)
-    for i, j, a in ex_entries(A):
-        for ib, jb, b in entries_b:
-            out[i * nb + ib][j * mb + jb] = a * b
-    return out
-
-
-def ex_lincomb(terms, ctx: RootContext, d: int):
-    """sum of s * M over the (s, M) pairs of d x d matrices, skipping zero
-    scalars and zero entries."""
-    one, zero = ctx.one(), ctx.zero()
-    out = ex_zeros(ctx, d)
+def ex_lincomb(terms, ctx: RootContext) -> dict:
+    """sum of s * M over the (s, M) pairs, skipping zero scalars."""
+    one, out = ctx.one(), {}
     for s, M in terms:
         if s.is_zero():
             continue
         unit = s == one
-        for i, j, a in ex_entries(M):
+        for k, a in M.items():
             p = a if unit else s * a
-            o = out[i][j]
-            # a partial sum can cancel to a zero that is not the shared one
-            out[i][j] = p if o is zero or o.is_zero() else o + p
-    return out
+            o = out.get(k)
+            out[k] = p if o is None else o + p
+    return ex_matrix(out.items())
 
 
-def _embed(entries, n: int, m: int) -> np.ndarray:
-    """The n x m complex array with to_complex(a) at each (i, j, a) of
-    entries and 0 elsewhere."""
-    out = np.zeros((n, m), dtype=complex)
-    for i, j, a in entries:
+def ex_to_complex(A, n: int) -> np.ndarray:
+    """The n x n A as a complex array, to_complex(a) entry by entry; zeros
+    stay 0."""
+    out = np.zeros((n, n), dtype=complex)
+    for (i, j), a in A.items():
         out[i, j] = to_complex(a)
     return out
-
-
-def ex_to_complex(A) -> np.ndarray:
-    """A as a complex array, to_complex(a) entry by entry; zeros stay 0."""
-    return _embed(ex_entries(A), len(A), len(A[0]))
 
 
 def ex_residual(A) -> float:
     """The largest embedded entry magnitude of an exact matrix, 0.0 when it
     is exactly zero (diagnostic for a failed exact check)."""
-    return float(np.max(np.abs(ex_to_complex(A))))
+    if not A:
+        return 0.0
+    return float(np.abs(np.array([to_complex(a) for a in A.values()], dtype=complex)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +161,17 @@ def ex_residual(A) -> float:
 
 class Representation:
     """Matrices of X, Y, Z, Z^-1 for one member of a family, plus provenance.
-    `matrix` and `embedded` read them, and J, by their ncpoly letters."""
+    On the exact backend each is a dict {(i, j): a} of its nonzero entries
+    (the constructor drops any zero a caller passes, by `ex_matrix`), on
+    the floating one a complex array.  `matrix` and `embedded` read them,
+    and J, by their ncpoly letters."""
 
     __slots__ = ("ctx", "dim", "family", "params", "backend",
                  "X", "Y", "Z", "Zinv", "_cache")
 
     def __init__(self, ctx, dim, family, params, backend, X, Y, Z, Zinv):
+        if backend == "exact":
+            X, Y, Z, Zinv = (ex_matrix(M.items()) for M in (X, Y, Z, Zinv))
         self.ctx = ctx
         self.dim = dim
         self.family = family
@@ -225,28 +189,15 @@ class Representation:
             raise ValueError(f"unknown letter {letter!r}")
         return self.Zinv if letter == "z" else getattr(self, letter)
 
-    def entries(self, letter: str) -> list:
-        """The nonzero entries (i, j, a) of the exact `matrix(letter)`, row
-        by row (`ex_entries`), listed the first time a caller reads them and
-        kept; `build_family1` records those of its generators and
-        `j_matrix` J's as they are formed.  J, the certificate's packing and
-        the embedding all read the generators this way."""
-        cache = self._cache.setdefault("entries", {})
-        if letter not in cache:
-            M = self.matrix(letter)     # forming J records its entries
-            if letter not in cache:
-                cache[letter] = ex_entries(M)
-        return cache[letter]
-
     def embedded(self, letter: str) -> np.ndarray:
         """`matrix(letter)` as a complex array, embedded the first time a
         caller reads it and kept, so a caller that reads only Z and J (the
         chain and the band check) embeds only those.  An exact matrix is
-        embedded entry by entry from `entries`, as `ex_to_complex` does."""
+        embedded entry by entry (`ex_to_complex`)."""
         cache = self._cache.setdefault("embedded", {})
         got = cache.get(letter)
         if got is None:
-            got = cache[letter] = (_embed(self.entries(letter), self.dim, self.dim)
+            got = cache[letter] = (ex_to_complex(self.matrix(letter), self.dim)
                                    if self.backend == "exact"
                                    else np.array(self.matrix(letter), dtype=complex))
         return got
@@ -273,16 +224,11 @@ def build_family1(ctx: RootContext, r: int, sign: int = 1) -> Representation:
     zs = [q_power(ctx, r - 2 * j) for j in range(d)]
     if sign < 0:
         zs = [-z for z in zs]
-    # the generators' entries, row by row; none is zero, as [n] vanishes
-    # only where Q divides n
-    entries = {"X": [(j + 1, j, -(q_power(ctx, r - 2 * j - 1) * q_number(ctx, r - j)))
-                     for j in range(r)],
-               "Y": [(j - 1, j, q_number(ctx, j)) for j in range(1, d)],
-               "Z": [(j, j, z) for j, z in enumerate(zs)],
-               "z": [(j, j, z.inverse()) for j, z in enumerate(zs)]}
-    rep = Representation(ctx, d, 1, {"r": r, "sign": sign}, "exact",
-                         *(ex_from_entries(ctx, d, entries[g]) for g in "XYZz"))
-    rep._cache["entries"] = entries
+    X = {(j + 1, j): -(q_power(ctx, r - 2 * j - 1) * q_number(ctx, r - j)) for j in range(r)}
+    Y = {(j - 1, j): q_number(ctx, j) for j in range(1, d)}
+    rep = Representation(ctx, d, 1, {"r": r, "sign": sign}, "exact", X, Y,
+                         {(j, j): z for j, z in enumerate(zs)},
+                         {(j, j): z.inverse() for j, z in enumerate(zs)})
     _require_defining(rep)
     return rep
 
@@ -299,12 +245,12 @@ def build_family2(ctx: RootContext, lam, a, b, backend: str = "approx") -> Repre
     if backend == "exact":
         lam, a, b = (GaussCyclo.from_scalar(v, ctx) for v in (lam, a, b))
         qp, qn = partial(q_power, ctx), partial(q_number, ctx)
-        mi, zero = -gauss_i(ctx), ctx.zero()
+        mi = -gauss_i(ctx)
         # one Galois-norm inverse of q - q^-1 per build, not one per column
         over_delta = partial(mul, (qp(1) - qp(-1)).inverse())
     elif backend == "approx":
         lam, a, b = (complex(to_complex(v)) for v in (lam, a, b))
-        qp, mi, zero = partial(pow, ctx.q_complex), -1j, 0j
+        qp, mi = partial(pow, ctx.q_complex), -1j
         delta = qp(1) - qp(-1)
 
         def qn(k):
@@ -318,19 +264,19 @@ def build_family2(ctx: RootContext, lam, a, b, backend: str = "approx") -> Repre
         raise ValueError("lambda must be nonzero")
     # lam^-1, a b and -i lam once per build, not once per column
     lam_inv, ab, mi_lam = 1 / lam, a * b, mi * lam
-    Z, Zinv, Xm, Ym = ([[zero] * Q for _ in range(Q)] for _ in range(4))
+    Z, Zinv, Xm, Ym = {}, {}, {}, {}
     for j in range(Q):
-        Z[j][j] = lam * qp(2 * j)
-        Zinv[j][j] = lam_inv * qp(-2 * j)
+        Z[j, j] = lam * qp(2 * j)
+        Zinv[j, j] = lam_inv * qp(-2 * j)
         if j != 0:
             core = ab - over_delta(qn(j) * (lam * qp(j - 1) - qp(1 - j) * lam_inv))
-            Xm[j - 1][j] = mi * qp(j - 1) * core
+            Xm[j - 1, j] = mi * qp(j - 1) * core
         if j != Q - 1:
-            Ym[j + 1][j] = mi_lam * qp(j + 1)
-    Xm[Q - 1][0] = mi * a / qp(1)
-    Ym[0][Q - 1] = mi_lam * b
+            Ym[j + 1, j] = mi_lam * qp(j + 1)
+    Xm[Q - 1, 0] = mi * a / qp(1)
+    Ym[0, Q - 1] = mi_lam * b
     if backend == "approx":
-        Z, Zinv, Xm, Ym = (np.array(M, dtype=complex) for M in (Z, Zinv, Xm, Ym))
+        Z, Zinv, Xm, Ym = (ex_to_complex(M, Q) for M in (Z, Zinv, Xm, Ym))
     rep = Representation(ctx, Q, 2, {"lambda": lam, "a": a, "b": b},
                          backend, Xm, Ym, Z, Zinv)
     _require_defining(rep)
@@ -398,12 +344,12 @@ def evaluate(polys, rep, exact: bool | None = None) -> list:
         raise ValueError("a floating representation has no exact evaluation")
     ctx, d = legs[0].ctx, prod(leg.dim for leg in legs)
     words = [_words(leg, exact) for leg in legs]
-    kron = ex_kron if exact else np.kron
+    kron = partial(ex_kron, n=legs[-1].dim) if exact else np.kron
     out = []
     for p in polys:
         terms = [(_coefficient(c, ctx, exact), reduce(kron, [w(u) for w, u in zip(words, k)]))
                  for k, c in p.terms.items()]
-        out.append(ex_lincomb(terms, ctx, d) if exact
+        out.append(ex_lincomb(terms, ctx) if exact
                    else sum((s * M for s, M in terms), np.zeros((d, d), dtype=complex)))
     return out
 
@@ -425,18 +371,18 @@ def _split_letters(rep: Representation, letters) -> dict:
     offsets and each entry's row in its block of diagonals; cached on the
     representation.  The letters not yet cached are packed together, once."""
     cache = rep._cache.setdefault("split_letters", {})
-    new = {letter: rep.entries(letter) for letter in letters if letter not in cache}
+    new = {letter: rep.matrix(letter) for letter in letters if letter not in cache}
     if not new:
         return {letter: cache[letter] for letter in letters}
-    C, dens = pack([a for entries in new.values() for _, _, a in entries], rep.ctx)
+    C, dens = pack([a for M in new.values() for a in M.values()], rep.ctx)
     bounds = entry_bounds((C, dens), rep.ctx)
     start = 0
-    for letter, entries in new.items():
-        stop = start + len(entries)
-        offsets = tuple(sorted({j - i for i, j, _ in entries}))
+    for letter, M in new.items():
+        stop = start + len(M)
+        offsets = tuple(sorted({j - i for i, j in M}))
         at = {o: k * rep.dim for k, o in enumerate(offsets)}
-        cache[letter] = {"bound": matrix_bound([i for i, _, _ in entries], bounds[start:stop]),
-                         "offsets": offsets, "rows": [at[j - i] + i for i, j, _ in entries],
+        cache[letter] = {"bound": matrix_bound([i for i, _ in M], bounds[start:stop]),
+                         "offsets": offsets, "rows": [at[j - i] + i for i, j in M],
                          "packed": (C[start:stop], dens[start:stop]), "gauss": C.shape[1] == 2}
         start = stop
     return {letter: cache[letter] for letter in letters}
@@ -646,18 +592,16 @@ def _max_abs(A) -> float:
     return float(np.max(np.abs(A))) if A.size else 0.0
 
 
-def _exact_mismatch(entries):
+def _exact_mismatch(D):
     """(ok, residual, detail) of an exact LHS - RHS from its nonzero
-    entries (i, j, value) in row-major order: the residual is `ex_residual`
-    over them, the detail names the first."""
-    if not entries:
-        return True, 0.0, ""
-    r = ex_residual([[a for _, _, a in entries]])
+    entries {(i, j): value}: the residual is `ex_residual` over them, the
+    detail names the first in row-major order."""
+    r = ex_residual(D)
     if r == 0.0:
         return True, r, ""
-    i, j, a = entries[0]
+    i, j = min(D)
     return False, r, (f"first nonzero entry ({i}, {j}) of LHS - RHS, "
-                      f"magnitude {abs(to_complex(a)):.6g}")
+                      f"magnitude {abs(to_complex(D[i, j])):.6g}")
 
 
 def _close(A, B, exact: bool, tol: float):
@@ -670,7 +614,7 @@ def _close(A, B, exact: bool, tol: float):
     if exact:
         if A == B:
             return True, 0.0, ""
-        return _exact_mismatch(ex_entries(ex_sub(A, B)))
+        return _exact_mismatch(ex_sub(A, B))
     D = A - B
     r = _max_abs(D)
     if r <= tol * max(1.0, _max_abs(A), _max_abs(B)) + ABS_TOL:
@@ -728,15 +672,12 @@ def j_matrix(rep: Representation):
     paper's second form Z^-1 (q^-1 X - q Y) follows from the defining
     relations, which every way into a Representation checks.  On the exact
     backend Z^-1 must be diagonal (ValueError otherwise), and J is formed
-    per nonzero entry of X and Y, J[i][j] = X[i][j] (q z_j) - Y[i][j]
-    (q^-1 z_j) with z_j = Z^-1[j][j], a zero z_j giving a zero column; its
-    entries are recorded for `Representation.entries` as they are formed."""
+    per entry of X and Y, J[i, j] = X[i, j] (q z_j) - Y[i, j] (q^-1 z_j)
+    with z_j = Z^-1[j, j], a column with no z_j giving no entry."""
     got = rep._cache.get("J")
     if got is None:
         if rep.backend == "exact":
-            entries = _j_entries(rep)
-            got = ex_from_entries(rep.ctx, rep.dim, entries)
-            rep._cache.setdefault("entries", {})["J"] = entries
+            got = _j_entries(rep)
         else:
             q, qi = rep.ctx.q_complex, 1 / rep.ctx.q_complex
             got = (q * rep.X - qi * rep.Y) @ rep.Zinv
@@ -744,20 +685,20 @@ def j_matrix(rep: Representation):
     return got
 
 
-def _j_entries(rep: Representation) -> list:
-    """The nonzero entries of the exact J, row by row, from those of X, Y
-    and the diagonal Z^-1."""
-    zinv = rep.entries("z")
-    if any(i != j for i, j, _ in zinv):
+def _j_entries(rep: Representation) -> dict:
+    """The exact J from X, Y and the diagonal Z^-1, q z_j formed only for
+    the columns j that hold an entry of X and q^-1 z_j for those of Y."""
+    if any(i != j for i, j in rep.Zinv):
         raise ValueError("the exact J needs a diagonal Z^-1")
+    z = {j: a for (_, j), a in rep.Zinv.items()}
     q, qi, zero = q_power(rep.ctx, 1), q_power(rep.ctx, -1), rep.ctx.zero()
-    qz = {j: q * z for _, j, z in zinv}
-    qiz = {j: qi * z for _, j, z in zinv}
-    J = {(i, j): a * qz[j] for i, j, a in rep.entries("X") if j in qz}
-    for i, j, b in rep.entries("Y"):
+    qz = {j: q * z[j] for j in z.keys() & {j for _, j in rep.X}}
+    qiz = {j: qi * z[j] for j in z.keys() & {j for _, j in rep.Y}}
+    J = {(i, j): a * qz[j] for (i, j), a in rep.X.items() if j in qz}
+    for (i, j), b in rep.Y.items():
         if j in qiz:
             J[i, j] = J.get((i, j), zero) - b * qiz[j]
-    return [(i, j, a) for (i, j), a in sorted(J.items()) if not a.is_zero()]
+    return ex_matrix(J.items())
 
 
 def recover_xy(rep: Representation):
@@ -778,11 +719,12 @@ def verify_relations(rep: Representation, which: str,
     so the check each constructor runs is not repeated.  "central" checks
     that Z^Q commutes with X, Y and J and is scalar.  On the exact backend
     it reads Z's diagonal, which it requires (ValueError otherwise), and
-    forms no matrix product: with zq_j = Z[j][j]^Q, (Z^Q M - M Z^Q)[i][j]
-    is (zq_i - zq_j) M[i][j], so only the entries where zq_i != zq_j
-    under a nonzero M[i][j] are formed, and Z^Q is scalar when every zq_j
+    forms no matrix product: with zq_j = Z[j, j]^Q, (Z^Q M - M Z^Q)[i, j]
+    is (zq_i - zq_j) M[i, j], so only the entries where zq_i != zq_j
+    under an entry M[i, j] are formed, and Z^Q is scalar when every zq_j
     equals zq_0.  The residual and detail of a failing check are those of
-    the full difference."""
+    the full difference, the detail naming its first entry in row-major
+    order."""
     exact = rep.backend == "exact"
     key = ("relations", which, None if exact else tol)
     if which == "defining" and key in rep._cache:
@@ -809,18 +751,19 @@ def verify_relations(rep: Representation, which: str,
     if which == "central":
         Z = rep.matrix("Z")
         if exact:
-            # Z is diagonal, so (Z^Q M - M Z^Q)[i][j] = (zq_i - zq_j) M[i][j]
-            # with zq_j = Z[j][j]^Q: only the failing entries are formed
-            if any(i != j for i, j, _ in rep.entries("Z")):
+            # Z is diagonal, so (Z^Q M - M Z^Q)[i, j] = (zq_i - zq_j) M[i, j]
+            # with zq_j = Z[j, j]^Q: only the failing entries are formed
+            if any(i != j for i, j in Z):
                 raise ValueError("the exact central check needs a diagonal Z")
-            zq = [row[j] ** rep.ctx.Q for j, row in enumerate(Z)]
+            zero = rep.ctx.zero()
+            zq = [Z.get((j, j), zero) ** rep.ctx.Q for j in range(rep.dim)]
             scalar = zq[0]
             for name in "XYJ":
                 report.checks.append(CheckResult(f"Z^Q {name} = {name} Z^Q", *_exact_mismatch(
-                    [(i, j, (zq[i] - zq[j]) * a) for i, j, a in rep.entries(name)
-                     if zq[i] != zq[j]])))
+                    {(i, j): (zq[i] - zq[j]) * a for (i, j), a in rep.matrix(name).items()
+                     if zq[i] != zq[j]})))
             report.checks.append(CheckResult("Z^Q is scalar", *_exact_mismatch(
-                [(j, j, z - scalar) for j, z in enumerate(zq) if z != scalar])))
+                {(j, j): z - scalar for j, z in enumerate(zq) if z != scalar})))
         else:
             ZQ = np.linalg.matrix_power(Z, rep.ctx.Q)
             for name in "XYJ":
@@ -898,11 +841,15 @@ def intersection_check(ctx: RootContext, sign: int = 1) -> RelationReport:
     bands = (("X1", r1.X, 1), ("Y1", r1.Y, -1), ("Z1", r1.Z, 0),   # row - column
              ("X2", r2.X, -1), ("Y2", r2.Y, 1), ("Z2", r2.Z, 0))
 
+    zero = ctx.zero()
+
+    def at(M, i, j):
+        return M.get((i, j), zero)
+
     def off_band(name, M, offset):
         band = {(j + offset, j) for j in range(Q) if 0 <= j + offset < Q}
-        support = {(i, j) for i, j, _ in ex_entries(M)}
-        return [(f"{name}[{i}][{j}] is {'off' if (i, j) in support else 'zero on'} the band",
-                 abs(to_complex(M[i][j]))) for i, j in sorted(support ^ band)]
+        return [(f"{name}[{i}][{j}] is {'off' if (i, j) in M else 'zero on'} the band",
+                 abs(to_complex(at(M, i, j)))) for i, j in sorted(M.keys() ^ band)]
 
     def unequal(pairs, j0):
         return [(f"first mismatch at j = {j}", abs(to_complex(a - b)))
@@ -911,9 +858,9 @@ def intersection_check(ctx: RootContext, sign: int = 1) -> RelationReport:
     flip = range(Q - 1, -1, -1)   # k for j = 0..Q-1
     failures = {   # (detail, embedded |difference| or stray entry) per failure
         "pattern": [f for b in bands for f in off_band(*b)],
-        "Z": unequal(zip([r1.Z[j][j] for j in range(Q)], [r2.Z[k][k] for k in flip]), 0),
-        "XY": unequal(zip([r1.X[j][j - 1] * r1.Y[j - 1][j] for j in range(1, Q)],
-                          [r2.X[k][k + 1] * r2.Y[k + 1][k] for k in flip[1:]]), 1),
+        "Z": unequal(zip([at(r1.Z, j, j) for j in range(Q)], [at(r2.Z, k, k) for k in flip]), 0),
+        "XY": unequal(zip([at(r1.X, j, j - 1) * at(r1.Y, j - 1, j) for j in range(1, Q)],
+                          [at(r2.X, k, k + 1) * at(r2.Y, k + 1, k) for k in flip[1:]]), 1),
     }
     return RelationReport("intersection", [
         CheckResult(name, not f, max((r for _, r in f), default=0.0), f[0][0] if f else "")
@@ -941,9 +888,18 @@ def representation_to_json(rep: Representation) -> dict:
         "family": rep.family,
         "params": {k: params_json(v) for k, v in rep.params.items()},
         "backend": rep.backend,
-        "generators": {g: [[scalar_to_json(a) for a in row] for row in getattr(rep, g)]
-                       for g in "XYZ"},
+        "generators": {g: _dense_json(rep, getattr(rep, g)) for g in "XYZ"},
     }
+
+
+def _dense_json(rep: Representation, M) -> list:
+    """M's rows of `scalar_to_json` values, an exact matrix's missing
+    entries written as ctx.zero()."""
+    if rep.backend != "exact":
+        return [[scalar_to_json(a) for a in row] for row in M]
+    zero = rep.ctx.zero()
+    return [[scalar_to_json(M.get((i, j), zero)) for j in range(rep.dim)]
+            for i in range(rep.dim)]
 
 
 def representation_from_json(data: dict) -> Representation:
@@ -987,8 +943,9 @@ def representation_from_json(data: dict) -> Representation:
     if any(bool(z) != (i == j) for i, row in enumerate(Z) for j, z in enumerate(row)):
         raise ValueError("Z must be diagonal with no zero on its diagonal")
     Zinv = [[1 / z if i == j else z for j, z in enumerate(row)] for i, row in enumerate(Z)]
-    if backend == "approx":
-        X, Y, Z, Zinv = (np.array(M, dtype=complex) for M in (X, Y, Z, Zinv))
+    X, Y, Z, Zinv = ((np.array(M, dtype=complex) if backend == "approx" else
+                      {(i, j): a for i, row in enumerate(M) for j, a in enumerate(row)})
+                     for M in (X, Y, Z, Zinv))
     rep = Representation(ctx, d, family, dict(params), backend, X, Y, Z, Zinv)
     _require_defining(rep)
     if family == "tensor":
@@ -998,7 +955,8 @@ def representation_from_json(data: dict) -> Representation:
                  build_family2(ctx, *(scalar_from_json(params[k], ctx, backend)
                                       for k in ("lambda", "a", "b")), backend))
         got = built.matrix if built.backend == backend else built.embedded
-        if all(np.array_equal(M, got(g)) for g, M in zip("XYZ", (X, Y, Z))):
+        same = np.array_equal if backend == "approx" else eq
+        if all(same(rep.matrix(g), got(g)) for g in "XYZ"):
             return Representation(ctx, d, family, built.params, backend, *map(got, "XYZz"))
     except (KeyError, TypeError, ValueError, ArithmeticError):
         pass    # params no builder takes

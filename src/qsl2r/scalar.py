@@ -156,7 +156,7 @@ class RootContext:
     exact arithmetic in Q(zeta_Q): Phi_Q and a reduction table for all powers
     zeta^0 .. zeta^(Q-1) in the power basis."""
 
-    __slots__ = ("P", "Q", "phi_q", "degree", "_powers", "_sparse_powers", "_units",
+    __slots__ = ("P", "Q", "phi_q", "degree", "_sparse_powers", "_units",
                  "_zeta_c", "q_complex", "_qnum_cache", "_subs_cache", "_image_cache",
                  "_split_primes", "_pad", "_unit_values", "_zero", "_one")
 
@@ -184,7 +184,6 @@ class RootContext:
             cur = [0] + cur[:-1]
             if top:
                 cur = [cur[i] - top * self.phi_q[i] for i in range(self.degree)]
-        self._powers = tuple(powers)
         self._pad = (0,) * (Q - self.degree)    # power-basis coefficients to length Q
         # the same rows as (index, coefficient) pairs of their nonzero entries
         self._sparse_powers = tuple(tuple((i, c) for i, c in enumerate(row) if c)

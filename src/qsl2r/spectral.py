@@ -54,8 +54,7 @@ from .ncpoly import identity_coefficients, identity_lhs_coefficients
 from .scalar import ABS_TOL, REL_TOL, _as_int, q_number, q_power, to_complex
 # j_matrix is unused here; the bench tracer requires this import site
 # (REQUIRED_SITES in perfbench/tracing.py)
-from .reps import (Representation, certified_zeros, evaluate, ex_is_zero, ex_lincomb,
-                   ex_residual, j_matrix)
+from .reps import Representation, certified_zeros, evaluate, ex_lincomb, ex_residual, j_matrix
 
 EIGEN_TOL = 1e-8
 RANK_TOL = 1e-10
@@ -165,8 +164,7 @@ def _identity_matrices(rep: Representation):
         zero = certified_zeros(list(coeffs.values()), rep)
         coeffs = {k: c for (k, c), z in zip(coeffs.items(), zero) if not z}
         mats = evaluate(list(coeffs.values()), rep, True) if coeffs else []
-        got = rep._cache["identity_exact"] = {k: M for k, M in zip(coeffs, mats)
-                                              if not ex_is_zero(M)}
+        got = rep._cache["identity_exact"] = {k: M for k, M in zip(coeffs, mats) if M}
     return got
 
 
@@ -198,11 +196,12 @@ def verify_identity(rep: Representation, x, tol: float = REL_TOL) -> IdentityRep
     backend with integer x; otherwise one product of the powers of y with
     the cached stack gives LHS - RHS, LHS and RHS at once."""
     xi = _as_int(x)
+    x = x if xi is None else complex(xi)
     if rep.backend == "exact" and xi is not None:
         C = _identity_matrices(rep)
         terms = [(q_power(rep.ctx, k * xi), M) for k, M in C.items()]
-        residual = ex_residual(ex_lincomb(terms, rep.ctx, rep.dim)) if terms else 0.0
-        return IdentityReport(to_complex(x), True, residual, residual == 0.0)
+        residual = ex_residual(ex_lincomb(terms, rep.ctx)) if terms else 0.0
+        return IdentityReport(x, True, residual, residual == 0.0)
     ks, S = _identity_stack(rep)
     y = to_complex(q_power(rep.ctx, x))
     residual, lhs, rhs = np.abs((y ** ks) @ S).max(axis=1).tolist()

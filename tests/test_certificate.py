@@ -7,7 +7,7 @@ undecided on the first family."""
 
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from math import gcd
 
@@ -17,7 +17,7 @@ import pytest
 from qsl2r import reps, scalar, spectral
 from qsl2r.ncpoly import NcPoly, identity_coefficients, relation_differences
 from qsl2r.reps import (Representation, build_family1, build_family2,
-                        certified_zeros, evaluate, ex_is_zero, j_matrix, tensor_rep,
+                        certified_zeros, evaluate, j_matrix, tensor_rep,
                         verify_relations)
 from qsl2r.scalar import (SPLIT_PRIME_BOUND, CycloNum, GaussCyclo, RootContext,
                           _is_prime, entry_bounds, gauss_i, pack, q_power, split_images)
@@ -193,8 +193,8 @@ def test_a_multiple_of_the_primes_is_not_certified(monkeypatch):
 
 def _bumped(rep, name, i, j, delta):
     mats = {"X": rep.X, "Y": rep.Y, "Z": rep.Z, "Zinv": rep.Zinv}
-    bumped = [list(row) for row in mats[name]]
-    bumped[i][j] = bumped[i][j] + delta
+    bumped = dict(mats[name])
+    bumped[i, j] = bumped.get((i, j), rep.ctx.zero()) + delta
     mats[name] = bumped
     return Representation(rep.ctx, rep.dim, rep.family, dict(rep.params), rep.backend,
                           mats["X"], mats["Y"], mats["Z"], mats["Zinv"])
@@ -223,7 +223,7 @@ def _verdicts(rep):
     out = []
     for part in (polys[5:8], polys[:5] + polys[8:]):
         out.append((_outcome(certified_zeros, part, rep),
-                    _outcome(lambda: [ex_is_zero(M) for M in evaluate(part, rep)])))
+                    _outcome(lambda: [M == {} for M in evaluate(part, rep)])))
     return out
 
 
@@ -246,7 +246,7 @@ def test_an_entry_divisible_by_the_primes_falls_back_with_todays_residual(cyclon
     # the broken relation's entries are multiples of p1 p2, so all their
     # images modulo the first two primes vanish, yet it is not certified
     M = evaluate([_polys()[7]], bad)[0]
-    entries = [a for row in M for a in row if not a.is_zero()]
+    entries = list(M.values())
     assert entries and not _images(entries, ctx, 2, False).any()
     verdicts = _verdicts(bad)
     _consistent(verdicts)
@@ -264,8 +264,8 @@ def test_a_split_prime_in_a_denominator_leaves_the_relations_to_the_cyclonum_pat
     (p1, *_), = ctx.split_primes(1)
     # X / p1 and Y p1 keep every defining relation, and p1 divides X's denominators
     rep = Representation(ctx, good.dim, 1, {}, "exact",
-                         [[a * Fraction(1, p1) for a in row] for row in good.X],
-                         [[a * p1 for a in row] for row in good.Y], good.Z, good.Zinv)
+                         {k: a * Fraction(1, p1) for k, a in good.X.items()},
+                         {k: a * p1 for k, a in good.Y.items()}, good.Z, good.Zinv)
     polys = list(relation_differences("defining").values())
     assert certified_zeros(polys, rep) == [None] * len(polys)
     evaluated = []
@@ -285,7 +285,7 @@ def test_a_split_prime_in_a_denominator_leaves_the_relations_to_the_cyclonum_pat
 
 def _agree(rep):
     polys = _polys()
-    want = [ex_is_zero(M) for M in evaluate(polys, rep)]
+    want = [M == {} for M in evaluate(polys, rep)]
     assert certified_zeros(polys, rep) == want
 
 
@@ -471,7 +471,8 @@ def test_int64_images_match_python_integers_at_the_largest_dimension():
             for o, diag in zip(offs, vals[:, :, t * len(units) + col]):
                 for i in range(max(0, -o), min(d, d - o)):
                     dense[i, i + o] = diag[i]
-            want = [[_python_image(a, p, omega, k) for a in row] for row in exact]
+            want = [[_python_image(exact.get((i, j), ctx.zero()), p, omega, k)
+                     for j in range(d)] for i in range(d)]
             assert dense.tolist() == want
 
 
@@ -518,9 +519,11 @@ def _bound(a, Q):
 def _row_bound(M, Q):
     """(D, N) of a matrix entry by entry: D clears every denominator and N is
     the largest row sum of the entries' `_bound` scaled to D."""
-    contents = [[_bound(a, Q) for a in row if not a.is_zero()] for row in M]
-    D = math.lcm(*(Da for row in contents for Da, _ in row))
-    return D, max(sum(D // Da * n for Da, n in row) for row in contents)
+    contents = defaultdict(list)
+    for (i, _), a in M.items():
+        contents[i].append(_bound(a, Q))
+    D = math.lcm(*(Da for row in contents.values() for Da, _ in row))
+    return D, max((sum(D // Da * n for Da, n in row) for row in contents.values()), default=0)
 
 
 @pytest.mark.parametrize("Q", [9, 15, 21, 25, 31])
@@ -529,7 +532,7 @@ def test_packed_bounds_are_the_entrywise_l1_contents(Q):
     rng = random.Random(Q)
     rep = build_family1(ctx, Q - 1, -1)
     gens = {"X": rep.X, "Y": rep.Y, "Z": rep.Z, "z": rep.Zinv, "J": j_matrix(rep)}
-    values = [a for M in gens.values() for row in M for a in row if not a.is_zero()]
+    values = [a for M in gens.values() for a in M.values()]
     values += [_random_cyclo(ctx, rng, rng.choice([1, 2, 15])) * ctx.zeta(rng.randrange(Q))
                for _ in range(30)]
     values += [s * ctx.zeta(e) for e in range(Q) for s in (1, -1)]
@@ -607,14 +610,14 @@ def test_packed_letters_keep_the_verdicts_on_the_first_family(Q, monkeypatch):
             reps_ += [good, _bumped(good, "X", 1, 0, 1), _bumped(good, "Zinv", k, k, 1)]
     # X / 3 and 3 Y keep every relation, with denominators in X and J
     reps_.append(Representation(ctx, good.dim, 1, {}, "exact",
-                                [[a * Fraction(1, 3) for a in row] for row in good.X],
-                                [[a * 3 for a in row] for row in good.Y], good.Z, good.Zinv))
+                                {k: a * Fraction(1, 3) for k, a in good.X.items()},
+                                {k: a * 3 for k, a in good.Y.items()}, good.Z, good.Zinv))
     got = [certified_zeros(polys, rep) for rep in reps_]
     assert got == _entrywise_verdicts(monkeypatch, reps_, polys)
     for rep, verdicts in zip(reps_, got):
         # the defining relations and Z Zi, Zi Z against their CycloNum matrices
         part = polys[5:8] + polys[10:]
-        assert verdicts[5:8] + verdicts[10:] == [ex_is_zero(M) for M in evaluate(part, rep)]
+        assert verdicts[5:8] + verdicts[10:] == [M == {} for M in evaluate(part, rep)]
     assert got[0] == got[-1] == [True] * 12
     assert False in got[1] and got[2][10:] == [False, False]
 
@@ -641,7 +644,7 @@ def test_letters_packed_with_two_widths_share_one_block(every_dim):
     rows: the block reduces each width once, and every verdict stays."""
     ctx = RootContext(2, 7)
     good = build_family1(ctx, 4, 1)
-    Z = [[a if a.is_zero() else GaussCyclo.from_scalar(a, ctx) for a in row] for row in good.Z]
+    Z = {k: GaussCyclo.from_scalar(a, ctx) for k, a in good.Z.items()}
     rep = Representation(ctx, good.dim, 1, {}, "exact", good.X, good.Y, Z, good.Zinv)
     polys = _polys() + _inverse()
     assert certified_zeros(polys[5:8] + polys[10:], rep) == [True] * 5

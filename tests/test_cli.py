@@ -1,3 +1,4 @@
+import cmath
 import json
 from pathlib import Path
 
@@ -139,6 +140,41 @@ def test_verify_family2_flags(tmp_path):
                 "--lambda", "1.5,-0.5", "--a", "1,0", "--b", "2,0",
                 "--check", "zj", "--out", str(tmp_path / "r.json")])
     assert code == 0
+
+
+X_REPS = {"family 1": ["--family", "1", "--P", "1", "--Q", "3", "--r", "0"],
+          "floating family 2": ["--family", "2", "--P", "2", "--Q", "7", "--lambda", "1.2,0.3",
+                                "--a", "0.5", "--b=-1,0.25"],
+          "exact family 2": ["--family", "2", "--exact", "--P", "2", "--Q", "7",
+                             "--lambda", "q^2", "--a", "1", "--b", "2"]}
+
+
+@pytest.mark.parametrize("rep_flags", sorted(X_REPS))
+@pytest.mark.parametrize("x,reported,integral", [
+    (["--x", "5"], "[5.0, 0.0]", True), (["--x=-3,0"], "[-3.0, 0.0]", True),
+    (["--x=-0.0"], "[0.0, 0.0]", True), (["--x", "0.5"], "[0.5, 0.0]", False),
+    (["--x", "2,1"], "[2.0, 1.0]", False)])
+def test_an_integral_x_is_reported_as_the_integer_it_was_evaluated_at(
+        rep_flags, x, reported, integral, capsys):
+    # -0.0 is the integer 0, so it reports +0.0; an integral x is exact on
+    # an exact representation
+    assert run(["verify", "--check", "identity", *X_REPS[rep_flags], *x]) == 0
+    out = capsys.readouterr().out
+    payload, _ = json.JSONDecoder().raw_decode(out)
+    assert json.dumps(payload["x"]) == reported
+    assert payload["exact"] == (integral and rep_flags != "floating family 2")
+    assert payload["ok"] and out.splitlines()[-1].startswith("identity: PASS")
+
+
+@pytest.mark.parametrize("token,sign", [("q^3", 1), ("-q^3", -1)])
+def test_floating_family2_takes_a_q_power_lambda(token, sign, capsys):
+    argv = ["verify", "--check", "defining", "--family", "2", "--approx", "--P", "2",
+            "--Q", "7", f"--lambda={token}", "--a", "1", "--b", "2"]
+    lam, a, b = parse_command(argv).family2_params
+    assert type(lam) is complex and (a, b) == (1 + 0j, 2 + 0j)
+    assert lam == sign * cmath.exp(2j * cmath.pi * 2 / 7) ** 3
+    assert run(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("defining: PASS")
 
 
 EXACT_FAMILY2_HUGE_A = ["--family", "2", "--exact", "--lambda", "q^2", "--a", "1e30",

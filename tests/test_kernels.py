@@ -1,8 +1,9 @@
-"""The sparse exact kernels against their naive definitions: matrix
-products, products, inverses and powers of units, powers of other
-scalars, q-numbers as sums of powers, direct subtraction, exact
-comparisons that still report the residual of a mismatch, and the
-embedding into complex arrays, bit for bit."""
+"""The sparse exact kernels against their naive definitions on dense
+lists: matrix products, products, inverses and powers of units, powers of
+other scalars, q-numbers as sums of powers, direct subtraction, exact
+comparisons that still report the residual of a mismatch, kernels that
+return no zero entry, and the embedding into complex arrays, bit for
+bit."""
 
 import math
 import random
@@ -14,8 +15,8 @@ import numpy as np
 
 from qsl2r import reps, scalar
 from qsl2r.reps import (Representation, _close, build_family1, build_family2,
-                        ex_entries, ex_kron, ex_lincomb, ex_mul, ex_residual, ex_scale,
-                        ex_sub, ex_to_complex, ex_zeros, j_matrix, tensor_rep)
+                        ex_kron, ex_lincomb, ex_mul, ex_residual, ex_sub, ex_to_complex,
+                        j_matrix, tensor_rep)
 from qsl2r.scalar import CycloNum, GaussCyclo, RootContext, q_number, q_power, to_complex
 from qsl2r.spectral import _identity_matrices, verify_identity
 
@@ -33,6 +34,11 @@ def _random_matrix(ctx, rng, n, m, density=0.4, zero_rows=(), zero_cols=()):
     return [[ctx.zero() if i in zero_rows or j in zero_cols
              else _random_entry(ctx, rng, density) for j in range(m)]
             for i in range(n)]
+
+
+def _sparse(A):
+    """The dense list A as an exact matrix, {(i, j): a} over its nonzero a."""
+    return {(i, j): a for i, row in enumerate(A) for j, a in enumerate(row) if not a.is_zero()}
 
 
 def _naive_mul(A, B):
@@ -56,7 +62,7 @@ def test_ex_mul_matches_the_triple_loop(n, k, m):
     for _ in range(5):
         A = _random_matrix(ctx, rng, n, k, zero_rows={0}, zero_cols={k - 1})
         B = _random_matrix(ctx, rng, k, m, zero_rows={k // 2}, zero_cols={m // 2})
-        assert ex_mul(A, B) == _naive_mul(A, B)
+        assert ex_mul(_sparse(A), _sparse(B)) == _sparse(_naive_mul(A, B))
 
 
 def test_ex_mul_with_cancellation_and_gauss_entries():
@@ -64,9 +70,8 @@ def test_ex_mul_with_cancellation_and_gauss_entries():
     z, one, i = ctx.zero(), ctx.one(), GaussCyclo(ctx.zero(), ctx.one())
     A = [[one, one], [i, z]]
     B = [[one, z], [-one, i]]
-    got = ex_mul(A, B)
-    assert got == _naive_mul(A, B)
-    assert got[0][0].is_zero() and got[1][1].is_zero()
+    got = ex_mul(_sparse(A), _sparse(B))
+    assert got == _sparse(_naive_mul(A, B)) == {(0, 1): i, (1, 0): i}
 
 
 @pytest.mark.parametrize("Q", [3, 5, 7, 9, 15, 21, 25, 31])
@@ -135,10 +140,10 @@ def test_sub_equals_adding_the_negation():
 
 def test_exact_close_reports_a_one_entry_mismatch():
     rep = build_family1(RootContext(1, 7), 4, 1)
-    assert _close(rep.X, [list(row) for row in rep.X], True, 0.0) == (True, 0.0, "")
-    bumped = [list(row) for row in rep.X]
+    assert _close(rep.X, dict(rep.X), True, 0.0) == (True, 0.0, "")
+    bumped = dict(rep.X)
     delta = rep.ctx.zeta(3)
-    bumped[2][3] = bumped[2][3] + delta
+    bumped[2, 3] = delta
     ok, residual, detail = _close(rep.X, bumped, True, 0.0)
     assert not ok and residual == pytest.approx(abs(to_complex(delta)))
     assert detail == "first nonzero entry (2, 3) of LHS - RHS, magnitude 1"
@@ -151,15 +156,15 @@ def test_sparse_identity_sum_matches_the_dense_sum(name, i, j):
     # gives all five C_k overlapping support, so the residual moves with x
     good = build_family1(RootContext(1, 5), 2, 1)
     mats = {"X": good.X, "Y": good.Y, "Z": good.Z, "Zinv": good.Zinv}
-    bumped = [list(row) for row in mats[name]]
-    bumped[i][j] += 1
+    bumped = dict(mats[name])
+    bumped[i, j] += 1
     mats[name] = bumped
     rep = Representation(good.ctx, good.dim, 1, {}, "exact",
                          mats["X"], mats["Y"], mats["Z"], mats["Zinv"])
     C = _identity_matrices(rep)
     for x in range(-6, 7):
         dense = ex_lincomb([(rep.ctx.zeta((rep.ctx.P * k * x) % rep.ctx.Q), M)
-                            for k, M in C.items()], rep.ctx, rep.dim)
+                            for k, M in C.items()], rep.ctx)
         report = verify_identity(rep, x)
         assert report.residual == ex_residual(dense) and not report.ok, x
 
@@ -229,68 +234,70 @@ def _naive_kron(A, B):
     return [[a * b for a in row_a for b in row_b] for row_a in A for row_b in B]
 
 
-def test_kernels_treat_cancelled_zeros_as_zeros():
-    # a - a is zero but not the shared ctx.zero() object, so the kernels'
-    # identity test misses it and is_zero() must catch it
+def _no_zero(M):
+    assert not any(a.is_zero() for a in M.values())
+    return M
+
+
+def test_no_kernel_returns_a_zero():
+    # sums that cancel leave no entry, so no caller meets a zero
     ctx = RootContext(2, 7)
     rng = random.Random(7)
+    a, b = _random_entry(ctx, rng, 1.0), _random_entry(ctx, rng, 1.0)
+    A, B = {(0, 0): a, (0, 1): a}, {(0, 0): b, (1, 0): -b, (0, 1): b}
+    assert _no_zero(ex_mul(A, B)) == {(0, 1): a * b}
     for _ in range(5):
-        A = _random_matrix(ctx, rng, 4, 3, density=0.7)
-        B = _random_matrix(ctx, rng, 3, 4, density=0.7)
-        for M in (A, B):
-            for i, row in enumerate(M):
-                j = (i + 1) % len(row)
-                a = _random_entry(ctx, rng, 1.0)
-                row[j] = a - a
-                assert row[j] is not ctx.zero() and row[j].is_zero()
-        assert ex_entries(A) == [(i, j, a) for i, row in enumerate(A)
-                                 for j, a in enumerate(row) if not a.is_zero()]
-        assert ex_kron(A, B) == _naive_kron(A, B)
-        assert ex_mul(A, B) == _naive_mul(A, B)
-        assert ex_to_complex(A).tolist() == [[complex(a) for a in row] for row in A]
+        A, B = (_random_matrix(ctx, rng, 4, 4, density=0.7) for _ in range(2))
+        C = _no_zero(ex_mul(_sparse(A), _sparse(B)))
+        assert C == _sparse(_naive_mul(A, B))
+        assert _no_zero(ex_kron(_sparse(A), _sparse(B), 4)) == _sparse(_naive_kron(A, B))
+        assert ex_sub(C, C) == {}
         s = _random_entry(ctx, rng, 1.0)
-        assert ex_scale(A, s) == [[s * a for a in row] for row in A]
-        C = ex_mul(A, B)
-        assert ex_sub(C, C) == [[ctx.zero()] * 4 for _ in range(4)]
-        dense = [[s * x + y for x, y in zip(rx, ry)] for rx, ry in zip(C, ex_mul(A, B))]
-        assert ex_lincomb([(s, C), (ctx.one(), ex_mul(A, B))], ctx, 4) == dense
+        assert ex_lincomb([(s, C), (-s, C)], ctx) == {}
+        # E cancels s C on half of C's entries and adds one entry of its own
+        half = {k: x for k, x in list(C.items())[::2] if k != (3, 3)}
+        E = {**{k: -s * x for k, x in half.items()}, (3, 3): ctx.one()}
+        got = _no_zero(ex_lincomb([(s, C), (ctx.one(), E)], ctx))
+        dense = [[s * C.get((i, j), ctx.zero()) + E.get((i, j), ctx.zero()) for j in range(4)]
+                 for i in range(4)]
+        assert got == _sparse(dense) and not got.keys() & half.keys()
+        assert ex_to_complex(C, 4).tolist() == [[complex(x) for x in row]
+                                                for row in _naive_mul(A, B)]
 
 
 def test_residual_is_zero_on_zeros_else_the_largest_entry_magnitude():
     ctx = RootContext(2, 7)
     rng = random.Random(11)
-    assert ex_residual(ex_zeros(ctx, 3, 4)) == 0.0
-    A = _random_matrix(ctx, rng, 3, 4, density=0.7)
-    cancelled = [[a - a for a in row] for row in A]
-    assert all(a is not ctx.zero() for row in cancelled for a in row)
-    assert ex_residual(cancelled) == 0.0
+    assert ex_residual({}) == 0.0
+    A = _sparse(_random_matrix(ctx, rng, 3, 4, density=0.7))
     f2 = build_family2(RootContext(2, 9), -RootContext(2, 9).zeta(4), 1, 2, backend="exact")
     for M in (A, j_matrix(f2)):
         # np.abs and abs() of a complex may round apart by an ulp
-        want = max(abs(complex(a)) for row in M for a in row)
+        want = max(abs(complex(a)) for a in M.values())
         assert want > 0 and ex_residual(M) == pytest.approx(want, rel=1e-15, abs=0)
 
 
 # -- the embedding, bit for bit ---------------------------------------------------
 
 
-def _entrywise(A):
-    return np.array([[complex(a) for a in row] for row in A], dtype=complex)
+def _entrywise(A, n):
+    return np.array([[complex(A.get((i, j), 0)) for j in range(n)] for i in range(n)],
+                    dtype=complex)
 
 
-def _assert_embeds_bit_for_bit(*mats):
+def _assert_embeds_bit_for_bit(n, *mats):
     for A in mats:
-        got = ex_to_complex(A)
-        assert got.shape == (len(A), len(A[0]))
-        assert got.tobytes() == _entrywise(A).tobytes()
+        got = ex_to_complex(A, n)
+        assert got.shape == (n, n)
+        assert got.tobytes() == _entrywise(A, n).tobytes()
 
 
 def _assert_rep_embeds_bit_for_bit(rep):
     """Each letter's matrix, by `ex_to_complex` and by `rep.embedded`."""
     mats = [rep.matrix(letter) for letter in "XYZzJ"]
-    _assert_embeds_bit_for_bit(*mats)
+    _assert_embeds_bit_for_bit(rep.dim, *mats)
     for letter, A in zip("XYZzJ", mats):
-        assert rep.embedded(letter).tobytes() == _entrywise(A).tobytes(), letter
+        assert rep.embedded(letter).tobytes() == _entrywise(A, rep.dim).tobytes(), letter
 
 
 @pytest.mark.parametrize("Q", range(3, 32, 2))
@@ -304,24 +311,23 @@ def test_first_family_generators_and_j_embed_as_their_entries(Q):
 def test_exact_second_family_and_tensor_reps_embed_as_their_entries():
     ctx = RootContext(2, 9)
     f2 = build_family2(ctx, -ctx.zeta(4), 1, 2, backend="exact")
-    assert isinstance(f2.X[0][1], GaussCyclo)   # entry by entry
+    assert isinstance(f2.X[0, 1], GaussCyclo)   # entry by entry
     _assert_rep_embeds_bit_for_bit(f2)
     _assert_rep_embeds_bit_for_bit(tensor_rep(build_family1(ctx, 3, 1),
                                               build_family1(ctx, 2, -1)))
     # denominators, packed (random CycloNums) and entry by entry (J at rational a, b)
     f2 = build_family2(ctx, ctx.zeta(2), Fraction(1, 3), Fraction(5, 7), backend="exact")
-    _assert_embeds_bit_for_bit(_random_matrix(ctx, random.Random(9), 5, 4, density=0.6),
-                               j_matrix(f2))
+    _assert_embeds_bit_for_bit(9, _sparse(_random_matrix(ctx, random.Random(9), 5, 4,
+                                                         density=0.6)), j_matrix(f2))
 
 
 def test_a_coefficient_beyond_int64_embeds_entry_by_entry(monkeypatch):
     ctx = RootContext(3, 7)
-    zero = ctx.zero()
     huge = CycloNum(ctx, [2 ** 70 + 1, -3 ** 50, 0, 5, 0, 1], 7)
-    A = [[huge, zero, ctx.zeta(3)], [zero, zero, zero], [-ctx.one(), huge * huge, zero]]
+    A = {(0, 0): huge, (0, 2): ctx.zeta(3), (2, 0): -ctx.one(), (2, 1): huge * huge}
     assert scalar.pack([huge], ctx)[0].dtype == object
     assert scalar.pack([ctx.zeta(3)], ctx)[0].dtype == np.int64
     seen = []
     monkeypatch.setattr(reps, "to_complex", lambda a: seen.append(a) or complex(a))
-    _assert_embeds_bit_for_bit(A)
+    _assert_embeds_bit_for_bit(3, A)
     assert seen == [huge, ctx.zeta(3), -ctx.one(), huge * huge]

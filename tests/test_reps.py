@@ -9,8 +9,8 @@ import pytest
 from qsl2r.scalar import (CycloNum, GaussCyclo, RootContext, gauss_i, q_number, q_power,
                           scalar_to_json, to_complex)
 from qsl2r import reps
-from qsl2r.reps import (Representation, build_family1, build_family2, ex_entries, ex_eye,
-                        ex_is_zero, ex_mul, ex_residual, ex_scale, ex_sub, intersection_check,
+from qsl2r.reps import (Representation, build_family1, build_family2, ex_eye, ex_lincomb,
+                        ex_mul, ex_residual, ex_sub, intersection_check,
                         j_matrix, recover_xy, representation_from_json,
                         representation_to_json, tensor_j_formula_residual,
                         tensor_rep, verify_relations)
@@ -23,22 +23,21 @@ GRID_PQ = [(P, Q) for Q in (3, 5, 7, 9) for P in range(1, Q) if gcd(P, Q) == 1]
 def test_family1_trivial_rep():
     rep = build_family1(C3, 0, 1)
     assert rep.dim == 1
-    assert rep.Z[0][0] == C3.one()
-    assert rep.X[0][0].is_zero() and rep.Y[0][0].is_zero()
+    assert rep.Z == {(0, 0): C3.one()}
+    assert rep.X == {} and rep.Y == {}
 
 
 def test_family1_r1_matrices():
     rep = build_family1(C3, 1, 1)
     q = C3.zeta(1)
-    assert rep.Z[0][0] == q and rep.Z[1][1] == q.inverse()
-    assert rep.X[1][0] == C3.from_int(-1)
-    assert rep.Y[0][1] == C3.one()
-    assert rep.X[0][0].is_zero() and rep.X[0][1].is_zero() and rep.X[1][1].is_zero()
+    assert rep.Z == {(0, 0): q, (1, 1): q.inverse()}
+    assert rep.X == {(1, 0): C3.from_int(-1)}
+    assert rep.Y == {(0, 1): C3.one()}
 
 
 def test_family1_r2_z_diagonal():
     rep = build_family1(C3, 2, 1)
-    assert [rep.Z[j][j] for j in range(3)] == [C3.zeta(2), C3.one(), C3.zeta(1)]
+    assert [rep.Z[j, j] for j in range(3)] == [C3.zeta(2), C3.one(), C3.zeta(1)]
 
 
 def test_family1_param_validation():
@@ -108,18 +107,48 @@ def test_family2_exact_backend():
         assert report.ok and report.max_residual == 0.0, which
 
 
+@pytest.mark.parametrize("a,b,absent", [(0, 2, (4, 0)), (1, 0, (0, 4)), (0, 0, None)])
+def test_exact_family2_holds_no_wrap_entry_where_a_or_b_vanishes(a, b, absent):
+    ctx = RootContext(2, 5)
+    rep = build_family2(ctx, q_power(ctx, 1), a, b, backend="exact")
+    wraps = {(4, 0), (0, 4)}
+    support = rep.X.keys() | rep.Y.keys()
+    assert wraps - support == ({absent} if absent else wraps)
+    assert not any(v.is_zero() for M in (rep.X, rep.Y, rep.Z, rep.Zinv) for v in M.values())
+    assert verify_relations(rep, "defining").ok
+
+
+def test_the_exact_constructor_drops_every_zero_it_is_passed():
+    good = build_family1(RootContext(2, 7), 3, 1)
+    ctx, zero = good.ctx, good.ctx.zero()
+    cancelled = good.X[1, 0] - good.X[1, 0]
+    X = {**good.X, (0, 0): zero, (2, 2): cancelled}
+    Y = {**good.Y, (3, 0): GaussCyclo.from_scalar(0, ctx)}
+    rep = Representation(ctx, good.dim, 1, {}, "exact", X, Y, good.Z, good.Zinv)
+    assert rep.X == good.X and rep.Y == good.Y
+    assert X.keys() - rep.X.keys() == {(0, 0), (2, 2)}
+    # the floating backend keeps its arrays as they are
+    arrays = [good.embedded(g) for g in "XYZz"]
+    assert Representation(ctx, good.dim, 1, {}, "approx", *arrays).X is arrays[0]
+
+
 def test_j_matrix_examples():
     rep0 = build_family1(C3, 0, 1)
-    assert j_matrix(rep0)[0][0].is_zero()
+    assert j_matrix(rep0) == {}
     rep1 = build_family1(C3, 1, 1)
     J = rep1.embedded("J")
     assert np.allclose(J, np.array([[0, -1], [-1, 0]]), atol=1e-12)
 
 
+def _scaled(M, s):
+    """s M for a nonzero scalar s, entry by entry."""
+    return {k: s * a for k, a in M.items()}
+
+
 def _second_j_form(rep):
     """Z^-1 (q^-1 X - q Y), the paper's other form of J, on an exact rep."""
     q, qi = q_power(rep.ctx, 1), q_power(rep.ctx, -1)
-    return ex_mul(rep.Zinv, ex_sub(ex_scale(rep.X, qi), ex_scale(rep.Y, q)))
+    return ex_mul(rep.Zinv, ex_sub(_scaled(rep.X, qi), _scaled(rep.Y, q)))
 
 
 def test_j_matrix_both_forms_agree_exactly():
@@ -131,24 +160,21 @@ def test_j_matrix_both_forms_agree_exactly():
                    build_family2(C3, C3.zeta(1), 1, 0, backend="exact"))]
     for rep in exact_reps:
         assert rep.backend == "exact"
-        assert ex_is_zero(ex_sub(j_matrix(rep), _second_j_form(rep))), rep
+        assert ex_sub(j_matrix(rep), _second_j_form(rep)) == {}, rep
 
 
 def _product_j(rep):
     """(q X - q^-1 Y) Z^-1 by two scalings, a subtraction and a product."""
     q, qi = q_power(rep.ctx, 1), q_power(rep.ctx, -1)
-    return ex_mul(ex_sub(ex_scale(rep.X, q), ex_scale(rep.Y, qi)), rep.Zinv)
+    return ex_mul(ex_sub(_scaled(rep.X, q), _scaled(rep.Y, qi)), rep.Zinv)
 
 
 def _assert_j_is_the_product(rep):
     J, want = j_matrix(rep), _product_j(rep)
     assert J == want, rep
-    assert [[type(a) for a in row] for row in J] == [[type(a) for a in row] for row in want]
-    assert all(a is rep.ctx.zero() for row in J for a in row if a.is_zero())
-    assert rep.entries("J") == ex_entries(J)
-    for letter in "XYZz":
-        assert rep.entries(letter) == ex_entries(rep.matrix(letter))
-        assert rep.entries(letter) is rep.entries(letter)
+    assert {k: type(a) for k, a in J.items()} == {k: type(a) for k, a in want.items()}
+    assert not any(a.is_zero() for a in J.values())
+    assert rep.matrix("J") is J
 
 
 @pytest.mark.parametrize("P,Q", [(3, 31), (2, 21)])
@@ -170,20 +196,21 @@ def test_j_per_entry_is_the_product_on_family2_and_tensor_reps():
 
 def test_j_per_entry_takes_a_zero_column_and_refuses_an_off_diagonal_zinv():
     good = build_family1(RootContext(2, 7), 5, -1)
-    zinv = [list(row) for row in good.Zinv]
-    a = zinv[3][3]
-    zinv[1][1], zinv[3][3] = good.ctx.zero(), a - a    # shared and cancelled zeros
+    zinv = dict(good.Zinv)
+    a = zinv[3, 3]
+    zinv[1, 1], zinv[3, 3] = good.ctx.zero(), a - a    # shared and cancelled zeros
     rep = Representation(good.ctx, good.dim, 1, {}, "exact", good.X, good.Y, good.Z, zinv)
+    assert rep.Zinv.keys() == good.Zinv.keys() - {(1, 1), (3, 3)}
     _assert_j_is_the_product(rep)
-    assert all(row[j].is_zero() for row in j_matrix(rep) for j in (1, 3))
-    # q X[0][1] = q^-1 Y[0][1]: J's entry there cancels to the shared zero
-    X = [list(row) for row in good.X]
-    X[0][1] = q_power(good.ctx, -2) * good.Y[0][1]
+    assert all(j not in (1, 3) for _, j in j_matrix(rep))
+    # q X[0][1] = q^-1 Y[0][1]: J's entry there cancels, and J holds no entry
+    X = dict(good.X)
+    X[0, 1] = q_power(good.ctx, -2) * good.Y[0, 1]
     rep = Representation(good.ctx, good.dim, 1, {}, "exact", X, good.Y, good.Z, good.Zinv)
     _assert_j_is_the_product(rep)
-    assert j_matrix(rep)[0][1] is good.ctx.zero()
-    zinv = [list(row) for row in good.Zinv]
-    zinv[0][2] = good.ctx.one()
+    assert (0, 1) not in j_matrix(rep) and (0, 1) in rep.Y
+    zinv = dict(good.Zinv)
+    zinv[0, 2] = good.ctx.one()
     rep = Representation(good.ctx, good.dim, 1, {}, "exact", good.X, good.Y, good.Z, zinv)
     with pytest.raises(ValueError, match="diagonal Z\\^-1"):
         j_matrix(rep)
@@ -196,8 +223,7 @@ def test_recover_xy_round_trip_exact():
             for sign in (1, -1):
                 rep = build_family1(ctx, r, sign)
                 Xp, Yp = recover_xy(rep)
-                assert ex_is_zero(ex_sub(Xp, rep.X))
-                assert ex_is_zero(ex_sub(Yp, rep.Y))
+                assert Xp == rep.X and Yp == rep.Y
 
 
 def test_recover_xy_family2_numeric():
@@ -248,18 +274,17 @@ def _central_reference(rep):
     ZQ = rep.Z
     for _ in range(rep.ctx.Q - 1):
         ZQ = ex_mul(ZQ, rep.Z)
-    scalar = ZQ[0][0]
+    scalar = ZQ.get((0, 0), rep.ctx.zero())
     sides = [(f"Z^Q {name} = {name} Z^Q", ex_mul(ZQ, M), ex_mul(M, ZQ))
              for name, M in (("X", rep.X), ("Y", rep.Y), ("J", j_matrix(rep)))]
-    sides.append(("Z^Q is scalar", ZQ, ex_scale(ex_eye(rep.ctx, rep.dim), scalar)))
+    sides.append(("Z^Q is scalar", ZQ, ex_lincomb([(scalar, ex_eye(rep.ctx, rep.dim))], rep.ctx)))
     checks = []
     for name, A, B in sides:
         D = ex_sub(A, B)
-        first = next(((i, j) for i, row in enumerate(D) for j, a in enumerate(row)
-                      if not a.is_zero()), None)
+        first = min(D, default=None)
         detail = "" if first is None else (
             f"first nonzero entry {first} of LHS - RHS, "
-            f"magnitude {abs(to_complex(D[first[0]][first[1]])):.6g}")
+            f"magnitude {abs(to_complex(D[first])):.6g}")
         checks.append((name, first is None, ex_residual(D), detail))
     return checks, [to_complex(scalar).real, to_complex(scalar).imag]
 
@@ -284,8 +309,8 @@ def test_central_reports_a_bumped_z_as_the_products_do(P, Q, r, bump):
     for sign in (1, -1):
         rep = build_family1(ctx, r, sign)
         for k in (0, r // 2, r):
-            Z = [list(row) for row in rep.Z]
-            Z[k][k] = Z[k][k] + 1 if bump == "plus one" else Z[k][k] * q_power(ctx, 1)
+            Z = dict(rep.Z)
+            Z[k, k] = Z[k, k] + 1 if bump == "plus one" else Z[k, k] * q_power(ctx, 1)
             report = _assert_central_matches_reference(_with_z(rep, Z))
             # (q z)^Q = z^Q, so Z^Q does not see a factor q
             assert report.ok == (bump == "times q")
@@ -296,18 +321,19 @@ def test_central_reports_a_bumped_exact_family2_z_as_the_products_do():
     rep = build_family2(ctx, q_power(ctx, 2), 1, 2, backend="exact")
     assert _assert_central_matches_reference(rep).ok
     for k in (0, 3, 6):
-        Z = [list(row) for row in rep.Z]
-        Z[k][k] = Z[k][k] * 2
+        Z = dict(rep.Z)
+        Z[k, k] = Z[k, k] * 2
         assert not _assert_central_matches_reference(_with_z(rep, Z)).ok
 
 
 def test_exact_central_refuses_an_off_diagonal_z():
     ctx = RootContext(2, 5)
     rep = build_family1(ctx, 3, 1)
-    Z = [list(row) for row in rep.Z]
-    Z[0][1] = CycloNum(ctx, (0,) * ctx.degree)   # a zero that is not the shared one
+    Z = dict(rep.Z)
+    Z[0, 1] = CycloNum(ctx, (0,) * ctx.degree)   # a zero passed off the diagonal
+    assert _with_z(rep, Z).Z == rep.Z           # is dropped by the constructor
     assert verify_relations(_with_z(rep, Z), "central").ok
-    Z[0][1] = ctx.one()
+    Z[0, 1] = ctx.one()
     with pytest.raises(ValueError, match="diagonal Z"):
         verify_relations(_with_z(rep, Z), "central")
 
@@ -315,8 +341,8 @@ def test_exact_central_refuses_an_off_diagonal_z():
 def test_exact_central_forms_no_matrix_product(monkeypatch):
     ctx = RootContext(2, 7)
     good = [build_family1(ctx, 5, -1), build_family2(ctx, -q_power(ctx, 3), 1, 2, backend="exact")]
-    Z = [list(row) for row in good[0].Z]
-    Z[2][2] = Z[2][2] + 1
+    Z = dict(good[0].Z)
+    Z[2, 2] = Z[2, 2] + 1
     cases = good + [_with_z(good[0], Z)]
     for rep in cases:
         j_matrix(rep)
@@ -363,11 +389,10 @@ def test_tensor_j_coproduct_formula():
             assert tensor_j_formula_residual(a, b, t) < 1e-12
 
 
-def _kron_entry(A, B, i, j):
-    # (A (x) B)[i][j], or None where it is a structural zero
-    nb = len(B)
-    a, b = A[i // nb][j // nb], B[i % nb][j % nb]
-    return None if a.is_zero() or b.is_zero() else a * b
+def _kron_entry(A, B, nb, i, j):
+    # (A (x) B)[i][j] for an nb x nb B, or None where either factor has no entry
+    a, b = A.get((i // nb, j // nb)), B.get((i % nb, j % nb))
+    return None if a is None or b is None else a * b
 
 
 def _coproduct_by_index(a, b):
@@ -378,14 +403,14 @@ def _coproduct_by_index(a, b):
     out = {}
     for g, parts in (("X", [(eye, b.X), (a.X, b.Z)]), ("Y", [(eye, b.Y), (a.Y, b.Z)]),
                      ("Z", [(a.Z, b.Z)]), ("z", [(a.Zinv, b.Zinv)])):
-        M = [[ctx.zero()] * d for _ in range(d)]
+        M = {}
         for i in range(d):
             for j in range(d):
                 for A, B in parts:
-                    e = _kron_entry(A, B, i, j)
+                    e = _kron_entry(A, B, b.dim, i, j)
                     if e is not None:
-                        M[i][j] = M[i][j] + e
-        out[g] = M
+                        M[i, j] = M.get((i, j), ctx.zero()) + e
+        out[g] = {k: a for k, a in M.items() if not a.is_zero()}
     return out
 
 
@@ -430,7 +455,7 @@ def test_tensor_triple_associativity_on_z():
     ab_c = tensor_rep(tensor_rep(a, a), a)
     a_bc = tensor_rep(a, tensor_rep(a, a))
     for name in "XYZz":
-        assert ex_is_zero(ex_sub(ab_c.matrix(name), a_bc.matrix(name)))
+        assert ex_sub(ab_c.matrix(name), a_bc.matrix(name)) == {}
 
 
 def test_tensor_context_mismatch():
@@ -443,8 +468,8 @@ def test_intersection_z_spectrum_explicit():
     # second-family point, so the index reversal j <-> 2 - j matches them
     rep1 = build_family1(C3, 2, 1)
     rep2 = build_family2(C3, q_power(C3, -2), 0, 0, backend="exact")
-    assert [rep1.Z[j][j] for j in range(3)] == [q_power(C3, e) for e in (2, 0, -2)]
-    assert all(rep1.Z[j][j] == rep2.Z[2 - j][2 - j] for j in range(3))
+    assert [rep1.Z[j, j] for j in range(3)] == [q_power(C3, e) for e in (2, 0, -2)]
+    assert all(rep1.Z[j, j] == rep2.Z[2 - j, 2 - j] for j in range(3))
 
 
 # one coprime P per Q; the checks are exact, so Q = 45 and 63 pass too
@@ -463,8 +488,9 @@ def test_intersection_check(Q, sign):
 
 
 def _raw(s):
-    """An exact entry as its stored coefficients and denominators."""
-    return (s.re.coeffs, s.re.den, s.im.coeffs, s.im.den)
+    """An exact entry as its stored coefficients and denominators, None for
+    a zero, which an exact matrix holds no entry for."""
+    return None if s is None or s.is_zero() else (s.re.coeffs, s.re.den, s.im.coeffs, s.im.den)
 
 
 @pytest.mark.parametrize("params", ["intersection", "generic"])
@@ -484,15 +510,16 @@ def test_exact_family2_matches_the_per_column_inverse_formulas(params, sign):
     delta = qp(1) - qp(-1)
     for j in range(Q):
         zj = lam * qp(2 * j)
-        assert _raw(rep.Z[j][j]) == _raw(zj)
-        assert _raw(rep.Zinv[j][j]) == _raw(1 / zj)
+        assert _raw(rep.Z[j, j]) == _raw(zj)
+        assert _raw(rep.Zinv[j, j]) == _raw(1 / zj)
         if j:
             core = a * b - qn(j) * (lam * qp(j - 1) - qp(1 - j) / lam) / delta
-            assert _raw(rep.X[j - 1][j]) == _raw(mi * qp(j - 1) * core)
+            assert _raw(rep.X.get((j - 1, j))) == _raw(mi * qp(j - 1) * core)
         if j != Q - 1:
-            assert _raw(rep.Y[j + 1][j]) == _raw(mi * lam * qp(j + 1))
-    assert _raw(rep.X[Q - 1][0]) == _raw(mi * a / qp(1))
-    assert _raw(rep.Y[0][Q - 1]) == _raw(mi * lam * b)
+            assert _raw(rep.Y[j + 1, j]) == _raw(mi * lam * qp(j + 1))
+    assert _raw(rep.X.get((Q - 1, 0))) == _raw(mi * a / qp(1))
+    assert _raw(rep.Y.get((0, Q - 1))) == _raw(mi * lam * b)
+    assert len(rep.X) + len(rep.Y) == 2 * Q - 2 * (params == "intersection")
     if params == "intersection":
         report = intersection_check(ctx, sign)
         assert report.ok and report.max_residual == 0.0, report
@@ -515,7 +542,7 @@ def _tampered(monkeypatch, builder, edit):
 def _bump(name, i, j):
     def edit(rep):
         M = getattr(rep, name)
-        M[i][j] = M[i][j] + 1
+        M[i, j] = M.get((i, j), rep.ctx.zero()) + 1
     return edit
 
 
@@ -540,7 +567,7 @@ def test_intersection_check_catches_tampering(monkeypatch, builder, edit, check,
 
 def test_intersection_check_catches_a_zero_on_the_band(monkeypatch):
     def edit(rep):
-        rep.X[2][3] = rep.ctx.zero()    # X2[k][k+1] at k = 2, so j = 2
+        del rep.X[2, 3]    # X2[k][k+1] at k = 2, so j = 2
     _tampered(monkeypatch, "build_family2", edit)
     report = intersection_check(RootContext(2, 5), 1)
     failed = {c.name: c for c in report.checks if not c.ok}
@@ -710,8 +737,8 @@ def test_representation_from_json_refuses_a_string_entry(backend):
 @pytest.mark.parametrize("backend", ["exact", "approx"])
 def test_representation_from_json_refuses_a_bumped_x_entry(backend):
     rep = _sample(backend)
-    X = [list(row) for row in rep.X] if backend == "exact" else np.array(rep.X)
-    X[1][0] = X[1][0] + 1
+    X = dict(rep.X) if backend == "exact" else np.array(rep.X)
+    X[1, 0] = X[1, 0] + 1
     bad = Representation(rep.ctx, rep.dim, rep.family, dict(rep.params), backend,
                          X, rep.Y, rep.Z, rep.Zinv)
     with pytest.raises(ArithmeticError, match="defining relations"):
@@ -775,6 +802,27 @@ def test_exact_second_family_at_plus_minus_q_power_round_trips(P, Q, k):
     ctx = RootContext(P, Q)
     for lam in (q_power(ctx, k), -q_power(ctx, k)):
         _round_trips(build_family2(ctx, lam, 1, Fraction(-2, 3), backend="exact"))
+
+
+@pytest.mark.parametrize("a,b", [(0, 0), (0, 3), (2, 0)])
+def test_an_exact_family2_payload_with_gaussian_zeros_at_the_wrap_loads(a, b):
+    # the encoding of an earlier writer, which wrote a vanishing wrap entry
+    # as a Gaussian zero; it loads, rebuilds, and is written back with the
+    # wrap as ctx.zero()
+    ctx, Q = RootContext(2, 31), 31
+    rep = build_family2(ctx, q_power(ctx, -30), a, b, backend="exact")
+    data = json.loads(json.dumps(representation_to_json(rep)))
+    gauss_zero = scalar_to_json(GaussCyclo.from_scalar(0, ctx))
+    assert gauss_zero != scalar_to_json(ctx.zero())
+    for g, (i, j), v in (("X", (Q - 1, 0), a), ("Y", (0, Q - 1), b)):
+        if v == 0:
+            assert data["generators"][g][i][j] == scalar_to_json(ctx.zero())
+            data["generators"][g][i][j] = gauss_zero
+    back = representation_from_json(data)
+    assert back.params == rep.params and back.family == 2
+    assert all(back.matrix(g) == rep.matrix(g) for g in "XYZz")
+    assert representation_to_json(back) == representation_to_json(rep)
+    assert verify_relations(back, "defining").ok
 
 
 def test_a_tensor_rep_round_trips():
@@ -843,12 +891,12 @@ def test_a_failing_check_names_its_entry(backend, defining, zj):
     ctx = RootContext(1, 7)
     rep = build_family1(ctx, 4, 1)
     if backend == "exact":
-        X, q = [list(row) for row in rep.X], q_power(ctx, 1)
+        X, q = dict(rep.X), q_power(ctx, 1)
     else:
         rep = Representation(ctx, rep.dim, rep.family, dict(rep.params), backend,
                              *map(rep.embedded, "XYZz"))
         X, q = rep.X.copy(), ctx.q_complex
-    X[2][1] = X[2][1] + q
+    X[2, 1] = X[2, 1] + q
     bad = Representation(ctx, rep.dim, rep.family, dict(rep.params), backend,
                          X, rep.Y, rep.Z, rep.Zinv)
     for which, first in (("defining", defining), ("zj", zj)):
@@ -866,5 +914,5 @@ def test_q_power_convention_in_z():
         r = Q - 2
         rep = build_family1(ctx, r, -1)
         for j in range(r + 1):
-            assert rep.Z[j][j] == -q_power(ctx, r - 2 * j)
-            assert rep.Y[j - 1][j] == q_number(ctx, j) if j else True
+            assert rep.Z[j, j] == -q_power(ctx, r - 2 * j)
+            assert rep.Y[j - 1, j] == q_number(ctx, j) if j else True

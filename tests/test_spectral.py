@@ -701,16 +701,18 @@ def test_chain_and_band_check_embed_only_z_and_j(monkeypatch):
     spectrum_chain(rep)
     tridiagonality_check(rep)
     J = reps.j_matrix(rep)
-    entries = [a for M in (rep.Z, J) for _, _, a in reps.ex_entries(M)]
+    entries = [a for M in (rep.Z, J) for a in M.values()]
     assert sorted(map(id, embedded)) == sorted(map(id, entries))
     # entry by entry through CycloNum.__complex__, bit for bit
+    d = rep.dim
     for A, M in ((rep.Z, rep.embedded("Z")), (J, rep.embedded("J"))):
-        assert np.array([[complex(a) for a in row] for row in A]).tobytes() == M.tobytes()
+        dense = [[complex(A.get((i, j), 0)) for j in range(d)] for i in range(d)]
+        assert np.array(dense).tobytes() == M.tobytes()
     # another generator is embedded when first read, and kept
     X = rep.embedded("X")
-    assert embedded[len(entries):] == [a for _, _, a in reps.ex_entries(rep.X)]
+    assert embedded[len(entries):] == list(rep.X.values())
     assert rep.embedded("X") is X
-    assert len(embedded) == len(entries) + len(reps.ex_entries(rep.X))
+    assert len(embedded) == len(entries) + len(rep.X)
 
 
 @pytest.mark.parametrize("Q", (3, 9, 15, 21, 31))

@@ -55,14 +55,16 @@ def _l1(a, Q):
 
 
 def _letters(rep):
-    """The dense matrices of the letters, J = (q X - q^-1 Y) Z^-1 entry by
-    entry."""
+    """The dense matrices of the letters, zero where a generator has no
+    entry, J = (q X - q^-1 Y) Z^-1 entry by entry."""
     ctx, d = rep.ctx, rep.dim
+    X, Y, Z, Zinv = ([[M.get((i, j), ctx.zero()) for j in range(d)] for i in range(d)]
+                     for M in (rep.X, rep.Y, rep.Z, rep.Zinv))
     q, qi = q_power(ctx, 1), q_power(ctx, -1)
-    A = [[q * x - qi * y for x, y in zip(rx, ry)] for rx, ry in zip(rep.X, rep.Y)]
-    J = [[reduce(lambda s, t: s + A[i][t] * rep.Zinv[t][j], range(d), ctx.zero())
+    A = [[q * x - qi * y for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)]
+    J = [[reduce(lambda s, t: s + A[i][t] * Zinv[t][j], range(d), ctx.zero())
           for j in range(d)] for i in range(d)]
-    return {"X": rep.X, "Y": rep.Y, "Z": rep.Z, "z": rep.Zinv, "J": J}
+    return {"X": X, "Y": Y, "Z": Z, "z": Zinv, "J": J}
 
 
 def _powers(p, Q, deg):
@@ -129,9 +131,9 @@ def _polys():
 
 def _bumped(rep, name):
     mats = {"X": rep.X, "Zinv": rep.Zinv}
-    bumped = [list(row) for row in mats[name]]
+    bumped = dict(mats[name])
     i, j = (1, 0) if name == "X" else (rep.dim - 1, rep.dim - 1)
-    bumped[i][j] = bumped[i][j] + 1
+    bumped[i, j] = bumped[i, j] + 1
     mats[name] = bumped
     return Representation(rep.ctx, rep.dim, 1, dict(rep.params), "exact",
                           mats["X"], rep.Y, rep.Z, mats["Zinv"])
@@ -141,8 +143,8 @@ def _scaled(rep, k):
     """X k and Y / k: an automorphism of the algebra, so every relation still
     holds, while the bounds grow with k."""
     return Representation(rep.ctx, rep.dim, 1, dict(rep.params), "exact",
-                          [[a * k for a in row] for row in rep.X],
-                          [[a * Fraction(1, k) for a in row] for row in rep.Y], rep.Z, rep.Zinv)
+                          {ij: a * k for ij, a in rep.X.items()},
+                          {ij: a * Fraction(1, k) for ij, a in rep.Y.items()}, rep.Z, rep.Zinv)
 
 
 def test_the_primes_are_the_ones_found_by_trial_division():
