@@ -335,7 +335,7 @@ def cmd_spectrum(args) -> int:
     payload["band_residual"] = tri.band_residual
     payload["band_mode"] = tri.mode
     payload["unitarizing"] = uni.to_json()
-    ok = tri.ok
+    ok = tri.ok and uni.ok
     summaries = [
         f"spectrum: chain of {len(chain.pairs)} "
         + ("(cyclic)" if chain.cyclic else "(path)"),

@@ -6,8 +6,8 @@ An exact matrix is its nonzero entries, a dict {(i, j): a} of CycloNum /
 GaussCyclo values whose dimension is the representation's; the floating
 backend uses numpy complex128 arrays.  One rule keeps an exact matrix free
 of zeros: `ex_matrix` drops every zero value, and every producer (the
-kernels, J, both builders, `evaluate`, the tensor product, the loader and
-the exact `Representation` constructor) builds through it.  So J, the
+kernels, J, both builders, `evaluate`, the tensor product and the exact
+`Representation` constructor) builds through it.  So J, the
 certificate's packing, the central check, the embedding and the
 comparisons read the entries directly, with no scan for zeros, and order
 them only where a report names the first failing one.  The generators
@@ -16,17 +16,18 @@ is formed per entry of X and Y, products run row by row over the entries
 of both factors, exact comparisons test equality before forming any
 difference, and the central check reads Z^Q off Z's diagonal with no
 product at all.
-Every constructor, and `representation_from_json`, verifies the defining
-relations before returning (exactly on the exact backend); the loader also
-rebuilds a payload labelled family 1 or 2 from its params.  Those relations
-imply every other form of a derived matrix, so each is computed once from
-one formula: J = (q X - q^-1 Y) Z^-1, entry by entry J[i, j] = X[i, j]
-(q z_j) - Y[i, j] (q^-1 z_j) with z_j = Z^-1[j, j] on the exact backend,
-and the tensor product's generators
-from `ncpoly.coproduct`, evaluated on the pair of factors.  Every matrix
-is read by its ncpoly letter (X, Y, Z, z = Z^-1, J), on the
-representation's own backend (`Representation.matrix`) or as a complex
-array embedded once (`Representation.embedded`).
+A JSON payload lists each generator's nonzero entries, and
+`representation_from_json` rebuilds it from its params, decoding no entry.
+Every constructor verifies the defining relations before returning
+(exactly on the exact backend).  Those relations imply every other form
+of a derived matrix, so each is computed once from one formula:
+J = (q X - q^-1 Y) Z^-1, entry by entry J[i, j] = X[i, j] (q z_j) -
+Y[i, j] (q^-1 z_j) with z_j = Z^-1[j, j] on the exact backend, and the
+tensor product's generators from `ncpoly.coproduct`, evaluated on the
+pair of factors.  Every matrix is read by its ncpoly letter (X, Y, Z,
+z = Z^-1, J), on the representation's own backend
+(`Representation.matrix`) or as a complex array embedded once
+(`Representation.embedded`).
 
 The relations themselves are not typed in here: they live once, as
 noncommutative polynomials in `ncpoly`, and `evaluate` maps them onto the
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from itertools import accumulate
 from math import prod
-from operator import eq, mul
+from operator import mul
 
 import numpy as np
 
@@ -793,13 +794,16 @@ def verify_relations(rep: Representation, which: str,
 def tensor_rep(a: Representation, b: Representation) -> Representation:
     """Action on the tensor product through the coproduct of X, Y, Z and
     Z^-1 (`ncpoly.coproduct`), evaluated on (a, b): exact when both
-    factors are, else on their complex embeddings."""
+    factors are, else on their complex embeddings.  Its params name each
+    factor's params, family and backend, which is what a payload rebuilds
+    it from."""
     if a.ctx != b.ctx:
         raise ValueError("tensor factors live in different root contexts")
     X, Y, Z, Zinv = evaluate([coproduct(NcPoly.word(g)) for g in "XYZz"], (a, b))
     rep = Representation(a.ctx, a.dim * b.dim, "tensor",
                          {"left": a.params, "right": b.params,
-                          "families": [a.family, b.family]},
+                          "families": [a.family, b.family],
+                          "backends": [a.backend, b.backend]},
                          "exact" if a.backend == b.backend == "exact" else "approx",
                          X, Y, Z, Zinv)
     _require_defining(rep)
@@ -873,6 +877,9 @@ def intersection_check(ctx: RootContext, sign: int = 1) -> RelationReport:
 
 
 def representation_to_json(rep: Representation) -> dict:
+    """P, Q, family, params, backend, dim and each of X, Y and Z as its
+    nonzero entries [i, j, scalar_to_json(a)] in row-major order, i and j
+    Python ints: the keys of an exact dict, `np.nonzero` of an array."""
     def params_json(v):
         if is_exact(v) or isinstance(v, complex):
             return scalar_to_json(v)
@@ -882,38 +889,48 @@ def representation_to_json(rep: Representation) -> dict:
             return [params_json(u) for u in v]
         return v
 
+    def entries(M):
+        keys = sorted(M) if rep.backend == "exact" else zip(*(a.tolist() for a in np.nonzero(M)))
+        return [[i, j, scalar_to_json(M[i, j])] for i, j in keys]
+
     return {
         "P": rep.ctx.P,
         "Q": rep.ctx.Q,
         "family": rep.family,
         "params": {k: params_json(v) for k, v in rep.params.items()},
         "backend": rep.backend,
-        "generators": {g: _dense_json(rep, getattr(rep, g)) for g in "XYZ"},
+        "dim": rep.dim,
+        "generators": {g: entries(rep.matrix(g)) for g in "XYZ"},
     }
 
 
-def _dense_json(rep: Representation, M) -> list:
-    """M's rows of `scalar_to_json` values, an exact matrix's missing
-    entries written as ctx.zero()."""
-    if rep.backend != "exact":
-        return [[scalar_to_json(a) for a in row] for row in M]
-    zero = rep.ctx.zero()
-    return [[scalar_to_json(M.get((i, j), zero)) for j in range(rep.dim)]
-            for i in range(rep.dim)]
+def _rebuild(ctx: RootContext, family, params: dict, backend: str) -> Representation:
+    """The representation that a family (an int or "tensor"), params and
+    backend name: build_family1 (embedded if floating), build_family2 on
+    params decoded by `scalar_from_json`, or `tensor_rep` of the factors
+    that "families", "left", "right" and "backends" name, each rebuilt."""
+    if family == "tensor":
+        return tensor_rep(*map(partial(_rebuild, ctx), params["families"],
+                               (params["left"], params["right"]), params["backends"]))
+    if type(family) is not int or family not in (1, 2) or backend not in ("exact", "approx"):
+        raise ValueError(f"no family {family!r} on backend {backend!r}")
+    if family == 2:
+        return build_family2(ctx, *(scalar_from_json(params[k], ctx, backend)
+                                    for k in ("lambda", "a", "b")), backend)
+    rep = build_family1(ctx, params["r"], params["sign"])
+    if backend == "exact":
+        return rep
+    return Representation(ctx, rep.dim, 1, rep.params, backend, *map(rep.embedded, "XYZz"))
 
 
 def representation_from_json(data: dict) -> Representation:
-    """Inverse of representation_to_json.  ValueError unless the payload has
-    integer P and Q (not bools), family 1, 2 or "tensor", params (if any) a
-    dict, backend exact or approx, and X, Y and Z as square lists of rows of
-    one dimension whose entries decode (`scalar_from_json`) as scalars of
-    the backend, Z diagonal with no zero on its diagonal; ArithmeticError,
-    as from every constructor, unless they satisfy the defining relations.
-    A family 1 or 2 payload then loads only if build_family1 or
-    build_family2, on its params and backend, gives X, Y and Z back exactly
-    (floating family 1: the builder's `embedded` ones), else ValueError,
-    and is then the builder's rep, params and Z^-1 included; "tensor" is a
-    bare label."""
+    """Inverse of representation_to_json: the representation `_rebuild`
+    makes from the payload's params, returned exactly when
+    representation_to_json of it equals the payload.  ValueError unless P
+    and Q are integers (not bools), family 1, 2 or "tensor", params (if
+    any) a dict and backend exact or approx, unless the builder takes the
+    params, and unless the payloads are equal (naming the fields that
+    differ).  No matrix entry of the payload is decoded."""
     if missing := [k for k in ("P", "Q", "backend", "family") if k not in data]:
         raise ValueError(f"the payload has no {', '.join(missing)}")
     for key in ("P", "Q"):
@@ -929,37 +946,14 @@ def representation_from_json(data: dict) -> Representation:
     backend = data["backend"]
     if backend not in ("exact", "approx"):
         raise ValueError(f"unknown backend {backend!r}")
-    gens = data.get("generators")
-    if not isinstance(gens, dict) or any(g not in gens for g in "XYZ"):
-        raise ValueError('"generators" must hold the matrices X, Y and Z')
-    d = len(gens["Z"]) if isinstance(gens["Z"], list) else 0
-    if not d or any(not isinstance(gens[g], list) or len(gens[g]) != d
-                    or any(not isinstance(row, list) or len(row) != d for row in gens[g])
-                    for g in "XYZ"):
-        raise ValueError("X, Y and Z must be square matrices of one dimension, lists of rows")
-
-    X, Y, Z = ([[scalar_from_json(a, ctx, backend) for a in row] for row in gens[g]]
-               for g in "XYZ")
-    if any(bool(z) != (i == j) for i, row in enumerate(Z) for j, z in enumerate(row)):
-        raise ValueError("Z must be diagonal with no zero on its diagonal")
-    Zinv = [[1 / z if i == j else z for j, z in enumerate(row)] for i, row in enumerate(Z)]
-    X, Y, Z, Zinv = ((np.array(M, dtype=complex) if backend == "approx" else
-                      {(i, j): a for i, row in enumerate(M) for j, a in enumerate(row)})
-                     for M in (X, Y, Z, Zinv))
-    rep = Representation(ctx, d, family, dict(params), backend, X, Y, Z, Zinv)
-    _require_defining(rep)
-    if family == "tensor":
-        return rep
+    head = f'"family" is {family!r}, but the payload does not load: "params" is {params!r}, but'
     try:
-        built = (build_family1(ctx, params["r"], params["sign"]) if family == 1 else
-                 build_family2(ctx, *(scalar_from_json(params[k], ctx, backend)
-                                      for k in ("lambda", "a", "b")), backend))
-        got = built.matrix if built.backend == backend else built.embedded
-        same = np.array_equal if backend == "approx" else eq
-        if all(same(rep.matrix(g), got(g)) for g in "XYZ"):
-            return Representation(ctx, d, family, built.params, backend, *map(got, "XYZz"))
-    except (KeyError, TypeError, ValueError, ArithmeticError):
-        pass    # params no builder takes
-    raise ValueError(f'"family" is {family!r}, but the matrices are {d} x {d} at Q = {ctx.Q} '
-                     f'and "params" is {params!r}, but build_family{family} on those params '
-                     'does not give these X, Y and Z back')
+        rep = _rebuild(ctx, family, params, backend)
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{head} the builder refuses them ({exc!r})") from exc
+    written = representation_to_json(rep)
+    if written != data:
+        differ = ", ".join(repr(k) for k in sorted(written.keys() | data.keys(), key=repr)
+                           if (k in written, written.get(k)) != (k in data, data.get(k)))
+        raise ValueError(f"{head} the payload they rebuild differs in {differ}")
+    return rep

@@ -929,7 +929,8 @@ def scalar_to_json(s):
 def scalar_from_json(obj, ctx: RootContext, backend: str | None = None):
     """Inverse of scalar_to_json and the one place that refuses a malformed
     scalar encoding, always with ValueError; so is a kind the backend does
-    not hold ("exact": CycloNum or GaussCyclo, "approx": complex)."""
+    not hold ("exact": CycloNum or GaussCyclo, "approx": complex).  The
+    loader decodes only a payload's params with it, never a matrix entry."""
     try:
         if isinstance(obj, dict) and backend != "approx":
             re, im = (scalar_from_json(obj[k], ctx, "exact") for k in ("re", "im"))

@@ -289,6 +289,18 @@ def test_unitarize_family2_fails_with_exit_1(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--P", "10", "--Q", "21", "--r", "17"],
+    ["--P", "2", "--Q", "7", "--family", "2", "--lambda", "1.2,0.3", "--a", "0.5", "--b=-1,0.25"]],
+    ids=["family1", "floating-family2"])
+def test_spectrum_exits_1_when_it_prints_a_failing_unitarizing_search(tmp_path, capsys, argv):
+    # the band check passes, so the exit code is the unitarizing search's
+    assert run(["spectrum", *argv, "--out", str(tmp_path / "s.json")]) == 1
+    out = capsys.readouterr().out
+    assert ": PASS (band residual" in out and "unitarizing structure: FAIL" in out
+    assert run(["unitarize", *argv, "--out", str(tmp_path / "u.json")]) == 1
+
+
 @pytest.mark.parametrize("command", ["spectrum", "ladder", "unitarize"])
 def test_a_chain_error_is_reported_as_json_and_a_fail_line(command, capsys):
     code = run([command, "--P", "1", "--Q", "3", "--family", "2", "--lambda", "1,0"])

@@ -627,43 +627,51 @@ def _sample(backend):
 
 
 def _exported(backend):
-    data = representation_to_json(_sample(backend))
-    assert len(data["generators"]["Z"]) == 3
+    data = json.loads(json.dumps(representation_to_json(_sample(backend))))
+    assert data["dim"] == 3 and [e[:2] for e in data["generators"]["Z"]] == [[0, 0], [1, 1], [2, 2]]
     return data
 
 
-@pytest.mark.parametrize("backend", ["exact", "approx"])
-def test_representation_from_json_refuses_a_non_square_generator(backend):
-    # nor a generator that is not a list of rows
-    for bad in (lambda x: x[:2], lambda x: 7, lambda x: x[0], lambda x: [7] * 3,
-                lambda x: {"rows": x}, lambda x: [tuple(row) for row in x]):
-        data = _exported(backend)
-        data["generators"]["X"] = bad(data["generators"]["X"])
-        with pytest.raises(ValueError, match="square"):
-            representation_from_json(data)
-
-
-@pytest.mark.parametrize("backend", ["exact", "approx"])
-def test_representation_from_json_refuses_generators_of_two_dimensions(backend):
-    data = _exported(backend)
-    data["generators"]["Y"] = [row[:2] for row in data["generators"]["Y"][:2]]
-    with pytest.raises(ValueError, match="one dimension"):
+def _refused_naming(data, *fields):
+    differ = ", ".join(map(repr, fields))
+    with pytest.raises(ValueError, match=f"the payload they rebuild differs in {differ}$"):
         representation_from_json(data)
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+def test_representation_from_json_refuses_an_entry_outside_the_dimension(backend):
+    data = _exported(backend)
+    data["generators"]["X"][0][:2] = [3, 0]
+    _refused_naming(data, "generators")
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+@pytest.mark.parametrize("bad", [lambda x: 7, lambda x: x[0], lambda x: {"entries": x},
+                                 lambda x: [tuple(e) for e in x]],
+                         ids=["int", "one-entry", "dict", "tuples"])
+def test_representation_from_json_refuses_a_generator_that_is_no_entry_list(backend, bad):
+    data = _exported(backend)
+    data["generators"]["X"] = bad(data["generators"]["X"])
+    _refused_naming(data, "generators")
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+def test_representation_from_json_refuses_a_dropped_entry(backend):
+    data = _exported(backend)
+    del data["generators"]["Y"][-1]
+    _refused_naming(data, "generators")
 
 
 def test_representation_from_json_refuses_a_singular_float_z():
     data = _exported("approx")
-    data["generators"]["Z"][1][1] = [0.0, 0.0]
-    with pytest.raises(ValueError, match="no zero on its diagonal"):
-        representation_from_json(data)
+    data["generators"]["Z"][1][2] = [0.0, 0.0]
+    _refused_naming(data, "generators")
 
 
 def test_representation_from_json_refuses_a_singular_exact_z():
     data = _exported("exact")
-    zero = data["generators"]["Z"][0][1]      # an off-diagonal exact zero
-    data["generators"]["Z"][1][1] = zero
-    with pytest.raises(ValueError, match="no zero on its diagonal"):
-        representation_from_json(data)
+    data["generators"]["Z"][1][2] = scalar_to_json(C3.zero())
+    _refused_naming(data, "generators")
 
 
 @pytest.mark.parametrize("backend,label", [("exact", "Exact"), ("approx", "float"),
@@ -715,34 +723,44 @@ def test_representation_from_json_refuses_a_non_integral_p_or_q(backend, key, va
         representation_from_json(data)
 
 
-def test_representation_from_json_refuses_a_first_family_above_q():
+def _tensor_square_q3():
     # the 4-dimensional tensor square of the 2-dimensional rep at Q = 3
     two = build_family1(C3, 1, 1)
-    data = representation_to_json(tensor_rep(two, two))
-    data["family"], data["params"] = 1, {}
-    with pytest.raises(ValueError, match='"family" is 1, but the matrices are 4 x 4 at Q = 3'):
+    return json.loads(json.dumps(representation_to_json(tensor_rep(two, two))))
+
+
+def test_representation_from_json_refuses_a_first_family_above_q():
+    data = _tensor_square_q3()
+    data["family"], data["params"] = 1, {"r": 3, "sign": 1}
+    with pytest.raises(ValueError, match=r'"family" is 1, but .* the builder refuses them '
+                                         r'\(ValueError\(.r must lie in 0..Q-1, got 3'):
         representation_from_json(data)
-    data["family"] = "tensor"
+
+
+def test_representation_from_json_refuses_a_tensor_payload_without_its_factors():
+    data = _tensor_square_q3()
     assert representation_from_json(data).dim == 4
+    data["params"] = {}
+    with pytest.raises(ValueError, match='"params" is {}, but the builder refuses them'):
+        representation_from_json(data)
 
 
 @pytest.mark.parametrize("backend", ["exact", "approx"])
 def test_representation_from_json_refuses_a_string_entry(backend):
     data = _exported(backend)
-    data["generators"]["X"][0][0] = "1"
-    with pytest.raises(ValueError):
-        representation_from_json(data)
+    data["generators"]["X"][0][2] = "1"
+    _refused_naming(data, "generators")
 
 
 @pytest.mark.parametrize("backend", ["exact", "approx"])
 def test_representation_from_json_refuses_a_bumped_x_entry(backend):
+    # refused by the rebuild, before any constructor sees the payload
     rep = _sample(backend)
     X = dict(rep.X) if backend == "exact" else np.array(rep.X)
     X[1, 0] = X[1, 0] + 1
     bad = Representation(rep.ctx, rep.dim, rep.family, dict(rep.params), backend,
                          X, rep.Y, rep.Z, rep.Zinv)
-    with pytest.raises(ArithmeticError, match="defining relations"):
-        representation_from_json(representation_to_json(bad))
+    _refused_naming(representation_to_json(bad), "generators")
     assert representation_from_json(representation_to_json(rep)).backend == backend
 
 
@@ -755,9 +773,8 @@ def test_representation_from_json_refuses_a_bumped_x_entry(backend):
 def test_representation_from_json_refuses_an_entry_of_the_wrong_kind(backend, entry):
     data = _exported(backend)
     exact = scalar_to_json(C3.one())
-    data["generators"]["X"][0][0] = entry(exact)
-    with pytest.raises(ValueError):
-        representation_from_json(data)
+    data["generators"]["X"][0][2] = entry(exact)
+    _refused_naming(data, "generators")
 
 
 def _round_trips(rep):
@@ -804,30 +821,74 @@ def test_exact_second_family_at_plus_minus_q_power_round_trips(P, Q, k):
         _round_trips(build_family2(ctx, lam, 1, Fraction(-2, 3), backend="exact"))
 
 
-@pytest.mark.parametrize("a,b", [(0, 0), (0, 3), (2, 0)])
-def test_an_exact_family2_payload_with_gaussian_zeros_at_the_wrap_loads(a, b):
-    # the encoding of an earlier writer, which wrote a vanishing wrap entry
-    # as a Gaussian zero; it loads, rebuilds, and is written back with the
-    # wrap as ctx.zero()
-    ctx, Q = RootContext(2, 31), 31
-    rep = build_family2(ctx, q_power(ctx, -30), a, b, backend="exact")
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+def test_a_dense_payload_of_the_earlier_form_is_refused(backend):
+    # rows of d scalars each, zeros included, and no "dim": the form
+    # written before generators were written as their nonzero entries
+    rep = _sample(backend)
     data = json.loads(json.dumps(representation_to_json(rep)))
-    gauss_zero = scalar_to_json(GaussCyclo.from_scalar(0, ctx))
-    assert gauss_zero != scalar_to_json(ctx.zero())
-    for g, (i, j), v in (("X", (Q - 1, 0), a), ("Y", (0, Q - 1), b)):
-        if v == 0:
-            assert data["generators"][g][i][j] == scalar_to_json(ctx.zero())
-            data["generators"][g][i][j] = gauss_zero
-    back = representation_from_json(data)
-    assert back.params == rep.params and back.family == 2
-    assert all(back.matrix(g) == rep.matrix(g) for g in "XYZz")
-    assert representation_to_json(back) == representation_to_json(rep)
-    assert verify_relations(back, "defining").ok
+    del data["dim"]
+    data["generators"] = {g: [[scalar_to_json(rep.embedded(g)[i, j] if backend == "approx"
+                                              else rep.matrix(g).get((i, j), C3.zero()))
+                               for j in range(rep.dim)] for i in range(rep.dim)]
+                          for g in "XYZ"}
+    _refused_naming(data, "dim", "generators")
 
 
-def test_a_tensor_rep_round_trips():
-    two = build_family1(RootContext(1, 5), 1, -1)
-    _round_trips(tensor_rep(two, build_family1(RootContext(1, 5), 2, 1)))
+def _v1_v2_q5():
+    ctx = RootContext(1, 5)
+    return tensor_rep(build_family1(ctx, 1, -1), build_family1(ctx, 2, 1))
+
+
+def _v1_v1_v2_q5():
+    ctx = RootContext(1, 5)
+    one = build_family1(ctx, 1, 1)
+    return tensor_rep(tensor_rep(one, one), build_family1(ctx, 2, -1))
+
+
+def _floating_family2_v1_q5():
+    ctx = RootContext(1, 5)
+    return tensor_rep(build_family2(ctx, 1.5 - 0.5j, 1.0, 2.0), build_family1(ctx, 1, 1))
+
+
+@pytest.mark.parametrize("make,dim,families,backends", [
+    (_v1_v2_q5, 6, [1, 1], ["exact", "exact"]),
+    (_v1_v1_v2_q5, 12, ["tensor", 1], ["exact", "exact"]),
+    (_floating_family2_v1_q5, 10, [2, 1], ["approx", "exact"])],
+    ids=["V1-V2", "nested", "floating-family2-V1"])
+def test_a_tensor_rep_round_trips(make, dim, families, backends):
+    back = _round_trips(make())
+    assert back.dim == dim and back.params["families"] == families
+    assert back.params["backends"] == backends
+
+
+def test_a_tensor_payload_with_its_factors_swapped_is_refused():
+    data = json.loads(json.dumps(representation_to_json(_v1_v2_q5())))
+    params = data["params"]
+    params["left"], params["right"] = params["right"], params["left"]
+    _refused_naming(data, "generators")
+
+
+def test_a_tensor_payload_without_the_factors_backends_is_refused():
+    data = json.loads(json.dumps(representation_to_json(_v1_v2_q5())))
+    del data["params"]["backends"]
+    with pytest.raises(ValueError, match="the builder refuses them .*backends"):
+        representation_from_json(data)
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+def test_an_extra_top_level_key_is_refused_by_name(backend):
+    data = _exported(backend)
+    data["comment"] = "written by hand"
+    _refused_naming(data, "comment")
+
+
+def test_the_one_dimensional_payload_has_empty_x_and_y_and_round_trips():
+    rep = build_family1(RootContext(2, 7), 0, -1)
+    data = representation_to_json(rep)
+    assert data["dim"] == 1 and data["generators"]["X"] == data["generators"]["Y"] == []
+    assert data["generators"]["Z"] == [[0, 0, scalar_to_json(rep.Z[0, 0])]]
+    _round_trips(rep)
 
 
 def _relabelled_first_family():
