@@ -20,6 +20,7 @@ import json
 import math
 import random
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -61,12 +62,24 @@ def _parse_complex(text: str):
     return value
 
 
-def _parse_point(text: str) -> complex:
-    """re,im pair or bare real, as --a, --b and --x take."""
+def _parse_point(text: str) -> int | complex:
+    """re,im pair or bare real, as --a, --b and --x take: the int it names,
+    every digit read from the text, when the real part is integral and the
+    imaginary part zero, else the complex value."""
     value = _parse_complex(text)
     if isinstance(value, tuple):
         raise argparse.ArgumentTypeError(f"takes re,im; q^k tokens like {text!r} "
                                          "are only read by --lambda")
+    if value.imag == 0 and value.real.is_integer():
+        # a Decimal keeps the exponent unexpanded, where a Fraction of
+        # 1e-999999999 would build 10^999999999
+        try:
+            re, *im = map(Decimal, text.split(","))
+            integral = not any(im) and re == re.to_integral_value()
+        except ArithmeticError:     # an exponent beyond Decimal's range
+            raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from None
+        if integral:
+            return int(re)
     return value
 
 
@@ -99,10 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="second-family lambda: re,im or q^k / -q^k for the exact "
                                 "path; a value starting with '-' needs '=', as in "
                                 "--lambda=-q^2")
-            p.add_argument("--a", type=_parse_point, default=0j,
+            p.add_argument("--a", type=_parse_point, default=0,
                            help="second-family a: re,im; a value starting with '-' "
                                 "needs '=', as in --a=-1,0")
-            p.add_argument("--b", type=_parse_point, default=0j,
+            p.add_argument("--b", type=_parse_point, default=0,
                            help="second-family b: re,im; a value starting with '-' "
                                 "needs '=', as in --b=-1,0")
             group = p.add_mutually_exclusive_group()
@@ -117,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True,
                    choices=("defining", "zj", "identity", "lemma", "hopf",
                             "central", "star"))
-    p.add_argument("--x", type=_parse_point, default=0j,
+    p.add_argument("--x", type=_parse_point, default=0,
                    help="evaluation point for --check identity: re,im; a value "
                         "starting with '-' needs '=', as in --x=-1,0")
 
@@ -202,15 +215,15 @@ def _resolve_rep_flags(parser, args):
             lam = lam[1] * args.ctx.q_complex ** lam[2]
         elif lam == 0:
             parser.error("--lambda must be nonzero")
-        args.family2_params = (lam, a, b)
+        args.family2_params = (lam, complex(a), complex(b))
         return
     if not isinstance(lam, tuple):
         parser.error("the exact second-family path needs --lambda q^k or -q^k")
     for name, v in (("a", a), ("b", b)):
-        if v.imag or not v.real.is_integer():
+        if type(v) is not int:
             parser.error(f"the exact second-family path needs an integer --{name}, "
                          f"got {v.real:g},{v.imag:g}")
-    args.family2_params = (q_power(args.ctx, lam[2]) * lam[1], int(a.real), int(b.real))
+    args.family2_params = (q_power(args.ctx, lam[2]) * lam[1], a, b)
 
 
 def _build_rep(args):

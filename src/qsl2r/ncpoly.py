@@ -26,6 +26,8 @@ share one base, `_SparseSum` (map key -> nonzero QRat, with +, -, * and
 scalars on either side), and differ only in their keys: `NcPoly` maps
 (word, y-power) and `TensorPoly` (word, word, y-power), multiplied leg by
 leg.  Since y is central, a product joins the words and adds the powers.
+QRat and the sparse sums take -, /, truth value and powers from the
+shared operators of `scalar`.
 
 The relations (`relation_sides`, Z Z^-1 = Z^-1 Z = 1 among them as raw
 words), the cubic identity (`identity_sides`, `identity_coefficients`),
@@ -43,6 +45,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+
+from .scalar import _nonzero, _power, _rsub, _rtruediv, _sub, _truediv
 
 X, Y, Z, ZINV, J = "X", "Y", "Z", "z", "J"
 LETTERS = "XYZzJ"
@@ -193,8 +197,7 @@ class QRat:
     def is_zero(self):
         return not self.num
 
-    def __bool__(self):
-        return bool(self.num)
+    __bool__ = _nonzero
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -230,14 +233,8 @@ class QRat:
     def __neg__(self):
         return QRat({e: -c for e, c in self.num.items()}, self.den, _canonical=True)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -267,17 +264,8 @@ class QRat:
             raise ZeroDivisionError("inverse of zero in Q(q)")
         return QRat(dict(self.den), dict(self.num))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    __truediv__ = _truediv
+    __rtruediv__ = _rtruediv
 
     def subs_q(self, value):
         """Evaluate at a concrete scalar q-value (any field element)."""
@@ -422,8 +410,7 @@ class _SparseSum:
     def is_zero(self):
         return not self.terms
 
-    def __bool__(self):
-        return bool(self.terms)
+    __bool__ = _nonzero
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -445,14 +432,8 @@ class _SparseSum:
     def __neg__(self):
         return type(self)({k: -c for k, c in self.terms.items()}, _canonical=True)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def scale(self, c):
         c = self._coeff(c)
@@ -512,10 +493,7 @@ class NcPoly(_SparseSum):
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers of a general element")
-        if n == 0:
-            return NcPoly.one()
-        half = self ** (n // 2)  # by squaring
-        return half * half * self if n % 2 else half * half
+        return _power(self, n, NcPoly.one())
 
     def __repr__(self):
         return f"NcPoly({format_expr(self)})"

@@ -929,8 +929,9 @@ def representation_from_json(data: dict) -> Representation:
     representation_to_json of it equals the payload.  ValueError unless P
     and Q are integers (not bools), family 1, 2 or "tensor", params (if
     any) a dict and backend exact or approx, unless the builder takes the
-    params, and unless the payloads are equal (naming the fields that
-    differ).  No matrix entry of the payload is decoded."""
+    params, and unless the payloads are equal, type by type as
+    `_same_json` compares them (naming the fields that differ).  No matrix
+    entry of the payload is decoded."""
     if missing := [k for k in ("P", "Q", "backend", "family") if k not in data]:
         raise ValueError(f"the payload has no {', '.join(missing)}")
     for key in ("P", "Q"):
@@ -952,8 +953,21 @@ def representation_from_json(data: dict) -> Representation:
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValueError(f"{head} the builder refuses them ({exc!r})") from exc
     written = representation_to_json(rep)
-    if written != data:
+    if not _same_json(written, data):
         differ = ", ".join(repr(k) for k in sorted(written.keys() | data.keys(), key=repr)
-                           if (k in written, written.get(k)) != (k in data, data.get(k)))
+                           if k not in written or k not in data
+                           or not _same_json(written[k], data[k]))
         raise ValueError(f"{head} the payload they rebuild differs in {differ}")
     return rep
+
+
+def _same_json(a, b) -> bool:
+    """a == b, and of the same type at every level: 3.0 is no 3, True no 1
+    and a tuple no list, as json writes each differently."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same_json(v, b[k]) for k, v in a.items())
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b

@@ -29,6 +29,14 @@ through the Galois maps sigma_k: zeta -> zeta^k (`_galois`, gcd(k, Q) = 1;
 `conjugate` is k = -1): the product of the sigma_k(a) for k != 1 over the
 field norm, a rational.
 
+The derived operators are written once, from a type's own `_coerce`, +,
+unary -, * and `inverse`: `_sub`, `_rsub`, `_truediv`, `_rtruediv`, the
+truth value `_nonzero` and powers by squaring `_power`.  CycloNum,
+GaussCyclo and ncpoly's QRat and sparse sums assign them in their class
+bodies instead of inheriting them from a base, so that each operator stays
+an entry of its own class's __dict__, where perfbench/tracing.py wraps
+the ones it counts.
+
 Exact zeros modulo split primes.  Whether an exact expression is zero can
 be decided from its images in a few prime fields instead of its value.
 Take primes p = 1 (mod 4Q) below 2^25 (`RootContext.split_primes`): F_p
@@ -276,6 +284,30 @@ def _power(x, n: int, one):
     return out
 
 
+def _sub(self, other):
+    o = self._coerce(other)
+    return NotImplemented if o is None else self + (-o)
+
+
+def _rsub(self, other):
+    o = self._coerce(other)
+    return NotImplemented if o is None else (-self) + o
+
+
+def _truediv(self, other):
+    o = self._coerce(other)
+    return NotImplemented if o is None else self * o.inverse()
+
+
+def _rtruediv(self, other):
+    o = self._coerce(other)
+    return NotImplemented if o is None else o * self.inverse()
+
+
+def _nonzero(self):
+    return not self.is_zero()
+
+
 class CycloNum:
     """Element of Q(zeta_Q): integer coefficients in the power basis over a
     single positive denominator, gcd-reduced.  Immutable."""
@@ -320,8 +352,7 @@ class CycloNum:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __bool__(self):
-        return not self.is_zero()
+    __bool__ = _nonzero
 
     # -- ring and field operations -------------------------------------------
 
@@ -350,11 +381,7 @@ class CycloNum:
                         [a * o.den - b * self.den for a, b in zip(self.coeffs, o.coeffs)],
                         self.den * o.den)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__sub__(self)
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -438,17 +465,8 @@ class CycloNum:
             raise ArithmeticError(f"the norm of {self!r} is not rational")
         return CycloNum(ctx, [c * norm.den for c in rest.coeffs], rest.den * norm.coeffs[0])
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    __truediv__ = _truediv
+    __rtruediv__ = _rtruediv
 
     def __pow__(self, n: int):
         """self^n: (sign zeta^e)^n = sign^n zeta^(e n) by table lookup for
@@ -545,8 +563,7 @@ class GaussCyclo:
     def is_zero(self) -> bool:
         return self.re.is_zero() and self.im.is_zero()
 
-    def __bool__(self):
-        return not self.is_zero()
+    __bool__ = _nonzero
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -559,17 +576,8 @@ class GaussCyclo:
     def __neg__(self):
         return GaussCyclo(-self.re, -self.im)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         if isinstance(other, (CycloNum, int, Fraction)):
@@ -589,17 +597,8 @@ class GaussCyclo:
         inv = norm.inverse()
         return GaussCyclo(self.re * inv, -(self.im * inv))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+    __truediv__ = _truediv
+    __rtruediv__ = _rtruediv
 
     def __pow__(self, n: int):
         """self^n by repeated squaring; a real value (im = 0) is its real

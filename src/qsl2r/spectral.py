@@ -6,9 +6,11 @@ The cubic identity is not typed in here: its y-coefficients come from
 `ncpoly.identity_coefficients`.  On an exact representation the C_k that
 `reps.certified_zeros` does not certify zero modulo split primes are
 evaluated by `reps.evaluate`, the nonzero ones are kept on the
-representation, and each x sums y^k C_k over them; a valid representation
-keeps none, so the identity holds there for every x.  Any other x or
-backend takes the floating path: the C_k, the LHS coefficients L_k and the
+representation, and each integer x sums y^k C_k over them.  A valid
+representation keeps none, so LHS - RHS vanishes for every y, and the
+identity is an exact pass at every finite x, integer or not.  A
+non-integer x where some C_k is kept, and every x on the floating
+backend, take the floating path: the C_k, the LHS coefficients L_k and the
 RHS coefficients L_k - C_k are evaluated once per representation into one
 complex stack S of shape (3, len(ks), d^2) over the sorted y-exponents ks,
 and each x costs one product (y ** ks) @ S and one max-abs reduction,
@@ -193,19 +195,21 @@ def verify_identity(rep: Representation, x, tol: float = REL_TOL) -> IdentityRep
     """Check Z (J - [x+2]) (J - [x]) (J - [x-2]) Z =
     ((J - [x]) Z (J - [x]) Z - [2]^2) (J - [x]) on the representation, as
     LHS - RHS = sum_k y^k C_k with y = q^x.  Exact-zero contract on the exact
-    backend with integer x; otherwise one product of the powers of y with
-    the cached stack gives LHS - RHS, LHS and RHS at once."""
+    backend when no C_k is left, at every finite x, or with integer x;
+    otherwise one product of the powers of y with the cached stack gives
+    LHS - RHS, LHS and RHS at once.  ValueError unless x is finite."""
     xi = _as_int(x)
-    x = x if xi is None else complex(xi)
-    if rep.backend == "exact" and xi is not None:
-        C = _identity_matrices(rep)
+    y = q_power(rep.ctx, x)
+    x = complex(x if xi is None else xi)
+    C = _identity_matrices(rep) if rep.backend == "exact" else None
+    if C is not None and (xi is not None or not C):
         terms = [(q_power(rep.ctx, k * xi), M) for k, M in C.items()]
         residual = ex_residual(ex_lincomb(terms, rep.ctx)) if terms else 0.0
         return IdentityReport(x, True, residual, residual == 0.0)
     ks, S = _identity_stack(rep)
-    y = to_complex(q_power(rep.ctx, x))
+    y = to_complex(y)
     residual, lhs, rhs = np.abs((y ** ks) @ S).max(axis=1).tolist()
-    return IdentityReport(complex(x), False, residual,
+    return IdentityReport(x, False, residual,
                           bool(residual <= tol * max(1.0, lhs, rhs) + ABS_TOL))
 
 

@@ -156,13 +156,14 @@ X_REPS = {"family 1": ["--family", "1", "--P", "1", "--Q", "3", "--r", "0"],
     (["--x", "2,1"], "[2.0, 1.0]", False)])
 def test_an_integral_x_is_reported_as_the_integer_it_was_evaluated_at(
         rep_flags, x, reported, integral, capsys):
-    # -0.0 is the integer 0, so it reports +0.0; an integral x is exact on
-    # an exact representation
+    # -0.0 is the integer 0, so it reports +0.0; every finite x, integral or
+    # not, is exact on an exact representation, as it keeps no C_k
     assert run(["verify", "--check", "identity", *X_REPS[rep_flags], *x]) == 0
     out = capsys.readouterr().out
     payload, _ = json.JSONDecoder().raw_decode(out)
     assert json.dumps(payload["x"]) == reported
-    assert payload["exact"] == (integral and rep_flags != "floating family 2")
+    assert payload["exact"] == (rep_flags != "floating family 2")
+    assert integral == (payload["x"][1] == 0 and float(payload["x"][0]).is_integer())
     assert payload["ok"] and out.splitlines()[-1].startswith("identity: PASS")
 
 
@@ -209,6 +210,35 @@ def test_exact_family2_with_coefficients_beyond_int64(check, line, monkeypatch, 
     if check == ["zj"]:
         assert verdicts[1:] == [[True, None]] and len(evaluated) == 1
         assert evaluated[0] == list(list(relation_sides("zj").values())[1])
+
+
+@pytest.mark.parametrize("text,exact", [("12345678901234567891", 12345678901234567891),
+                                        ("1e30", 10 ** 30), ("-7,0", -7), ("2.5e1", 25)])
+def test_exact_a_and_b_keep_every_digit(text, exact, tmp_path):
+    # the floating path reads the same text through float, as it always has
+    argv = ["rep", "--family", "2", "--lambda", "q^2", f"--a={text}", f"--b={text}",
+            "--P", "2", "--Q", "7"]
+    _, a, b = parse_command(argv).family2_params
+    assert type(a) is complex and a == b == complex(float(text.split(",")[0]))
+    _, a, b = parse_command(argv + ["--exact"]).family2_params
+    assert type(a) is int and a == b == exact
+    out = tmp_path / "rep.json"
+    assert run(argv + ["--exact", "--out", str(out)]) == 0
+    params = json.loads(out.read_text())["params"]
+    for name in ("a", "b"):
+        assert params[name]["re"][0] == [str(exact), "1"]
+        assert all(c == ["0", "1"] for c in params[name]["re"][1:] + params[name]["im"])
+
+
+@pytest.mark.parametrize("text", ["1.5", "2,1", "1,1e-300", "1.00000000000000000001",
+                                  "1e-400"])
+def test_exact_a_refuses_what_names_no_integer(text):
+    # float reads the last two as the integers 1 and 0
+    argv = ["rep", "--family", "2", "--exact", "--lambda", "q^2", f"--a={text}",
+            "--P", "2", "--Q", "7"]
+    with pytest.raises(SystemExit) as exc:
+        parse_command(argv)
+    assert exc.value.code == 2
 
 
 def test_exact_family2_lambda_token(tmp_path):

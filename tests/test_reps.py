@@ -655,6 +655,28 @@ def test_representation_from_json_refuses_a_generator_that_is_no_entry_list(back
     _refused_naming(data, "generators")
 
 
+def _float_index(data):
+    entry = data["generators"]["X"][0]
+    entry[0] = float(entry[0])
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+@pytest.mark.parametrize("edit,field", [(lambda d: d.update(dim=3.0), "dim"),
+                                        (_float_index, "generators")],
+                         ids=["float-dim", "float-index"])
+def test_representation_from_json_refuses_a_float_where_an_int_is_written(backend, edit, field):
+    # 3.0 == 3, but a payload holds ints where its writer writes them
+    data = _exported(backend)
+    edit(data)
+    _refused_naming(data, field)
+
+
+def test_representation_from_json_refuses_an_int_where_a_float_is_written():
+    data = _exported("approx")
+    data["params"]["b"] = [int(v) for v in data["params"]["b"]]
+    _refused_naming(data, "params")
+
+
 @pytest.mark.parametrize("backend", ["exact", "approx"])
 def test_representation_from_json_refuses_a_dropped_entry(backend):
     data = _exported(backend)

@@ -1,7 +1,10 @@
 import cmath
+import importlib
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from qsl2r.scalar import (CycloNum, GaussCyclo, RootContext, _as_int,
                           cyclotomic_polynomial, gauss_i, is_close, q_number,
                           q_power, scalar_from_json, scalar_to_json,
                           to_complex)
+from qsl2r.ncpoly import NcPoly, QRat, parse_expr
 
 
 def test_cyclotomic_known_values():
@@ -281,3 +285,58 @@ def test_scalar_from_json_keeps_each_kind_to_its_backend():
     # a reducible encoding decodes to the reduced number
     assert scalar_from_json([["2", "4"], ["0", "1"], ["3", "-6"], ["0", "7"]], ctx) \
         == CycloNum(ctx, [1, 0, -1, 0], 2)
+
+
+# -- the shared derived operators ---------------------------------------------
+
+def _operands(kind):
+    """(a, b) of one type, neither zero nor a unit, so that no product or
+    inverse takes a table lookup."""
+    ctx = RootContext(2, 7)
+    a = CycloNum(ctx, [3, -1, 0, 2, 0, 5], 2)
+    b = CycloNum(ctx, [1, 1, 0, 0, -4, 0], 3)
+    if kind == "CycloNum":
+        return a, b
+    if kind == "GaussCyclo":
+        return GaussCyclo(a, b), GaussCyclo(b, ctx.one())
+    if kind == "QRat":
+        return QRat({1: 2, -1: 1}, {0: 1, 1: 3}), QRat({0: 1, 2: -1})
+    return parse_expr("X*Y + q*Zi - 2"), parse_expr("J*Z/(q + 1) + 3*y")
+
+
+@pytest.mark.parametrize("kind", ["CycloNum", "GaussCyclo", "QRat", "NcPoly"])
+def test_derived_operators_follow_from_the_ring_operations(kind):
+    a, b = _operands(kind)
+    assert a - b == a + (-b) and b - a == b + (-a)
+    assert 1 - a == (-a) + 1 and Fraction(1, 3) - b == (-b) + Fraction(1, 3)
+    if kind != "NcPoly":    # only a scalar NcPoly has an inverse
+        assert a / b == a * b.inverse() and 2 / a == 2 * a.inverse()
+        assert (a / b) * b == a
+    for v in (a, b, a - a, 0 * b):
+        assert bool(v) == (not v.is_zero())
+    assert not a - a and a
+    for op in (lambda: a - "x", lambda: "x" - a, lambda: a / "x", lambda: "x" / a):
+        with pytest.raises(TypeError):
+            op()
+    if kind == "NcPoly":
+        assert a ** 5 == a * a * a * a * a and a ** 0 == NcPoly.one()
+        with pytest.raises(ValueError):
+            a ** -1
+
+
+def test_every_counted_operator_is_an_entry_of_its_own_class():
+    """perfbench/tracing.py wraps cls.__dict__[name] for each operator it
+    counts, so an operator inherited from a base would break the traced
+    bench run; this finds it in Tier-1 already."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    counted = 0
+    for modname, clsname, attrs, _ in tracing.COUNTERS.values():
+        if clsname is not None:
+            cls = getattr(importlib.import_module(modname), clsname)
+            for attr in attrs:
+                assert attr in cls.__dict__, f"{clsname}.{attr}"
+                counted += 1
+    assert counted, "COUNTERS names no class operator"

@@ -281,25 +281,59 @@ def test_floating_identity_fails_on_a_bumped_x_entry(P, Q):
             assert not report.exact and not report.ok and report.residual > 1e-6, x
 
 
+def _bumped_exact(rep):
+    """A copy of an exact rep with X[1][0] moved by 1, unvalidated, so that
+    it keeps nonzero C_k."""
+    X = dict(rep.X)
+    X[1, 0] = X.get((1, 0), 0) + 1
+    return Representation(rep.ctx, rep.dim, rep.family, dict(rep.params),
+                          rep.backend, X, rep.Y, rep.Z, rep.Zinv)
+
+
 def test_exact_rep_at_complex_x_takes_the_floating_path():
+    # only when it keeps a C_k: a valid exact rep keeps none, so LHS - RHS
+    # vanishes for every y and a complex x is an exact pass
     rep = build_family1(RootContext(2, 7), 4, -1)
     report = verify_identity(rep, 1.5 + 0.25j)
-    assert not report.exact and report.ok and report.residual < 1e-12
+    assert report.exact and report.ok and report.residual == 0.0
     assert report.x == 1.5 + 0.25j
+    report = verify_identity(_bumped_exact(rep), 1.5 + 0.25j)
+    assert not report.exact and not report.ok and report.residual > 1e-6
+    assert report.x == 1.5 + 0.25j
+
+
+def test_a_bumped_exact_rep_at_a_half_integer_x_takes_the_floating_path_and_fails():
+    rep = _bumped_exact(build_family1(RootContext(1, 5), 2, 1))
+    assert spectral._identity_matrices(rep)
+    report = verify_identity(rep, 0.5)
+    assert not report.exact and not report.ok and report.residual > 1e-6
+    assert report.x == 0.5 + 0j
+
+
+@pytest.mark.parametrize("rep", [build_family1(RootContext(1, 5), 2, 1),
+                                 _bumped_exact(build_family1(RootContext(1, 5), 2, 1))],
+                         ids=["valid", "bumped"])
+def test_an_exact_rep_at_a_non_finite_x_raises(rep):
+    # checked before the exact pass that a valid rep gets at every finite x
+    for x in (float("nan"), complex(1.0, float("inf"))):
+        with pytest.raises(ValueError, match="finite"):
+            verify_identity(rep, x)
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_floating_identity_evaluates_once_per_rep(monkeypatch, exact):
+    # an exact rep takes the floating path only when it keeps a C_k, as a
+    # bumped one does; it evaluates those C_k exactly once as well
     calls = _count_evaluate(monkeypatch)
     rng = random.Random(5)
-    reps_ = ([build_family1(RootContext(2, 7), r, 1) for r in (1, 4)] if exact else
-             [rep for rep, _ in _family2_samples(2, 5, reps_count=2, x_count=0)])
+    reps_ = ([_bumped_exact(build_family1(RootContext(2, 7), r, 1)) for r in (1, 4)] if exact
+             else [rep for rep, _ in _family2_samples(2, 5, reps_count=2, x_count=0)])
     for rep in reps_:
         for _ in range(100):
             x = complex(rng.uniform(-5, 5), rng.uniform(-1, 1))
             report = verify_identity(rep, x, tol=1e-9)
-            assert not report.exact and report.ok, x
-    assert len(calls) == 2 and calls[0] is reps_[0] and calls[1] is reps_[1]
+            assert not report.exact and report.ok != exact, x
+    assert [id(c) for c in calls] == [id(rep) for rep in reps_ for _ in range(1 + exact)]
 
 
 # -- ladder ---------------------------------------------------------------------
