@@ -51,12 +51,15 @@ def _parse_complex(text: str):
     """re,im pair, bare real, or an exact root-of-unity token q^k / -q^k;
     re and im must be finite."""
     text = text.strip()
-    if text.startswith("q^") or text.startswith("-q^"):
-        return ("q", -1 if text.startswith("-") else 1, int(text.split("^", 1)[1]))
     parts = text.split(",")
-    if len(parts) > 2:
+    try:
+        if text.startswith("q^") or text.startswith("-q^"):
+            return ("q", -1 if text.startswith("-") else 1, int(text.split("^", 1)[1]))
+        value = complex(*map(float, parts)) if len(parts) <= 2 else None
+    except ValueError:
+        value = None
+    if value is None:
         raise argparse.ArgumentTypeError(f"cannot parse complex value {text!r}")
-    value = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
     if not cmath.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
@@ -81,6 +84,19 @@ def _parse_point(text: str) -> int | complex:
         if integral:
             return int(re)
     return value
+
+
+class _PointFlag(argparse.Action):
+    """--a and --b: stores `_parse_point` of the text and, under a_text or
+    b_text, the text itself, which a refusal quotes as given."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        try:
+            value = _parse_point(text)
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentError(self, str(exc)) from None
+        setattr(namespace, self.dest, value)
+        setattr(namespace, f"{self.dest}_text", text)
 
 
 def _parse_sign(text: str) -> int:
@@ -112,10 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="second-family lambda: re,im or q^k / -q^k for the exact "
                                 "path; a value starting with '-' needs '=', as in "
                                 "--lambda=-q^2")
-            p.add_argument("--a", type=_parse_point, default=0,
+            p.add_argument("--a", action=_PointFlag, default=0,
                            help="second-family a: re,im; a value starting with '-' "
                                 "needs '=', as in --a=-1,0")
-            p.add_argument("--b", type=_parse_point, default=0,
+            p.add_argument("--b", action=_PointFlag, default=0,
                            help="second-family b: re,im; a value starting with '-' "
                                 "needs '=', as in --b=-1,0")
             group = p.add_mutually_exclusive_group()
@@ -222,7 +238,7 @@ def _resolve_rep_flags(parser, args):
     for name, v in (("a", a), ("b", b)):
         if type(v) is not int:
             parser.error(f"the exact second-family path needs an integer --{name}, "
-                         f"got {v.real:g},{v.imag:g}")
+                         f"got {getattr(args, name + '_text')!r}")
     args.family2_params = (q_power(args.ctx, lam[2]) * lam[1], a, b)
 
 

@@ -49,6 +49,21 @@ words only for one call.  Whatever the tape does not certify is
 evaluated, so residuals and supports come from the CycloNum matrices as
 before.  Z Z^-1 = 1 and Z^-1 Z = 1 are defining relations like the
 others, written in `ncpoly` as the raw words Zz and zZ against 1.
+
+First-family verdicts are taken once per Galois orbit (`orbit_zeros`).
+The rule: a representation that `build_family1` returns at (P, Q), P != 1,
+takes the verdicts of each relation set (defining, J-Z, the identity's
+C_k) from the (1, Q) representation of the same r and sign, if that one
+was certified earlier in the process with every verdict decided.  The
+proof: the builder is a formula in q with integer coefficients and
+q = zeta^P, so every entry of X, Y, Z and Z^-1 at (P, Q) is sigma_P of
+the entry at (1, Q), sigma_P the automorphism zeta -> zeta^P of
+Q(zeta_Q); J is formed from them by field operations and the relations'
+coefficients are rational functions of q, so every matrix a verdict asks
+about at (P, Q) is sigma_P of the one at (1, Q), and an automorphism
+sends zero to zero and nothing else to zero.  The P = 1 representation
+is certified each time it is built, and any other representation (family
+2, tensor products, one made by the constructor) on its own.
 """
 
 from __future__ import annotations
@@ -230,6 +245,7 @@ def build_family1(ctx: RootContext, r: int, sign: int = 1) -> Representation:
     rep = Representation(ctx, d, 1, {"r": r, "sign": sign}, "exact", X, Y,
                          {(j, j): z for j, z in enumerate(zs)},
                          {(j, j): z.inverse() for j, z in enumerate(zs)})
+    rep._cache["orbit"] = ctx.Q, r, sign    # see `orbit_zeros`
     _require_defining(rep)
     return rep
 
@@ -589,6 +605,31 @@ def certified_zeros(polys, rep: Representation) -> list:
                                 for terms in rel["terms"]], nonzero)
 
 
+# certified_zeros of each relation set on the P = 1 member of a first-family
+# Galois orbit, by (relation set, Q, r, sign); filled by `orbit_zeros`
+_orbit_verdicts = {}
+
+
+def orbit_zeros(name: str, polys, rep: Representation) -> list:
+    """certified_zeros(polys, rep) for the relation set `name`, taken from
+    the P = 1 member of rep's Galois orbit when rep is a first-family
+    representation at P != 1 and that member was certified with every
+    poly decided.  `build_family1` records the orbit (Q, r, sign); any
+    other representation is certified directly, and so is the P = 1
+    member, whose verdicts are stored."""
+    orbit = rep._cache.get("orbit")
+    if orbit is None:
+        return certified_zeros(polys, rep)
+    key = (name, *orbit)
+    if rep.ctx.P == 1:
+        got = _orbit_verdicts[key] = tuple(certified_zeros(polys, rep))
+        return list(got)
+    got = _orbit_verdicts.get(key)
+    if got is None or None in got:
+        return certified_zeros(polys, rep)
+    return list(got)
+
+
 def _max_abs(A) -> float:
     return float(np.max(np.abs(A))) if A.size else 0.0
 
@@ -714,7 +755,7 @@ def verify_relations(rep: Representation, which: str,
     J-Z relations are the (LHS, RHS) pairs of ncpoly.relation_sides,
     "defining" with Z Zi = 1 and Zi Z = 1 first; on the exact backend a
     check whose LHS - RHS is certified zero modulo split primes, all in one
-    `certified_zeros` call, passes with residual 0, and the others are
+    `orbit_zeros` call, passes with residual 0, and the others are
     evaluated onto the matrices and compared.  The "defining" report is
     cached on the representation (per tolerance on the floating backend),
     so the check each constructor runs is not repeated.  "central" checks
@@ -737,7 +778,7 @@ def verify_relations(rep: Representation, which: str,
 
     if which in ("defining", "zj"):
         sides = relation_sides(which)
-        zero = certified_zeros(list(relation_differences(which).values()), rep)
+        zero = orbit_zeros(which, list(relation_differences(which).values()), rep)
         rest = [name for name, z in zip(sides, zero) if not z]
         mats = iter(evaluate([p for name in rest for p in sides[name]], rep) if rest else ())
         for name, z in zip(sides, zero):

@@ -4,9 +4,10 @@ search for the sign involution + metric realizing the modified star structure.
 
 The cubic identity is not typed in here: its y-coefficients come from
 `ncpoly.identity_coefficients`.  On an exact representation the C_k that
-`reps.certified_zeros` does not certify zero modulo split primes are
-evaluated by `reps.evaluate`, the nonzero ones are kept on the
-representation, and each integer x sums y^k C_k over them.  A valid
+`reps.orbit_zeros` does not certify zero modulo split primes (directly, or
+on the P = 1 member of a first-family Galois orbit) are evaluated by
+`reps.evaluate`, the nonzero ones are kept on the representation, and
+each integer x sums y^k C_k over them.  A valid
 representation keeps none, so LHS - RHS vanishes for every y, and the
 identity is an exact pass at every finite x, integer or not.  A
 non-integer x where some C_k is kept, and every x on the floating
@@ -56,7 +57,7 @@ from .ncpoly import identity_coefficients, identity_lhs_coefficients
 from .scalar import ABS_TOL, REL_TOL, _as_int, q_number, q_power, to_complex
 # j_matrix is unused here; the bench tracer requires this import site
 # (REQUIRED_SITES in perfbench/tracing.py)
-from .reps import Representation, certified_zeros, evaluate, ex_lincomb, ex_residual, j_matrix
+from .reps import Representation, evaluate, ex_lincomb, ex_residual, j_matrix, orbit_zeros
 
 EIGEN_TOL = 1e-8
 RANK_TOL = 1e-10
@@ -163,7 +164,7 @@ def _identity_matrices(rep: Representation):
     got = rep._cache.get("identity_exact")
     if got is None:
         coeffs = identity_coefficients()
-        zero = certified_zeros(list(coeffs.values()), rep)
+        zero = orbit_zeros("identity", list(coeffs.values()), rep)
         coeffs = {k: c for (k, c), z in zip(coeffs.items(), zero) if not z}
         mats = evaluate(list(coeffs.values()), rep, True) if coeffs else []
         got = rep._cache["identity_exact"] = {k: M for k, M in zip(coeffs, mats) if M}

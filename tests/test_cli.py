@@ -241,6 +241,30 @@ def test_exact_a_refuses_what_names_no_integer(text):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("name,text", [("a", "1e-400"), ("a", "2.5"),
+                                       ("a", "1.00000000000000000001"), ("b", "2,1"),
+                                       ("b", "1,1e-300")])
+def test_a_refused_exact_a_or_b_is_quoted_as_given(name, text, capsys):
+    # the nearest double would name 1e-400 as 0,0 and 1,1e-300 as 1,0
+    argv = ["rep", "--family", "2", "--exact", "--lambda", "q^2", f"--{name}={text}",
+            "--P", "2", "--Q", "7"]
+    with pytest.raises(SystemExit) as exc:
+        parse_command(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(
+        f"needs an integer --{name}, got {text!r}")
+
+
+@pytest.mark.parametrize("flag,text", [("lambda", "abc"), ("lambda", "q^x"), ("a", "1,2,3"),
+                                       ("b", "abc"), ("x", "")])
+def test_an_unparsable_value_is_quoted_as_given(flag, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_command(["verify", "--check", "identity", "--family", "2", f"--{flag}={text}"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(
+        f"argument --{flag}: cannot parse complex value {text!r}")
+
+
 def test_exact_family2_lambda_token(tmp_path):
     out = tmp_path / "rep.json"
     code = run(["rep", "--P", "1", "--Q", "5", "--family", "2",
